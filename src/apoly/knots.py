@@ -1,16 +1,20 @@
 """A-polynomial generators: unknot, torus knots, two-bridge elimination.
 
 Two-bridge A-polynomials are computed from the standard 2-generator
-presentation: the meridian generators are sent to the one-parameter normal
-form
+presentation (Riley, Quart. J. Math. 1984): the meridian generators are
+sent to the one-parameter normal form
 
     a -> [[M, 1], [0, 1/M]],   b -> [[M, 0], [t, 1/M]],
 
-the relator gives a single polynomial condition on (M, t), the preferred
-longitude evaluates to an eigenvalue relation in (M, t, L), and t is
-eliminated by a resultant. The longitude word convention (including the
-meridian framing correction) is pinned here and validated by the oracle
-tests; see the presentation docstring.
+the relator gives a single polynomial condition phi(M, t) = 0, and the
+preferred longitude's (1,1) entry lambda(M, t) is its eigenvalue L. Words
+are multiplied exactly over Laurent polynomials in M and t. phi's leading
+t-coefficient is a unit monomial, so phi is monic over Z[M^+-1] and t is
+eliminated by the characteristic polynomial det(L*I - X) of the matrix X
+of multiplication by lambda in Z[M^+-1][t]/(phi), which equals
+Res_t(phi, lambda - L) up to sign and a power of M. The longitude word
+convention (including the meridian framing correction) is pinned here and
+validated by the oracle tests; see the presentation docstring.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .poly import BivarPoly, TriPolyInT, bivar_from_sympy, resultant_t
+from .poly import BivarPoly, TriPolyInT, UnivarPoly, charpoly, gcd_univar
 
 __all__ = [
     "Unknot",
@@ -109,7 +113,7 @@ def two_bridge_presentation(p: int, q: int) -> GroupPresentation:
     """
     TwoBridgeKnot(p, q)  # validate
     qt = q if q % 2 == 1 else q - p
-    eps = tuple((-1) ** ((i * qt) // p) for i in range(1, p))
+    eps = tuple(-1 if (i * qt) // p % 2 else 1 for i in range(1, p))
     w = tuple(("b" if i % 2 == 0 else "a", e) for i, e in enumerate(eps))
     relator = (("a", 1),) + w + (("b", -1),) + _word_inverse(w)
     wbar = tuple(("a" if g == "b" else "b", e) for g, e in w)
@@ -124,72 +128,80 @@ def two_bridge_presentation(p: int, q: int) -> GroupPresentation:
     )
 
 
-def sl2_word_eval(word, assignments):
-    """Evaluate a word in 2x2 matrices over a ring (sympy entries).
-
-    Inverses use the determinant-1 adjugate rule, so every assignment must
-    have determinant 1.
-    """
-    import sympy as sp
-
-    result = sp.eye(2)
-    for g, e in word:
-        if g not in assignments:
-            raise KeyError(f"no matrix assigned to generator {g!r}")
-        x = assignments[g]
-        if e < 0:
-            x = sp.Matrix([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]])
-        for _ in range(abs(e)):
-            result = result * x
-    return result
+def _lp_add(f, g, sign=1):
+    out = dict(f)
+    for key, c in g.items():
+        s = out.get(key, 0) + sign * c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
 
 
-def _tripoly_from_expr(expr, tsym, msym, lsym) -> TriPolyInT:
-    """Collect a Laurent-in-M expression into t-coefficients over Z[M, L].
+def _lp_mul(f, g):
+    out = {}
+    for (i1, k1), c1 in f.items():
+        for (i2, k2), c2 in g.items():
+            key = (i1 + i2, k1 + k2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
 
-    The denominator must be a pure monomial in M (it is, for words in the
-    normal-form matrices); its exponent is recorded on the carrier.
-    """
-    import sympy as sp
 
-    num, den = sp.fraction(sp.together(sp.expand(expr)))
-    den = sp.expand(den)
-    dpoly = sp.Poly(den, msym)
-    if len(dpoly.terms()) != 1:
-        raise ValueError(f"denominator is not a pure monomial in M: {den}")
-    (dm,), _dc = dpoly.terms()[0]
-    # the denominator's constant factor and sign never vanish, so only the
-    # monomial exponent matters for the zero set
-    poly = sp.Poly(sp.expand(num), tsym, msym, lsym)
-    coeffs = {}
-    for (k, i, j), c in poly.terms():
-        coeffs.setdefault(int(k), {})[(int(i), int(j))] = int(c)
-    if not coeffs:
-        return TriPolyInT([], denom=(int(dm), 0))
-    top = max(coeffs)
-    return TriPolyInT(
-        [BivarPoly(coeffs.get(k, {})) for k in range(top + 1)],
-        denom=(int(dm), 0),
+def _mat_mul(x, y):
+    return tuple(
+        tuple(
+            _lp_add(_lp_mul(x[r][0], y[0][c]), _lp_mul(x[r][1], y[1][c]))
+            for c in range(2)
+        )
+        for r in range(2)
     )
 
 
+_IDENTITY = (({(0, 0): 1}, {}), ({}, {(0, 0): 1}))
+# Riley's normal form: a -> [[M, 1], [0, 1/M]], b -> [[M, 0], [t, 1/M]]
+_NORMAL_FORM = {
+    "a": (({(1, 0): 1}, {(0, 0): 1}), ({}, {(-1, 0): 1})),
+    "b": (({(1, 0): 1}, {}), ({(0, 1): 1}, {(-1, 0): 1})),
+}
+
+
+def sl2_word_eval(word, assignments):
+    """Evaluate a word in 2x2 matrices over Laurent polynomials in M and t.
+
+    A matrix is a pair of rows of entries; an entry maps (M-exponent,
+    t-exponent) pairs to nonzero integer coefficients, M-exponents may be
+    negative. Inverses use the determinant-1 adjugate rule, so every
+    assignment must have determinant 1.
+    """
+    result = _IDENTITY
+    for g, e in word:
+        if g not in assignments:
+            raise KeyError(f"no matrix assigned to generator {g!r}")
+        (x00, x01), (x10, x11) = assignments[g]
+        if e < 0:
+            x = ((x11, _lp_add({}, x01, -1)), (_lp_add({}, x10, -1), x00))
+        else:
+            x = ((x00, x01), (x10, x11))
+        for _ in range(abs(e)):
+            result = _mat_mul(result, x)
+    return result
+
+
+def _collect_t(terms) -> TriPolyInT:
+    """Collect a Laurent polynomial {(M-exponent, t-exponent): c} into
+    t-coefficients over Z[M], recording the cleared M^dm on the carrier."""
+    dm = max(0, -min((i for i, _ in terms), default=0))
+    by_t = {}
+    for (i, k), c in terms.items():
+        by_t.setdefault(k, {})[(i + dm, 0)] = c
+    top = max(by_t, default=-1)
+    return TriPolyInT([BivarPoly(by_t.get(k)) for k in range(top + 1)], denom=(dm, 0))
+
+
 class EliminationDegeneracyError(RuntimeError):
-    """The resultant vanished identically; the elimination is degenerate."""
-
-
-def _squarefree_bivar(p: BivarPoly) -> BivarPoly:
-    """Product of the distinct irreducible factors, via exact square-free
-    decomposition over Z[M, L] (sympy)."""
-    import sympy as sp
-
-    from .poly import bivar_to_sympy
-
-    M, L = sp.symbols("M L")
-    _, factors = sp.Poly(bivar_to_sympy(p), M, L).sqf_list()
-    out = BivarPoly.const(1)
-    for f, _mult in factors:
-        out = out * bivar_from_sympy(f.as_expr())
-    return out
+    """The elimination is degenerate: the representation condition's
+    leading t-coefficient is not a unit monomial in M."""
 
 
 def riley_polynomial(p: int, q: int):
@@ -199,39 +211,119 @@ def riley_polynomial(p: int, q: int):
     vanish identically and the off-diagonal entries agree up to a factor
     of -t, so the (1,2) entry is the single independent condition.
     """
-    import sympy as sp
-
-    M, t = sp.symbols("M t")
-    L = sp.Symbol("L")
     pres = two_bridge_presentation(p, q)
-    A = sp.Matrix([[M, 1], [0, 1 / M]])
-    B = sp.Matrix([[M, 0], [t, 1 / M]])
-    W = sl2_word_eval(pres.w, {"a": A, "b": B})
-    E = A * W - W * B
-    return _tripoly_from_expr(E[0, 1], t, M, L), pres
+    a = _NORMAL_FORM["a"]
+    w = sl2_word_eval(pres.w, _NORMAL_FORM)
+    left, right = _mat_mul(a, w), _mat_mul(w, _NORMAL_FORM["b"])
+    return _collect_t(_lp_add(left[0][1], right[0][1], -1)), pres
+
+
+def _reduce_mod(f, monic, n):
+    """f modulo a polynomial that is monic of degree n in t (Laurent dicts)."""
+    while True:
+        k = max((kk for _, kk in f), default=-1)
+        if k < n:
+            return f
+        top = {(i, k - n): c for (i, kk), c in f.items() if kk == k}
+        f = _lp_add(f, _lp_mul(top, monic), -1)
+
+
+def _longitude_charpoly(phi: TriPolyInT, lam) -> BivarPoly:
+    """M^(s*n) * det(L*I - X), X the multiplication by lam in
+    Z[M^+-1][t]/(phi) on the basis 1, t, ..., t^(n-1), n = deg_t phi.
+
+    The shift s is the least that makes every entry of M^s * X a
+    polynomial. Up to sign and a power of M this is Res_t(phi, lam - L),
+    because the leading coefficient of phi is a unit monomial.
+    """
+    n = phi.degree_t()
+    lead = phi.coeffs[-1].terms
+    if len(lead) != 1 or abs(next(iter(lead.values()))) != 1:
+        raise EliminationDegeneracyError(
+            f"leading t-coefficient {phi.coeffs[-1]} of the representation "
+            "condition is not a unit monomial"
+        )
+    ((e, _), u), = lead.items()
+    monic = {
+        (i - e, k): u * c
+        for k, coeff in enumerate(phi.coeffs)
+        for (i, _), c in coeff.terms.items()
+    }
+    # column j of X is t^j * lam reduced mod phi
+    cols = [_reduce_mod(lam, monic, n)]
+    for _ in range(n - 1):
+        cols.append(_reduce_mod({(i, k + 1): c for (i, k), c in cols[-1].items()}, monic, n))
+    s = max(0, -min((i for col in cols for i, _ in col), default=0))
+    entries = [[{} for _ in range(n)] for _ in range(n)]
+    for j, col in enumerate(cols):
+        for (i, k), c in col.items():
+            entries[k][j][i + s] = c
+    matrix = [
+        [UnivarPoly([e.get(i, 0) for i in range(max(e, default=-1) + 1)]) for e in row]
+        for row in entries
+    ]
+    terms = {}
+    for k, coeff in enumerate(charpoly(matrix)):
+        for i, c in enumerate(coeff.coeffs):
+            if c:
+                terms[(i + s * (n - k), n - k)] = c
+    return BivarPoly(terms)
+
+
+def _l_lead(f: BivarPoly) -> BivarPoly:
+    d = f.deg_l()
+    return BivarPoly({(i, 0): c for (i, j), c in f.terms.items() if j == d})
+
+
+def _l_primitive(f: BivarPoly) -> BivarPoly:
+    """f divided by the gcd over Z[M] of its L-coefficients."""
+    content = None
+    for u in f._l_coeffs().values():
+        content = u if content is None else gcd_univar(content, u)
+    return f.try_divide(BivarPoly.from_univar_m(content))
+
+
+def _gcd_l(f: BivarPoly, g: BivarPoly) -> BivarPoly:
+    """Primitive gcd of f and g in Z[M][L], by the primitive remainder
+    sequence in L."""
+    a, b = _l_primitive(f), _l_primitive(g)
+    if a.deg_l() < b.deg_l():
+        a, b = b, a
+    while not b.is_zero:
+        lb, db = _l_lead(b), b.deg_l()
+        while not a.is_zero and a.deg_l() >= db:
+            a = a * lb - _l_lead(a) * b * BivarPoly.term(1, 0, a.deg_l() - db)
+        a, b = b, (a if a.is_zero else _l_primitive(a))
+    return a
+
+
+def _squarefree_bivar(r: BivarPoly) -> BivarPoly:
+    """Product of the distinct factors of positive L-degree of r, up to
+    M-power and integer content, when r's leading L-coefficient is a
+    monomial in M.
+
+    Such a monomial does not vanish at M = 3, so a square factor of r
+    stays a square factor of r(3, L) of the same L-degree: if r(3, L) is
+    square-free, so is r. Otherwise r is divided by its gcd with dr/dL.
+    """
+    f = r.eval_m(3)
+    if gcd_univar(f, f.derivative()).degree() == 0:
+        return r
+    r = _l_primitive(r)
+    dr = BivarPoly({(i, j - 1): j * c for (i, j), c in r.terms.items() if j})
+    return r.try_divide(_gcd_l(r, dr))
 
 
 def eliminate_two_bridge(p: int, q: int) -> BivarPoly:
-    """A-polynomial of the two-bridge knot p/q by resultant elimination.
+    """A-polynomial of the two-bridge knot p/q by elimination of t.
 
     Eliminates the representation parameter t from the relator condition
     and the longitude eigenvalue relation, takes the square-free part,
     guarantees one abelian (L-1) factor, and returns A-normal form.
     """
-    import sympy as sp
-
-    M, t, L = sp.symbols("M t L")
     phi, pres = riley_polynomial(p, q)
-    A = sp.Matrix([[M, 1], [0, 1 / M]])
-    B = sp.Matrix([[M, 0], [t, 1 / M]])
-    lam = sl2_word_eval(pres.longitude, {"a": A, "b": B})
-    psi = _tripoly_from_expr(lam[0, 0] - L, t, M, L)
-    res = resultant_t(phi, psi)
-    if res.is_zero:
-        raise EliminationDegeneracyError(
-            f"resultant for two-bridge ({p},{q}) vanished identically"
-        )
-    nf, _ = _squarefree_bivar(res).normalize()
+    lam = sl2_word_eval(pres.longitude, _NORMAL_FORM)[0][0]
+    nf = _squarefree_bivar(_longitude_charpoly(phi, lam)).normal_form()
     if nf.try_divide(_L_MINUS_1) is None:
         nf, _ = (nf * _L_MINUS_1).normalize()
     return nf

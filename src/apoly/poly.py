@@ -10,6 +10,10 @@ Three carriers:
   coefficients are BivarPoly values, with an optional recorded pure-monomial
   denominator (Laurent shifts in M picked up mid-elimination).
 
+Characteristic polynomials and the Sylvester resultant in t are computed
+division-free by Berkowitz's algorithm (``charpoly``, ``resultant_t``), so
+every result is exact integer arithmetic with no computer-algebra system.
+
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
 """
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "format_poly",
     "gcd_univar",
     "squarefree_univar",
+    "charpoly",
     "resultant_t",
 ]
 
@@ -645,118 +649,61 @@ class TriPolyInT:
         return f"TriPolyInT({list(self.coeffs)!r}, denom={self.denom})"
 
 
+def _dot(xs, ys):
+    acc = None
+    for x, y in zip(xs, ys):
+        acc = x * y if acc is None else acc + x * y
+    return acc
+
+
+def charpoly(matrix):
+    """Coefficients [1, c_1, ..., c_n] of det(x*I - A), highest degree first.
+
+    Berkowitz's division-free algorithm (Inf. Proc. Letters 18, 1984): the
+    characteristic polynomial of each leading principal submatrix is a
+    lower-triangular Toeplitz matrix times that of the previous one. The
+    entries only need +, - and * (UnivarPoly or BivarPoly here), so the
+    result is exact over their ring. ``matrix`` is a nonempty square list
+    of rows.
+    """
+    one = type(matrix[0][0]).const(1)
+    poly = [one, -matrix[0][0]]
+    for r in range(1, len(matrix)):
+        row = matrix[r][:r]
+        col = [matrix[i][r] for i in range(r)]
+        # first Toeplitz column: 1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C
+        toeplitz = [one, -matrix[r][r]]
+        for k in range(r):
+            toeplitz.append(-_dot(row, col))
+            if k < r - 1:
+                col = [_dot(matrix[i][:r], col) for i in range(r)]
+        poly = [_dot(toeplitz[i::-1], poly) for i in range(r + 2)]
+    return poly
+
+
 def resultant_t(p: TriPolyInT, q: TriPolyInT) -> BivarPoly:
     """Resultant of p and q with respect to t, exact over Z[M, L].
 
-    Recorded monomial denominators are cleared first (they only scale the
-    resultant by a monomial). The sign convention is the Sylvester
-    determinant with deg(p) rows of q's coefficients on top, so that
-    Res_t(t - f, t - g) = g - f. Backed by sympy's fraction-free
-    resultant, whose sign is then pinned to that determinant by an
-    integer-point evaluation; the test suite checks the whole thing
-    against a cofactor-expansion Sylvester determinant built on
-    BivarPoly arithmetic alone.
+    Recorded monomial denominators are ignored (they only scale the
+    resultant by a monomial). The result is the Sylvester determinant with
+    deg(p) rows of q's coefficients on top, so that
+    Res_t(t - f, t - g) = g - f, computed division-free as the constant
+    term of the Sylvester matrix's characteristic polynomial.
     """
-    import sympy as sp
-
     if p.is_zero or q.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined")
-    if p.degree_t() == 0 and q.degree_t() == 0:
+    m, n = p.degree_t(), q.degree_t()
+    if m == 0 and n == 0:
         raise ValueError("both inputs have t-degree 0; nothing to eliminate")
-    M, L, T = sp.symbols("M L t")
-
-    def to_expr(tri):
-        e = sp.Integer(0)
-        for k, c in enumerate(tri.coeffs):
-            for (i, j), cc in c.terms.items():
-                e += cc * M**i * L**j * T**k
-        return e
-
-    res = bivar_from_sympy(
-        sp.resultant(sp.expand(to_expr(p)), sp.expand(to_expr(q)), T)
-    )
-    if res.is_zero:
-        return res
-    return _match_sylvester_sign(p.coeffs, q.coeffs, res)
-
-
-def _match_sylvester_sign(pc, qc, res: BivarPoly) -> BivarPoly:
-    """Flip res if needed so it equals the Sylvester determinant with q's
-    coefficient rows on top (deg(p) of them) and p's rows below.
-
-    sympy's resultant agrees with that determinant only up to sign, with
-    the sign depending on the degree pair, so we settle it by evaluating
-    both at integer points until the value is nonzero. Evaluation
-    commutes with the determinant, so a single nonzero sample decides.
-    """
-    import sympy as sp
-
-    m = len(pc) - 1
-    n = len(qc) - 1
     size = m + n
-    for m0, l0 in ((2, 3), (3, 2), (5, 7), (2, 11), (7, 5), (11, 13)):
-        res_val = sum(c * m0**i * l0**j for (i, j), c in res.terms.items())
-        if res_val == 0:
-            continue
-        pv = [sum(cc * m0**i * l0**j for (i, j), cc in c.terms.items()) for c in pc]
-        qv = [sum(cc * m0**i * l0**j for (i, j), cc in c.terms.items()) for c in qc]
-        rows = []
-        for r in range(m):
-            row = [0] * size
-            for k, c in enumerate(reversed(qv)):
-                row[r + k] = c
-            rows.append(row)
-        for r in range(n):
-            row = [0] * size
-            for k, c in enumerate(reversed(pv)):
-                row[r + k] = c
-            rows.append(row)
-        det_val = int(sp.Matrix(rows).det(method="berkowitz"))
-        if det_val == res_val:
-            return res
-        if det_val == -res_val:
-            return -res
-        raise AssertionError("resultant differs from Sylvester determinant")
-    # res vanished at every sample point; fall back to symbolic comparison
     rows = []
-    for r in range(m):
-        row = [sp.Integer(0)] * size
-        for k, c in enumerate(reversed(qc)):
-            row[r + k] = bivar_to_sympy(c)
-        rows.append(row)
-    for r in range(n):
-        row = [sp.Integer(0)] * size
-        for k, c in enumerate(reversed(pc)):
-            row[r + k] = bivar_to_sympy(c)
-        rows.append(row)
-    det = bivar_from_sympy(sp.expand(sp.Matrix(rows).det(method="berkowitz")))
-    if det == res:
-        return res
-    if det == -res:
-        return -res
-    raise AssertionError("resultant differs from Sylvester determinant")
-
-
-def bivar_from_sympy(expr) -> BivarPoly:
-    """Convert a sympy polynomial in symbols M, L into a BivarPoly."""
-    import sympy as sp
-
-    M, L = sp.symbols("M L")
-    expr = sp.expand(expr)
-    if expr == 0:
-        return BivarPoly()
-    poly = sp.Poly(expr, M, L)
-    return BivarPoly({(int(i), int(j)): int(c) for (i, j), c in poly.terms()})
-
-
-def bivar_to_sympy(p: BivarPoly):
-    import sympy as sp
-
-    M, L = sp.symbols("M L")
-    e = sp.Integer(0)
-    for (i, j), c in p.terms.items():
-        e += c * M**i * L**j
-    return e
+    for coeffs, count in ((q.coeffs, m), (p.coeffs, n)):
+        for r in range(count):
+            row = [BivarPoly()] * size
+            row[r : r + len(coeffs)] = reversed(coeffs)
+            rows.append(row)
+    det = charpoly(rows)[size]
+    return det if size % 2 == 0 else -det
 
 
 # -- text grammar -----------------------------------------------------
@@ -905,7 +852,3 @@ def format_poly(p: BivarPoly) -> str:
         out += f" {sign} {body}"
     return out
 
-
-def slope_fraction(di, dj):
-    """Lowest-terms slope dj/di, used by the Newton polygon module."""
-    return Fraction(dj, di)

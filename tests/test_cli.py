@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,30 @@ class TestCompute:
         code, out = run(capsys, "compute", "--two-bridge", "3", "1")
         assert code == 0
         assert out.splitlines()[0] == TREFOIL_TEXT
+
+    def test_two_bridge_even_q(self, capsys):
+        # 5/2 and 5/3 are both the figure-eight knot (2 * 3 = 1 mod 5)
+        code, out = run(capsys, "compute", "--two-bridge", "5", "2")
+        assert code == 0
+        assert out == run(capsys, "compute", "--two-bridge", "5", "3")[1]
+
+    def test_two_bridge_without_sympy(self):
+        # -X importtime lists every module the interpreter imports on stderr
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "apoly.cli"]
+            + ["compute", "--two-bridge", "7", "3", "--json"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["report"]["verdict"] == "PASS"
+        assert "| apoly.knots" in proc.stderr
+        assert "sympy" not in proc.stderr
 
     def test_invalid_torus(self, capsys):
         code, out = run(capsys, "compute", "--torus", "2", "4")

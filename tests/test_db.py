@@ -200,3 +200,16 @@ class TestBundledFixtures:
         rep = verify_all(res.records)
         assert rep.status == "OK"
         assert rep.failures == [] and rep.anomalies == []
+
+    def test_reproducible(self):
+        # the generators must rebuild the committed table byte for byte
+        import importlib.util
+        from importlib import resources
+        from pathlib import Path
+
+        script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+        spec = importlib.util.spec_from_file_location("make_fixtures", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        committed = (resources.files("apoly.data") / "fixtures.txt").read_bytes()
+        assert module.fixture_text().encode("utf-8") == committed

@@ -1,4 +1,6 @@
 import cmath
+import functools
+from math import gcd
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from apoly.knots import (
     two_bridge_presentation,
     unknot_a,
 )
-from apoly.poly import BivarPoly, parse_poly
+from apoly.knots import _collect_t, _longitude_charpoly, _squarefree_bivar
+from apoly.poly import BivarPoly, TriPolyInT, parse_poly, resultant_t
 from apoly.structure import abelian_multiplicity, symmetry_check
 
 L = BivarPoly.var_l()
@@ -126,29 +129,36 @@ class TestPresentation:
         assert counts == {"a": 1, "b": -1}
 
 
+# Laurent polynomials in M and t: {(M-exponent, t-exponent): coefficient}
+ONE = {(0, 0): 1}
+IDENTITY = ((ONE, {}), ({}, ONE))
+A_MAT = (({(1, 0): 1}, ONE), ({}, {(-1, 0): 1}))
+B_MAT = (({(1, 0): 1}, {}), ({(0, 1): 1}, {(-1, 0): 1}))
+
+
+def laurent_product(f, g):
+    out = {}
+    for (i1, k1), c1 in f.items():
+        for (i2, k2), c2 in g.items():
+            out[(i1 + i2, k1 + k2)] = out.get((i1 + i2, k1 + k2), 0) + c1 * c2
+    return out
+
+
 class TestWordEval:
     def test_identity_on_empty_word(self):
-        import sympy as sp
-
-        assert sl2_word_eval((), {}) == sp.eye(2)
+        assert sl2_word_eval((), {}) == IDENTITY
 
     def test_inverse_cancels(self):
-        import sympy as sp
-
-        m = sp.Symbol("m")
-        x = sp.Matrix([[m, 1], [0, 1 / m]])
-        out = sp.simplify(sl2_word_eval((("a", 1), ("a", -1)), {"a": x}))
-        assert out == sp.eye(2)
+        assert sl2_word_eval((("a", 1), ("a", -1)), {"a": A_MAT}) == IDENTITY
+        assert sl2_word_eval((("b", -2), ("b", 2)), {"b": B_MAT}) == IDENTITY
 
     def test_determinant_one(self):
-        import sympy as sp
-
-        m, t = sp.symbols("m t")
-        a = sp.Matrix([[m, 1], [0, 1 / m]])
-        b = sp.Matrix([[m, 0], [t, 1 / m]])
         word = (("a", 1), ("b", -1), ("a", 2), ("b", 1))
-        out = sl2_word_eval(word, {"a": a, "b": b})
-        assert sp.simplify(out.det()) == 1
+        (x00, x01), (x10, x11) = sl2_word_eval(word, {"a": A_MAT, "b": B_MAT})
+        det = laurent_product(x00, x11)
+        for key, c in laurent_product(x01, x10).items():
+            det[key] = det.get(key, 0) - c
+        assert {key: c for key, c in det.items() if c} == ONE
 
     def test_unknown_generator(self):
         with pytest.raises(KeyError):
@@ -208,18 +218,47 @@ class TestElimination:
 
     def test_squarefree_output(self):
         # specialize at several integer M values; the result must be
-        # square-free as a polynomial in L
+        # square-free as a polynomial in L. 13/1 and 15/11 have repeated
+        # factors before the square-free step.
         from apoly.poly import UnivarPoly, gcd_univar
 
-        a = eliminate_two_bridge(7, 3)
-        for m0 in (2, 3, 5):
-            f = UnivarPoly(
-                [
-                    sum(c * m0**i for (i, j), c in a.terms.items() if j == k)
-                    for k in range(a.deg_l() + 1)
-                ]
+        for p, q in [(7, 3), (13, 1), (15, 11)]:
+            a = eliminate_two_bridge(p, q)
+            for m0 in (2, 3, 5):
+                f = UnivarPoly(
+                    [
+                        sum(c * m0**i for (i, j), c in a.terms.items() if j == k)
+                        for k in range(a.deg_l() + 1)
+                    ]
+                )
+                assert gcd_univar(f, f.derivative()).degree() == 0
+
+    def test_squarefree_removes_repeated_factor(self):
+        square = parse_poly("(L*M^3 + 1)^2*(L - M^2)*M^2")
+        assert _squarefree_bivar(square).normal_form() == parse_poly(
+            "(L*M^3 + 1)*(L - M^2)"
+        ).normal_form()
+
+    def test_charpoly_matches_resultant(self):
+        # the characteristic polynomial of multiplication by the longitude
+        # entry equals Res_t(phi, lambda - L) up to sign and a power of M
+        for p, q in [(3, 1), (5, 3), (7, 3), (7, 2), (9, 4)]:
+            phi, pres = riley_polynomial(p, q)
+            lam = sl2_word_eval(pres.longitude, {"a": A_MAT, "b": B_MAT})[0][0]
+            lam_t = _collect_t(lam)
+            dm = lam_t.denom[0]
+            psi = TriPolyInT(
+                [lam_t[0] - BivarPoly.term(1, dm, 1)] + list(lam_t.coeffs[1:])
             )
-            assert gcd_univar(f, f.derivative()).degree() == 0
+            assert (
+                _longitude_charpoly(phi, lam).normal_form()
+                == resultant_t(phi, psi).normal_form()
+            )
+
+    def test_non_unit_leading_coefficient(self):
+        phi = TriPolyInT([one, BivarPoly.const(2)])
+        with pytest.raises(EliminationDegeneracyError):
+            _longitude_charpoly(phi, {(0, 1): 1})
 
 
 class TestCurveMembershipOracle:
@@ -239,3 +278,39 @@ class TestCurveMembershipOracle:
         a = eliminate_two_bridge(7, 3)
         for r in curve_membership_points(7, 3, a, rng, 6):
             assert r < 1e-7
+
+
+eliminate_cached = functools.lru_cache(maxsize=None)(eliminate_two_bridge)
+
+
+def coprime_pairs(p_max):
+    return [
+        (p, q) for p in range(3, p_max + 1, 2) for q in range(1, p) if gcd(p, q) == 1
+    ]
+
+
+class TestSchubertOracles:
+    """Two-bridge knots p/q and p/q' are equal when q*q' = 1 (mod p) and
+    mirror images when q*q' = -1 (mod p); mirroring inverts L."""
+
+    def test_even_q_is_mirror_of_odd(self):
+        cases = [(p, q) for p, q in coprime_pairs(15) if q % 2 == 0]
+        assert len(cases) == 24
+        for p, q in cases:
+            mirror = eliminate_cached(p, p - q).invert_l().normal_form()
+            assert eliminate_cached(p, q) == mirror, (p, q)
+
+    def test_inverse_q_same_knot(self):
+        for p, q in coprime_pairs(15):
+            q_inv = pow(q, -1, p)
+            if q < q_inv:
+                assert eliminate_cached(p, q) == eliminate_cached(p, q_inv), (p, q)
+
+    def test_negative_inverse_q_is_mirror(self):
+        cases = [(p, q, -pow(q, -1, p) % p) for p, q in coprime_pairs(13)]
+        cases = [(p, q, qm) for p, q, qm in cases if q % 2 == qm % 2 == 1 and q <= qm]
+        # includes the amphichiral 5/3 and 13/5
+        assert cases == [(5, 3, 3), (9, 5, 7), (11, 3, 7), (13, 5, 5), (13, 7, 11)]
+        for p, q, qm in cases:
+            mirror = eliminate_cached(p, q).invert_l().normal_form()
+            assert eliminate_cached(p, qm) == mirror, (p, q)
