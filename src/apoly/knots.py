@@ -178,11 +178,10 @@ def sl2_word_eval(word, assignments):
     for g, e in word:
         if g not in assignments:
             raise KeyError(f"no matrix assigned to generator {g!r}")
-        (x00, x01), (x10, x11) = assignments[g]
+        x = assignments[g]
         if e < 0:
+            (x00, x01), (x10, x11) = x
             x = ((x11, _lp_add({}, x01, -1)), (_lp_add({}, x10, -1), x00))
-        else:
-            x = ((x00, x01), (x10, x11))
         for _ in range(abs(e)):
             result = _mat_mul(result, x)
     return result
@@ -212,9 +211,9 @@ def riley_polynomial(p: int, q: int):
     of -t, so the (1,2) entry is the single independent condition.
     """
     pres = two_bridge_presentation(p, q)
-    a = _NORMAL_FORM["a"]
+    a, b = _NORMAL_FORM["a"], _NORMAL_FORM["b"]
     w = sl2_word_eval(pres.w, _NORMAL_FORM)
-    left, right = _mat_mul(a, w), _mat_mul(w, _NORMAL_FORM["b"])
+    left, right = _mat_mul(a, w), _mat_mul(w, b)
     return _collect_t(_lp_add(left[0][1], right[0][1], -1)), pres
 
 
@@ -252,14 +251,15 @@ def _longitude_charpoly(phi: TriPolyInT, lam) -> BivarPoly:
     # column j of X is t^j * lam reduced mod phi
     cols = [_reduce_mod(lam, monic, n)]
     for _ in range(n - 1):
-        cols.append(_reduce_mod({(i, k + 1): c for (i, k), c in cols[-1].items()}, monic, n))
+        shifted = {(i, k + 1): c for (i, k), c in cols[-1].items()}
+        cols.append(_reduce_mod(shifted, monic, n))
     s = max(0, -min((i for col in cols for i, _ in col), default=0))
     entries = [[{} for _ in range(n)] for _ in range(n)]
     for j, col in enumerate(cols):
         for (i, k), c in col.items():
             entries[k][j][i + s] = c
     matrix = [
-        [UnivarPoly([e.get(i, 0) for i in range(max(e, default=-1) + 1)]) for e in row]
+        [UnivarPoly([d.get(i, 0) for i in range(max(d, default=-1) + 1)]) for d in row]
         for row in entries
     ]
     terms = {}
