@@ -8,7 +8,7 @@ import os
 import sys
 
 from . import db, knots, newton, structure, surgery
-from .poly import BivarPoly, PolyParseError, format_poly, parse_poly
+from .poly import PolyParseError, format_poly, parse_poly
 
 __all__ = ["main"]
 
@@ -98,7 +98,7 @@ def cmd_verify_db(args) -> int:
         return 1
     for err in loaded.errors:
         print(f"record error (line {err.line}, {err.name or '?'}): {err.message}")
-    report = db.verify_all(loaded.records, jobs=args.jobs)
+    report = db.verify_all(loaded.records)
     if args.json:
         _emit_json(report.as_dict())
     else:
@@ -183,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify-db", help="batch-verify a record file")
     v.add_argument("path")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify_db)
 

@@ -13,13 +13,12 @@ note rather than treated as an error.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from . import newton, structure
-from .poly import BivarPoly, PolyParseError, format_poly, parse_poly
-from .structure import FAIL, PASS, UNKNOT_OK, AnalysisReport, UnitEvalFailure, analyze
+from . import newton
+from .poly import BivarPoly, PolyParseError, parse_poly
+from .structure import FAIL, AnalysisReport, UnitEvalFailure, analyze
 
 __all__ = [
     "DbRecord",
@@ -174,19 +173,13 @@ def _verify_one(rec: DbRecord) -> AnalysisReport:
     return report
 
 
-def verify_all(records, jobs: int = 1) -> BatchReport:
+def verify_all(records) -> BatchReport:
     """Run every structural check on every record.
 
     Deterministic and order-independent: the report follows the input
     record order, and each record is analyzed in isolation.
     """
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_one, records))
-    else:
-        reports = [_verify_one(rec) for rec in records]
+    reports = [_verify_one(rec) for rec in records]
     failures = []
     anomalies = []
     for rec, rep in zip(records, reports):

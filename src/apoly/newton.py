@@ -8,7 +8,7 @@ deterministic SVG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import BivarPoly

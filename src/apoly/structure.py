@@ -9,8 +9,8 @@ inversion-symmetry palindrome check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd, prod
+from dataclasses import dataclass
+from math import prod
 from typing import Optional
 
 from . import newton
@@ -43,53 +43,100 @@ _L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
 _cyclotomic_cache = {1: UnivarPoly([-1, 1])}
 
 
+def _prime_factors(n: int):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def cyclotomic(d: int) -> UnivarPoly:
-    """The d-th cyclotomic polynomial, by exact division of x^d - 1."""
+    """The d-th cyclotomic polynomial, built from the radical of d.
+
+    For each prime p of rad(d), Phi_{np}(x) = Phi_n(x^p) / Phi_n(x) (p does
+    not divide n); then Phi_d(x) = Phi_rad(x^(d/rad)). Every division is
+    exact.
+    """
     if d < 1:
         raise ValueError("cyclotomic order must be positive")
     if d in _cyclotomic_cache:
         return _cyclotomic_cache[d]
-    f = UnivarPoly([-1] + [0] * (d - 1) + [1])  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            q = f.try_divide(cyclotomic(e))
-            assert q is not None
-            f = q
+    f, rad = _cyclotomic_cache[1], 1
+    for p in _prime_factors(d):
+        f = _substitute_power(f, p).try_divide(f)
+        rad *= p
+    f = _substitute_power(f, d // rad)
     _cyclotomic_cache[d] = f
     return f
 
 
-_phi_cache = {}
+def _substitute_power(f: UnivarPoly, k: int) -> UnivarPoly:
+    """f(x^k)."""
+    coeffs = [0] * (k * f.degree() + 1)
+    coeffs[::k] = f.coeffs
+    return UnivarPoly(coeffs)
+
+
+def _cyclotomic_value(d: int, x: int) -> int:
+    """Phi_d(x) for an integer x >= 2, as the exact Moebius product.
+
+    Phi_d(x) = prod over e | d of (x^e - 1)^mu(d/e); only the e with d/e
+    squarefree contribute, one for each set of primes of d.
+    """
+    num, den = 1, 1
+    divisors = [(d, 1)]  # (e, mu(d/e))
+    for p in _prime_factors(d):
+        divisors += [(e // p, -mu) for e, mu in divisors]
+    for e, mu in divisors:
+        if mu > 0:
+            num *= x**e - 1
+        else:
+            den *= x**e - 1
+    return num // den
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("totient of nonpositive integer")
-    if n in _phi_cache:
-        return _phi_cache[n]
-    result, m = n, n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    _phi_cache[n] = result
+    result = n
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
 def cyclotomic_candidates(degree: int):
     """All orders d with euler_phi(d) <= degree, ascending.
 
-    phi(d) >= sqrt(d/2), so d <= 2*degree^2 + 1 bounds the search.
+    Enumerated from their factorizations: a depth-first search multiplies
+    prime powers p^k with p - 1 <= degree, in increasing order of p, and
+    stops a branch as soon as the running totient exceeds degree.
     """
     if degree < 1:
         return []
-    bound = 2 * degree * degree + 1
-    return [d for d in range(1, bound + 1) if euler_phi(d) <= degree]
+    primes = [p for p in range(2, degree + 2) if _prime_factors(p) == [p]]
+    found = [1]
+
+    def extend(start, d, phi):
+        for i in range(start, len(primes)):
+            p = primes[i]
+            pk, phi_pk = p, phi * (p - 1)
+            if phi_pk > degree:
+                return  # larger primes only raise the totient further
+            while phi_pk <= degree:
+                found.append(d * pk)
+                extend(i + 1, d * pk, phi_pk)
+                pk, phi_pk = pk * p, phi_pk * p
+
+    extend(0, 1, 1)
+    return sorted(found)
 
 
 @dataclass(frozen=True)
@@ -128,8 +175,9 @@ def _strip_cyclotomic_factors(f: UnivarPoly, orders=None):
     """Divide out all cyclotomic factors of f.
 
     Returns (list of (order, multiplicity), residual). ``orders`` defaults
-    to every d with phi(d) <= deg f. Cheap value filters at x=2 and x=3
-    skip candidates that cannot divide.
+    to every d with phi(d) <= deg f. A candidate is first filtered by the
+    exact integers Phi_d(2) and Phi_d(3), which must divide f(2) and f(3);
+    Phi_d itself is built and tried by exact division only when both do.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
@@ -143,11 +191,13 @@ def _strip_cyclotomic_factors(f: UnivarPoly, orders=None):
     for d in orders:
         if euler_phi(d) > g.degree():
             continue
-        cd = cyclotomic(d)
-        c2, c3 = cd(2), cd(3)
+        c2 = _cyclotomic_value(d, 2)
+        if v2 % c2:
+            continue
+        c3 = _cyclotomic_value(d, 3)
         mult = 0
         while (v2 % c2 == 0) and (v3 % c3 == 0):
-            q = g.try_divide(cd)
+            q = g.try_divide(cyclotomic(d))
             if q is None:
                 break
             g = q
@@ -171,8 +221,9 @@ def _strip_cyclotomic_factors(f: UnivarPoly, orders=None):
 def is_product_of_cyclotomics(f: UnivarPoly):
     """Recognize f as +/- a product of cyclotomic polynomials.
 
-    Greedy trial division by Phi_d over all d with phi(d) <= deg f; success
-    iff the final quotient is +/-1. Returns a CyclotomicProfile or
+    Greedy trial division by Phi_d over all d with phi(d) <= deg f, each
+    candidate filtered first by its integer values at 2 and 3; success iff
+    the final quotient is +/-1. Returns a CyclotomicProfile or
     NotCyclotomic(residual).
     """
     if f.is_zero:

@@ -19,7 +19,6 @@ from .structure import (
     CyclotomicProfile,
     Violation,
     cyclotomic_candidates,
-    euler_phi,
     mdeg_trivial_decomposition,
     _strip_cyclotomic_factors,
 )

@@ -32,6 +32,21 @@ def univar_polys(draw, max_deg=6, max_coeff=9, allow_zero=True):
     return result
 
 
+_division_cache = {1: UnivarPoly([-1, 1])}
+
+
+def cyclotomic_by_division(d):
+    """Reference Phi_d: x^d - 1 divided exactly by Phi_e for every proper
+    divisor e of d."""
+    if d not in _division_cache:
+        f = UnivarPoly([-1] + [0] * (d - 1) + [1])
+        for e in range(1, d):
+            if d % e == 0:
+                f = f.try_divide(cyclotomic_by_division(e))
+        _division_cache[d] = f
+    return _division_cache[d]
+
+
 def sylvester_resultant(pc, qc):
     """Brute-force resultant oracle: cofactor-expansion determinant of the
     Sylvester matrix over BivarPoly arithmetic (no division anywhere).

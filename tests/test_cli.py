@@ -149,13 +149,6 @@ class TestVerifyDb:
         assert payload["status"] == "OK"
         assert payload["n_fail"] == 0 and payload["n_anomaly"] == 0
 
-    def test_jobs_flag(self, capsys):
-        with resources.as_file(FIXTURES) as path:
-            code1, p1 = run_json(capsys, "verify-db", str(path), "--json")
-            code2, p2 = run_json(capsys, "verify-db", str(path), "--jobs", "4", "--json")
-        assert code1 == code2 == 0
-        assert p1 == p2
-
 
 class TestNewton:
     def test_trefoil_svg(self, capsys, tmp_path):

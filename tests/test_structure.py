@@ -1,4 +1,5 @@
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,8 @@ from apoly.structure import (
     symmetry_check,
     theorem1_verdict,
 )
+from apoly.structure import _cyclotomic_value
+from conftest import cyclotomic_by_division
 
 L = BivarPoly.var_l()
 M = BivarPoly.var_m()
@@ -45,7 +48,16 @@ class TestCyclotomic:
 
     def test_degree_is_phi(self):
         for d in range(1, 40):
-            assert cyclotomic(d).degree() == euler_phi(d)
+            assert cyclotomic(d).degree() == euler_phi(d) == sympy.totient(d)
+
+    def test_matches_divisor_construction(self):
+        for d in range(1, 401):
+            assert cyclotomic(d) == cyclotomic_by_division(d)
+
+    def test_values_match_horner(self):
+        for d in range(1, 401):
+            for x in (2, 3):
+                assert _cyclotomic_value(d, x) == cyclotomic(d)(x)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -55,6 +67,11 @@ class TestCyclotomic:
         cands = cyclotomic_candidates(4)
         # phi(d) <= 4 exactly for these orders
         assert cands == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+        # against the scan over d <= 2*D^2 + 1, which phi(d) >= sqrt(d/2) bounds
+        phi = [0] + list(sympy.sieve.totientrange(1, 2 * 150 * 150 + 2))
+        for degree in list(range(61)) + [150]:
+            scan = [d for d in range(1, 2 * degree * degree + 2) if phi[d] <= degree]
+            assert cyclotomic_candidates(degree) == scan
 
 
 class TestRecognition:
@@ -144,9 +161,13 @@ class TestDecomposition:
         assert "order 3" in out.reason
 
     def test_non_cyclotomic(self):
-        out = mdeg_trivial_decomposition((L - one) * (L - 2 * one))
-        assert isinstance(out, Violation)
-        assert out.residual is not None
+        # L^1999 - L - 1 is Selmer's trinomial, irreducible and not cyclotomic:
+        # recognition tries every candidate order without stopping early
+        for a in ((L - one) * (L - 2 * one), (L - one) * (L**1999 - L - one)):
+            out = mdeg_trivial_decomposition(a)
+            assert isinstance(out, Violation)
+            assert out.reason == "not a product of cyclotomic polynomials"
+            assert out.residual is not None
 
     def test_requires_mdeg_zero(self):
         with pytest.raises(ValueError):
@@ -296,6 +317,9 @@ class TestAnalyze:
         assert rep.deg_m == 6 and rep.verdict == PASS
 
     def test_fail_case(self):
-        rep = analyze(parse_poly("L^2 - 1"), claims_nontrivial_knot=True)
-        assert rep.verdict == FAIL
-        assert rep.cyclotomic.factors == ((2, 1),)
+        for n in (2, 2000):
+            rep = analyze(parse_poly(f"L^{n} - 1"), claims_nontrivial_knot=True)
+            assert rep.verdict == FAIL
+            orders = [d for d in range(2, n + 1) if n % d == 0]
+            assert rep.cyclotomic.factors == tuple((d, 1) for d in orders)
+        assert len(orders) == 19

@@ -160,6 +160,11 @@ class TestReplay:
                 assert p.forces_trivial
                 assert p.u == 1
 
+    def test_high_degree_power(self):
+        rep = replay_contradiction(parse_poly("L^2000 - 1"))
+        assert rep.ok
+        assert rep.d % 2000 == 0
+
 
 class TestForcedTrivialityIsExact:
     def test_v_order_divides_d(self):
