@@ -2,9 +2,9 @@
 
 Subpackages by role: ``poly`` (exact sparse arithmetic), ``newton``
 (Newton polygons and SVG), ``structure`` (cyclotomic and unit-evaluation
-analysis), ``surgery`` (surgery-line intersections and the contradiction
-replay), ``knots`` (unknot, torus, two-bridge generators), ``db`` (record
-ingest and batch verification), ``cli`` (command line).
+analysis), ``surgery`` (the degree-zero contradiction replay), ``knots``
+(unknot, torus, two-bridge generators), ``db`` (record ingest and batch
+verification), ``cli`` (command line).
 """
 
 from .poly import (

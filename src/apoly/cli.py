@@ -4,28 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import db, knots, newton, structure, surgery
 from .poly import PolyParseError, format_poly, parse_poly
 
 __all__ = ["main"]
-
-
-def _tolerance(args):
-    if getattr(args, "tolerance", None) is not None:
-        return args.tolerance
-    env = os.environ.get("APOLY_TOLERANCE")
-    if env:
-        try:
-            val = float(env)
-        except ValueError:
-            raise SystemExit(f"invalid APOLY_TOLERANCE: {env!r}")
-        if val <= 0:
-            raise SystemExit("APOLY_TOLERANCE must be positive")
-        return val
-    return surgery.DEFAULT_TOLERANCE
 
 
 def _emit_json(obj):
@@ -75,7 +59,7 @@ def cmd_analyze(args) -> int:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}")
             return 1
     poly = _parse_or_exit(text)
@@ -93,7 +77,7 @@ def cmd_analyze(args) -> int:
 def cmd_verify_db(args) -> int:
     try:
         loaded = db.load_table(args.path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}")
         return 1
     for err in loaded.errors:
@@ -143,6 +127,9 @@ def cmd_newton(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    if args.nmax < 1:
+        print(f"error: --nmax must be at least 1, got {args.nmax}")
+        return 1
     poly = _parse_or_exit(args.poly)
     if poly.deg_m() != 0:
         print(
@@ -150,7 +137,7 @@ def cmd_replay(args) -> int:
             f"this polynomial has deg_M = {poly.deg_m()}"
         )
         return 1
-    report = surgery.replay_contradiction(poly, n_max=args.nmax, tolerance=_tolerance(args))
+    report = surgery.replay_contradiction(poly, n_max=args.nmax)
     if args.json:
         _emit_json(report.as_dict())
     else:

@@ -28,7 +28,6 @@ __all__ = [
     "Unknot",
     "TorusKnot",
     "TwoBridgeKnot",
-    "NamedKnot",
     "GroupPresentation",
     "unknot_a",
     "torus_a",
@@ -73,12 +72,6 @@ class TwoBridgeKnot:
 
 
 @dataclass(frozen=True)
-class NamedKnot:
-    label: str
-    a_poly: BivarPoly
-
-
-@dataclass(frozen=True)
 class GroupPresentation:
     """Two-generator presentation <a, b | a w = w b> with longitude word.
 
@@ -88,9 +81,7 @@ class GroupPresentation:
     abelianization.
     """
 
-    generators: tuple
     w: tuple
-    relator: tuple
     longitude: tuple
     sign_sequence: tuple
 
@@ -98,10 +89,6 @@ class GroupPresentation:
 def unknot_a() -> BivarPoly:
     """The unknot's A-polynomial, L - 1."""
     return _L_MINUS_1
-
-
-def _word_inverse(word):
-    return tuple((g, -e) for g, e in reversed(word))
 
 
 def two_bridge_presentation(p: int, q: int) -> GroupPresentation:
@@ -115,17 +102,10 @@ def two_bridge_presentation(p: int, q: int) -> GroupPresentation:
     qt = q if q % 2 == 1 else q - p
     eps = tuple(-1 if (i * qt) // p % 2 else 1 for i in range(1, p))
     w = tuple(("b" if i % 2 == 0 else "a", e) for i, e in enumerate(eps))
-    relator = (("a", 1),) + w + (("b", -1),) + _word_inverse(w)
     wbar = tuple(("a" if g == "b" else "b", e) for g, e in w)
     e_sum = sum(eps)
     longitude = w + wbar + ((("a", -2 * e_sum),) if e_sum else ())
-    return GroupPresentation(
-        generators=("a", "b"),
-        w=w,
-        relator=relator,
-        longitude=longitude,
-        sign_sequence=eps,
-    )
+    return GroupPresentation(w=w, longitude=longitude, sign_sequence=eps)
 
 
 def _lp_add(f, g, sign=1):

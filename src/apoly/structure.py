@@ -171,60 +171,14 @@ class NotCyclotomic:
     residual: UnivarPoly
 
 
-def _strip_cyclotomic_factors(f: UnivarPoly, orders=None):
-    """Divide out all cyclotomic factors of f.
-
-    Returns (list of (order, multiplicity), residual). ``orders`` defaults
-    to every d with phi(d) <= deg f. A candidate is first filtered by the
-    exact integers Phi_d(2) and Phi_d(3), which must divide f(2) and f(3);
-    Phi_d itself is built and tried by exact division only when both do.
-    """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    g = f.primitive()
-    if g.degree() == 0:
-        return [], f
-    if orders is None:
-        orders = cyclotomic_candidates(g.degree())
-    factors = []
-    v2, v3 = g(2), g(3)
-    for d in orders:
-        if euler_phi(d) > g.degree():
-            continue
-        c2 = _cyclotomic_value(d, 2)
-        if v2 % c2:
-            continue
-        c3 = _cyclotomic_value(d, 3)
-        mult = 0
-        while (v2 % c2 == 0) and (v3 % c3 == 0):
-            q = g.try_divide(cyclotomic(d))
-            if q is None:
-                break
-            g = q
-            mult += 1
-            v2, v3 = g(2), g(3)
-            if g.degree() == 0:
-                break
-        if mult:
-            factors.append((d, mult))
-        if g.degree() == 0:
-            break
-    # residual scaled so that prod(cyclotomics) * residual == f exactly
-    p = UnivarPoly([1])
-    for d, m in factors:
-        p = p * cyclotomic(d) ** m
-    residual = f.try_divide(p)
-    assert residual is not None
-    return factors, residual
-
-
 def is_product_of_cyclotomics(f: UnivarPoly):
     """Recognize f as +/- a product of cyclotomic polynomials.
 
-    Greedy trial division by Phi_d over all d with phi(d) <= deg f, each
-    candidate filtered first by its integer values at 2 and 3; success iff
-    the final quotient is +/-1. Returns a CyclotomicProfile or
-    NotCyclotomic(residual).
+    Greedy trial division by Phi_d over all d with phi(d) <= deg f; success
+    iff the final quotient is +/-1. A candidate is first filtered by the
+    exact integers Phi_d(2) and Phi_d(3), which must divide f(2) and f(3);
+    Phi_d itself is built and tried by exact division only when both do.
+    Returns a CyclotomicProfile or NotCyclotomic(residual).
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
@@ -232,10 +186,32 @@ def is_product_of_cyclotomics(f: UnivarPoly):
         return NotCyclotomic(f)
     if f.degree() == 0:
         return CyclotomicProfile((), sign=f.leading_coefficient())
-    factors, residual = _strip_cyclotomic_factors(f)
-    if residual.is_zero or residual.degree() != 0 or abs(residual.coeffs[0]) != 1:
-        return NotCyclotomic(residual)
-    return CyclotomicProfile(tuple(factors), sign=residual.coeffs[0])
+    factors = []
+    v2, v3 = f(2), f(3)
+    for d in cyclotomic_candidates(f.degree()):
+        if euler_phi(d) > f.degree():
+            continue
+        c2 = _cyclotomic_value(d, 2)
+        if v2 % c2:
+            continue
+        c3 = _cyclotomic_value(d, 3)
+        mult = 0
+        while (v2 % c2 == 0) and (v3 % c3 == 0):
+            q = f.try_divide(cyclotomic(d))
+            if q is None:
+                break
+            f = q
+            mult += 1
+            v2, v3 = f(2), f(3)
+            if f.degree() == 0:
+                break
+        if mult:
+            factors.append((d, mult))
+        if f.degree() == 0:
+            break
+    if f.degree() != 0 or abs(f.coeffs[0]) != 1:
+        return NotCyclotomic(f)
+    return CyclotomicProfile(tuple(factors), sign=f.coeffs[0])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""Surgery-line intersections and the mechanized nontriviality argument.
+"""The mechanized nontriviality argument on surgery lines.
 
-Intersecting the curve of a bivariate polynomial with the line u = v^(-N)
-(the eigenvalue constraint imposed by 1/N Dehn surgery) gives a finite set
-of eigenvalue points. Root-of-unity roots are detected exactly by
-cyclotomic trial division, so the replay of the degree-zero contradiction
-never depends on floating point; leftover roots are located numerically.
+1/N Dehn surgery imposes the eigenvalue constraint u = v^(-N). When
+deg_M A = 0, u does not occur in A, so the curve's points on that line are
+the roots of A(1, v). The degree-zero decomposition already lists those
+roots exactly, as roots of unity of known order, and the replay checks
+u = v^(-N) = 1 at each of them by residue arithmetic, never in floating
+point.
 """
 
 from __future__ import annotations
@@ -14,164 +15,57 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .poly import BivarPoly, UnivarPoly
-from .structure import (
-    CyclotomicProfile,
-    Violation,
-    cyclotomic_candidates,
-    mdeg_trivial_decomposition,
-    _strip_cyclotomic_factors,
-)
+from .poly import BivarPoly
+from .structure import CyclotomicProfile, Violation, mdeg_trivial_decomposition
 
 __all__ = [
     "EigenPoint",
-    "SurgeryIntersection",
-    "classify_unit_root",
-    "surgery_intersection",
     "ReplayStep",
     "ReplayReport",
     "replay_contradiction",
 ]
-
-DEFAULT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
 class EigenPoint:
     """A point (u, v) of C* x C*: meridian and longitude eigenvalues.
 
-    v_order / u_order are exact root-of-unity orders when known (None for
-    numerically located points); forces_trivial is set only on the exact
-    path, when u = 1 as a root of unity.
+    v_order and u_order are the exact root-of-unity orders of v and u;
+    forces_trivial is set when u = 1.
     """
 
     u: complex
     v: complex
-    v_order: Optional[int] = None
-    u_order: Optional[int] = None
-    on_su2_torus: bool = False
-    forces_trivial: bool = False
+    v_order: int
+    u_order: int
+    forces_trivial: bool
 
     def __post_init__(self):
         if self.u == 0 or self.v == 0:
             raise ValueError("eigenvalue points live in C* x C*")
 
 
-@dataclass
-class SurgeryIntersection:
-    """Intersection of a curve with the surgery line u = v^(-N)."""
+def _unit_root_points(order: int, n: int):
+    """The points on u = v^(-n) with v a primitive ``order``-th root of unity.
 
-    n: int
-    points: list
-    curve_contains_line: bool = False
-    unit_factors: tuple = ()  # ((order, multiplicity), ...)
-    nonunit_residual: Optional[UnivarPoly] = None
-
-
-def classify_unit_root(f: UnivarPoly, bound: Optional[int] = None):
-    """Exact orders of root-of-unity roots of f, by cyclotomic division.
-
-    Returns (list of (order, multiplicity), residual); multiplicities count
-    cyclotomic factors (one entry per Phi_e, covering all phi(e) conjugate
-    roots). ``bound`` caps the candidate order; default is every e with
-    phi(e) <= deg f.
+    For v = exp(2 pi i k / order), u = v^(-n) is exp(2 pi i r / order)
+    with r = -k*n mod order, so u = 1 exactly when r = 0.
     """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    if f.degree() == 0:
-        return [], f
-    orders = cyclotomic_candidates(f.degree())
-    if bound is not None:
-        orders = [e for e in orders if e <= bound]
-    return _strip_cyclotomic_factors(f, orders)
-
-
-def _unit_root_points(order: int, mult: int, n: int):
-    """Eigenvalue points with v a primitive ``order``-th root of unity."""
     pts = []
     for k in range(order):
-        if gcd(k, order) != 1 and order > 1:
+        if gcd(k, order) != 1:
             continue
-        v = cmath.exp(2j * cmath.pi * k / order) if order > 1 else 1 + 0j
         r = (-k * n) % order
-        u = cmath.exp(2j * cmath.pi * r / order) if r else 1 + 0j
         pts.append(
             EigenPoint(
-                u=u,
-                v=v,
+                u=cmath.exp(2j * cmath.pi * r / order),
+                v=cmath.exp(2j * cmath.pi * k / order),
                 v_order=order,
-                u_order=order // gcd(order, r) if r else 1,
-                on_su2_torus=True,
+                u_order=order // gcd(order, r),
                 forces_trivial=(r == 0),
             )
         )
     return pts
-
-
-def _polish_root(f: UnivarPoly, z: complex, iterations: int = 20):
-    df = f.derivative()
-    for _ in range(iterations):
-        fz = f(z)
-        dfz = df(z)
-        if dfz == 0:
-            break
-        step = fz / dfz
-        z -= step
-        if abs(step) < 1e-15 * max(1.0, abs(z)):
-            break
-    return z
-
-
-def _numeric_roots(f: UnivarPoly):
-    import numpy as np
-
-    coeffs = list(reversed(f.coeffs))  # numpy wants highest degree first
-    roots = np.roots(coeffs)
-    return [_polish_root(f, complex(z)) for z in roots]
-
-
-def surgery_intersection(
-    a: BivarPoly, n: int, tolerance: float = DEFAULT_TOLERANCE
-) -> SurgeryIntersection:
-    """All curve points of ``a`` on the 1/n surgery line u = v^(-n).
-
-    Unit-root points are classified exactly; remaining roots come from a
-    companion-matrix root finder with Newton polishing (residual below
-    ``tolerance``). A polynomial that vanishes identically on the line is
-    reported as a curve-contains-line outcome.
-    """
-    if a.is_zero:
-        raise ValueError("zero polynomial")
-    if n < 1:
-        raise ValueError("surgery denominator must be >= 1")
-    g = a.substitute_surgery(n)
-    if g.is_zero:
-        return SurgeryIntersection(n=n, points=[], curve_contains_line=True)
-    # roots at v = 0 are outside C* x C*; strip them
-    while g[0] == 0:
-        g = UnivarPoly(g.coeffs[1:])
-    if g.degree() == 0:
-        return SurgeryIntersection(n=n, points=[], unit_factors=(), nonunit_residual=None)
-    factors, residual = classify_unit_root(g)
-    points = []
-    for order, mult in factors:
-        points.extend(_unit_root_points(order, mult, n))
-    nonunit = None
-    if not residual.is_zero and residual.degree() > 0:
-        nonunit = residual
-        for v in _numeric_roots(residual):
-            u = cmath.exp(-n * cmath.log(v))
-            points.append(
-                EigenPoint(
-                    u=u,
-                    v=v,
-                    on_su2_torus=(abs(abs(u) - 1) < tolerance and abs(abs(v) - 1) < tolerance),
-                    forces_trivial=False,
-                )
-            )
-    return SurgeryIntersection(
-        n=n, points=points, unit_factors=tuple(factors), nonunit_residual=nonunit
-    )
 
 
 @dataclass
@@ -255,14 +149,16 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def replay_contradiction(
-    a: BivarPoly, n_max: int = 5, tolerance: float = DEFAULT_TOLERANCE
-) -> ReplayReport:
+def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
     """Replay the forced-triviality contradiction for an M-degree-0 input.
 
     Computes d as the product of the distinct cyclotomic orders and checks,
     for each n up to n_max, that every intersection point on the 1/(n*d)
-    surgery line has meridian eigenvalue exactly 1.
+    surgery line has meridian eigenvalue exactly 1. With deg_M = 0 the
+    curve's points on any line u = v^(-N) are the roots of A(1, v), and the
+    decomposition A(1, v) = +/-(v - 1) * prod Phi_e(v) over distinct orders
+    e has already listed them exactly, each with multiplicity 1: the
+    primitive e-th roots of unity for e = 1 and each order of the profile.
     """
     if a.is_zero:
         raise ValueError("zero polynomial")
@@ -275,19 +171,20 @@ def replay_contradiction(
         return ReplayReport(ok=False, violation=dec.reason, profile=None, d=None)
     _, profile = dec
     d = profile.product_d
+    orders = [1] + [e for e, _ in profile.factors]
     steps = []
     ok = True
     for n in range(1, n_max + 1):
-        inter = surgery_intersection(a, n * d, tolerance=tolerance)
-        all_trivial = bool(inter.points) and all(p.forces_trivial for p in inter.points)
+        points = [p for e in orders for p in _unit_root_points(e, n * d)]
+        all_trivial = all(p.forces_trivial for p in points)
         ok = ok and all_trivial
         steps.append(
             ReplayStep(
                 n=n,
                 slope_denominator=n * d,
-                num_points=len(inter.points),
+                num_points=len(points),
                 all_forced_trivial=all_trivial,
-                points=inter.points,
+                points=points,
             )
         )
     return ReplayReport(ok=ok, violation=None, profile=profile, d=d, steps=steps)

@@ -48,24 +48,6 @@ class TestCompute:
         assert code == 0
         assert out == run(capsys, "compute", "--two-bridge", "5", "3")[1]
 
-    def test_two_bridge_without_sympy(self):
-        # -X importtime lists every module the interpreter imports on stderr
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "apoly.cli"]
-            + ["compute", "--two-bridge", "7", "3", "--json"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["report"]["verdict"] == "PASS"
-        assert "| apoly.knots" in proc.stderr
-        assert "sympy" not in proc.stderr
-
     def test_invalid_torus(self, capsys):
         code, out = run(capsys, "compute", "--torus", "2", "4")
         assert code == 1
@@ -102,6 +84,13 @@ class TestAnalyze:
             capsys, "analyze", "--file", str(f), "--nontrivial", "--json"
         )
         assert code == 0 and payload["deg_M"] == 6
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        f = tmp_path / "poly.txt"
+        f.write_bytes(b"\xff\xfeL - 1\n")
+        code, out = run(capsys, "analyze", "--file", str(f))
+        assert code == 1
+        assert out.startswith("error: ")
 
     def test_golden_report_shape(self, capsys):
         _, payload = run_json(capsys, "analyze", TREFOIL_TEXT, "--json")
@@ -141,6 +130,13 @@ class TestVerifyDb:
         code, out = run(capsys, "verify-db", "/nonexistent/table.txt")
         assert code == 1
         assert "error" in out
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_bytes(b"unknot ; L - 1\nbad ; \xff\xfe\n")
+        code, out = run(capsys, "verify-db", str(table))
+        assert code == 1
+        assert out.startswith("error: ")
 
     def test_json_output(self, capsys):
         with resources.as_file(FIXTURES) as path:
@@ -195,19 +191,37 @@ class TestReplay:
         assert code == 1
         assert "deg_M" in out
 
+    @pytest.mark.parametrize("nmax", ["0", "-3"])
+    def test_nonpositive_nmax_exit_1(self, capsys, nmax):
+        code, out = run(capsys, "replay", "L - 1", "--nmax", nmax)
+        assert code == 1
+        assert out.startswith("error: ") and "--nmax" in out
 
-class TestTolerance:
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("APOLY_TOLERANCE", "1e-6")
-        code, _ = run(capsys, "replay", "L - 1")
-        assert code == 0
 
-    def test_invalid_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("APOLY_TOLERANCE", "banana")
-        with pytest.raises(SystemExit):
-            main(["replay", "L - 1"])
-
-    def test_nonpositive_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("APOLY_TOLERANCE", "-1")
-        with pytest.raises(SystemExit):
-            main(["replay", "L - 1"])
+@pytest.mark.parametrize(
+    "argv, key, expected",
+    [
+        (["compute", "--two-bridge", "7", "3"], "verdict", "PASS"),
+        (["analyze", "L^60 - 1"], "verdict", "FAIL"),
+        (["replay", "L^60 - 1"], "ok", True),
+    ],
+    ids=["compute", "analyze", "replay"],
+)
+def test_runs_without_numpy_or_sympy(argv, key, expected):
+    # -X importtime lists every module the interpreter imports on stderr
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "apoly.cli"] + argv + ["--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload.get("report", payload)[key] == expected
+    assert "| apoly.surgery" in proc.stderr
+    assert "numpy" not in proc.stderr
+    assert "sympy" not in proc.stderr

@@ -7,7 +7,6 @@ import pytest
 
 from apoly.knots import (
     EliminationDegeneracyError,
-    NamedKnot,
     TorusKnot,
     TwoBridgeKnot,
     Unknot,
@@ -101,10 +100,6 @@ class TestKnotSpecs:
         with pytest.raises(ValueError):
             TwoBridgeKnot(9, 3)  # not coprime
 
-    def test_named(self):
-        k = NamedKnot("trefoil", TREFOIL)
-        assert k.a_poly.deg_m() == 6
-
 
 class TestPresentation:
     def test_trefoil_signs(self):
@@ -120,13 +115,6 @@ class TestPresentation:
         for p, q in [(3, 1), (5, 3), (7, 3), (9, 5)]:
             pres = two_bridge_presentation(p, q)
             assert sum(e for _, e in pres.longitude) == 0
-
-    def test_relator_balanced(self):
-        pres = two_bridge_presentation(7, 5)
-        counts = {"a": 0, "b": 0}
-        for g, e in pres.relator:
-            counts[g] += e
-        assert counts == {"a": 1, "b": -1}
 
 
 # Laurent polynomials in M and t: {(M-exponent, t-exponent): coefficient}

@@ -85,6 +85,16 @@ class TestRecognition:
         prof = is_product_of_cyclotomics(UnivarPoly([1, 1, 1]))
         assert prof.factors == ((3, 1),)
 
+    def test_fourth_order(self):
+        prof = is_product_of_cyclotomics(UnivarPoly([1, 0, 1]))  # L^2 + 1
+        assert prof.factors == ((4, 1),) and prof.sign == 1
+
+    def test_mixed_residual(self):
+        # the residual is what is left after dividing out every Phi_d
+        out = is_product_of_cyclotomics(cyclotomic(3) * UnivarPoly([-2, 1]))
+        assert isinstance(out, NotCyclotomic)
+        assert out.residual == UnivarPoly([-2, 1])
+
     def test_nonunit_rejected(self):
         out = is_product_of_cyclotomics(UnivarPoly([-2, 1]))  # L - 2
         assert isinstance(out, NotCyclotomic)

@@ -1,18 +1,11 @@
-import cmath
-
+import numpy as np
 import pytest
 
 from apoly.poly import BivarPoly, UnivarPoly, parse_poly
 from apoly.structure import cyclotomic
-from apoly.surgery import (
-    EigenPoint,
-    classify_unit_root,
-    replay_contradiction,
-    surgery_intersection,
-)
+from apoly.surgery import EigenPoint, _unit_root_points, replay_contradiction
 
 L = BivarPoly.var_l()
-M = BivarPoly.var_m()
 one = BivarPoly.const(1)
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
 
@@ -22,86 +15,28 @@ def lift(f: UnivarPoly) -> BivarPoly:
     return BivarPoly({(0, k): c for k, c in enumerate(f.coeffs) if c})
 
 
+def assert_numeric_surgery_points(a: BivarPoly, rep):
+    """Numeric oracle for the replay: at every step the v values are, as a
+    multiset, numpy's roots of a restricted to the line u = v^(-N) (which is
+    A(1, v) when deg_M = 0), and every point satisfies u * v^N = 1."""
+    for s in rep.steps:
+        n = s.slope_denominator
+        g = a.substitute_surgery(n)
+        roots = list(np.roots(list(reversed(g.coeffs))))
+        assert len(roots) == s.num_points == len(s.points)
+        for p in s.points:
+            i = min(range(len(roots)), key=lambda j: abs(roots[j] - p.v))
+            assert abs(roots.pop(i) - p.v) < 1e-9
+            assert abs(p.u * p.v**n - 1) < 1e-9
+
+
 class TestEigenPoint:
     def test_rejects_origin(self):
+        flags = dict(v_order=1, u_order=1, forces_trivial=True)
         with pytest.raises(ValueError):
-            EigenPoint(u=0, v=1)
+            EigenPoint(u=0, v=1, **flags)
         with pytest.raises(ValueError):
-            EigenPoint(u=1, v=0)
-
-
-class TestClassifyUnitRoot:
-    def test_abelian_pair(self):
-        factors, residual = classify_unit_root(UnivarPoly([-1, 0, 1]))  # L^2 - 1
-        assert factors == [(1, 1), (2, 1)]
-        assert residual.degree() == 0
-
-    def test_fourth_order(self):
-        factors, residual = classify_unit_root(UnivarPoly([1, 0, 1]))  # L^2 + 1
-        assert factors == [(4, 1)]
-        assert residual == UnivarPoly([1])
-
-    def test_no_unit_roots(self):
-        factors, residual = classify_unit_root(UnivarPoly([-3, 1]))  # L - 3
-        assert factors == []
-        assert residual == UnivarPoly([-3, 1])
-
-    def test_bound_caps_orders(self):
-        factors, residual = classify_unit_root(UnivarPoly([1, 0, 1]), bound=3)
-        assert factors == []
-        assert residual == UnivarPoly([1, 0, 1])
-
-    def test_mixed(self):
-        f = cyclotomic(3) * UnivarPoly([-2, 1])
-        factors, residual = classify_unit_root(f)
-        assert factors == [(3, 1)]
-        assert residual == UnivarPoly([-2, 1])
-
-
-class TestSurgeryIntersection:
-    def test_unknot(self):
-        inter = surgery_intersection(L - one, 5)
-        assert len(inter.points) == 1
-        pt = inter.points[0]
-        assert pt.u == 1 and pt.v == 1
-        assert pt.forces_trivial
-
-    def test_abelian_pair(self):
-        inter = surgery_intersection(parse_poly("(L-1)*(L+1)"), 2)
-        assert sorted(p.v_order for p in inter.points) == [1, 2]
-        assert all(p.forces_trivial for p in inter.points)
-        assert all(p.u == 1 for p in inter.points)
-
-    def test_cube_roots_of_minus_one(self):
-        # L + M^2 on u = v^-1 gives v^3 = -1: three points, none with u = 1
-        inter = surgery_intersection(L + M**2, 1)
-        assert len(inter.points) == 3
-        assert not any(p.forces_trivial for p in inter.points)
-        for p in inter.points:
-            assert abs(p.v**3 + 1) < 1e-9
-            assert abs(p.u * p.v - 1) < 1e-9
-
-    def test_curve_contains_line(self):
-        # M*L^2 - 1 vanishes identically on the line u = v^-2
-        inter = surgery_intersection(M * L**2 - one, 2)
-        assert inter.curve_contains_line
-        assert inter.points == []
-
-    def test_constraint_holds_everywhere(self):
-        for n in (1, 2, 3):
-            inter = surgery_intersection(TREFOIL, n)
-            for p in inter.points:
-                assert abs(p.u * p.v**n - 1) < 1e-8
-
-    def test_trefoil_has_nontrivial_point(self):
-        # consistency with the existence of irreducible representations
-        for n in range(1, 11):
-            inter = surgery_intersection(TREFOIL, n)
-            assert any(abs(p.u - 1) > 1e-6 for p in inter.points)
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            surgery_intersection(L - one, 0)
+            EigenPoint(u=1, v=0, **flags)
 
 
 class TestReplay:
@@ -112,11 +47,14 @@ class TestReplay:
         assert [s.slope_denominator for s in rep.steps] == [2, 4, 6]
         for s in rep.steps:
             assert s.all_forced_trivial
+            assert [p.v_order for p in s.points] == [1, 2]
+            assert all(p.u == 1 for p in s.points)
 
     def test_unknot(self):
         rep = replay_contradiction(L - one, n_max=2)
         assert rep.ok and rep.d == 1
         assert all(s.num_points == 1 for s in rep.steps)
+        assert all(s.points[0].u == 1 and s.points[0].v == 1 for s in rep.steps)
 
     def test_phi3_phi4(self):
         a = lift(UnivarPoly([-1, 1]) * cyclotomic(3) * cyclotomic(4))
@@ -125,6 +63,7 @@ class TestReplay:
         # 1 point from (L-1), 2 from Phi3, 2 from Phi4 at every slope
         assert all(s.num_points == 5 for s in rep.steps)
         assert [s.slope_denominator for s in rep.steps] == [12, 24]
+        assert_numeric_surgery_points(a, rep)
 
     def test_violation_reported(self):
         rep = replay_contradiction(lift(UnivarPoly([-1, 1]) ** 2 * cyclotomic(2)))
@@ -135,6 +74,10 @@ class TestReplay:
     def test_rejects_positive_mdeg(self):
         with pytest.raises(ValueError):
             replay_contradiction(TREFOIL)
+
+    def test_rejects_bad_nmax(self):
+        with pytest.raises(ValueError):
+            replay_contradiction(L - one, n_max=0)
 
     def test_narrative(self):
         rep = replay_contradiction(parse_poly("(L-1)*(L+1)"), n_max=1)
@@ -159,6 +102,7 @@ class TestReplay:
             for p in s.points:
                 assert p.forces_trivial
                 assert p.u == 1
+        assert_numeric_surgery_points(a, rep)
 
     def test_high_degree_power(self):
         rep = replay_contradiction(parse_poly("L^2000 - 1"))
@@ -178,9 +122,9 @@ class TestForcedTrivialityIsExact:
 
     def test_wrong_slope_does_not_force(self):
         # at slope 1/1 the Phi_3 points have u = v^-1 != 1
-        a = lift(UnivarPoly([-1, 1]) * cyclotomic(3))
-        inter = surgery_intersection(a, 1)
-        nontrivial = [p for p in inter.points if not p.forces_trivial]
-        assert len(nontrivial) == 2
-        for p in nontrivial:
+        points = _unit_root_points(3, 1)
+        assert len(points) == 2
+        for p in points:
+            assert not p.forces_trivial
             assert p.v_order == 3 and p.u_order == 3
+            assert abs(p.u * p.v - 1) < 1e-12
