@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from apoly.poly import BivarPoly, UnivarPoly, parse_poly
-from apoly.structure import cyclotomic
+from apoly.structure import (
+    CyclotomicProfile,
+    NotCyclotomic,
+    cyclotomic,
+    is_product_of_cyclotomics,
+)
 from apoly.surgery import EigenPoint, _unit_root_points, replay_contradiction
 
 L = BivarPoly.var_l()
@@ -37,6 +42,59 @@ class TestEigenPoint:
             EigenPoint(u=0, v=1, **flags)
         with pytest.raises(ValueError):
             EigenPoint(u=1, v=0, **flags)
+
+
+class TestClassifyUnitRoot:
+    """The unit roots of A(1, v) are classified by is_product_of_cyclotomics;
+    the replay's points on a surgery line are the primitive roots of the
+    orders it finds."""
+
+    def test_abelian_pair(self):
+        prof = is_product_of_cyclotomics(UnivarPoly([-1, 0, 1]))  # L^2 - 1
+        assert isinstance(prof, CyclotomicProfile)
+        assert prof.factors == ((1, 1), (2, 1))
+        assert prof.sign == 1
+        vs = [p.v for e, _ in prof.factors for p in _unit_root_points(e, 1)]
+        assert len(vs) == 2
+        assert abs(vs[0] - 1) < 1e-12 and abs(vs[1] + 1) < 1e-12
+
+    def test_no_unit_roots(self):
+        out = is_product_of_cyclotomics(UnivarPoly([-3, 1]))  # L - 3
+        assert isinstance(out, NotCyclotomic)
+        assert out.residual == UnivarPoly([-3, 1])
+        rep = replay_contradiction(parse_poly("(L-1)*(L-3)"))
+        assert not rep.ok and rep.steps == []
+        assert "not a product of cyclotomic" in rep.violation
+
+
+class TestSurgeryIntersection:
+    """The points of a degree-zero curve on the surgery line u = v^(-N)."""
+
+    def test_unknot(self):
+        rep = replay_contradiction(L - one, n_max=5)
+        step = rep.steps[-1]
+        assert step.slope_denominator == 5
+        assert len(step.points) == 1
+        pt = step.points[0]
+        assert pt.u == 1 and pt.v == 1
+        assert pt.forces_trivial
+
+    def test_abelian_pair(self):
+        rep = replay_contradiction(parse_poly("(L-1)*(L+1)"), n_max=1)
+        (step,) = rep.steps
+        assert step.slope_denominator == 2
+        assert sorted(p.v_order for p in step.points) == [1, 2]
+        assert all(p.forces_trivial for p in step.points)
+        assert all(p.u == 1 for p in step.points)
+
+    def test_constraint_holds_everywhere(self):
+        # on every line, also those that do not force u = 1
+        for n in (1, 2, 3):
+            for order in range(1, 13):
+                for p in _unit_root_points(order, n):
+                    assert abs(p.u * p.v**n - 1) < 1e-8
+                    assert abs(p.v**order - 1) < 1e-8
+                    assert p.forces_trivial == (abs(p.u - 1) < 1e-8)
 
 
 class TestReplay:
