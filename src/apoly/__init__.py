@@ -11,13 +11,10 @@ from .poly import (
     BivarPoly,
     PolyParseError,
     Stripped,
-    TriPolyInT,
     UnivarPoly,
     format_poly,
     gcd_univar,
     parse_poly,
-    resultant_t,
-    squarefree_univar,
 )
 
 __version__ = "0.1.0"
@@ -25,13 +22,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BivarPoly",
     "UnivarPoly",
-    "TriPolyInT",
     "Stripped",
     "PolyParseError",
     "parse_poly",
     "format_poly",
     "gcd_univar",
-    "squarefree_univar",
-    "resultant_t",
     "__version__",
 ]

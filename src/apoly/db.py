@@ -27,7 +27,6 @@ __all__ = [
     "load_table",
     "BatchReport",
     "verify_all",
-    "parse_poly",
 ]
 
 VERDICT_NOT_APPLICABLE = "REFINED_NOT_APPLICABLE"

@@ -8,13 +8,15 @@ sent to the one-parameter normal form
 
 the relator gives a single polynomial condition phi(M, t) = 0, and the
 preferred longitude's (1,1) entry lambda(M, t) is its eigenvalue L. Words
-are multiplied exactly over Laurent polynomials in M and t. phi's leading
-t-coefficient is a unit monomial, so phi is monic over Z[M^+-1] and t is
-eliminated by the characteristic polynomial det(L*I - X) of the matrix X
-of multiplication by lambda in Z[M^+-1][t]/(phi), which equals
-Res_t(phi, lambda - L) up to sign and a power of M. The longitude word
-convention (including the meridian framing correction) is pinned here and
-validated by the oracle tests; see the presentation docstring.
+are multiplied exactly over Laurent polynomials in M and t, dicts
+{(M-exponent, t-exponent): c}, which carry phi and lambda to the end.
+phi's leading t-coefficient is a unit monomial, so phi is monic over
+Z[M^+-1] and t is eliminated by the characteristic polynomial det(L*I - X)
+of the matrix X of multiplication by lambda in Z[M^+-1][t]/(phi), which
+equals Res_t(phi, lambda - L) up to sign and a power of M (the tests'
+resultant oracle). The longitude word convention (including the meridian
+framing correction) is pinned here and validated by the oracle tests; see
+the presentation docstring.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .poly import BivarPoly, TriPolyInT, UnivarPoly, charpoly, gcd_univar
+from .poly import BivarPoly, UnivarPoly, charpoly, gcd_univar
 
 __all__ = [
-    "Unknot",
     "TorusKnot",
     "TwoBridgeKnot",
     "GroupPresentation",
@@ -38,11 +39,6 @@ __all__ = [
 ]
 
 _L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
-
-
-@dataclass(frozen=True)
-class Unknot:
-    pass
 
 
 @dataclass(frozen=True)
@@ -167,24 +163,14 @@ def sl2_word_eval(word, assignments):
     return result
 
 
-def _collect_t(terms) -> TriPolyInT:
-    """Collect a Laurent polynomial {(M-exponent, t-exponent): c} into
-    t-coefficients over Z[M], recording the cleared M^dm on the carrier."""
-    dm = max(0, -min((i for i, _ in terms), default=0))
-    by_t = {}
-    for (i, k), c in terms.items():
-        by_t.setdefault(k, {})[(i + dm, 0)] = c
-    top = max(by_t, default=-1)
-    return TriPolyInT([BivarPoly(by_t.get(k)) for k in range(top + 1)], denom=(dm, 0))
-
-
 class EliminationDegeneracyError(RuntimeError):
     """The elimination is degenerate: the representation condition's
     leading t-coefficient is not a unit monomial in M."""
 
 
 def riley_polynomial(p: int, q: int):
-    """The representation condition phi(M, t) = 0 as a TriPolyInT.
+    """The representation condition phi(M, t) = 0, as a Laurent dict
+    {(M-exponent, t-exponent): c}, and the presentation.
 
     Evaluates a w - w b on the normal-form matrices; the diagonal entries
     vanish identically and the off-diagonal entries agree up to a factor
@@ -194,7 +180,7 @@ def riley_polynomial(p: int, q: int):
     a, b = _NORMAL_FORM["a"], _NORMAL_FORM["b"]
     w = sl2_word_eval(pres.w, _NORMAL_FORM)
     left, right = _mat_mul(a, w), _mat_mul(w, b)
-    return _collect_t(_lp_add(left[0][1], right[0][1], -1)), pres
+    return _lp_add(left[0][1], right[0][1], -1), pres
 
 
 def _reduce_mod(f, monic, n):
@@ -207,7 +193,7 @@ def _reduce_mod(f, monic, n):
         f = _lp_add(f, _lp_mul(top, monic), -1)
 
 
-def _longitude_charpoly(phi: TriPolyInT, lam) -> BivarPoly:
+def _longitude_charpoly(phi, lam) -> BivarPoly:
     """M^(s*n) * det(L*I - X), X the multiplication by lam in
     Z[M^+-1][t]/(phi) on the basis 1, t, ..., t^(n-1), n = deg_t phi.
 
@@ -215,19 +201,16 @@ def _longitude_charpoly(phi: TriPolyInT, lam) -> BivarPoly:
     polynomial. Up to sign and a power of M this is Res_t(phi, lam - L),
     because the leading coefficient of phi is a unit monomial.
     """
-    n = phi.degree_t()
-    lead = phi.coeffs[-1].terms
+    n = max(k for _, k in phi)
+    lead = {i: c for (i, k), c in phi.items() if k == n}
     if len(lead) != 1 or abs(next(iter(lead.values()))) != 1:
+        shown = " + ".join(f"{c}*M^{i}" for i, c in sorted(lead.items(), reverse=True))
         raise EliminationDegeneracyError(
-            f"leading t-coefficient {phi.coeffs[-1]} of the representation "
+            f"leading t-coefficient {shown} of the representation "
             "condition is not a unit monomial"
         )
-    ((e, _), u), = lead.items()
-    monic = {
-        (i - e, k): u * c
-        for k, coeff in enumerate(phi.coeffs)
-        for (i, _), c in coeff.terms.items()
-    }
+    ((e, u),) = lead.items()
+    monic = {(i - e, k): u * c for (i, k), c in phi.items()}
     # column j of X is t^j * lam reduced mod phi
     cols = [_reduce_mod(lam, monic, n)]
     for _ in range(n - 1):

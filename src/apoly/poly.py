@@ -1,18 +1,15 @@
 """Exact sparse polynomial arithmetic over the integers.
 
-Three carriers:
+Two carriers:
 
 * ``UnivarPoly`` -- dense integer polynomial in one variable (called L or v
   depending on context).
 * ``BivarPoly`` -- sparse integer polynomial in M and L, keyed by exponent
   pairs (i, j) = (M-exponent, L-exponent).
-* ``TriPolyInT`` -- polynomial in an elimination variable t whose
-  coefficients are BivarPoly values, with an optional recorded pure-monomial
-  denominator (Laurent shifts in M picked up mid-elimination).
 
-Characteristic polynomials and the Sylvester resultant in t are computed
-division-free by Berkowitz's algorithm (``charpoly``, ``resultant_t``), so
-every result is exact integer arithmetic with no computer-algebra system.
+Characteristic polynomials of matrices over either carrier are computed
+division-free by Berkowitz's algorithm (``charpoly``), so every result is
+exact integer arithmetic with no computer-algebra system.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
@@ -27,15 +24,12 @@ from math import gcd
 __all__ = [
     "UnivarPoly",
     "BivarPoly",
-    "TriPolyInT",
     "Stripped",
     "PolyParseError",
     "parse_poly",
     "format_poly",
     "gcd_univar",
-    "squarefree_univar",
     "charpoly",
-    "resultant_t",
 ]
 
 
@@ -68,14 +62,6 @@ class UnivarPoly:
     @classmethod
     def const(cls, c):
         return cls([c])
-
-    @classmethod
-    def x(cls):
-        return cls([0, 1])
-
-    @classmethod
-    def monomial(cls, c, k):
-        return cls([0] * k + [c])
 
     # -- basics -------------------------------------------------------
 
@@ -264,19 +250,6 @@ def gcd_univar(f: UnivarPoly, g: UnivarPoly) -> UnivarPoly:
     return UnivarPoly([c * cont for c in a.coeffs])
 
 
-def squarefree_univar(f: UnivarPoly) -> UnivarPoly:
-    """Square-free part of f, primitive with positive leading coefficient."""
-    if f.is_zero:
-        raise ValueError("square-free part of zero is undefined")
-    fp = f.primitive()
-    if fp.degree() == 0:
-        return UnivarPoly([1])
-    g = gcd_univar(fp, fp.derivative())
-    q = fp.try_divide(g)
-    assert q is not None, "gcd must divide its argument exactly"
-    return q.primitive()
-
-
 @dataclass(frozen=True)
 class Stripped:
     """Unit, monomial, and content data removed by normalization.
@@ -337,10 +310,6 @@ class BivarPoly:
         return cls({(0, 1): 1})
 
     @classmethod
-    def from_univar_l(cls, u: UnivarPoly):
-        return cls({(0, j): c for j, c in enumerate(u.coeffs)})
-
-    @classmethod
     def from_univar_m(cls, u: UnivarPoly):
         return cls({(i, 0): c for i, c in enumerate(u.coeffs)})
 
@@ -381,16 +350,6 @@ class BivarPoly:
         if self.is_zero:
             raise ValueError("zero polynomial")
         return min(j for _, j in self.terms)
-
-    def leading_term(self):
-        """(exponent pair, coefficient) of the graded-lex leading term."""
-        if self.is_zero:
-            raise ValueError("zero polynomial")
-        ij = max(self.terms, key=_grlex_key)
-        return ij, self.terms[ij]
-
-    def support(self):
-        return frozenset(self.terms)
 
     def content(self):
         g = 0
@@ -492,53 +451,6 @@ class BivarPoly:
             coeffs[j] = c
         return UnivarPoly(coeffs)
 
-    def eval_l(self, l: int) -> UnivarPoly:
-        """Substitute an exact integer for L, yielding a polynomial in M."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            out[i] = out.get(i, 0) + c * l**j
-        if not out:
-            return UnivarPoly()
-        coeffs = [0] * (max(out) + 1)
-        for i, c in out.items():
-            coeffs[i] = c
-        return UnivarPoly(coeffs)
-
-    def eval_complex(self, u, v) -> complex:
-        """Floating evaluation at (M, L) = (u, v).
-
-        Terms are summed in descending graded-lex order so the result is
-        reproducible across runs.
-        """
-        acc = 0j
-        for ij in sorted(self.terms, key=_grlex_key, reverse=True):
-            i, j = ij
-            acc += self.terms[ij] * (u**i) * (v**j)
-        return acc
-
-    def substitute_surgery(self, n: int) -> UnivarPoly:
-        """Restriction to the 1/n surgery line u = v^(-n), denominators cleared.
-
-        Returns v^(n*deg_m) * p(v^(-n), v) as an exact polynomial in v.
-        """
-        if self.is_zero:
-            raise ValueError("surgery substitution of the zero polynomial")
-        if n < 1:
-            raise ValueError("surgery denominator n must be >= 1")
-        d = self.deg_m()
-        out = {}
-        for (i, j), c in self.terms.items():
-            e = n * (d - i) + j
-            out[e] = out.get(e, 0) + c
-        coeffs = [0] * (max(out) + 1)
-        for e, c in out.items():
-            coeffs[e] = c
-        return UnivarPoly(coeffs)
-
-    def swap_vars(self):
-        """Exchange the roles of M and L."""
-        return BivarPoly({(j, i): c for (i, j), c in self.terms.items()})
-
     def invert_l(self):
         """Substitute L -> 1/L and clear the denominator by L^deg_l."""
         if self.is_zero:
@@ -600,55 +512,6 @@ class BivarPoly:
         return BivarPoly(out)
 
 
-class TriPolyInT:
-    """Polynomial in an elimination variable t over BivarPoly coefficients.
-
-    ``denom`` records a pure monomial (M^dm * L^dl) global denominator picked
-    up from Laurent shifts during elimination; it is cleared before any
-    resultant is taken (it only contributes a monomial factor, which the
-    caller's normalization removes).
-    """
-
-    __slots__ = ("coeffs", "denom")
-
-    def __init__(self, coeffs, denom=(0, 0)):
-        cs = [c if isinstance(c, BivarPoly) else BivarPoly.const(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        dm, dl = denom
-        if dm < 0 or dl < 0:
-            raise ValueError("denominator exponents must be nonnegative")
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "denom", (int(dm), int(dl)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TriPolyInT is immutable")
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree_t(self):
-        if self.is_zero:
-            raise ValueError("degree of the zero polynomial is undefined")
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return BivarPoly()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TriPolyInT)
-            and self.coeffs == other.coeffs
-            and self.denom == other.denom
-        )
-
-    def __repr__(self):
-        return f"TriPolyInT({list(self.coeffs)!r}, denom={self.denom})"
-
-
 def _dot(xs, ys):
     acc = None
     for x, y in zip(xs, ys):
@@ -681,31 +544,6 @@ def charpoly(matrix):
     return poly
 
 
-def resultant_t(p: TriPolyInT, q: TriPolyInT) -> BivarPoly:
-    """Resultant of p and q with respect to t, exact over Z[M, L].
-
-    Recorded monomial denominators are ignored (they only scale the
-    resultant by a monomial). The result is the Sylvester determinant with
-    deg(p) rows of q's coefficients on top, so that
-    Res_t(t - f, t - g) = g - f, computed division-free as the constant
-    term of the Sylvester matrix's characteristic polynomial.
-    """
-    if p.is_zero or q.is_zero:
-        raise ValueError("resultant of the zero polynomial is undefined")
-    m, n = p.degree_t(), q.degree_t()
-    if m == 0 and n == 0:
-        raise ValueError("both inputs have t-degree 0; nothing to eliminate")
-    size = m + n
-    rows = []
-    for coeffs, count in ((q.coeffs, m), (p.coeffs, n)):
-        for r in range(count):
-            row = [BivarPoly()] * size
-            row[r : r + len(coeffs)] = reversed(coeffs)
-            rows.append(row)
-    det = charpoly(rows)[size]
-    return det if size % 2 == 0 else -det
-
-
 # -- text grammar -----------------------------------------------------
 
 
@@ -719,6 +557,10 @@ class PolyParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([ML])|(\^)|(\*)|(\+)|(-)|([()])|(\S))")
+
+# Longest integer literal accepted, checked here so that the bound does not
+# depend on the interpreter's own int() digit limit (absent before 3.10.7).
+_MAX_DIGITS = 4300
 
 
 def _tokenize(text):
@@ -740,6 +582,9 @@ def _tokenize(text):
         if m.lastindex == 8:
             raise PolyParseError(f"unexpected character {tok!r}", line, col)
         kind = ["int", "var", "caret", "star", "plus", "minus", "paren"][m.lastindex - 1]
+        if kind == "int" and len(tok) > _MAX_DIGITS:
+            msg = f"integer literal of {len(tok)} digits is longer than {_MAX_DIGITS}"
+            raise PolyParseError(msg, line, col)
         if kind == "paren":
             kind = "lparen" if tok == "(" else "rparen"
         tokens.append((kind, tok, line, col))
@@ -758,7 +603,8 @@ def parse_poly(text: str) -> BivarPoly:
 
     Whitespace-insensitive; omitted exponents and coefficients mean 1.
     Parenthesized products are accepted on input; canonical printing never
-    emits them.
+    emits them. An integer literal longer than 4300 digits is a
+    PolyParseError at its position.
     """
     tokens = _tokenize(text)
     idx = 0

@@ -3,8 +3,7 @@
 Covers the abelian (L-1) factor, recognition of products of cyclotomic
 polynomials, the degree-zero decomposition into (L-1) times distinct
 cyclotomics, unit evaluations at M = +1/-1 against the +/- L^a (L-1)^b
-(L+1)^c form, monicity at the units, the M-degree verdict, and the
-inversion-symmetry palindrome check.
+(L+1)^c form, monicity at the units, and the M-degree verdict.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "FAIL",
     "UNKNOT_OK",
     "theorem1_verdict",
-    "symmetry_check",
     "AnalysisReport",
     "analyze",
 ]
@@ -226,8 +224,8 @@ def mdeg_trivial_decomposition(a: BivarPoly):
     """Decompose an M-degree-zero polynomial as +/-(L-1) * distinct Phi_d.
 
     Returns (abelian multiplicity, CyclotomicProfile of the nonunit orders)
-    on success, else a Violation. The profile's product_d is the surgery
-    step d used by the proof replay (1 when there are no nonunit factors).
+    on success, else a Violation. The proof replay takes its surgery step d
+    from the profile's orders: their lcm, 1 when there are none.
     """
     if a.is_zero:
         raise ValueError("zero polynomial")
@@ -348,21 +346,6 @@ def theorem1_verdict(a: BivarPoly, claims_nontrivial_knot: bool) -> str:
     if a == _L_MINUS_1 and not claims_nontrivial_knot:
         return UNKNOT_OK
     return FAIL
-
-
-def symmetry_check(a: BivarPoly):
-    """Palindrome test for A(M,L) = sign * M^alpha L^beta A(1/M, 1/L).
-
-    alpha and beta are forced to deg_M and deg_L; returns
-    (holds, (alpha, beta, sign) or None).
-    """
-    if a.is_zero:
-        raise ValueError("zero polynomial")
-    alpha, beta = a.deg_m(), a.deg_l()
-    for sign in (1, -1):
-        if all(a.terms.get((alpha - i, beta - j)) == sign * c for (i, j), c in a.terms.items()):
-            return True, (alpha, beta, sign)
-    return False, None
 
 
 def abelian_multiplicity(a: BivarPoly) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .poly import BivarPoly
@@ -152,7 +152,7 @@ class ReplayReport:
 def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
     """Replay the forced-triviality contradiction for an M-degree-0 input.
 
-    Computes d as the product of the distinct cyclotomic orders and checks,
+    Computes d as the lcm of the distinct cyclotomic orders and checks,
     for each n up to n_max, that every intersection point on the 1/(n*d)
     surgery line has meridian eigenvalue exactly 1. With deg_M = 0 the
     curve's points on any line u = v^(-N) are the roots of A(1, v), and the
@@ -170,8 +170,8 @@ def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
     if isinstance(dec, Violation):
         return ReplayReport(ok=False, violation=dec.reason, profile=None, d=None)
     _, profile = dec
-    d = profile.product_d
     orders = [1] + [e for e, _ in profile.factors]
+    d = lcm(*orders)
     steps = []
     ok = True
     for n in range(1, n_max + 1):

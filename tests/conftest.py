@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from apoly.poly import BivarPoly, UnivarPoly
+from apoly.poly import BivarPoly, UnivarPoly, charpoly
 
 
 @st.composite
@@ -22,16 +22,6 @@ def bivar_polys(draw, max_exp=4, max_terms=6, max_coeff=9, allow_zero=True):
     return result
 
 
-@st.composite
-def univar_polys(draw, max_deg=6, max_coeff=9, allow_zero=True):
-    n = draw(st.integers(min_value=0 if allow_zero else 1, max_value=max_deg + 1))
-    coeffs = [draw(st.integers(min_value=-max_coeff, max_value=max_coeff)) for _ in range(n)]
-    result = UnivarPoly(coeffs)
-    if not allow_zero and result.is_zero:
-        result = UnivarPoly([1])
-    return result
-
-
 _division_cache = {1: UnivarPoly([-1, 1])}
 
 
@@ -45,6 +35,101 @@ def cyclotomic_by_division(d):
                 f = f.try_divide(cyclotomic_by_division(e))
         _division_cache[d] = f
     return _division_cache[d]
+
+
+class TriPolyInT:
+    """Polynomial in an elimination variable t over BivarPoly coefficients;
+    ``coeffs[k]`` is the coefficient of t^k, trailing zeros trimmed."""
+
+    def __init__(self, coeffs):
+        cs = list(coeffs)
+        while cs and cs[-1].is_zero:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def degree_t(self):
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else BivarPoly()
+
+
+def collect_t(terms):
+    """(TriPolyInT, dm): a Laurent dict {(M-exponent, t-exponent): c} times
+    M^dm, the least power of M that leaves no negative exponent, collected
+    by powers of t."""
+    dm = max(0, -min((i for i, _ in terms), default=0))
+    by_t = {}
+    for (i, k), c in terms.items():
+        by_t.setdefault(k, {})[(i + dm, 0)] = c
+    top = max(by_t, default=-1)
+    return TriPolyInT([BivarPoly(by_t.get(k)) for k in range(top + 1)]), dm
+
+
+def resultant_t(p, q):
+    """Resultant of two TriPolyInT with respect to t, exact over Z[M, L].
+
+    The Sylvester determinant with deg(p) rows of q's coefficients on top,
+    so that Res_t(t - f, t - g) = g - f, computed division-free as the
+    constant term of the Sylvester matrix's characteristic polynomial.
+    """
+    if not p.coeffs or not q.coeffs:
+        raise ValueError("resultant of the zero polynomial is undefined")
+    m, n = p.degree_t(), q.degree_t()
+    if m == 0 and n == 0:
+        raise ValueError("both inputs have t-degree 0; nothing to eliminate")
+    size = m + n
+    rows = []
+    for coeffs, count in ((q.coeffs, m), (p.coeffs, n)):
+        for r in range(count):
+            row = [BivarPoly()] * size
+            row[r : r + len(coeffs)] = reversed(coeffs)
+            rows.append(row)
+    det = charpoly(rows)[size]
+    return det if size % 2 == 0 else -det
+
+
+def eval_complex(p, u, v):
+    """Floating evaluation of a BivarPoly at (M, L) = (u, v), terms summed in
+    descending graded-lex order so the result is reproducible."""
+    acc = 0j
+    for i, j in sorted(p.terms, key=lambda ij: (ij[0] + ij[1], ij[1]), reverse=True):
+        acc += p.terms[(i, j)] * (u**i) * (v**j)
+    return acc
+
+
+def rel_residual(p, u, v):
+    """|p(u, v)| relative to the term-magnitude scale at (u, v)."""
+    scale = sum(abs(c) * abs(u) ** i * abs(v) ** j for (i, j), c in p.terms.items())
+    return abs(eval_complex(p, u, v)) / scale
+
+
+def substitute_surgery(p, n):
+    """Restriction of p to the 1/n surgery line u = v^(-n), denominators
+    cleared: v^(n*deg_M) * p(v^(-n), v) as an exact UnivarPoly in v."""
+    if p.is_zero:
+        raise ValueError("surgery substitution of the zero polynomial")
+    if n < 1:
+        raise ValueError("surgery denominator n must be >= 1")
+    d = p.deg_m()
+    out = {}
+    for (i, j), c in p.terms.items():
+        e = n * (d - i) + j
+        out[e] = out.get(e, 0) + c
+    return UnivarPoly([out.get(e, 0) for e in range(max(out) + 1)])
+
+
+def symmetry_check(a):
+    """Palindrome test for A(M,L) = sign * M^alpha L^beta A(1/M, 1/L).
+
+    alpha and beta are forced to deg_M and deg_L; returns
+    (holds, (alpha, beta, sign) or None).
+    """
+    alpha, beta = a.deg_m(), a.deg_l()
+    for sign in (1, -1):
+        if all(a.terms.get((alpha - i, beta - j)) == sign * c for (i, j), c in a.terms.items()):
+            return True, (alpha, beta, sign)
+    return False, None
 
 
 def sylvester_resultant(pc, qc):

@@ -17,7 +17,13 @@ import pytest
 from apoly import cli, db, knots, newton, structure, surgery
 from apoly.poly import BivarPoly, UnivarPoly, parse_poly
 
-from conftest import random_tripoly_coeffs, sylvester_resultant
+from conftest import (
+    TriPolyInT,
+    random_tripoly_coeffs,
+    resultant_t,
+    sylvester_resultant,
+    symmetry_check,
+)
 from test_knots import curve_membership_points
 from test_newton import brute_force_vertical
 
@@ -93,7 +99,7 @@ def test_criterion_3_figure_eight_pipeline(capsys):
     rng = random.Random(SEED)
     start = time.perf_counter()
     a = knots.eliminate_two_bridge(5, 3)
-    holds, _ = structure.symmetry_check(a.try_divide(L - one))
+    holds, _ = symmetry_check(a.try_divide(L - one))
     ok = holds
     ok = ok and structure.abelian_multiplicity(a) == 1
     ok = ok and structure.check_monic_at_units(a) == (True, True)
@@ -208,8 +214,6 @@ def test_criterion_6_vertical_edge_oracle(capsys):
 
 
 def test_criterion_7_resultant_oracle(capsys):
-    from apoly.poly import TriPolyInT, resultant_t
-
     rng = random.Random(SEED)
     start = time.perf_counter()
     ok = True

@@ -11,6 +11,7 @@ from apoly.cli import main
 
 FIXTURES = resources.files("apoly.data") / "fixtures.txt"
 TREFOIL_TEXT = "L^2*M^6 - L*M^6 + L - 1"
+LONG_LITERAL = "7" * 5000  # past the parser's 4300-digit bound
 
 
 def run(capsys, *argv):
@@ -77,6 +78,19 @@ class TestAnalyze:
             main(["analyze", "L + + 1"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "text, col",
+        [(f"{LONG_LITERAL}*L - 1", 1), (f"L^{LONG_LITERAL} - 1", 3)],
+        ids=["coefficient", "exponent"],
+    )
+    def test_long_literal_exit_1(self, capsys, text, col):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", text])
+        out = capsys.readouterr().out
+        assert exc.value.code == 1
+        assert out.startswith("error: integer literal of 5000 digits")
+        assert f"(line 1, column {col})" in out
+
     def test_from_file(self, capsys, tmp_path):
         f = tmp_path / "poly.txt"
         f.write_text(TREFOIL_TEXT, encoding="utf-8")
@@ -137,6 +151,15 @@ class TestVerifyDb:
         code, out = run(capsys, "verify-db", str(table))
         assert code == 1
         assert out.startswith("error: ")
+
+    def test_long_literal_record_error(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text(f"unknot ; L - 1\nhuge ; {LONG_LITERAL}*L - 1\n", encoding="utf-8")
+        code, out = run(capsys, "verify-db", str(table))
+        assert code == 0
+        first = out.splitlines()[0]
+        assert first.startswith("record error (line 2, huge): integer literal of 5000 digits")
+        assert "status: OK (1 records" in out
 
     def test_json_output(self, capsys):
         with resources.as_file(FIXTURES) as path:

@@ -9,7 +9,6 @@ from apoly.knots import (
     EliminationDegeneracyError,
     TorusKnot,
     TwoBridgeKnot,
-    Unknot,
     eliminate_two_bridge,
     riley_polynomial,
     sl2_word_eval,
@@ -17,9 +16,11 @@ from apoly.knots import (
     two_bridge_presentation,
     unknot_a,
 )
-from apoly.knots import _collect_t, _longitude_charpoly, _squarefree_bivar
-from apoly.poly import BivarPoly, TriPolyInT, parse_poly, resultant_t
-from apoly.structure import abelian_multiplicity, symmetry_check
+from apoly.knots import _longitude_charpoly, _squarefree_bivar
+from apoly.poly import BivarPoly, parse_poly
+from apoly.structure import abelian_multiplicity
+
+from conftest import TriPolyInT, collect_t, rel_residual, resultant_t, symmetry_check
 
 L = BivarPoly.var_l()
 one = BivarPoly.const(1)
@@ -43,17 +44,10 @@ def riley_roots(p, q, m0):
     """Roots in t of the representation condition at a fixed meridian
     eigenvalue m0, via numpy's companion-matrix solver."""
     phi, pres = riley_polynomial(p, q)
-    coeffs = []
-    for c in phi.coeffs:
-        coeffs.append(sum(cc * m0**i for (i, j), cc in c.terms.items()))
+    coeffs = [0j] * (max(k for _, k in phi) + 1)
+    for (i, k), c in phi.items():
+        coeffs[k] += c * m0**i
     return np.roots(list(reversed(coeffs))), pres
-
-
-def rel_residual(poly, u, v):
-    scale = sum(
-        abs(c) * abs(u) ** i * abs(v) ** j for (i, j), c in poly.terms.items()
-    )
-    return abs(poly.eval_complex(u, v)) / scale
 
 
 def curve_membership_points(p, q, a, rng, samples):
@@ -80,9 +74,6 @@ def curve_membership_points(p, q, a, rng, samples):
 
 
 class TestKnotSpecs:
-    def test_unknot(self):
-        assert Unknot() == Unknot()
-
     def test_torus_validation(self):
         TorusKnot(2, 3)
         TorusKnot(-3, 4)
@@ -233,19 +224,18 @@ class TestElimination:
         for p, q in [(3, 1), (5, 3), (7, 3), (7, 2), (9, 4)]:
             phi, pres = riley_polynomial(p, q)
             lam = sl2_word_eval(pres.longitude, {"a": A_MAT, "b": B_MAT})[0][0]
-            lam_t = _collect_t(lam)
-            dm = lam_t.denom[0]
+            lam_t, dm = collect_t(lam)
             psi = TriPolyInT(
                 [lam_t[0] - BivarPoly.term(1, dm, 1)] + list(lam_t.coeffs[1:])
             )
             assert (
                 _longitude_charpoly(phi, lam).normal_form()
-                == resultant_t(phi, psi).normal_form()
+                == resultant_t(collect_t(phi)[0], psi).normal_form()
             )
 
     def test_non_unit_leading_coefficient(self):
-        phi = TriPolyInT([one, BivarPoly.const(2)])
-        with pytest.raises(EliminationDegeneracyError):
+        phi = {(0, 0): 1, (-1, 1): 2}  # 1 + 2*M^-1*t
+        with pytest.raises(EliminationDegeneracyError, match=r"coefficient 2\*M\^-1 "):
             _longitude_charpoly(phi, {(0, 1): 1})
 
 

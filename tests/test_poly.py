@@ -9,10 +9,9 @@ from apoly.poly import (
     format_poly,
     gcd_univar,
     parse_poly,
-    squarefree_univar,
 )
 
-from conftest import bivar_polys, univar_polys
+from conftest import bivar_polys, eval_complex, rel_residual, substitute_surgery
 
 L = BivarPoly.var_l()
 M = BivarPoly.var_m()
@@ -115,34 +114,28 @@ class TestEval:
             assert (p * q).eval_m(m) == p.eval_m(m) * q.eval_m(m)
 
     def test_eval_complex_on_curve(self):
-        assert (L - one).eval_complex(2.7j, 1.0) == 0
+        assert eval_complex(L - one, 2.7j, 1.0) == 0
 
     def test_eval_complex_trefoil_point(self):
-        assert abs((L * M**6 + one).eval_complex(1.0, -1.0)) < 1e-12
+        assert abs(eval_complex(L * M**6 + one, 1.0, -1.0)) < 1e-12
 
     def test_eval_complex_zero_poly(self):
-        assert BivarPoly.zero().eval_complex(3.0 + 1j, -2.0) == 0
-
-
-def rel_residual(p, u, v):
-    """|p(u, v)| relative to the term-magnitude scale at (u, v)."""
-    scale = sum(abs(c) * abs(u) ** i * abs(v) ** j for (i, j), c in p.terms.items())
-    return abs(p.eval_complex(u, v)) / scale
+        assert eval_complex(BivarPoly.zero(), 3.0 + 1j, -2.0) == 0
 
 
 class TestSurgerySubstitution:
     def test_no_m_dependence(self):
-        assert (L - one).substitute_surgery(3) == UnivarPoly([-1, 1])
+        assert substitute_surgery(L - one, 3) == UnivarPoly([-1, 1])
 
     def test_clears_denominator(self):
-        assert (L + M**2).substitute_surgery(1) == UnivarPoly([1, 0, 0, 1])
+        assert substitute_surgery(L + M**2, 1) == UnivarPoly([1, 0, 0, 1])
 
     def test_root_oracle(self):
         # every root v of the substituted polynomial must satisfy
         # p(v^-n, v) = 0
         p = L * M**6 + one
         n = 2
-        g = p.substitute_surgery(n)
+        g = substitute_surgery(p, n)
         for v in np.roots(list(reversed(g.coeffs))):
             v = complex(v)
             if abs(v) < 1e-6:
@@ -151,13 +144,13 @@ class TestSurgerySubstitution:
 
     def test_rejects_zero_n(self):
         with pytest.raises(ValueError):
-            (L - one).substitute_surgery(0)
+            substitute_surgery(L - one, 0)
 
     @given(bivar_polys(allow_zero=False, max_exp=3, max_terms=4))
     @settings(max_examples=50, deadline=None)
     def test_root_oracle_random(self, p):
         n = 2
-        g = p.substitute_surgery(n)
+        g = substitute_surgery(p, n)
         if g.is_zero or g.degree() == 0:
             return
         for v in np.roots(list(reversed(g.coeffs))):
@@ -190,26 +183,6 @@ class TestUnivarGcd:
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
             gcd_univar(UnivarPoly(), UnivarPoly())
-
-
-class TestSquarefree:
-    def test_square(self):
-        assert squarefree_univar(UnivarPoly([-1, 1]) ** 2) == UnivarPoly([-1, 1])
-
-    def test_already_squarefree(self):
-        assert squarefree_univar(UnivarPoly([-1, 0, 1])) == UnivarPoly([-1, 0, 1])
-
-    def test_mixed_multiplicities(self):
-        f = UnivarPoly([-1, 1]) ** 2 * UnivarPoly([1, 1]) ** 3
-        assert squarefree_univar(f) == UnivarPoly([-1, 0, 1])
-
-    @given(univar_polys(allow_zero=False, max_deg=5))
-    @settings(max_examples=100, deadline=None)
-    def test_coprime_with_derivative(self, f):
-        sf = squarefree_univar(f)
-        if sf.degree() == 0:
-            return
-        assert gcd_univar(sf, sf.derivative()).degree() == 0
 
 
 class TestGrammar:

@@ -22,11 +22,10 @@ from apoly.structure import (
     euler_phi,
     is_product_of_cyclotomics,
     mdeg_trivial_decomposition,
-    symmetry_check,
     theorem1_verdict,
 )
 from apoly.structure import _cyclotomic_value
-from conftest import cyclotomic_by_division
+from conftest import cyclotomic_by_division, symmetry_check
 
 L = BivarPoly.var_l()
 M = BivarPoly.var_m()

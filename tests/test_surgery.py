@@ -10,6 +10,8 @@ from apoly.structure import (
 )
 from apoly.surgery import EigenPoint, _unit_root_points, replay_contradiction
 
+from conftest import substitute_surgery
+
 L = BivarPoly.var_l()
 one = BivarPoly.const(1)
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
@@ -26,7 +28,7 @@ def assert_numeric_surgery_points(a: BivarPoly, rep):
     A(1, v) when deg_M = 0), and every point satisfies u * v^N = 1."""
     for s in rep.steps:
         n = s.slope_denominator
-        g = a.substitute_surgery(n)
+        g = substitute_surgery(a, n)
         roots = list(np.roots(list(reversed(g.coeffs))))
         assert len(roots) == s.num_points == len(s.points)
         for p in s.points:
@@ -166,6 +168,16 @@ class TestReplay:
         rep = replay_contradiction(parse_poly("L^2000 - 1"))
         assert rep.ok
         assert rep.d % 2000 == 0
+
+    def test_d_is_lcm_of_orders(self):
+        # Phi2 * Phi4: the product of the orders is 8, their lcm 4
+        rep = replay_contradiction(lift(UnivarPoly([-1, 1]) * cyclotomic(2) * cyclotomic(4)))
+        assert rep.ok and rep.d == 4 and rep.profile.product_d == 8
+        # L^60 - 1 has every divisor of 60 as an order; the product is 46656000000
+        rep = replay_contradiction(parse_poly("L^60 - 1"), n_max=2)
+        assert rep.ok and rep.d == 60 and rep.profile.product_d == 46656000000
+        assert [s.slope_denominator for s in rep.steps] == [60, 120]
+        assert all(p.u_order == 1 for s in rep.steps for p in s.points)
 
 
 class TestForcedTrivialityIsExact:
