@@ -287,7 +287,7 @@ def eliminate_two_bridge(p: int, q: int) -> BivarPoly:
     phi, pres = riley_polynomial(p, q)
     lam = sl2_word_eval(pres.longitude, _NORMAL_FORM)[0][0]
     nf = _squarefree_bivar(_longitude_charpoly(phi, lam)).normal_form()
-    if nf.try_divide(_L_MINUS_1) is None:
+    if not nf.taylor_at_l1(0).is_zero:  # A(M, 1) != 0: no (L-1) factor
         nf, _ = (nf * _L_MINUS_1).normalize()
     return nf
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 __all__ = [
     "UnivarPoly",
@@ -458,6 +458,21 @@ class BivarPoly:
         d = self.deg_l()
         return BivarPoly({(i, d - j): c for (i, j), c in self.terms.items()})
 
+    def taylor_at_l1(self, k: int) -> "BivarPoly":
+        """The k-th Taylor coefficient at L = 1, a polynomial in M alone.
+
+        Substituting L = 1 + u, the coefficient of u^k is
+        sum over terms c_ij M^i L^j of C(j, k) c_ij M^i, summed over the
+        sparse terms without making any coefficient dense. Since L - 1 is
+        monic in L, (L-1)^k divides self in Z[M][L] exactly when the
+        coefficients 0 .. k-1 all vanish.
+        """
+        out = {}
+        for (i, j), c in self.terms.items():
+            if j >= k:
+                out[(i, 0)] = out.get((i, 0), 0) + comb(j, k) * c
+        return BivarPoly(out)
+
     # -- division -----------------------------------------------------
 
     def _l_coeffs(self):
@@ -560,7 +575,11 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([ML])|(\^)|(\*)|(\+)|(-)|([()])|(\S))")
 
 # Longest integer literal accepted, checked here so that the bound does not
 # depend on the interpreter's own int() digit limit (absent before 3.10.7).
+# The same bound holds for every coefficient after expansion, where it is
+# checked against the integer 10^_MAX_DIGITS, so no str() call is made:
+# bit lengths alone cannot tell 4300 from 4301 digits (2^14284 < 10^4300).
 _MAX_DIGITS = 4300
+_COEFF_BOUND = 10**_MAX_DIGITS
 
 
 def _tokenize(text):
@@ -604,7 +623,8 @@ def parse_poly(text: str) -> BivarPoly:
     Whitespace-insensitive; omitted exponents and coefficients mean 1.
     Parenthesized products are accepted on input; canonical printing never
     emits them. An integer literal longer than 4300 digits is a
-    PolyParseError at its position.
+    PolyParseError at its position; so is, at the first token, a
+    coefficient of the expanded result longer than 4300 digits.
     """
     tokens = _tokenize(text)
     idx = 0
@@ -673,6 +693,10 @@ def parse_poly(text: str) -> BivarPoly:
     result = parse_expression()
     if peek()[0] != "end":
         error("unexpected trailing input", peek())
+    for (i, j), c in result.terms.items():
+        if abs(c) >= _COEFF_BOUND:
+            msg = f"expanded coefficient of M^{i}*L^{j} is longer than {_MAX_DIGITS} digits"
+            error(msg, tokens[0])
     return result
 
 

@@ -1,6 +1,7 @@
 """Structural analysis of A-polynomials.
 
-Covers the abelian (L-1) factor, recognition of products of cyclotomic
+Covers the abelian (L-1) factor, whose multiplicity is counted from the
+Taylor coefficients at L = 1, recognition of products of cyclotomic
 polynomials, the degree-zero decomposition into (L-1) times distinct
 cyclotomics, unit evaluations at M = +1/-1 against the +/- L^a (L-1)^b
 (L+1)^c form, monicity at the units, and the M-degree verdict.
@@ -288,10 +289,8 @@ def check_unit_evaluation(a: BivarPoly, m: int):
     f = a.eval_m(m)
     if f.is_zero:
         return UnitEvalFailure(f)
-    av = 0
-    while f[0] == 0:
-        f = UnivarPoly(f.coeffs[1:])
-        av += 1
+    av = next(k for k, c in enumerate(f.coeffs) if c)
+    f = UnivarPoly(f.coeffs[av:])
     b = 0
     while True:
         q = f.try_divide(UnivarPoly([-1, 1]))
@@ -349,16 +348,16 @@ def theorem1_verdict(a: BivarPoly, claims_nontrivial_knot: bool) -> str:
 
 
 def abelian_multiplicity(a: BivarPoly) -> int:
-    """Multiplicity of the (L-1) factor, by exact trial division."""
+    """Multiplicity of the (L-1) factor: the least k whose k-th Taylor
+    coefficient at L = 1 is nonzero. Exact, and never makes a coefficient
+    dense; the loop ends by deg_L, where the coefficient is A's leading
+    L-coefficient."""
     if a.is_zero:
         raise ValueError("zero polynomial")
     mult = 0
-    cur = a
-    while True:
-        q = cur.try_divide(_L_MINUS_1)
-        if q is None:
-            return mult
-        cur, mult = q, mult + 1
+    while a.taylor_at_l1(mult).is_zero:
+        mult += 1
+    return mult
 
 
 @dataclass

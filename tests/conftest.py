@@ -37,6 +37,20 @@ def cyclotomic_by_division(d):
     return _division_cache[d]
 
 
+_L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
+
+
+def abelian_multiplicity_by_division(a):
+    """Reference multiplicity of (L-1) in a nonzero a: exact trial division
+    by L - 1 in Z[M][L] until it fails."""
+    mult = 0
+    while True:
+        q = a.try_divide(_L_MINUS_1)
+        if q is None:
+            return mult
+        a, mult = q, mult + 1
+
+
 class TriPolyInT:
     """Polynomial in an elimination variable t over BivarPoly coefficients;
     ``coeffs[k]`` is the coefficient of t^k, trailing zeros trimmed."""

@@ -12,6 +12,8 @@ from apoly.cli import main
 FIXTURES = resources.files("apoly.data") / "fixtures.txt"
 TREFOIL_TEXT = "L^2*M^6 - L*M^6 + L - 1"
 LONG_LITERAL = "7" * 5000  # past the parser's 4300-digit bound
+# every literal is within the bound, but the square's L^2 coefficient is not
+LONG_PRODUCT = f"({'9' * 3000}*L - 1)^2"
 
 
 def run(capsys, *argv):
@@ -91,6 +93,13 @@ class TestAnalyze:
         assert out.startswith("error: integer literal of 5000 digits")
         assert f"(line 1, column {col})" in out
 
+    def test_long_expanded_coefficient_exit_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", LONG_PRODUCT])
+        out = capsys.readouterr().out
+        assert exc.value.code == 1
+        assert out.startswith("error: expanded coefficient of M^0*L^2 is longer than 4300")
+
     def test_from_file(self, capsys, tmp_path):
         f = tmp_path / "poly.txt"
         f.write_text(TREFOIL_TEXT, encoding="utf-8")
@@ -160,6 +169,17 @@ class TestVerifyDb:
         first = out.splitlines()[0]
         assert first.startswith("record error (line 2, huge): integer literal of 5000 digits")
         assert "status: OK (1 records" in out
+
+    def test_long_expanded_coefficient_record_error(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text(f"unknot ; L - 1\nhuge ; {LONG_PRODUCT}\n", encoding="utf-8")
+        code, out = run(capsys, "verify-db", str(table), "--json")
+        assert code == 0
+        first, rest = out.split("\n", 1)
+        assert first.startswith("record error (line 2, huge): expanded coefficient")
+        payload = json.loads(rest)
+        assert payload["status"] == "OK" and payload["n_records"] == 1
+        assert [r["name"] for r in payload["records"]] == ["unknot"]
 
     def test_json_output(self, capsys):
         with resources.as_file(FIXTURES) as path:

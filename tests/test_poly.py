@@ -210,6 +210,37 @@ class TestGrammar:
     def test_roundtrip(self, p):
         assert parse_poly(format_poly(p)) == p
 
+    def test_expanded_coefficient_at_bound(self):
+        # 10^4300 - 1 has 4300 digits and is accepted; (10^2150)^2 has 4301
+        assert parse_poly("9" * 4300 + "*L").terms == {(0, 1): 10**4300 - 1}
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(f"L + (1{'0' * 2150}*M)^2")
+        assert "expanded coefficient of M^2*L^0" in str(exc.value)
+        assert (exc.value.line, exc.value.col) == (1, 1)
+
+
+class TestTaylorAtL1:
+    def test_coefficients(self):
+        # (L-1)^2 (L+M) = u^2 (1 + u + M) with L = 1 + u
+        a = (L - one) ** 2 * (L + M)
+        assert [a.taylor_at_l1(k) for k in range(5)] == [
+            BivarPoly(),
+            BivarPoly(),
+            M + one,
+            one,
+            BivarPoly(),
+        ]
+
+    @given(bivar_polys())
+    @settings(max_examples=100, deadline=None)
+    def test_derivatives_at_l1(self, p):
+        # at each integer M = m, the k-th coefficient is f^(k)(1) / k!
+        for m in (-2, 0, 3):
+            f, fact = p.eval_m(m), 1
+            for k in range(6):
+                assert p.taylor_at_l1(k).eval_m(m)(0) * fact == f(1)
+                f, fact = f.derivative(), fact * (k + 1)
+
 
 class TestSymmetryHelpers:
     def test_invert_l(self):

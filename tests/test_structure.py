@@ -1,8 +1,13 @@
+from importlib import resources
+from math import gcd
+
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apoly.db import load_table
+from apoly.knots import torus_a
 from apoly.poly import BivarPoly, UnivarPoly, parse_poly
 from apoly.structure import (
     FAIL,
@@ -25,12 +30,25 @@ from apoly.structure import (
     theorem1_verdict,
 )
 from apoly.structure import _cyclotomic_value
-from conftest import cyclotomic_by_division, symmetry_check
+from conftest import (
+    abelian_multiplicity_by_division,
+    bivar_polys,
+    cyclotomic_by_division,
+    symmetry_check,
+)
 
 L = BivarPoly.var_l()
 M = BivarPoly.var_m()
 one = BivarPoly.const(1)
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
+# torus knot parameters with their mirrors (one parameter negated)
+TORUS_GRID = [
+    (sp * p, q)
+    for p in (2, 3, 4, 5, 7)
+    for q in (3, 5, 7, 9, 11)
+    for sp in (1, -1)
+    if p != q and gcd(p, q) == 1
+]
 
 
 class TestCyclotomic:
@@ -211,6 +229,14 @@ class TestUnitEvaluation:
         form = check_unit_evaluation(L**3 * (L + one), 1)
         assert form == UnitEvaluationForm(sign=1, a=3, b=0, c=1)
 
+    def test_long_l_power(self):
+        # (M-1)(1 + L + ... + L^(k-1)) + L^k is L^k at M = 1; the k leading
+        # zeros are stripped in one slice, not one copy per zero
+        k = 20000
+        a = (M - one) * BivarPoly({(0, j): 1 for j in range(k)}) + L**k
+        form = check_unit_evaluation(a, 1)
+        assert form == UnitEvaluationForm(sign=1, a=k, b=0, c=0)
+
     @given(
         st.sampled_from([1, -1]),
         st.integers(0, 3),
@@ -289,6 +315,42 @@ class TestAbelianMultiplicity:
 
     def test_none(self):
         assert abelian_multiplicity(L + one) == 0
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            abelian_multiplicity(BivarPoly())
+
+    @given(bivar_polys(allow_zero=False), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_division_oracle(self, b, k):
+        a = b * (L - one) ** k
+        count = abelian_multiplicity(a)
+        assert count == abelian_multiplicity_by_division(a)
+        assert count == k + abelian_multiplicity(b)
+
+    def test_fixtures_match_division_oracle(self):
+        with resources.as_file(resources.files("apoly.data") / "fixtures.txt") as path:
+            records = load_table(path).records
+        assert records
+        for rec in records:
+            a = rec.a_poly
+            assert abelian_multiplicity(a) == abelian_multiplicity_by_division(a), rec.name
+
+    @pytest.mark.parametrize("p, q", TORUS_GRID)
+    def test_torus_match_division_oracle(self, p, q):
+        a = torus_a(p, q)
+        assert abelian_multiplicity(a) == abelian_multiplicity_by_division(a) == 1
+
+    def test_no_dense_coefficients(self, monkeypatch):
+        # the count runs over the sparse terms; nothing is densified in M
+        a = torus_a(37, 29) * (L - one)
+        assert a.deg_m() >= 1000
+
+        def densify(self):
+            raise AssertionError("L-coefficients were made dense")
+
+        monkeypatch.setattr(BivarPoly, "_l_coeffs", densify)
+        assert abelian_multiplicity(a) == 2
 
 
 class TestAnalyze:
