@@ -130,7 +130,7 @@ def cmd_replay(args) -> int:
     if args.nmax < 1:
         print(f"error: --nmax must be at least 1, got {args.nmax}")
         return 1
-    poly = _parse_or_exit(args.poly)
+    poly = _parse_or_exit(args.poly).normal_form()
     if poly.deg_m() != 0:
         print(
             "error: the replay targets the excluded case deg_M = 0; "

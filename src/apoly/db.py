@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import newton
-from .poly import BivarPoly, PolyParseError, parse_poly
+from .poly import _L_MINUS_1, BivarPoly, PolyParseError, parse_poly
 from .structure import FAIL, AnalysisReport, UnitEvalFailure, analyze
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
 ]
 
 VERDICT_NOT_APPLICABLE = "REFINED_NOT_APPLICABLE"
-
-_L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
 
 
 @dataclass

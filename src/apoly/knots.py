@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .poly import BivarPoly, UnivarPoly, charpoly, gcd_univar
+from .poly import _L_MINUS_1, BivarPoly, UnivarPoly, _add_terms, _mul_terms, charpoly, gcd_univar
 
 __all__ = [
     "TorusKnot",
@@ -37,9 +37,6 @@ __all__ = [
     "eliminate_two_bridge",
     "EliminationDegeneracyError",
 ]
-
-_L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
-
 
 @dataclass(frozen=True)
 class TorusKnot:
@@ -104,30 +101,10 @@ def two_bridge_presentation(p: int, q: int) -> GroupPresentation:
     return GroupPresentation(w=w, longitude=longitude, sign_sequence=eps)
 
 
-def _lp_add(f, g, sign=1):
-    out = dict(f)
-    for key, c in g.items():
-        s = out.get(key, 0) + sign * c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _lp_mul(f, g):
-    out = {}
-    for (i1, k1), c1 in f.items():
-        for (i2, k2), c2 in g.items():
-            key = (i1 + i2, k1 + k2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {key: c for key, c in out.items() if c}
-
-
 def _mat_mul(x, y):
     return tuple(
         tuple(
-            _lp_add(_lp_mul(x[r][0], y[0][c]), _lp_mul(x[r][1], y[1][c]))
+            _add_terms(_mul_terms(x[r][0], y[0][c]), _mul_terms(x[r][1], y[1][c]))
             for c in range(2)
         )
         for r in range(2)
@@ -157,7 +134,7 @@ def sl2_word_eval(word, assignments):
         x = assignments[g]
         if e < 0:
             (x00, x01), (x10, x11) = x
-            x = ((x11, _lp_add({}, x01, -1)), (_lp_add({}, x10, -1), x00))
+            x = ((x11, _add_terms({}, x01, -1)), (_add_terms({}, x10, -1), x00))
         for _ in range(abs(e)):
             result = _mat_mul(result, x)
     return result
@@ -180,17 +157,18 @@ def riley_polynomial(p: int, q: int):
     a, b = _NORMAL_FORM["a"], _NORMAL_FORM["b"]
     w = sl2_word_eval(pres.w, _NORMAL_FORM)
     left, right = _mat_mul(a, w), _mat_mul(w, b)
-    return _lp_add(left[0][1], right[0][1], -1), pres
+    return _add_terms(left[0][1], right[0][1], -1), pres
 
 
 def _reduce_mod(f, monic, n):
     """f modulo a polynomial that is monic of degree n in t (Laurent dicts)."""
+    f = dict(f)  # reduced in place; the caller keeps its f
     while True:
         k = max((kk for _, kk in f), default=-1)
         if k < n:
             return f
         top = {(i, k - n): c for (i, kk), c in f.items() if kk == k}
-        f = _lp_add(f, _lp_mul(top, monic), -1)
+        _add_terms(f, _mul_terms(top, monic), -1)
 
 
 def _longitude_charpoly(phi, lam) -> BivarPoly:

@@ -8,6 +8,7 @@ deterministic SVG.
 
 from __future__ import annotations
 
+import html
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,7 +125,8 @@ def render_svg(poly: NewtonPolygon, title: str = "") -> str:
 
     Fixed 600x600 canvas with margin 40; lattice grid, support dots, hull
     outline (class "hull") and highlighted vertical edges (class
-    "vertical"). Identical input yields byte-identical output.
+    "vertical"). The title is XML-escaped. Identical input yields
+    byte-identical output.
     """
     size, margin = 600, 40
     pts = sorted(poly.support)
@@ -154,6 +156,7 @@ def render_svg(poly: NewtonPolygon, title: str = "") -> str:
         "</style>",
     ]
     if title:
+        title = html.escape(title)
         lines.append(f"<title>{title}</title>")
         lines.append(f'<text class="label" x="{margin}" y="{margin - 12}">{title}</text>')
     for i in range(imin, imax + 1):

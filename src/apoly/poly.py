@@ -7,6 +7,11 @@ Two carriers:
 * ``BivarPoly`` -- sparse integer polynomial in M and L, keyed by exponent
   pairs (i, j) = (M-exponent, L-exponent).
 
+Each ring operation is written once: sparse + and * are the term kernels
+``_add_terms`` and ``_mul_terms``, shared with the Laurent dicts of
+``knots``; both carriers use one ``_power`` and one text form,
+``format_poly``, which writes coefficients of any length.
+
 Characteristic polynomials of matrices over either carrier are computed
 division-free by Berkowitz's algorithm (``charpoly``), so every result is
 exact integer arithmetic with no computer-algebra system.
@@ -31,6 +36,42 @@ __all__ = [
     "gcd_univar",
     "charpoly",
 ]
+
+
+def _add_terms(out, g, sign=1):
+    """Add sign * g into the term dict out in place, dropping zeros;
+    returns out. Keys are exponent tuples, values nonzero integers."""
+    for key, c in g.items():
+        s = out.get(key, 0) + sign * c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _mul_terms(f, g):
+    """Product of two term dicts keyed by exponent pairs, zeros dropped."""
+    out = {}
+    for (i1, j1), c1 in f.items():
+        for (i2, j2), c2 in g.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _power(base, n):
+    """base ** n by square-and-multiply, for either carrier."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = type(base).const(1)
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def _grlex_key(ij):
@@ -94,24 +135,8 @@ class UnivarPoly:
         return f"UnivarPoly({list(self.coeffs)})"
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                var = "L" if k == 1 else f"L^{k}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        # the same polynomial in L, in the one canonical text form
+        return format_poly(BivarPoly({(0, k): c for k, c in enumerate(self.coeffs)}))
 
     # -- ring operations ----------------------------------------------
 
@@ -145,16 +170,7 @@ class UnivarPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = UnivarPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n)
 
     def __call__(self, x):
         # Horner, highest term first
@@ -359,19 +375,15 @@ class BivarPoly:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         if isinstance(other, int):
             other = BivarPoly.const(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        t = dict(self.terms)
-        for ij, c in other.terms.items():
-            s = t.get(ij, 0) + c
-            if s:
-                t[ij] = s
-            else:
-                t.pop(ij, None)
-        return BivarPoly(t)
+        return BivarPoly(_add_terms(dict(self.terms), other.terms, sign))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -379,7 +391,7 @@ class BivarPoly:
         return BivarPoly({ij: -c for ij, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, BivarPoly) else -BivarPoly.const(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -389,30 +401,12 @@ class BivarPoly:
             return BivarPoly({ij: c * other for ij, c in self.terms.items()})
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        t = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                ij = (i1 + i2, j1 + j2)
-                s = t.get(ij, 0) + c1 * c2
-                if s:
-                    t[ij] = s
-                else:
-                    t.pop(ij, None)
-        return BivarPoly(t)
+        return BivarPoly(_mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = BivarPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n)
 
     # -- normalization ------------------------------------------------
 
@@ -527,6 +521,9 @@ class BivarPoly:
         return BivarPoly(out)
 
 
+_L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
+
+
 def _dot(xs, ys):
     acc = None
     for x, y in zip(xs, ys):
@@ -580,6 +577,15 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([ML])|(\^)|(\*)|(\+)|(-)|([()])|(\S))")
 # bit lengths alone cannot tell 4300 from 4301 digits (2^14284 < 10^4300).
 _MAX_DIGITS = 4300
 _COEFF_BOUND = 10**_MAX_DIGITS
+
+
+def _decimal(n):
+    """Decimal digits of n >= 0, in blocks short enough for str()'s digit
+    limit: a quotient of bounded input can have longer coefficients."""
+    if n < _COEFF_BOUND:
+        return str(n)
+    high, low = divmod(n, _COEFF_BOUND)
+    return _decimal(high) + str(low).zfill(_MAX_DIGITS)
 
 
 def _tokenize(text):
@@ -681,14 +687,16 @@ def parse_poly(text: str) -> BivarPoly:
                 return result
 
     def parse_expression():
+        # every term is added into one dict, so a sum of n terms costs O(n)
+        terms = {}
         sign = 1
         if peek()[0] in ("plus", "minus"):
             sign = -1 if take()[0] == "minus" else 1
-        result = parse_term() * sign
-        while peek()[0] in ("plus", "minus"):
+        while True:
+            _add_terms(terms, parse_term().terms, sign)
+            if peek()[0] not in ("plus", "minus"):
+                return BivarPoly(terms)
             sign = -1 if take()[0] == "minus" else 1
-            result = result + parse_term() * sign
-        return result
 
     result = parse_expression()
     if peek()[0] != "end":
@@ -701,7 +709,8 @@ def parse_poly(text: str) -> BivarPoly:
 
 
 def format_poly(p: BivarPoly) -> str:
-    """Canonical text form: descending graded-lex terms, explicit '^'."""
+    """Canonical text form: descending graded-lex terms, explicit '^',
+    coefficients in full at any length."""
     if p.is_zero:
         return "0"
     parts = []
@@ -714,7 +723,7 @@ def format_poly(p: BivarPoly) -> str:
         if i:
             factors.append("M" if i == 1 else f"M^{i}")
         if not factors or abs(c) != 1:
-            factors.insert(0, str(abs(c)))
+            factors.insert(0, _decimal(abs(c)))
         parts.append(("-" if c < 0 else "+", "*".join(factors)))
     sign, body = parts[0]
     out = ("-" if sign == "-" else "") + body

@@ -14,7 +14,7 @@ from math import prod
 from typing import Optional
 
 from . import newton
-from .poly import BivarPoly, UnivarPoly
+from .poly import _L_MINUS_1, BivarPoly, UnivarPoly
 
 __all__ = [
     "cyclotomic",
@@ -36,8 +36,6 @@ __all__ = [
     "AnalysisReport",
     "analyze",
 ]
-
-_L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
 
 _cyclotomic_cache = {1: UnivarPoly([-1, 1])}
 
@@ -259,8 +257,8 @@ class UnitEvaluationForm:
 
     def reconstruct(self) -> UnivarPoly:
         f = UnivarPoly([self.sign]).shift(self.a)
-        f = f * UnivarPoly([-1, 1]) ** self.b
-        f = f * UnivarPoly([1, 1]) ** self.c
+        f = f * cyclotomic(1) ** self.b  # L - 1
+        f = f * cyclotomic(2) ** self.c  # L + 1
         return f
 
     def as_dict(self):
@@ -273,6 +271,16 @@ class UnitEvalFailure:
 
     def as_dict(self):
         return {"failure": True, "residual": str(self.residual)}
+
+
+def _divide_out(f: UnivarPoly, g: UnivarPoly):
+    """(f / g^k, k) for the largest k with g^k dividing the nonzero f."""
+    count = 0
+    while True:
+        q = f.try_divide(g)
+        if q is None:
+            return f, count
+        f, count = q, count + 1
 
 
 def check_unit_evaluation(a: BivarPoly, m: int):
@@ -290,19 +298,8 @@ def check_unit_evaluation(a: BivarPoly, m: int):
     if f.is_zero:
         return UnitEvalFailure(f)
     av = next(k for k, c in enumerate(f.coeffs) if c)
-    f = UnivarPoly(f.coeffs[av:])
-    b = 0
-    while True:
-        q = f.try_divide(UnivarPoly([-1, 1]))
-        if q is None:
-            break
-        f, b = q, b + 1
-    c = 0
-    while True:
-        q = f.try_divide(UnivarPoly([1, 1]))
-        if q is None:
-            break
-        f, c = q, c + 1
+    f, b = _divide_out(UnivarPoly(f.coeffs[av:]), cyclotomic(1))  # L - 1
+    f, c = _divide_out(f, cyclotomic(2))  # L + 1
     if f.is_zero or f.degree() != 0 or abs(f.coeffs[0]) != 1:
         return UnitEvalFailure(f)
     return UnitEvaluationForm(sign=f.coeffs[0], a=av, b=b, c=c)

@@ -150,7 +150,8 @@ class ReplayReport:
 
 
 def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
-    """Replay the forced-triviality contradiction for an M-degree-0 input.
+    """Replay the forced-triviality contradiction for an input whose
+    A-normal form has M-degree 0.
 
     Computes d as the lcm of the distinct cyclotomic orders and checks,
     for each n up to n_max, that every intersection point on the 1/(n*d)
@@ -162,11 +163,12 @@ def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
     """
     if a.is_zero:
         raise ValueError("zero polynomial")
-    if a.deg_m() != 0:
+    nf = a.normal_form()  # deg_M of the A-normal form: M*(L - 1) is degree zero
+    if nf.deg_m() != 0:
         raise ValueError("the contradiction mechanism applies only when deg_M = 0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    dec = mdeg_trivial_decomposition(a.normal_form())
+    dec = mdeg_trivial_decomposition(nf)
     if isinstance(dec, Violation):
         return ReplayReport(ok=False, violation=dec.reason, profile=None, d=None)
     _, profile = dec

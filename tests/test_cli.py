@@ -16,6 +16,15 @@ LONG_LITERAL = "7" * 5000  # past the parser's 4300-digit bound
 LONG_PRODUCT = f"({'9' * 3000}*L - 1)^2"
 
 
+def long_residual_text():
+    """Literals of 4300 digits whose quotient by (L-1) has longer ones."""
+    c = 5 * 10**4299
+    coeffs = [c] * 10 + [-c] * 10
+    coeffs[0] -= 1
+    coeffs[1] += 1
+    return " + ".join(f"({a})*L^{k}" for k, a in enumerate(coeffs))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -100,6 +109,15 @@ class TestAnalyze:
         assert exc.value.code == 1
         assert out.startswith("error: expanded coefficient of M^0*L^2 is longer than 4300")
 
+    def test_long_residual_exit_0(self, capsys, tmp_path):
+        f = tmp_path / "poly.txt"
+        f.write_text(long_residual_text(), encoding="utf-8")
+        code, payload = run_json(capsys, "analyze", "--file", str(f), "--json")
+        assert code == 0
+        residual = payload["unit_eval_plus"]["residual"]
+        assert payload["unit_eval_plus"]["failure"] is True
+        assert max(len(t.split("*")[0]) for t in residual.split()) > 4300
+
     def test_from_file(self, capsys, tmp_path):
         f = tmp_path / "poly.txt"
         f.write_text(TREFOIL_TEXT, encoding="utf-8")
@@ -181,6 +199,14 @@ class TestVerifyDb:
         assert payload["status"] == "OK" and payload["n_records"] == 1
         assert [r["name"] for r in payload["records"]] == ["unknot"]
 
+    def test_long_residual_record_reported(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text(f"big ; {long_residual_text()}\n", encoding="utf-8")
+        code, payload = run_json(capsys, "verify-db", str(table), "--json")
+        assert code == 2  # deg_M = 0 for a record claimed to be a knot
+        (record,) = payload["records"]
+        assert record["name"] == "big" and record["unit_eval_plus"]["failure"] is True
+
     def test_json_output(self, capsys):
         with resources.as_file(FIXTURES) as path:
             code, payload = run_json(capsys, "verify-db", str(path), "--json")
@@ -233,6 +259,13 @@ class TestReplay:
         code, out = run(capsys, "replay", "L*M + 1")
         assert code == 1
         assert "deg_M" in out
+
+    def test_reads_deg_m_of_normal_form(self, capsys):
+        # an M-power factor is stripped by the A-normal form
+        for text, nf in [("M*L - M", "L - 1"), ("M^2*(L-1)*(L+1)", "(L-1)*(L+1)")]:
+            assert run(capsys, "replay", text) == run(capsys, "replay", nf)
+        code, out = run(capsys, "replay", "L*M - 1")
+        assert code == 1 and "has deg_M = 1" in out
 
     @pytest.mark.parametrize("nmax", ["0", "-3"])
     def test_nonpositive_nmax_exit_1(self, capsys, nmax):

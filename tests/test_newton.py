@@ -1,3 +1,4 @@
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,13 @@ class TestSvg:
     def test_empty_title_omitted(self):
         svg = render_svg(newton_polygon(TREFOIL))
         assert "<title>" not in svg
+
+    def test_title_escaped(self):
+        title = 'a<b & "c"'
+        root = ET.fromstring(render_svg(newton_polygon(TREFOIL), title=title))
+        ns = "{http://www.w3.org/2000/svg}"
+        assert root.find(f"{ns}title").text == title
+        assert root.find(f"{ns}text").text == title
 
     def test_deterministic(self):
         poly = newton_polygon(TREFOIL)

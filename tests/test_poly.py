@@ -1,3 +1,6 @@
+import decimal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from apoly.poly import (
     BivarPoly,
     PolyParseError,
     UnivarPoly,
+    _decimal,
     format_poly,
     gcd_univar,
     parse_poly,
@@ -217,6 +221,41 @@ class TestGrammar:
             parse_poly(f"L + (1{'0' * 2150}*M)^2")
         assert "expanded coefficient of M^2*L^0" in str(exc.value)
         assert (exc.value.line, exc.value.col) == (1, 1)
+
+    def test_long_sum_parses_in_linear_time(self):
+        # copying the term dict once per term made this sum take minutes
+        text = " + ".join(f"L^{k}" for k in range(20000))
+        start = time.perf_counter()
+        p = parse_poly(text)
+        assert time.perf_counter() - start < 5.0
+        assert p.terms == {(0, k): 1 for k in range(20000)}
+
+
+class TestFormat:
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ([], "0"),
+            ([7], "7"),
+            ([-3], "-3"),
+            ([5, 0, -12], "-12*L^2 + 5"),
+            ([1, -2, 0, -1], "-L^3 - 2*L + 1"),
+            ([-1, 1], "L - 1"),
+            ([0, -1], "-L"),
+        ],
+    )
+    def test_univar_str(self, coeffs, text):
+        assert str(UnivarPoly(coeffs)) == text
+
+    def test_decimal_past_int_str_limit(self):
+        n = 7**20000  # 16,902 digits, past the 4300-digit str() limit
+        assert _decimal(n) == str(decimal.Decimal(n))
+        assert _decimal(10**4300) == "1" + "0" * 4300
+        assert _decimal(0) == "0"
+
+    def test_long_coefficient_written_in_full(self):
+        c = 10**8600 + 1
+        assert format_poly(BivarPoly({(0, 1): -c})) == f"-{decimal.Decimal(c)}*L"
 
 
 class TestTaylorAtL1:

@@ -116,6 +116,14 @@ class TestReplay:
         assert all(s.num_points == 1 for s in rep.steps)
         assert all(s.points[0].u == 1 and s.points[0].v == 1 for s in rep.steps)
 
+    def test_reads_deg_m_of_normal_form(self):
+        # an M-power factor is stripped by the A-normal form
+        for text, nf in [("M*L - M", "L - 1"), ("M^2*(L-1)*(L+1)", "(L-1)*(L+1)")]:
+            rep = replay_contradiction(parse_poly(text))
+            assert rep.as_dict() == replay_contradiction(parse_poly(nf)).as_dict()
+        with pytest.raises(ValueError):
+            replay_contradiction(parse_poly("L*M - 1"))
+
     def test_phi3_phi4(self):
         a = lift(UnivarPoly([-1, 1]) * cyclotomic(3) * cyclotomic(4))
         rep = replay_contradiction(a, n_max=2)
