@@ -80,4 +80,25 @@ title = ET.parse(sys.argv[1]).getroot().find("{http://www.w3.org/2000/svg}title"
 assert title.text == 'a<b & "c"', title.text
 EOF
 
+# a title character that XML cannot carry is an error, and no file is written
+rm -f "$tmp/ctl.svg"
+expect 1 newton "L*M - 1" --svg "$tmp/ctl.svg" --title $'a\x01b'
+test ! -e "$tmp/ctl.svg"
+
+# parentheses nested deeper than 200 are a clean parse error, exit 1
+python3 -c "print('(' * 600 + 'L-1' + ')' * 600)" > "$tmp/deep.txt"
+expect 1 analyze --file "$tmp/deep.txt"
+
+# with --json, record errors go to stderr and stdout is the JSON document;
+# a record with more than three fields is a record error
+python3 - "$tmp/bad_db.txt" <<'EOF'
+import sys
+lines = ["unknot ; L - 1", "deep ; " + "(" * 600 + "L-1" + ")" * 600, "x ; L^2 - 1 ; ; refined"]
+open(sys.argv[1], "w").write("\n".join(lines) + "\n")
+EOF
+expect 0 verify-db "$tmp/bad_db.txt" --json 2> "$tmp/err"
+python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['n_records'] == 1" "$tmp/out"
+grep -q "^record error (line 2, deep): parentheses nested deeper than 200" "$tmp/err"
+grep -q "^record error (line 3, ?): expected 'name ; polynomial \[; flags\]'" "$tmp/err"
+
 echo "smoke_cli: all checks hold"

@@ -81,7 +81,9 @@ def cmd_verify_db(args) -> int:
         print(f"error: {exc}")
         return 1
     for err in loaded.errors:
-        print(f"record error (line {err.line}, {err.name or '?'}): {err.message}")
+        # with --json, stdout carries the JSON document alone
+        msg = f"record error (line {err.line}, {err.name or '?'}): {err.message}"
+        print(msg, file=sys.stderr if args.json else sys.stdout)
     report = db.verify_all(loaded.records)
     if args.json:
         _emit_json(report.as_dict())
@@ -102,9 +104,10 @@ def cmd_newton(args) -> int:
         vertical = newton.has_vertical_edge(ngon)
     if args.svg:
         try:
+            svg = newton.render_svg(ngon, title=args.title)
             with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(newton.render_svg(ngon, title=args.title))
-        except OSError as exc:
+                fh.write(svg)
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}")
             return 1
     payload = {

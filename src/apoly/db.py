@@ -4,7 +4,8 @@ Record file format: UTF-8 text, one record per line,
 
     name ; polynomial-expression ; [flags]
 
-with '#' comments and blank lines ignored. The only flag is ``refined``,
+with '#' comments and blank lines ignored; a line with fewer than two or
+more than three fields is a record error. The only flag is ``refined``,
 marking per-component polynomials that are exempt from the M-degree
 verdict. Ingested polynomials are renormalized to A-normal form; any
 sign/unit/monomial discrepancy with the source is kept as a provenance
@@ -36,7 +37,6 @@ VERDICT_NOT_APPLICABLE = "REFINED_NOT_APPLICABLE"
 class DbRecord:
     name: str
     a_poly: BivarPoly
-    source: str = "ingested"
     refined: bool = False
     provenance: str = ""
     report: Optional[AnalysisReport] = None
@@ -81,11 +81,11 @@ def load_table(path) -> LoadResult:
             if not line:
                 continue
             parts = [p.strip() for p in line.split(";")]
-            if len(parts) < 2:
+            if len(parts) not in (2, 3):
                 errors.append(RecordError(lineno, "", "expected 'name ; polynomial [; flags]'"))
                 continue
             name, expr = parts[0], parts[1]
-            flags = [f for f in (parts[2].split() if len(parts) > 2 and parts[2] else [])]
+            flags = parts[2].split() if len(parts) == 3 else []
             if not name:
                 errors.append(RecordError(lineno, "", "empty record name"))
                 continue
@@ -119,7 +119,6 @@ class BatchReport:
     Newton-polygon edge. FAIL takes precedence over ANOMALY.
     """
 
-    records: list
     reports: list
     anomalies: list
     failures: list
@@ -132,7 +131,7 @@ class BatchReport:
     def as_dict(self):
         return {
             "status": self.status,
-            "n_records": len(self.records),
+            "n_records": len(self.reports),
             "n_fail": len(self.failures),
             "n_anomaly": len(self.anomalies),
             "failures": list(self.failures),
@@ -192,7 +191,6 @@ def verify_all(records) -> BatchReport:
                 anomalies.append(rec.name)
     status = "FAIL" if failures else ("ANOMALY" if anomalies else "OK")
     return BatchReport(
-        records=list(records),
         reports=reports,
         anomalies=anomalies,
         failures=failures,

@@ -9,6 +9,7 @@ deterministic SVG.
 from __future__ import annotations
 
 import html
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,14 +121,21 @@ def has_vertical_edge(poly: NewtonPolygon) -> bool:
     return any(e.is_vertical for e in poly.edges())
 
 
+# what XML 1.0's Char production leaves out; compiled on first use, not at import
+_NON_XML_CHAR = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
 def render_svg(poly: NewtonPolygon, title: str = "") -> str:
     """Deterministic SVG 1.1 document for a Newton polygon.
 
     Fixed 600x600 canvas with margin 40; lattice grid, support dots, hull
     outline (class "hull") and highlighted vertical edges (class
-    "vertical"). The title is XML-escaped. Identical input yields
-    byte-identical output.
+    "vertical"). The title is XML-escaped; one with a character outside
+    XML 1.0 is a ValueError. Identical input yields byte-identical output.
     """
+    bad = re.search(_NON_XML_CHAR, title)
+    if bad:
+        raise ValueError(f"title character {bad.group()!r} cannot be written in XML")
     size, margin = 600, 40
     pts = sorted(poly.support)
     imin = min(p[0] for p in pts)

@@ -10,7 +10,8 @@ Two carriers:
 Each ring operation is written once: sparse + and * are the term kernels
 ``_add_terms`` and ``_mul_terms``, shared with the Laurent dicts of
 ``knots``; both carriers use one ``_power`` and one text form,
-``format_poly``, which writes coefficients of any length.
+``format_poly``, which writes coefficients of any length and which
+``parse_poly`` reads back, within the bounds its docstring lists.
 
 Characteristic polynomials of matrices over either carrier are computed
 division-free by Berkowitz's algorithm (``charpoly``), so every result is
@@ -568,7 +569,8 @@ class PolyParseError(ValueError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([ML])|(\^)|(\*)|(\+)|(-)|([()])|(\S))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[ML])|(?P<caret>\^)|(?P<star>\*)"
+                       r"|(?P<plus>\+)|(?P<minus>-)|(?P<lparen>\()|(?P<rparen>\))|(?P<bad>\S))")
 
 # Longest integer literal accepted, checked here so that the bound does not
 # depend on the interpreter's own int() digit limit (absent before 3.10.7).
@@ -577,6 +579,9 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([ML])|(\^)|(\*)|(\+)|(-)|([()])|(\S))")
 # bit lengths alone cannot tell 4300 from 4301 digits (2^14284 < 10^4300).
 _MAX_DIGITS = 4300
 _COEFF_BOUND = 10**_MAX_DIGITS
+
+# Deepest nesting accepted, far inside the recursion limit (3 frames a level)
+_MAX_DEPTH = 200
 
 
 def _decimal(n):
@@ -588,34 +593,29 @@ def _decimal(n):
     return _decimal(high) + str(low).zfill(_MAX_DIGITS)
 
 
+def _error(msg, text, offset):
+    """Raise PolyParseError at the 1-based line and column of text[offset]."""
+    line = text.count("\n", 0, offset) + 1
+    raise PolyParseError(msg, line, offset - text.rfind("\n", 0, offset))
+
+
 def _tokenize(text):
+    """(kind, text, offset) triples, then an "end" token just past the last."""
     tokens = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            break
-        ws = text[pos : m.start(m.lastindex)]
-        for ch in ws:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        tok = m.group(m.lastindex)
-        if m.lastindex == 8:
-            raise PolyParseError(f"unexpected character {tok!r}", line, col)
-        kind = ["int", "var", "caret", "star", "plus", "minus", "paren"][m.lastindex - 1]
+    depth = 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok, offset = m.group(kind), m.start(kind)
+        if kind == "bad":
+            _error(f"unexpected character {tok!r}", text, offset)
         if kind == "int" and len(tok) > _MAX_DIGITS:
             msg = f"integer literal of {len(tok)} digits is longer than {_MAX_DIGITS}"
-            raise PolyParseError(msg, line, col)
-        if kind == "paren":
-            kind = "lparen" if tok == "(" else "rparen"
-        tokens.append((kind, tok, line, col))
-        col += len(tok)
-        pos = m.end()
-    tokens.append(("end", "", line, col))
+            _error(msg, text, offset)
+        depth += (kind == "lparen") - (kind == "rparen")
+        if depth > _MAX_DEPTH:
+            _error(f"parentheses nested deeper than {_MAX_DEPTH}", text, offset)
+        tokens.append((kind, tok, offset))
+    tokens.append(("end", "", m.end() if tokens else 0))
     return tokens
 
 
@@ -628,9 +628,10 @@ def parse_poly(text: str) -> BivarPoly:
 
     Whitespace-insensitive; omitted exponents and coefficients mean 1.
     Parenthesized products are accepted on input; canonical printing never
-    emits them. An integer literal longer than 4300 digits is a
-    PolyParseError at its position; so is, at the first token, a
-    coefficient of the expanded result longer than 4300 digits.
+    emits them. Each of these is a PolyParseError at its position: an
+    integer literal longer than 4300 digits, a parenthesis nested deeper
+    than 200 and, at the first token, a coefficient of the expanded result
+    longer than 4300 digits.
     """
     tokens = _tokenize(text)
     idx = 0
@@ -644,20 +645,17 @@ def parse_poly(text: str) -> BivarPoly:
         idx += 1
         return t
 
-    def error(msg, tok):
-        raise PolyParseError(msg, tok[2], tok[3])
-
     def parse_exponent():
         if peek()[0] != "caret":
             return 1
         take()
         etok = take()
         if etok[0] != "int":
-            error("expected exponent after '^'", etok)
+            _error("expected exponent after '^'", text, etok[2])
         return int(etok[1])
 
     def parse_factor():
-        kind, val, _, _ = peek()
+        kind, val, offset = peek()
         if kind == "int":
             take()
             return BivarPoly.const(int(val))
@@ -669,10 +667,10 @@ def parse_poly(text: str) -> BivarPoly:
             take()
             inner = parse_expression()
             if peek()[0] != "rparen":
-                error("expected ')'", peek())
+                _error("expected ')'", text, peek()[2])
             take()
             return inner ** parse_exponent()
-        error("expected a term", peek())
+        _error("expected a term", text, offset)
 
     def parse_term():
         result = parse_factor()
@@ -680,11 +678,9 @@ def parse_poly(text: str) -> BivarPoly:
             kind = peek()[0]
             if kind == "star":
                 take()
-                result = result * parse_factor()
-            elif kind in ("int", "var", "lparen"):
-                result = result * parse_factor()
-            else:
+            elif kind not in ("int", "var", "lparen"):
                 return result
+            result = result * parse_factor()
 
     def parse_expression():
         # every term is added into one dict, so a sum of n terms costs O(n)
@@ -700,11 +696,11 @@ def parse_poly(text: str) -> BivarPoly:
 
     result = parse_expression()
     if peek()[0] != "end":
-        error("unexpected trailing input", peek())
+        _error("unexpected trailing input", text, peek()[2])
     for (i, j), c in result.terms.items():
         if abs(c) >= _COEFF_BOUND:
             msg = f"expanded coefficient of M^{i}*L^{j} is longer than {_MAX_DIGITS} digits"
-            error(msg, tokens[0])
+            _error(msg, text, tokens[0][2])
     return result
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "UnitEvaluationForm",
     "UnitEvalFailure",
     "check_unit_evaluation",
-    "check_monic_at_units",
     "PASS",
     "FAIL",
     "UNKNOT_OK",
@@ -255,6 +254,9 @@ class UnitEvaluationForm:
     b: int
     c: int
 
+    # L, L-1 and L+1 are monic, so the evaluation's leading coefficient is sign
+    monic = True
+
     def reconstruct(self) -> UnivarPoly:
         f = UnivarPoly([self.sign]).shift(self.a)
         f = f * cyclotomic(1) ** self.b  # L - 1
@@ -268,6 +270,11 @@ class UnitEvaluationForm:
 @dataclass(frozen=True)
 class UnitEvalFailure:
     residual: UnivarPoly
+
+    @property
+    def monic(self):
+        # the evaluation's leading coefficient is the residual's; None if it is 0
+        return None if self.residual.is_zero else abs(self.residual.leading_coefficient()) == 1
 
     def as_dict(self):
         return {"failure": True, "residual": str(self.residual)}
@@ -288,7 +295,8 @@ def check_unit_evaluation(a: BivarPoly, m: int):
 
     Divides by L, then (L-1), then (L+1) (order fixed for determinism;
     the factors are coprime so it does not matter), and succeeds iff the
-    final quotient is +/-1.
+    final quotient is +/-1. Either result's ``monic`` is whether the
+    evaluation is monic in L, None when it vanishes.
     """
     if a.is_zero:
         raise ValueError("zero polynomial")
@@ -303,21 +311,6 @@ def check_unit_evaluation(a: BivarPoly, m: int):
     if f.is_zero or f.degree() != 0 or abs(f.coeffs[0]) != 1:
         return UnitEvalFailure(f)
     return UnitEvaluationForm(sign=f.coeffs[0], a=av, b=b, c=c)
-
-
-def check_monic_at_units(a: BivarPoly):
-    """Monicity of eval at M = +1 and M = -1.
-
-    Returns a pair of True/False/None; None marks a vanishing evaluation
-    (a distinguished outcome, not an error).
-    """
-    if a.is_zero:
-        raise ValueError("zero polynomial")
-    out = []
-    for m in (1, -1):
-        f = a.eval_m(m)
-        out.append(None if f.is_zero else abs(f.leading_coefficient()) == 1)
-    return tuple(out)
 
 
 PASS = "PASS"
@@ -413,16 +406,17 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
         cyc = dec if isinstance(dec, Violation) else dec[1]
     else:
         cyc = None
-    monic_plus, monic_minus = check_monic_at_units(nf)
+    unit_plus = check_unit_evaluation(nf, 1)
+    unit_minus = check_unit_evaluation(nf, -1)
     return AnalysisReport(
         name=name,
         deg_m=nf.deg_m(),
         deg_l=nf.deg_l(),
         abelian_multiplicity=abelian_multiplicity(nf),
-        unit_eval_plus=check_unit_evaluation(nf, 1),
-        unit_eval_minus=check_unit_evaluation(nf, -1),
-        monic_plus=monic_plus,
-        monic_minus=monic_minus,
+        unit_eval_plus=unit_plus,
+        unit_eval_minus=unit_minus,
+        monic_plus=unit_plus.monic,
+        monic_minus=unit_minus.monic,
         vertical_edge=vertical,
         cyclotomic=cyc,
         verdict=theorem1_verdict(nf, claims_nontrivial_knot),

@@ -102,7 +102,8 @@ def test_criterion_3_figure_eight_pipeline(capsys):
     holds, _ = symmetry_check(a.try_divide(L - one))
     ok = holds
     ok = ok and structure.abelian_multiplicity(a) == 1
-    ok = ok and structure.check_monic_at_units(a) == (True, True)
+    monic = tuple(structure.check_unit_evaluation(a, m).monic for m in (1, -1))
+    ok = ok and monic == (True, True)
     for m in (1, -1):
         form = structure.check_unit_evaluation(a, m)
         ok = ok and isinstance(form, structure.UnitEvaluationForm)

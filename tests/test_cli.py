@@ -36,6 +36,10 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def deep(depth):
+    return "(" * depth + "L-1" + ")" * depth
+
+
 class TestCompute:
     def test_unknot(self, capsys):
         code, out = run(capsys, "compute", "--unknot")
@@ -88,6 +92,13 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "L + + 1"])
         assert exc.value.code == 1
+
+    def test_deep_nesting_exit_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", deep(600)])
+        out = capsys.readouterr().out
+        assert exc.value.code == 1
+        assert out == "error: parentheses nested deeper than 200 (line 1, column 201)\n"
 
     @pytest.mark.parametrize(
         "text, col",
@@ -191,13 +202,43 @@ class TestVerifyDb:
     def test_long_expanded_coefficient_record_error(self, capsys, tmp_path):
         table = tmp_path / "table.txt"
         table.write_text(f"unknot ; L - 1\nhuge ; {LONG_PRODUCT}\n", encoding="utf-8")
-        code, out = run(capsys, "verify-db", str(table), "--json")
+        code = main(["verify-db", str(table), "--json"])
+        captured = capsys.readouterr()
         assert code == 0
-        first, rest = out.split("\n", 1)
+        first = captured.err.splitlines()[0]
         assert first.startswith("record error (line 2, huge): expanded coefficient")
-        payload = json.loads(rest)
+        payload = json.loads(captured.out)
         assert payload["status"] == "OK" and payload["n_records"] == 1
         assert [r["name"] for r in payload["records"]] == ["unknot"]
+
+    def test_record_errors_in_text_mode_on_stdout(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text("unknot ; L - 1\nbad ; L + + 1\n", encoding="utf-8")
+        code = main(["verify-db", str(table)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out.startswith("record error (line 2, bad): expected a term")
+
+    def test_deep_nesting_record_error(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text(f"unknot ; L - 1\ndeep ; {deep(600)}\n", encoding="utf-8")
+        code, out = run(capsys, "verify-db", str(table))
+        assert code == 0
+        first = out.splitlines()[0]
+        assert first == (
+            "record error (line 2, deep): parentheses nested deeper than 200 (line 1, column 201)"
+        )
+        assert "status: OK (1 records" in out
+
+    def test_extra_fields_record_error(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text("unknot ; L - 1\nx ; L^2 - 1 ; ; refined\n", encoding="utf-8")
+        code, out = run(capsys, "verify-db", str(table))
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "record error (line 2, ?): expected 'name ; polynomial [; flags]'"
+        )
+        assert "status: OK (1 records" in out
 
     def test_long_residual_record_reported(self, capsys, tmp_path):
         table = tmp_path / "table.txt"
@@ -235,6 +276,14 @@ class TestNewton:
         with pytest.raises(SystemExit) as exc:
             main(["newton", "$"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("title", ["a\x01b", "a\udcffb"], ids=["control", "surrogate"])
+    def test_title_xml_cannot_carry(self, capsys, tmp_path, title):
+        svg = tmp_path / "out.svg"
+        code, out = run(capsys, "newton", "L*M - 1", "--svg", str(svg), "--title", title)
+        assert code == 1
+        assert out.startswith("error: title character")
+        assert not svg.exists()
 
 
 class TestReplay:

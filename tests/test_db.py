@@ -73,6 +73,14 @@ class TestLoadTable:
         assert res.records == []
         assert "unknown flag" in res.errors[0].message
 
+    def test_extra_fields_rejected(self, tmp_path):
+        # a fourth field used to drop the flags silently
+        res = load_table(write_table(tmp_path, "x ; L^2 - 1 ; ; refined\nok ; L - 1 ;\n"))
+        assert [r.name for r in res.records] == ["ok"]
+        assert [(e.line, e.message) for e in res.errors] == [
+            (1, "expected 'name ; polynomial [; flags]'")
+        ]
+
     def test_malformed_does_not_abort(self, tmp_path):
         res = load_table(
             write_table(tmp_path, "bad line\nok ; L - 1\nworse ; L + + 1\n")

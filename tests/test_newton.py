@@ -150,6 +150,16 @@ class TestSvg:
         assert root.find(f"{ns}title").text == title
         assert root.find(f"{ns}text").text == title
 
+    @pytest.mark.parametrize("title", ["a\x01b", "\x00", "a\udcffb", "\ufffe"])
+    def test_title_outside_xml_rejected(self, title):
+        with pytest.raises(ValueError):
+            render_svg(newton_polygon(TREFOIL), title=title)
+
+    def test_title_with_whitespace_controls_is_xml(self):
+        title = "tab\tline\nend"
+        root = ET.fromstring(render_svg(newton_polygon(TREFOIL), title=title))
+        assert root.find("{http://www.w3.org/2000/svg}title").text == title
+
     def test_deterministic(self):
         poly = newton_polygon(TREFOIL)
         assert render_svg(poly, "x") == render_svg(poly, "x")

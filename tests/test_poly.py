@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apoly.poly import (
     BivarPoly,
@@ -208,6 +209,37 @@ class TestGrammar:
         with pytest.raises(PolyParseError) as exc:
             parse_poly("L^2 +\n3 $ 1")
         assert exc.value.line == 2
+
+    def test_trailing_whitespace_does_not_move_end(self):
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly("L +  \n \t")
+        assert (exc.value.line, exc.value.col) == (1, 4)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_error_position_from_offset(self, data):
+        # whitespace runs inside the canonical text, then a '$' at index k
+        text = format_poly(data.draw(bivar_polys()))
+        runs = st.text(alphabet=" \n\t", max_size=3)
+        text = "".join(ch + data.draw(runs) for ch in text)
+        k = data.draw(st.integers(0, len(text)))
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text[:k] + "$" + text[k:])
+        lines = text[:k].split("\n")
+        assert str(exc.value).startswith("unexpected character '$'")
+        assert (exc.value.line, exc.value.col) == (len(lines), len(lines[-1]) + 1)
+
+    def test_nesting_at_bound_parses(self):
+        assert parse_poly("(" * 200 + "L-1" + ")" * 200) == L - one
+
+    @pytest.mark.parametrize("depth", [201, 600])
+    def test_nesting_past_bound_rejected(self, depth):
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly("(" * depth + "L-1" + ")" * depth)
+        assert str(exc.value) == "parentheses nested deeper than 200 (line 1, column 201)"
+
+    def test_closed_parentheses_do_not_nest(self):
+        assert parse_poly("*".join(["(L)"] * 300)) == L**300
 
     @given(bivar_polys())
     @settings(max_examples=150, deadline=None)

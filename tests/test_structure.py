@@ -20,7 +20,6 @@ from apoly.structure import (
     Violation,
     abelian_multiplicity,
     analyze,
-    check_monic_at_units,
     check_unit_evaluation,
     cyclotomic,
     cyclotomic_candidates,
@@ -253,18 +252,37 @@ class TestUnitEvaluation:
         assert form.reconstruct() == f
 
 
+def monic_at_units(a):
+    return tuple(check_unit_evaluation(a, m).monic for m in (1, -1))
+
+
 class TestMonicity:
     def test_unknot(self):
-        assert check_monic_at_units(L - one) == (True, True)
+        assert monic_at_units(L - one) == (True, True)
 
     def test_nonmonic(self):
-        assert check_monic_at_units(2 * L - one) == (False, False)
+        assert monic_at_units(2 * L - one) == (False, False)
 
     def test_trefoil(self):
-        assert check_monic_at_units(TREFOIL) == (True, True)
+        assert monic_at_units(TREFOIL) == (True, True)
 
     def test_vanishing_marked_none(self):
-        assert check_monic_at_units((M - one) * L) == (None, False)
+        assert monic_at_units((M - one) * L) == (None, False)
+
+    @given(bivar_polys(allow_zero=False), st.sampled_from([1, -1]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_leading_coefficient(self, a, m):
+        f = a.eval_m(m)
+        expected = None if f.is_zero else abs(f.leading_coefficient()) == 1
+        assert check_unit_evaluation(a, m).monic == expected
+
+    def test_analyze_evaluates_once_per_unit(self, monkeypatch):
+        calls = []
+        eval_m = BivarPoly.eval_m
+        monkeypatch.setattr(BivarPoly, "eval_m", lambda p, m: calls.append(m) or eval_m(p, m))
+        report = analyze(TREFOIL)
+        assert sorted(calls) == [-1, 1]
+        assert (report.monic_plus, report.monic_minus) == (True, True)
 
 
 class TestVerdict:
