@@ -101,4 +101,22 @@ python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['n_records'] =
 grep -q "^record error (line 2, deep): parentheses nested deeper than 200" "$tmp/err"
 grep -q "^record error (line 3, ?): expected 'name ; polynomial \[; flags\]'" "$tmp/err"
 
+# a wide polygon draws at most one grid line per pixel: the file stays small
+expect 0 newton "L*M^100000 + 1" --svg "$tmp/wide.svg"
+test "$(wc -c < "$tmp/wide.svg")" -lt 100000
+
+# a leading UTF-8 byte-order mark is not part of the first record's name
+printf '\xef\xbb\xbftrefoil ; L^2*M^6 - L*M^6 + L - 1\n' > "$tmp/bom_db.txt"
+expect 0 verify-db "$tmp/bom_db.txt" --json
+python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['records'][0]['name'] == 'trefoil'" "$tmp/out"
+
+# records are verified on their A-normal form: sign, content and monomial
+# factors change nothing in the report
+printf 'u ; -2*L + 2\nt ; -3*M^2*(L^2*M^6 - L*M^6 + L - 1)\nc ; 7*L*(L^2 - 1) ; refined\n' > "$tmp/raw_db.txt"
+printf 'u ; L - 1\nt ; L^2*M^6 - L*M^6 + L - 1\nc ; L^2 - 1 ; refined\n' > "$tmp/nf_db.txt"
+expect 0 verify-db "$tmp/raw_db.txt" --json
+mv "$tmp/out" "$tmp/raw_db.json"
+expect 0 verify-db "$tmp/nf_db.txt" --json
+cmp "$tmp/out" "$tmp/raw_db.json"
+
 echo "smoke_cli: all checks hold"

@@ -10,7 +10,6 @@ verification), ``cli`` (command line).
 from .poly import (
     BivarPoly,
     PolyParseError,
-    Stripped,
     UnivarPoly,
     format_poly,
     gcd_univar,
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BivarPoly",
     "UnivarPoly",
-    "Stripped",
     "PolyParseError",
     "parse_poly",
     "format_poly",

@@ -57,7 +57,7 @@ def cmd_analyze(args) -> int:
     text = args.poly
     if args.file:
         try:
-            with open(args.file, encoding="utf-8") as fh:
+            with open(args.file, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}")
@@ -94,7 +94,7 @@ def cmd_verify_db(args) -> int:
 
 def cmd_newton(args) -> int:
     poly = _parse_or_exit(args.poly)
-    ngon = newton.newton_polygon(poly.normal_form())
+    ngon = newton.newton_polygon(poly.normalize())
     degenerate = ngon.degenerate
     if len(ngon.vertices) < 2:
         slopes = []
@@ -133,14 +133,12 @@ def cmd_replay(args) -> int:
     if args.nmax < 1:
         print(f"error: --nmax must be at least 1, got {args.nmax}")
         return 1
-    poly = _parse_or_exit(args.poly).normal_form()
-    if poly.deg_m() != 0:
-        print(
-            "error: the replay targets the excluded case deg_M = 0; "
-            f"this polynomial has deg_M = {poly.deg_m()}"
-        )
+    poly = _parse_or_exit(args.poly)
+    try:
+        report = surgery.replay_contradiction(poly, n_max=args.nmax)
+    except ValueError as exc:
+        print(f"error: {exc}")
         return 1
-    report = surgery.replay_contradiction(poly, n_max=args.nmax)
     if args.json:
         _emit_json(report.as_dict())
     else:

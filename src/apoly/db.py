@@ -7,18 +7,17 @@ Record file format: UTF-8 text, one record per line,
 with '#' comments and blank lines ignored; a line with fewer than two or
 more than three fields is a record error. The only flag is ``refined``,
 marking per-component polynomials that are exempt from the M-degree
-verdict. Ingested polynomials are renormalized to A-normal form; any
-sign/unit/monomial discrepancy with the source is kept as a provenance
-note rather than treated as an error.
+verdict. A leading UTF-8 byte-order mark is skipped. Records keep the
+polynomial as parsed; ``structure.analyze`` reduces each one to A-normal
+form once, when it is verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import newton
-from .poly import _L_MINUS_1, BivarPoly, PolyParseError, parse_poly
+from .poly import BivarPoly, PolyParseError, parse_poly
 from .structure import FAIL, AnalysisReport, UnitEvalFailure, analyze
 
 __all__ = [
@@ -38,23 +37,10 @@ class DbRecord:
     name: str
     a_poly: BivarPoly
     refined: bool = False
-    provenance: str = ""
-    report: Optional[AnalysisReport] = None
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("record name must be nonempty")
-        nf, stripped = self.a_poly.normalize()
-        if nf != self.a_poly:
-            notes = []
-            if stripped.sign != 1:
-                notes.append("sign flipped")
-            if stripped.content != 1:
-                notes.append(f"content {stripped.content} removed")
-            if stripped.i0 or stripped.j0:
-                notes.append(f"monomial M^{stripped.i0}*L^{stripped.j0} stripped")
-            self.provenance = (self.provenance + " " + "; ".join(notes)).strip()
-            self.a_poly = nf
 
 
 @dataclass(frozen=True)
@@ -75,7 +61,7 @@ def load_table(path) -> LoadResult:
     records = []
     errors = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -162,8 +148,9 @@ class BatchReport:
 
 
 def _verify_one(rec: DbRecord) -> AnalysisReport:
-    claims = not rec.refined and rec.a_poly != _L_MINUS_1
-    report = analyze(rec.a_poly, name=rec.name, claims_nontrivial_knot=claims)
+    # the claim decides only whether L - 1 is UNKNOT_OK or FAIL, and a
+    # table's L - 1 is the unknot: no record claims a nontrivial knot
+    report = analyze(rec.a_poly, name=rec.name)
     if rec.refined:
         report.verdict = VERDICT_NOT_APPLICABLE
     return report
@@ -179,7 +166,6 @@ def verify_all(records) -> BatchReport:
     failures = []
     anomalies = []
     for rec, rep in zip(records, reports):
-        rec.report = rep
         if rep.verdict == FAIL:
             failures.append(rec.name)
         eq1_failed = isinstance(rep.unit_eval_plus, UnitEvalFailure) or isinstance(

@@ -264,9 +264,9 @@ def eliminate_two_bridge(p: int, q: int) -> BivarPoly:
     """
     phi, pres = riley_polynomial(p, q)
     lam = sl2_word_eval(pres.longitude, _NORMAL_FORM)[0][0]
-    nf = _squarefree_bivar(_longitude_charpoly(phi, lam)).normal_form()
+    nf = _squarefree_bivar(_longitude_charpoly(phi, lam)).normalize()
     if not nf.taylor_at_l1(0).is_zero:  # A(M, 1) != 0: no (L-1) factor
-        nf, _ = (nf * _L_MINUS_1).normalize()
+        nf = nf * _L_MINUS_1  # a product of A-normal forms is A-normal
     return nf
 
 
@@ -290,4 +290,4 @@ def torus_a(p: int, q: int) -> BivarPoly:
         out = _L_MINUS_1 * minus * plus
     if mirror:
         out = out.invert_l()
-    return out.normal_form()
+    return out.normalize()

@@ -130,8 +130,10 @@ def render_svg(poly: NewtonPolygon, title: str = "") -> str:
 
     Fixed 600x600 canvas with margin 40; lattice grid, support dots, hull
     outline (class "hull") and highlighted vertical edges (class
-    "vertical"). The title is XML-escaped; one with a character outside
-    XML 1.0 is a ValueError. Identical input yields byte-identical output.
+    "vertical"). The grid draws every step-th lattice line, with step =
+    ceil(max span / 520), so at most one per pixel of the plot area. The
+    title is XML-escaped; one with a character outside XML 1.0 is a
+    ValueError. Identical input yields byte-identical output.
     """
     bad = re.search(_NON_XML_CHAR, title)
     if bad:
@@ -167,11 +169,12 @@ def render_svg(poly: NewtonPolygon, title: str = "") -> str:
         title = html.escape(title)
         lines.append(f"<title>{title}</title>")
         lines.append(f'<text class="label" x="{margin}" y="{margin - 12}">{title}</text>')
-    for i in range(imin, imax + 1):
+    step = -(-max(span_i, span_j) // (size - 2 * margin))
+    for i in range(imin, imax + 1, step):
         lines.append(
             f'<line class="grid" x1="{sx(i):.2f}" y1="{sy(jmin):.2f}" x2="{sx(i):.2f}" y2="{sy(jmax):.2f}"/>'
         )
-    for j in range(jmin, jmax + 1):
+    for j in range(jmin, jmax + 1, step):
         lines.append(
             f'<line class="grid" x1="{sx(imin):.2f}" y1="{sy(j):.2f}" x2="{sx(imax):.2f}" y2="{sy(j):.2f}"/>'
         )

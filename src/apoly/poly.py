@@ -24,13 +24,11 @@ function, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb, gcd
 
 __all__ = [
     "UnivarPoly",
     "BivarPoly",
-    "Stripped",
     "PolyParseError",
     "parse_poly",
     "format_poly",
@@ -267,19 +265,6 @@ def gcd_univar(f: UnivarPoly, g: UnivarPoly) -> UnivarPoly:
     return UnivarPoly([c * cont for c in a.coeffs])
 
 
-@dataclass(frozen=True)
-class Stripped:
-    """Unit, monomial, and content data removed by normalization.
-
-    The original polynomial equals sign * content * M^i0 * L^j0 * normalized.
-    """
-
-    sign: int
-    i0: int
-    j0: int
-    content: int
-
-
 class BivarPoly:
     """Sparse integer polynomial in M and L.
 
@@ -412,10 +397,8 @@ class BivarPoly:
     # -- normalization ------------------------------------------------
 
     def normalize(self):
-        """A-normal form plus the stripped (sign, i0, j0, content) data.
-
-        A-normal form: coefficient gcd 1, positive sign on the graded-lex
-        leading term (L > M), and no M or L monomial factor.
+        """The A-normal form: coefficient gcd 1, positive sign on the
+        graded-lex leading term (L > M), and no M or L monomial factor.
         """
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
@@ -423,14 +406,9 @@ class BivarPoly:
         j0 = self.min_l()
         cont = self.content()
         shifted = {(i - i0, j - j0): c // cont for (i, j), c in self.terms.items()}
-        lead = max(shifted, key=_grlex_key)
-        sign = 1 if shifted[lead] > 0 else -1
-        if sign < 0:
+        if shifted[max(shifted, key=_grlex_key)] < 0:
             shifted = {ij: -c for ij, c in shifted.items()}
-        return BivarPoly(shifted), Stripped(sign=sign, i0=i0, j0=j0, content=cont)
-
-    def normal_form(self):
-        return self.normalize()[0]
+        return BivarPoly(shifted)
 
     # -- evaluation and substitution ----------------------------------
 

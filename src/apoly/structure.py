@@ -5,6 +5,8 @@ Taylor coefficients at L = 1, recognition of products of cyclotomic
 polynomials, the degree-zero decomposition into (L-1) times distinct
 cyclotomics, unit evaluations at M = +1/-1 against the +/- L^a (L-1)^b
 (L+1)^c form, monicity at the units, and the M-degree verdict.
+``analyze`` reduces its input to A-normal form once and runs every check,
+the verdict included, on that form.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "PASS",
     "FAIL",
     "UNKNOT_OK",
-    "theorem1_verdict",
     "AnalysisReport",
     "analyze",
 ]
@@ -318,25 +319,6 @@ FAIL = "FAIL"
 UNKNOT_OK = "UNKNOT_OK"
 
 
-def theorem1_verdict(a: BivarPoly, claims_nontrivial_knot: bool) -> str:
-    """Nontrivial-M-degree verdict on an A-normal-form polynomial.
-
-    PASS when deg_M != 0; UNKNOT_OK for L-1 when the input is not claimed
-    to come from a nontrivial knot; FAIL otherwise (for real knot data a
-    FAIL would contradict the nontriviality theorem).
-    """
-    if a.is_zero:
-        raise ValueError("zero polynomial")
-    nf, _ = a.normalize()
-    if nf != a:
-        raise ValueError("verdict requires A-normal form input")
-    if a.deg_m() != 0:
-        return PASS
-    if a == _L_MINUS_1 and not claims_nontrivial_knot:
-        return UNKNOT_OK
-    return FAIL
-
-
 def abelian_multiplicity(a: BivarPoly) -> int:
     """Multiplicity of the (L-1) factor: the least k whose k-th Taylor
     coefficient at L = 1 is nonzero. Exact, and never makes a coefficient
@@ -392,10 +374,15 @@ class AnalysisReport:
 
 
 def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) -> AnalysisReport:
-    """Run the full battery of structural checks on one polynomial."""
+    """Run the full battery of structural checks on the A-normal form of a.
+
+    The verdict is PASS when deg_M != 0; UNKNOT_OK for L-1 when the input is
+    not claimed to come from a nontrivial knot; FAIL otherwise (for real
+    knot data a FAIL would contradict the nontriviality theorem).
+    """
     if a.is_zero:
         raise ValueError("cannot analyze the zero polynomial")
-    nf, _ = a.normalize()
+    nf = a.normalize()
     poly = newton.newton_polygon(nf)
     if len(poly.vertices) < 2:
         vertical = None
@@ -404,8 +391,9 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
     if nf.deg_m() == 0:
         dec = mdeg_trivial_decomposition(nf)
         cyc = dec if isinstance(dec, Violation) else dec[1]
+        verdict = UNKNOT_OK if nf == _L_MINUS_1 and not claims_nontrivial_knot else FAIL
     else:
-        cyc = None
+        cyc, verdict = None, PASS
     unit_plus = check_unit_evaluation(nf, 1)
     unit_minus = check_unit_evaluation(nf, -1)
     return AnalysisReport(
@@ -419,5 +407,5 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
         monic_minus=unit_minus.monic,
         vertical_edge=vertical,
         cyclotomic=cyc,
-        verdict=theorem1_verdict(nf, claims_nontrivial_knot),
+        verdict=verdict,
     )

@@ -163,9 +163,12 @@ def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
     """
     if a.is_zero:
         raise ValueError("zero polynomial")
-    nf = a.normal_form()  # deg_M of the A-normal form: M*(L - 1) is degree zero
+    nf = a.normalize()  # deg_M of the A-normal form: M*(L - 1) is degree zero
     if nf.deg_m() != 0:
-        raise ValueError("the contradiction mechanism applies only when deg_M = 0")
+        raise ValueError(
+            "the replay targets the excluded case deg_M = 0; "
+            f"this polynomial has deg_M = {nf.deg_m()}"
+        )
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     dec = mdeg_trivial_decomposition(nf)

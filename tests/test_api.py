@@ -21,7 +21,6 @@ def test_package_exports():
     assert apoly.__all__ == [
         "BivarPoly",
         "UnivarPoly",
-        "Stripped",
         "PolyParseError",
         "parse_poly",
         "format_poly",

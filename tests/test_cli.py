@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from apoly.cli import main
+from apoly.poly import BivarPoly
 
 FIXTURES = resources.files("apoly.data") / "fixtures.txt"
 TREFOIL_TEXT = "L^2*M^6 - L*M^6 + L - 1"
@@ -136,6 +137,11 @@ class TestAnalyze:
             capsys, "analyze", "--file", str(f), "--nontrivial", "--json"
         )
         assert code == 0 and payload["deg_M"] == 6
+
+    def test_byte_order_mark_skipped(self, capsys, tmp_path):
+        f = tmp_path / "poly.txt"
+        f.write_text("\ufeff" + TREFOIL_TEXT, encoding="utf-8")
+        assert run(capsys, "analyze", "--file", str(f)) == run(capsys, "analyze", TREFOIL_TEXT)
 
     def test_undecodable_file(self, capsys, tmp_path):
         f = tmp_path / "poly.txt"
@@ -315,6 +321,13 @@ class TestReplay:
             assert run(capsys, "replay", text) == run(capsys, "replay", nf)
         code, out = run(capsys, "replay", "L*M - 1")
         assert code == 1 and "has deg_M = 1" in out
+
+    def test_normalizes_once(self, capsys, monkeypatch):
+        calls = []
+        normalize = BivarPoly.normalize
+        monkeypatch.setattr(BivarPoly, "normalize", lambda p: calls.append(p) or normalize(p))
+        assert run(capsys, "replay", "M*L - M")[0] == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("nmax", ["0", "-3"])
     def test_nonpositive_nmax_exit_1(self, capsys, nmax):

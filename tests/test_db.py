@@ -24,15 +24,9 @@ def write_table(tmp_path, text, name="table.txt"):
 
 
 class TestDbRecord:
-    def test_normalizes_and_notes(self):
-        rec = DbRecord(name="x", a_poly=parse_poly("-2*L + 2"))
-        assert rec.a_poly == parse_poly("L - 1")
-        assert "sign flipped" in rec.provenance
-        assert "content 2 removed" in rec.provenance
-
-    def test_already_normal(self):
-        rec = DbRecord(name="x", a_poly=TREFOIL)
-        assert rec.provenance == ""
+    def test_keeps_polynomial_as_parsed(self):
+        raw = parse_poly("-2*L + 2")
+        assert DbRecord(name="x", a_poly=raw).a_poly == raw
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
@@ -88,6 +82,17 @@ class TestLoadTable:
         assert [r.name for r in res.records] == ["ok"]
         assert len(res.errors) == 2
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # as saved by editors that write "UTF-8 with BOM"
+        res = load_table(write_table(tmp_path, "\ufefftrefoil ; L - 1\ntrefoil ; L + 1\n"))
+        assert [r.name for r in res.records] == ["trefoil"]
+        assert [(e.line, e.message) for e in res.errors] == [(2, "DuplicateName: trefoil")]
+
+    def test_inner_byte_order_mark_rejected(self, tmp_path):
+        res = load_table(write_table(tmp_path, "x ; L - 1\ny ; \ufeffL - 1\n"))
+        assert [r.name for r in res.records] == ["x"]
+        assert res.errors[0].line == 2 and "unexpected character" in res.errors[0].message
+
     def test_parenthesized_expression(self, tmp_path):
         res = load_table(write_table(tmp_path, "fake ; (L-1)*(L+1)\n"))
         assert res.records[0].a_poly == parse_poly("L^2 - 1")
@@ -107,8 +112,17 @@ class TestVerifyAll:
         rep = verify_all(recs)
         assert rep.status == "OK" and rep.exit_code == 0
         assert rep.failures == [] and rep.anomalies == []
-        assert recs[0].report.verdict == UNKNOT_OK
-        assert recs[1].report.verdict == PASS
+        assert rep.reports[0].verdict == UNKNOT_OK
+        assert rep.reports[1].verdict == PASS
+
+    def test_normalizes_once_per_record(self, monkeypatch):
+        recs = [DbRecord(name=f"r{k}", a_poly=(k + 1) * TREFOIL) for k in range(5)]
+        recs.append(DbRecord(name="unknot", a_poly=parse_poly("L - 1")))
+        calls = []
+        normalize = BivarPoly.normalize
+        monkeypatch.setattr(BivarPoly, "normalize", lambda p: calls.append(p) or normalize(p))
+        verify_all(recs)
+        assert len(calls) == len(recs)
 
     def test_fail_record_named(self):
         recs = [DbRecord(name="fake", a_poly=parse_poly("(L-1)*(L+1)"))]
@@ -120,7 +134,7 @@ class TestVerifyAll:
         recs = [DbRecord(name="comp", a_poly=parse_poly("L^2 - 1"), refined=True)]
         rep = verify_all(recs)
         assert rep.status == "OK"
-        assert recs[0].report.verdict == VERDICT_NOT_APPLICABLE
+        assert rep.reports[0].verdict == VERDICT_NOT_APPLICABLE
 
     def test_anomaly(self):
         # fails the unit-evaluation form, polygon has no vertical edge
@@ -141,8 +155,8 @@ class TestVerifyAll:
         # vertical edge present: an Eq-form failure is expected, not anomalous
         recs = [DbRecord(name="v", a_poly=parse_poly("L^2 + L*M + L + 2*M^2 + M + 3"))]
         rep = verify_all(recs)
-        plus = recs[0].report.unit_eval_plus
-        minus = recs[0].report.unit_eval_minus
+        plus = rep.reports[0].unit_eval_plus
+        minus = rep.reports[0].unit_eval_minus
         assert isinstance(plus, UnitEvalFailure) or isinstance(minus, UnitEvalFailure)
         assert rep.anomalies == []
 

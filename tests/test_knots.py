@@ -156,11 +156,11 @@ class TestTorus:
     def test_both_odd(self):
         a = torus_a(3, 4)
         # (L-1)(L M^12 + 1)(L M^12 - 1)
-        assert a == (parse_poly("(L-1)*(L*M^12+1)*(L*M^12-1)")).normal_form()
+        assert a == (parse_poly("(L-1)*(L*M^12+1)*(L*M^12-1)")).normalize()
 
     def test_mirror(self):
         a = torus_a(2, -3)
-        assert a == parse_poly("(L-1)*(L+M^6)").normal_form()
+        assert a == parse_poly("(L-1)*(L+M^6)").normalize()
 
     def test_matches_elimination(self):
         for k in (1, 2, 3):
@@ -191,9 +191,7 @@ class TestElimination:
     def test_normal_form_output(self):
         for p, q in [(5, 1), (7, 5)]:
             a = eliminate_two_bridge(p, q)
-            nf, stripped = a.normalize()
-            assert nf == a
-            assert stripped.sign == 1 and stripped.content == 1
+            assert a.normalize() == a
 
     def test_squarefree_output(self):
         # specialize at several integer M values; the result must be
@@ -214,9 +212,9 @@ class TestElimination:
 
     def test_squarefree_removes_repeated_factor(self):
         square = parse_poly("(L*M^3 + 1)^2*(L - M^2)*M^2")
-        assert _squarefree_bivar(square).normal_form() == parse_poly(
+        assert _squarefree_bivar(square).normalize() == parse_poly(
             "(L*M^3 + 1)*(L - M^2)"
-        ).normal_form()
+        ).normalize()
 
     def test_charpoly_matches_resultant(self):
         # the characteristic polynomial of multiplication by the longitude
@@ -229,8 +227,8 @@ class TestElimination:
                 [lam_t[0] - BivarPoly.term(1, dm, 1)] + list(lam_t.coeffs[1:])
             )
             assert (
-                _longitude_charpoly(phi, lam).normal_form()
-                == resultant_t(collect_t(phi)[0], psi).normal_form()
+                _longitude_charpoly(phi, lam).normalize()
+                == resultant_t(collect_t(phi)[0], psi).normalize()
             )
 
     def test_non_unit_leading_coefficient(self):
@@ -275,7 +273,7 @@ class TestSchubertOracles:
         cases = [(p, q) for p, q in coprime_pairs(15) if q % 2 == 0]
         assert len(cases) == 24
         for p, q in cases:
-            mirror = eliminate_cached(p, p - q).invert_l().normal_form()
+            mirror = eliminate_cached(p, p - q).invert_l().normalize()
             assert eliminate_cached(p, q) == mirror, (p, q)
 
     def test_inverse_q_same_knot(self):
@@ -290,5 +288,5 @@ class TestSchubertOracles:
         # includes the amphichiral 5/3 and 13/5
         assert cases == [(5, 3, 3), (9, 5, 7), (11, 3, 7), (13, 5, 5), (13, 7, 11)]
         for p, q, qm in cases:
-            mirror = eliminate_cached(p, q).invert_l().normal_form()
+            mirror = eliminate_cached(p, q).invert_l().normalize()
             assert eliminate_cached(p, qm) == mirror, (p, q)

@@ -163,3 +163,14 @@ class TestSvg:
     def test_deterministic(self):
         poly = newton_polygon(TREFOIL)
         assert render_svg(poly, "x") == render_svg(poly, "x")
+
+    def test_grid_every_lattice_line_up_to_plot_width(self):
+        # a span of 520 fits the 520-pixel plot area: 521 + 2 lattice lines
+        svg = render_svg(newton_polygon(parse_poly("L*M^520 + 1")))
+        assert svg.count('class="grid"') == 521 + 2
+
+    def test_grid_bounded_for_wide_span(self):
+        pts = {(0, 0), (10**6, 1), (3, 0), (500_000, 1), (999_999, 0)}
+        svg = render_svg(convex_hull(pts))
+        assert svg.count('class="grid"') <= 1042
+        assert svg.count('class="dot"') == len(pts)

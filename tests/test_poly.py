@@ -56,11 +56,9 @@ class TestArithmetic:
     @given(bivar_polys(allow_zero=False))
     @settings(max_examples=100, deadline=None)
     def test_normalize_idempotent(self, p):
-        nf, _ = p.normalize()
-        nf2, stripped = nf.normalize()
-        assert nf2 == nf
-        assert stripped.sign == 1 and stripped.content == 1
-        assert stripped.i0 == 0 and stripped.j0 == 0
+        nf = p.normalize()
+        assert nf.normalize() == nf
+        assert_strips_to(p, nf)
 
 
 class TestDegrees:
@@ -79,22 +77,36 @@ class TestDegrees:
             BivarPoly.zero().deg_m()
 
 
+def assert_strips_to(raw, nf):
+    """raw == sign * content * M^min_m * L^min_l * nf, with sign = +/-1 and
+    nf primitive, free of monomial factors and positive on its graded-lex
+    (L > M) leading term."""
+    assert nf.content() == 1 and nf.min_m() == 0 and nf.min_l() == 0
+    lead = max(nf.terms, key=lambda ij: (ij[0] + ij[1], ij[1]))
+    assert nf.terms[lead] > 0
+    unit = raw.content() * M ** raw.min_m() * L ** raw.min_l() * nf
+    assert raw in (unit, -unit)
+
+
 class TestNormalize:
     def test_content(self):
-        nf, stripped = (6 * L - BivarPoly.const(6)).normalize()
+        p = 6 * L - BivarPoly.const(6)
+        nf = p.normalize()
         assert nf == L - one
-        assert stripped.content == 6
+        assert p == 6 * nf
+        assert_strips_to(p, nf)
 
     def test_sign_and_monomial(self):
         p = parse_poly("-M^2*L + M^2")
-        nf, stripped = p.normalize()
+        nf = p.normalize()
         assert nf == L - one
-        assert stripped.sign == -1 and stripped.i0 == 2
+        assert p == -(M**2 * nf)
+        assert_strips_to(p, nf)
 
     def test_already_normal(self):
-        nf, stripped = (L - one).normalize()
+        nf = (L - one).normalize()
         assert nf == L - one
-        assert stripped == type(stripped)(1, 0, 0, 1)
+        assert_strips_to(L - one, nf)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apoly.db import load_table
+from apoly.db import DbRecord, load_table, verify_all
 from apoly.knots import torus_a
 from apoly.poly import BivarPoly, UnivarPoly, parse_poly
 from apoly.structure import (
@@ -26,7 +26,6 @@ from apoly.structure import (
     euler_phi,
     is_product_of_cyclotomics,
     mdeg_trivial_decomposition,
-    theorem1_verdict,
 )
 from apoly.structure import _cyclotomic_value
 from conftest import (
@@ -285,29 +284,33 @@ class TestMonicity:
         assert (report.monic_plus, report.monic_minus) == (True, True)
 
 
+def verdict(a, claims_nontrivial_knot):
+    return analyze(a, claims_nontrivial_knot=claims_nontrivial_knot).verdict
+
+
 class TestVerdict:
     def test_unknot_ok(self):
-        assert theorem1_verdict(L - one, False) == UNKNOT_OK
+        assert verdict(L - one, False) == UNKNOT_OK
 
     def test_unknot_claimed_nontrivial(self):
-        assert theorem1_verdict(L - one, True) == FAIL
+        assert verdict(L - one, True) == FAIL
 
     def test_trefoil(self):
-        assert theorem1_verdict(TREFOIL, True) == PASS
+        assert verdict(TREFOIL, True) == PASS
 
     def test_abelian_pair_fails(self):
-        assert theorem1_verdict(parse_poly("L^2 - 1"), True) == FAIL
+        assert verdict(parse_poly("L^2 - 1"), True) == FAIL
 
     def test_requires_normal_form(self):
-        with pytest.raises(ValueError):
-            theorem1_verdict(2 * L - 2 * one, False)
+        # the verdict is decided on the A-normal form, and 2L - 2 is L - 1
+        assert verdict(2 * L - 2 * one, False) == UNKNOT_OK
 
     @given(st.integers(1, 9), st.sampled_from([1, -1]), st.integers(0, 3))
     @settings(max_examples=50, deadline=None)
     def test_invariant_under_normalize(self, content, sign, i0):
         raw = sign * content * M**i0 * TREFOIL
-        nf, _ = raw.normalize()
-        assert theorem1_verdict(nf, True) == theorem1_verdict(TREFOIL, True)
+        assert verdict(raw.normalize(), True) == verdict(TREFOIL, True)
+        assert verdict(raw, True) == verdict(TREFOIL, True)
 
 
 class TestSymmetry:
@@ -404,6 +407,30 @@ class TestAnalyze:
     def test_normalizes_input(self):
         rep = analyze(-3 * M**2 * TREFOIL, claims_nontrivial_knot=True)
         assert rep.deg_m == 6 and rep.verdict == PASS
+
+    @given(
+        bivar_polys(allow_zero=False),
+        st.sampled_from([1, -1]),
+        st.integers(1, 9),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_reports_depend_on_normal_form_only(self, p, sign, content, i, j):
+        raw = sign * content * M**i * L**j * p
+        nf = p.normalize()
+        assert analyze(raw).as_dict() == analyze(nf).as_dict()
+        assert (
+            verify_all([DbRecord("x", raw)]).as_dict()
+            == verify_all([DbRecord("x", nf)]).as_dict()
+        )
+
+    def test_normalizes_once(self, monkeypatch):
+        calls = []
+        normalize = BivarPoly.normalize
+        monkeypatch.setattr(BivarPoly, "normalize", lambda p: calls.append(p) or normalize(p))
+        analyze(-3 * M**2 * TREFOIL)
+        assert len(calls) == 1
 
     def test_fail_case(self):
         for n in (2, 2000):
