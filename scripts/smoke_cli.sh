@@ -71,6 +71,11 @@ expect 0 replay "M*L - M"
 cmp "$tmp/out" "$tmp/unknot.txt"
 expect 1 replay "L*M - 1"
 
+# the replay lists at most 100,000 points: 2000 * 60 is an error line, exit 1
+expect 1 replay "L^60 - 1" --nmax 2000 --json
+grep -q "^error: the replay would list n_max \* deg_L = 2000 \* 60 points" "$tmp/out"
+test "$(wc -c < "$tmp/out")" -lt 1000
+
 # an SVG title with markup characters is escaped, and the file is XML
 expect 0 newton "L*M - 1" --svg "$tmp/out.svg" --title 'a<b & "c"'
 python3 - "$tmp/out.svg" <<'EOF'

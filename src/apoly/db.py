@@ -14,9 +14,7 @@ form once, when it is verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import newton
+from ._record import Record
 from .poly import BivarPoly, PolyParseError, parse_poly
 from .structure import FAIL, AnalysisReport, UnitEvalFailure, analyze
 
@@ -32,28 +30,32 @@ __all__ = [
 VERDICT_NOT_APPLICABLE = "REFINED_NOT_APPLICABLE"
 
 
-@dataclass
-class DbRecord:
-    name: str
-    a_poly: BivarPoly
-    refined: bool = False
+class DbRecord(Record, frozen=False):
+    __slots__ = ("name", "a_poly", "refined")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name, a_poly, refined=False):
+        self.name = name
+        self.a_poly = a_poly
+        self.refined = refined
+        if not name:
             raise ValueError("record name must be nonempty")
 
 
-@dataclass(frozen=True)
-class RecordError:
-    line: int
-    name: str
-    message: str
+class RecordError(Record):
+    __slots__ = ("line", "name", "message")
+
+    def __init__(self, line, name, message):
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "message", message)
 
 
-@dataclass
-class LoadResult:
-    records: list
-    errors: list
+class LoadResult(Record, frozen=False):
+    __slots__ = ("records", "errors")
+
+    def __init__(self, records, errors):
+        self.records = records
+        self.errors = errors
 
 
 def load_table(path) -> LoadResult:
@@ -95,8 +97,7 @@ def load_table(path) -> LoadResult:
     return LoadResult(records=records, errors=errors)
 
 
-@dataclass
-class BatchReport:
+class BatchReport(Record, frozen=False):
     """Record-wise reports plus summary counters and an overall status.
 
     Status FAIL when any non-refined, non-unknot record has M-degree 0
@@ -105,10 +106,11 @@ class BatchReport:
     Newton-polygon edge. FAIL takes precedence over ANOMALY.
     """
 
-    reports: list
-    anomalies: list
-    failures: list
-    status: str
+    __slots__ = ("reports", "anomalies", "failures", "status")
+
+    def __init__(self, reports, anomalies, failures, status):
+        self.reports, self.anomalies, self.failures = reports, anomalies, failures
+        self.status = status
 
     @property
     def exit_code(self):
@@ -172,9 +174,8 @@ def verify_all(records) -> BatchReport:
             rep.unit_eval_minus, UnitEvalFailure
         )
         # degenerate polygons are excluded from the implication check
-        if eq1_failed and rep.vertical_edge is False:
-            if not newton.newton_polygon(rec.a_poly).degenerate:
-                anomalies.append(rec.name)
+        if eq1_failed and rep.vertical_edge is False and not rep.degenerate:
+            anomalies.append(rec.name)
     status = "FAIL" if failures else ("ANOMALY" if anomalies else "OK")
     return BatchReport(
         reports=reports,

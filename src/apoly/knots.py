@@ -21,9 +21,9 @@ the presentation docstring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import Record
 from .poly import _L_MINUS_1, BivarPoly, UnivarPoly, _add_terms, _mul_terms, charpoly, gcd_univar
 
 __all__ = [
@@ -38,34 +38,34 @@ __all__ = [
     "EliminationDegeneracyError",
 ]
 
-@dataclass(frozen=True)
-class TorusKnot:
-    p: int
-    q: int
 
-    def __post_init__(self):
-        if abs(self.p) < 2 or abs(self.q) < 2:
+class TorusKnot(Record):
+    __slots__ = ("p", "q")
+
+    def __init__(self, p, q):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        if abs(p) < 2 or abs(q) < 2:
             raise ValueError("torus knot parameters need |p| >= 2 and |q| >= 2")
-        if gcd(self.p, self.q) != 1:
+        if gcd(p, q) != 1:
             raise ValueError("p and q must be coprime")
 
 
-@dataclass(frozen=True)
-class TwoBridgeKnot:
-    p: int
-    q: int
+class TwoBridgeKnot(Record):
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0:
+    def __init__(self, p, q):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        if p < 3 or p % 2 == 0:
             raise ValueError("two-bridge p must be odd and >= 3")
-        if not (0 < self.q < self.p):
+        if not (0 < q < p):
             raise ValueError("two-bridge q must satisfy 0 < q < p")
-        if gcd(self.p, self.q) != 1:
+        if gcd(p, q) != 1:
             raise ValueError("p and q must be coprime")
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Record):
     """Two-generator presentation <a, b | a w = w b> with longitude word.
 
     Words are tuples of (generator, exponent) letters. The longitude is
@@ -74,9 +74,12 @@ class GroupPresentation:
     abelianization.
     """
 
-    w: tuple
-    longitude: tuple
-    sign_sequence: tuple
+    __slots__ = ("w", "longitude", "sign_sequence")
+
+    def __init__(self, w, longitude, sign_sequence):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "longitude", longitude)
+        object.__setattr__(self, "sign_sequence", sign_sequence)
 
 
 def unknot_a() -> BivarPoly:

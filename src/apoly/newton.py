@@ -8,11 +8,9 @@ deterministic SVG.
 
 from __future__ import annotations
 
-import html
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 
+from ._record import Record
 from .poly import BivarPoly
 
 __all__ = [
@@ -41,43 +39,43 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True)
-class Edge:
-    start: tuple
-    end: tuple
-    slope: object  # Fraction or VERTICAL
+class Edge(Record):
+    __slots__ = ("start", "end", "slope")
+
+    def __init__(self, start, end, slope):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "slope", slope)  # Fraction or VERTICAL
 
     @property
     def is_vertical(self):
         return self.slope == VERTICAL
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """Hull vertices in counterclockwise order plus the original support.
 
     Degenerate inputs keep 1 vertex (single point) or 2 (collinear set,
     extreme points only) and set the degenerate flag.
     """
 
-    vertices: tuple
-    support: frozenset
-    degenerate: bool = False
+    __slots__ = ("vertices", "support", "degenerate")
+
+    def __init__(self, vertices, support, degenerate=False):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "degenerate", degenerate)
 
     def edges(self):
         """Hull edges with slope tags; empty for a single point."""
+        from fractions import Fraction
+
         vs = self.vertices
-        if len(vs) < 2:
-            return []
-        out = []
-        pairs = [(vs[k], vs[(k + 1) % len(vs)]) for k in range(len(vs))]
-        if len(vs) == 2:
-            pairs = pairs[:1]  # a segment has one edge, not two
-        for a, b in pairs:
-            di, dj = b[0] - a[0], b[1] - a[1]
-            slope = VERTICAL if di == 0 else Fraction(dj, di)
-            out.append(Edge(a, b, slope))
-        return out
+        ends = vs[1:] + vs[:1] if len(vs) > 2 else vs[1:]  # a segment has one edge, not two
+        return [
+            Edge(a, b, VERTICAL if a[0] == b[0] else Fraction(b[1] - a[1], b[0] - a[0]))
+            for a, b in zip(vs, ends)
+        ]
 
 
 def convex_hull(points) -> NewtonPolygon:
@@ -116,9 +114,11 @@ def edge_slopes(poly: NewtonPolygon):
 
 
 def has_vertical_edge(poly: NewtonPolygon) -> bool:
-    if len(poly.vertices) < 2:
+    """Whether two cyclically consecutive hull vertices share their M-exponent."""
+    vs = poly.vertices
+    if len(vs) < 2:
         raise ValueError("vertical-edge test needs at least two distinct points")
-    return any(e.is_vertical for e in poly.edges())
+    return any(vs[k - 1][0] == vs[k][0] for k in range(len(vs)))
 
 
 # what XML 1.0's Char production leaves out; compiled on first use, not at import
@@ -135,6 +135,9 @@ def render_svg(poly: NewtonPolygon, title: str = "") -> str:
     title is XML-escaped; one with a character outside XML 1.0 is a
     ValueError. Identical input yields byte-identical output.
     """
+    import html
+    from fractions import Fraction
+
     bad = re.search(_NON_XML_CHAR, title)
     if bad:
         raise ValueError(f"title character {bad.group()!r} cannot be written in XML")

@@ -11,11 +11,11 @@ the verdict included, on that form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
-from typing import Optional
 
 from . import newton
+from ._record import Record
 from .poly import _L_MINUS_1, BivarPoly, UnivarPoly
 
 __all__ = [
@@ -136,22 +136,19 @@ def cyclotomic_candidates(degree: int):
     return sorted(found)
 
 
-@dataclass(frozen=True)
-class CyclotomicProfile:
+class CyclotomicProfile(Record):
     """Orders and multiplicities of recognized cyclotomic factors."""
 
-    factors: tuple  # ((order, multiplicity), ...) with orders ascending
-    sign: int = 1
+    __slots__ = ("factors", "sign")
+
+    def __init__(self, factors, sign=1):
+        # ((order, multiplicity), ...) with orders ascending
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def product_d(self) -> int:
         return prod(d for d, _ in self.factors) if self.factors else 1
-
-    def reconstruct(self) -> UnivarPoly:
-        f = UnivarPoly([self.sign])
-        for d, m in self.factors:
-            f = f * cyclotomic(d) ** m
-        return f
 
     def as_dict(self):
         return {
@@ -161,11 +158,13 @@ class CyclotomicProfile:
         }
 
 
-@dataclass(frozen=True)
-class NotCyclotomic:
+class NotCyclotomic(Record):
     """Recognition failure; residual is the undivided part."""
 
-    residual: UnivarPoly
+    __slots__ = ("residual",)
+
+    def __init__(self, residual):
+        object.__setattr__(self, "residual", residual)
 
 
 def is_product_of_cyclotomics(f: UnivarPoly):
@@ -211,12 +210,14 @@ def is_product_of_cyclotomics(f: UnivarPoly):
     return CyclotomicProfile(tuple(factors), sign=f.coeffs[0])
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """Failure of the (L-1) * distinct-cyclotomics structure."""
 
-    reason: str
-    residual: Optional[UnivarPoly] = None
+    __slots__ = ("reason", "residual")
+
+    def __init__(self, reason, residual=None):
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "residual", residual)
 
 
 def mdeg_trivial_decomposition(a: BivarPoly):
@@ -246,31 +247,29 @@ def mdeg_trivial_decomposition(a: BivarPoly):
     return 1, CyclotomicProfile(nonunit, sign=prof.sign)
 
 
-@dataclass(frozen=True)
-class UnitEvaluationForm:
+class UnitEvaluationForm(Record):
     """Exponents of +/- L^a (L-1)^b (L+1)^c."""
 
-    sign: int
-    a: int
-    b: int
-    c: int
+    __slots__ = ("sign", "a", "b", "c")
+
+    def __init__(self, sign, a, b, c):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     # L, L-1 and L+1 are monic, so the evaluation's leading coefficient is sign
     monic = True
-
-    def reconstruct(self) -> UnivarPoly:
-        f = UnivarPoly([self.sign]).shift(self.a)
-        f = f * cyclotomic(1) ** self.b  # L - 1
-        f = f * cyclotomic(2) ** self.c  # L + 1
-        return f
 
     def as_dict(self):
         return {"sign": self.sign, "a": self.a, "b": self.b, "c": self.c}
 
 
-@dataclass(frozen=True)
-class UnitEvalFailure:
-    residual: UnivarPoly
+class UnitEvalFailure(Record):
+    __slots__ = ("residual",)
+
+    def __init__(self, residual):
+        object.__setattr__(self, "residual", residual)
 
     @property
     def monic(self):
@@ -281,14 +280,24 @@ class UnitEvalFailure:
         return {"failure": True, "residual": str(self.residual)}
 
 
-def _divide_out(f: UnivarPoly, g: UnivarPoly):
-    """(f / g^k, k) for the largest k with g^k dividing the nonzero f."""
-    count = 0
-    while True:
-        q = f.try_divide(g)
-        if q is None:
-            return f, count
-        f, count = q, count + 1
+def _synthetic_div(coeffs, zeta):
+    """(quotient, remainder) of the polynomial with ascending coefficient
+    list coeffs (nonempty) divided by L - zeta, in one Horner pass."""
+    step = None if zeta == 1 else (lambda q, c: q * zeta + c)  # None adds, in C
+    acc = list(accumulate(reversed(coeffs), step))
+    return acc[-2::-1], acc[-1]
+
+
+def _strip_root(coeffs, zeta, limit=None):
+    """(coeffs / (L - zeta)^b, b) for the largest b, or at most limit, such
+    that (L - zeta)^b divides the nonzero polynomial coeffs."""
+    b = 0
+    while b != limit:
+        quotient, remainder = _synthetic_div(coeffs, zeta)
+        if remainder:
+            break
+        coeffs, b = quotient, b + 1
+    return coeffs, b
 
 
 def check_unit_evaluation(a: BivarPoly, m: int):
@@ -307,11 +316,11 @@ def check_unit_evaluation(a: BivarPoly, m: int):
     if f.is_zero:
         return UnitEvalFailure(f)
     av = next(k for k, c in enumerate(f.coeffs) if c)
-    f, b = _divide_out(UnivarPoly(f.coeffs[av:]), cyclotomic(1))  # L - 1
-    f, c = _divide_out(f, cyclotomic(2))  # L + 1
-    if f.is_zero or f.degree() != 0 or abs(f.coeffs[0]) != 1:
-        return UnitEvalFailure(f)
-    return UnitEvaluationForm(sign=f.coeffs[0], a=av, b=b, c=c)
+    coeffs, b = _strip_root(f.coeffs[av:], 1)  # L - 1
+    coeffs, c = _strip_root(coeffs, -1)  # L + 1
+    if len(coeffs) != 1 or abs(coeffs[0]) != 1:
+        return UnitEvalFailure(UnivarPoly(coeffs))
+    return UnitEvaluationForm(sign=coeffs[0], a=av, b=b, c=c)
 
 
 PASS = "PASS"
@@ -320,33 +329,55 @@ UNKNOT_OK = "UNKNOT_OK"
 
 
 def abelian_multiplicity(a: BivarPoly) -> int:
-    """Multiplicity of the (L-1) factor: the least k whose k-th Taylor
-    coefficient at L = 1 is nonzero. Exact, and never makes a coefficient
-    dense; the loop ends by deg_L, where the coefficient is A's leading
-    L-coefficient."""
+    """Multiplicity of the (L-1) factor.
+
+    L - 1 is monic and free of M, so (L-1)^k divides A exactly when it
+    divides every M-slice, the polynomial in L of A's terms with one
+    M-exponent. The count is the least slice multiplicity, found by
+    synthetic division, shortest slice first; each slice stops at the
+    running minimum, and nothing is made dense in M. A slice's value at
+    L = 1 is a sparse sum, so a slice is made dense in L only while the
+    running minimum is above 1.
+    """
     if a.is_zero:
         raise ValueError("zero polynomial")
-    mult = 0
-    while a.taylor_at_l1(mult).is_zero:
-        mult += 1
+    slices = {}
+    for (i, j), c in a.terms.items():
+        slices.setdefault(i, {})[j] = c
+    mult = None
+    for s in sorted(slices.values(), key=lambda s: max(s) - min(s)):
+        if sum(s.values()):  # nonzero at L = 1
+            return 0
+        if mult != 1:  # a slice vanishing at L = 1 already reaches 1
+            # dense from its lowest L-power on, since L is prime to L - 1
+            coeffs = [s.get(j, 0) for j in range(min(s), max(s) + 1)]
+            _, mult = _strip_root(coeffs, 1, mult)
     return mult
 
 
-@dataclass
-class AnalysisReport:
-    """All structural checks on one polynomial, JSON-serializable."""
+class AnalysisReport(Record, frozen=False):
+    """All structural checks on one polynomial, JSON-serializable.
 
-    name: str
-    deg_m: int
-    deg_l: int
-    abelian_multiplicity: int
-    unit_eval_plus: object
-    unit_eval_minus: object
-    monic_plus: Optional[bool]
-    monic_minus: Optional[bool]
-    vertical_edge: Optional[bool]
-    cyclotomic: object  # CyclotomicProfile, Violation, or None
-    verdict: str
+    ``cyclotomic`` is a CyclotomicProfile, a Violation or None;
+    ``degenerate``, whether the Newton polygon is degenerate, is left out
+    of ``as_dict``.
+    """
+
+    __slots__ = (
+        "name", "deg_m", "deg_l", "abelian_multiplicity", "unit_eval_plus", "unit_eval_minus",
+        "monic_plus", "monic_minus", "vertical_edge", "cyclotomic", "verdict", "degenerate",
+    )
+
+    def __init__(
+        self, name, deg_m, deg_l, abelian_multiplicity, unit_eval_plus, unit_eval_minus,
+        monic_plus, monic_minus, vertical_edge, cyclotomic, verdict, degenerate=False,
+    ):
+        self.name, self.deg_m, self.deg_l = name, deg_m, deg_l
+        self.abelian_multiplicity = abelian_multiplicity
+        self.unit_eval_plus, self.unit_eval_minus = unit_eval_plus, unit_eval_minus
+        self.monic_plus, self.monic_minus = monic_plus, monic_minus
+        self.vertical_edge, self.cyclotomic = vertical_edge, cyclotomic
+        self.verdict, self.degenerate = verdict, degenerate
 
     def as_dict(self):
         def unit(u):
@@ -408,4 +439,5 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
         vertical_edge=vertical,
         cyclotomic=cyc,
         verdict=verdict,
+        degenerate=poly.degenerate,
     )

@@ -11,12 +11,11 @@ point.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Optional
 
+from ._record import Record
 from .poly import BivarPoly
-from .structure import CyclotomicProfile, Violation, mdeg_trivial_decomposition
+from .structure import Violation, mdeg_trivial_decomposition
 
 __all__ = [
     "EigenPoint",
@@ -25,23 +24,26 @@ __all__ = [
     "replay_contradiction",
 ]
 
+# the replay lists n_max * deg_L points; past this many it is rejected
+_MAX_POINTS = 100_000
 
-@dataclass(frozen=True)
-class EigenPoint:
+
+class EigenPoint(Record):
     """A point (u, v) of C* x C*: meridian and longitude eigenvalues.
 
     v_order and u_order are the exact root-of-unity orders of v and u;
     forces_trivial is set when u = 1.
     """
 
-    u: complex
-    v: complex
-    v_order: int
-    u_order: int
-    forces_trivial: bool
+    __slots__ = ("u", "v", "v_order", "u_order", "forces_trivial")
 
-    def __post_init__(self):
-        if self.u == 0 or self.v == 0:
+    def __init__(self, u, v, v_order, u_order, forces_trivial):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v_order", v_order)
+        object.__setattr__(self, "u_order", u_order)
+        object.__setattr__(self, "forces_trivial", forces_trivial)
+        if u == 0 or v == 0:
             raise ValueError("eigenvalue points live in C* x C*")
 
 
@@ -68,24 +70,22 @@ def _unit_root_points(order: int, n: int):
     return pts
 
 
-@dataclass
-class ReplayStep:
-    n: int
-    slope_denominator: int
-    num_points: int
-    all_forced_trivial: bool
-    points: list
+class ReplayStep(Record, frozen=False):
+    __slots__ = ("n", "slope_denominator", "num_points", "all_forced_trivial", "points")
+
+    def __init__(self, n, slope_denominator, num_points, all_forced_trivial, points):
+        self.n, self.slope_denominator, self.num_points = n, slope_denominator, num_points
+        self.all_forced_trivial, self.points = all_forced_trivial, points
 
 
-@dataclass
-class ReplayReport:
+class ReplayReport(Record, frozen=False):
     """Narrated replay of the degree-zero contradiction."""
 
-    ok: bool
-    violation: Optional[str]
-    profile: Optional[CyclotomicProfile]
-    d: Optional[int]
-    steps: list = field(default_factory=list)
+    __slots__ = ("ok", "violation", "profile", "d", "steps")
+
+    def __init__(self, ok, violation, profile, d, steps=None):
+        self.ok, self.violation, self.profile, self.d = ok, violation, profile, d
+        self.steps = [] if steps is None else steps
 
     def as_dict(self):
         return {
@@ -160,6 +160,7 @@ def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
     decomposition A(1, v) = +/-(v - 1) * prod Phi_e(v) over distinct orders
     e has already listed them exactly, each with multiplicity 1: the
     primitive e-th roots of unity for e = 1 and each order of the profile.
+    More than 100,000 such points in all, n_max * deg_L, is a ValueError.
     """
     if a.is_zero:
         raise ValueError("zero polynomial")
@@ -171,6 +172,9 @@ def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
         )
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_max * nf.deg_l() > _MAX_POINTS:
+        raise ValueError(f"the replay would list n_max * deg_L = {n_max} * {nf.deg_l()} "
+                         f"points; the bound is {_MAX_POINTS}")
     dec = mdeg_trivial_decomposition(nf)
     if isinstance(dec, Violation):
         return ReplayReport(ok=False, violation=dec.reason, profile=None, d=None)

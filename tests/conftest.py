@@ -37,6 +37,20 @@ def cyclotomic_by_division(d):
     return _division_cache[d]
 
 
+def reconstruct_profile(prof):
+    """The polynomial +/- prod Phi_d^m that a CyclotomicProfile describes."""
+    f = UnivarPoly([prof.sign])
+    for d, m in prof.factors:
+        f = f * cyclotomic_by_division(d) ** m
+    return f
+
+
+def reconstruct_unit_form(form):
+    """The polynomial +/- L^a (L-1)^b (L+1)^c of a UnitEvaluationForm."""
+    f = UnivarPoly([form.sign]).shift(form.a)
+    return f * UnivarPoly([-1, 1]) ** form.b * UnivarPoly([1, 1]) ** form.c
+
+
 _L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
 
 
@@ -49,6 +63,32 @@ def abelian_multiplicity_by_division(a):
         if q is None:
             return mult
         a, mult = q, mult + 1
+
+
+def divide_out_by_division(f, g):
+    """Reference (f / g^k, k) for the largest k with g^k dividing the nonzero
+    UnivarPoly f: exact trial division until it fails."""
+    count = 0
+    while True:
+        q = f.try_divide(g)
+        if q is None:
+            return f, count
+        f, count = q, count + 1
+
+
+def unit_evaluation_by_division(a, m):
+    """Reference (sign, a, b, c) of +/- L^a (L-1)^b (L+1)^c for A(m, L), or
+    ("failure", residual): L, then L - 1, then L + 1 divided out by trial
+    division."""
+    f = a.eval_m(m)
+    if f.is_zero:
+        return "failure", f
+    av = next(k for k, c in enumerate(f.coeffs) if c)
+    f, b = divide_out_by_division(UnivarPoly(f.coeffs[av:]), UnivarPoly([-1, 1]))
+    f, c = divide_out_by_division(f, UnivarPoly([1, 1]))
+    if f.degree() != 0 or abs(f.coeffs[0]) != 1:
+        return "failure", f
+    return f.coeffs[0], av, b, c
 
 
 class TriPolyInT:

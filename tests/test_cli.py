@@ -329,6 +329,16 @@ class TestReplay:
         assert run(capsys, "replay", "M*L - M")[0] == 0
         assert len(calls) == 1
 
+    def test_nmax_point_bound_exit_1(self, capsys):
+        # 2000 * 60 points is past the bound of 100,000: rejected before any
+        # point is built, with one line of output
+        code, out = run(capsys, "replay", "L^60 - 1", "--nmax", "2000", "--json")
+        assert code == 1
+        assert out == (
+            "error: the replay would list n_max * deg_L = 2000 * 60 points; "
+            "the bound is 100000\n"
+        )
+
     @pytest.mark.parametrize("nmax", ["0", "-3"])
     def test_nonpositive_nmax_exit_1(self, capsys, nmax):
         code, out = run(capsys, "replay", "L - 1", "--nmax", nmax)
@@ -363,3 +373,21 @@ def test_runs_without_numpy_or_sympy(argv, key, expected):
     assert "| apoly.surgery" in proc.stderr
     assert "numpy" not in proc.stderr
     assert "sympy" not in proc.stderr
+
+
+def test_import_loads_no_heavy_stdlib():
+    # -S keeps site's .pth files from importing modules apoly does not need
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c", "import apoly.cli"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "apoly.surgery" in imported
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "html", "typing"}
+    assert not heavy & imported

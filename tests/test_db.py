@@ -143,6 +143,28 @@ class TestVerifyAll:
         assert rep.status == "ANOMALY" and rep.exit_code == 3
         assert rep.anomalies == ["synth"]
 
+    def test_one_newton_polygon_per_record(self, monkeypatch):
+        # analyze carries the degeneracy; verify_all builds no second polygon
+        from apoly import newton
+
+        recs = [DbRecord(name=f"s{k}", a_poly=parse_poly("M^2*L^2 + L + M")) for k in range(5)]
+        calls = []
+        polygon = newton.newton_polygon
+        monkeypatch.setattr(newton, "newton_polygon", lambda p: calls.append(p) or polygon(p))
+        rep = verify_all(recs)
+        assert rep.anomalies == [r.name for r in recs]
+        assert len(calls) == 5
+
+    def test_degenerate_polygon_not_anomalous(self):
+        # collinear support, no vertical edge, failing unit evaluation
+        recs = [DbRecord(name="seg", a_poly=parse_poly("M^2*L^2 + 3"))]
+        rep = verify_all(recs)
+        report = rep.reports[0]
+        assert isinstance(report.unit_eval_plus, UnitEvalFailure)
+        assert report.vertical_edge is False and report.degenerate
+        assert "degenerate" not in report.as_dict()
+        assert rep.status == "OK" and rep.anomalies == []
+
     def test_fail_takes_precedence(self):
         recs = [
             DbRecord(name="synth", a_poly=parse_poly("M^2*L^2 + L + M")),

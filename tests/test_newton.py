@@ -128,6 +128,17 @@ class TestVerticalEdge:
             assert has_vertical_edge(poly) == brute_force_vertical(pts)
 
 
+    def test_builds_no_edges(self, monkeypatch):
+        # consecutive hull vertices are compared directly
+        def no_edges(self):
+            raise AssertionError("edges were built")
+
+        monkeypatch.setattr(newton.NewtonPolygon, "edges", no_edges)
+        assert has_vertical_edge(newton_polygon(TREFOIL))
+        assert has_vertical_edge(convex_hull({(3, 0), (3, 5)}))
+        assert not has_vertical_edge(convex_hull({(0, 0), (2, 1), (4, 0)}))
+
+
 class TestSvg:
     def test_single_point(self):
         svg = render_svg(convex_hull({(1, 1)}))

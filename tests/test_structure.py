@@ -27,12 +27,16 @@ from apoly.structure import (
     is_product_of_cyclotomics,
     mdeg_trivial_decomposition,
 )
-from apoly.structure import _cyclotomic_value
+from apoly import structure
+from apoly.structure import _cyclotomic_value, _strip_root, _synthetic_div
 from conftest import (
     abelian_multiplicity_by_division,
     bivar_polys,
     cyclotomic_by_division,
+    reconstruct_profile,
+    reconstruct_unit_form,
     symmetry_check,
+    unit_evaluation_by_division,
 )
 
 L = BivarPoly.var_l()
@@ -138,7 +142,7 @@ class TestRecognition:
         assert {d: m for d, m in prof.factors} == {
             d: orders.count(d) for d in expected
         }
-        assert prof.reconstruct() == f
+        assert reconstruct_profile(prof) == f
 
     def test_rejects_off_circle_root(self, rng):
         import numpy as np
@@ -211,7 +215,7 @@ class TestUnitEvaluation:
 
     def test_trefoil_plus(self):
         form = check_unit_evaluation(TREFOIL, 1)
-        assert form.reconstruct() == TREFOIL.eval_m(1)
+        assert reconstruct_unit_form(form) == TREFOIL.eval_m(1)
 
     def test_failure_residual(self):
         out = check_unit_evaluation(L - 3 * one, 1)
@@ -244,11 +248,92 @@ class TestUnitEvaluation:
     )
     @settings(max_examples=80, deadline=None)
     def test_roundtrip(self, sign, a, b, c, m):
-        f = UnitEvaluationForm(sign, a, b, c).reconstruct()
+        f = reconstruct_unit_form(UnitEvaluationForm(sign, a, b, c))
         lifted = BivarPoly({(0, k): cc for k, cc in enumerate(f.coeffs) if cc})
         form = check_unit_evaluation(lifted, m)
         assert isinstance(form, UnitEvaluationForm)
-        assert form.reconstruct() == f
+        assert reconstruct_unit_form(form) == f
+
+    @given(
+        bivar_polys(allow_zero=False),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_division_oracle(self, g, b, c, m):
+        a = g * (L - one) ** b * (L + one) ** c
+        out = check_unit_evaluation(a, m)
+        expected = unit_evaluation_by_division(a, m)
+        if isinstance(out, UnitEvalFailure):
+            assert ("failure", out.residual) == expected
+        else:
+            assert (out.sign, out.a, out.b, out.c) == expected
+
+    def test_high_multiplicity(self):
+        a = (L - one) ** 300 * (L + one) ** 200
+        assert check_unit_evaluation(a, 1) == UnitEvaluationForm(sign=1, a=0, b=300, c=200)
+
+
+def count_synthetic_divisions(monkeypatch):
+    calls = []
+
+    def counted(coeffs, zeta):
+        calls.append(zeta)
+        return _synthetic_div(coeffs, zeta)
+
+    monkeypatch.setattr(structure, "_synthetic_div", counted)
+    return calls
+
+
+class TestSyntheticDivision:
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8), st.sampled_from([1, -1]))
+    def test_matches_long_division(self, coeffs, zeta):
+        quotient, remainder = _synthetic_div(coeffs, zeta)
+        rebuilt = UnivarPoly(quotient) * UnivarPoly([-zeta, 1]) + UnivarPoly([remainder])
+        assert rebuilt == UnivarPoly(coeffs)
+        assert remainder == UnivarPoly(coeffs)(zeta)
+
+    @pytest.mark.parametrize("zeta", [1, -1])
+    @pytest.mark.parametrize("b", [0, 1, 7, 150])
+    def test_runs_b_plus_one_times(self, monkeypatch, zeta, b):
+        # (L - zeta)^b * g with g(zeta) != 0: b exact divisions and one that fails
+        g = UnivarPoly([5, -2, 0, 1])
+        f = g * UnivarPoly([-zeta, 1]) ** b
+        calls = count_synthetic_divisions(monkeypatch)
+        quotient, count = _strip_root(list(f.coeffs), zeta)
+        assert (UnivarPoly(quotient), count) == (g, b)
+        assert len(calls) == b + 1
+
+    def test_unit_evaluation_count(self, monkeypatch):
+        # b + 1 passes for L - 1 and c + 1 for L + 1, whatever the size of b
+        calls = count_synthetic_divisions(monkeypatch)
+        form = check_unit_evaluation((L - one) ** 400 * (L + one) ** 3 * (L - 3 * one), 1)
+        assert isinstance(form, UnitEvalFailure)
+        assert form.residual == UnivarPoly([-3, 1])
+        assert calls == [1] * 401 + [-1] * 4
+
+    def test_abelian_count_stops_at_running_minimum(self, monkeypatch):
+        # slices M (L - 1)^200 and (L - 1)^2: the short one goes first and
+        # takes three passes; the long one then stops after two, not 201
+        a = M * (L - one) ** 200 + (L - one) ** 2
+        calls = count_synthetic_divisions(monkeypatch)
+        assert abelian_multiplicity(a) == 2
+        assert len(calls) == 3 + 2
+
+    def test_abelian_sparse_slices_stay_sparse(self, monkeypatch):
+        # 200 slices of L-degree 20001: the first takes two passes; once the
+        # count is 1, a slice that vanishes at L = 1 needs none
+        slices = sum((M**i * (L**20000 + (i + 1) * one) for i in range(200)), BivarPoly())
+        calls = count_synthetic_divisions(monkeypatch)
+        assert abelian_multiplicity(slices * (L - one)) == 1
+        assert len(calls) == 2
+        # a slice that is nonzero at L = 1 ends the count with no pass
+        assert abelian_multiplicity(slices) == 0
+        assert len(calls) == 2
+        # above 1, every slice is divided: 3 + 1 passes, then 3
+        assert abelian_multiplicity((L - one) ** 3 * (M**5 + one)) == 3
+        assert len(calls) == 2 + 4 + 3
 
 
 def monic_at_units(a):
@@ -362,7 +447,12 @@ class TestAbelianMultiplicity:
         a = torus_a(p, q)
         assert abelian_multiplicity(a) == abelian_multiplicity_by_division(a) == 1
 
+    def test_high_multiplicity(self):
+        a = (L - one) ** 600 * (M * L + one)
+        assert abelian_multiplicity(a) == 600
+
     def test_no_dense_coefficients(self, monkeypatch):
+
         # the count runs over the sparse terms; nothing is densified in M
         a = torus_a(37, 29) * (L - one)
         assert a.deg_m() >= 1000

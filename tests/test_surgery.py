@@ -8,6 +8,7 @@ from apoly.structure import (
     cyclotomic,
     is_product_of_cyclotomics,
 )
+from apoly import surgery
 from apoly.surgery import EigenPoint, _unit_root_points, replay_contradiction
 
 from conftest import substitute_surgery
@@ -146,6 +147,22 @@ class TestReplay:
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValueError):
             replay_contradiction(L - one, n_max=0)
+
+    def test_point_bound(self, monkeypatch):
+        # n_max * deg_L points at most 100,000; past it, a ValueError before
+        # any point is built (stubbed so the accepted case stays small)
+        built = []
+        monkeypatch.setattr(
+            surgery, "_unit_root_points", lambda order, n: built.append(n) or []
+        )
+        a = parse_poly("L^50 - 1")
+        assert len(replay_contradiction(a, n_max=2000).steps) == 2000
+        built.clear()
+        with pytest.raises(ValueError, match="n_max \\* deg_L = 2001 \\* 50 points"):
+            replay_contradiction(a, n_max=2001)
+        with pytest.raises(ValueError, match="the bound is 100000"):
+            replay_contradiction(L - one, n_max=100_001)
+        assert built == []
 
     def test_narrative(self):
         rep = replay_contradiction(parse_poly("(L-1)*(L+1)"), n_max=1)
