@@ -64,6 +64,19 @@ python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['unit_eval_plu
 expect 2 verify-db "$tmp/residual_db.txt" --json
 python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['records'][0]['name'] == 'big'" "$tmp/out"
 
+# the replay lists every point of a group: 12 for L^12 - 1 at each step,
+# counted by v_order as the primitive roots of each divisor of 12, all u = 1
+expect 0 replay "L^12 - 1" --json
+python3 - "$tmp/out" <<'EOF'
+import json, sys
+from collections import Counter
+for step in json.load(open(sys.argv[1]))["steps"]:
+    points = step["points"]
+    assert len(points) == 12, step
+    assert Counter(p["v_order"] for p in points) == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}, step
+    assert all(p["u_order"] == 1 for p in points), step
+EOF
+
 # the replay reads deg_M off the A-normal form: M*(L - 1) replays as L - 1
 expect 0 replay "L - 1"
 mv "$tmp/out" "$tmp/unknot.txt"

@@ -304,14 +304,6 @@ class BivarPoly:
         return cls({(i, j): c})
 
     @classmethod
-    def var_m(cls):
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def var_l(cls):
-        return cls({(0, 1): 1})
-
-    @classmethod
     def from_univar_m(cls, u: UnivarPoly):
         return cls({(i, 0): c for i, c in enumerate(u.coeffs)})
 

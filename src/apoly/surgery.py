@@ -4,21 +4,18 @@
 deg_M A = 0, u does not occur in A, so the curve's points on that line are
 the roots of A(1, v). The degree-zero decomposition already lists those
 roots exactly, as roots of unity of known order, and the replay checks
-u = v^(-N) = 1 at each of them by residue arithmetic, never in floating
-point.
+u = v^(-N) = 1 once per order by integer gcds, never in floating point.
 """
 
 from __future__ import annotations
 
-import cmath
 from math import gcd, lcm
 
 from ._record import Record
 from .poly import BivarPoly
-from .structure import Violation, mdeg_trivial_decomposition
+from .structure import Violation, euler_phi, mdeg_trivial_decomposition
 
 __all__ = [
-    "EigenPoint",
     "ReplayStep",
     "ReplayReport",
     "replay_contradiction",
@@ -28,54 +25,35 @@ __all__ = [
 _MAX_POINTS = 100_000
 
 
-class EigenPoint(Record):
-    """A point (u, v) of C* x C*: meridian and longitude eigenvalues.
+def _points_by_order(orders, n: int):
+    """One (e, count, u_order) triple per order e: the points on u = v^(-n)
+    with v a primitive e-th root of unity, counted, and the order of u there.
 
-    v_order and u_order are the exact root-of-unity orders of v and u;
-    forces_trivial is set when u = 1.
+    For v = exp(2 pi i k / e) with gcd(k, e) = 1, u = v^(-n) has order
+    e / gcd(e, k*n) = e / gcd(e, n), the same for all euler_phi(e) of them,
+    so u = 1 at every such point exactly when e divides n.
     """
-
-    __slots__ = ("u", "v", "v_order", "u_order", "forces_trivial")
-
-    def __init__(self, u, v, v_order, u_order, forces_trivial):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "v_order", v_order)
-        object.__setattr__(self, "u_order", u_order)
-        object.__setattr__(self, "forces_trivial", forces_trivial)
-        if u == 0 or v == 0:
-            raise ValueError("eigenvalue points live in C* x C*")
+    return tuple((e, euler_phi(e), e // gcd(e, n)) for e in orders)
 
 
-def _unit_root_points(order: int, n: int):
-    """The points on u = v^(-n) with v a primitive ``order``-th root of unity.
+class ReplayStep(Record):
+    """One surgery line u = v^(-slope_denominator): its points as groups
+    of (v_order, count, u_order) triples."""
 
-    For v = exp(2 pi i k / order), u = v^(-n) is exp(2 pi i r / order)
-    with r = -k*n mod order, so u = 1 exactly when r = 0.
-    """
-    pts = []
-    for k in range(order):
-        if gcd(k, order) != 1:
-            continue
-        r = (-k * n) % order
-        pts.append(
-            EigenPoint(
-                u=cmath.exp(2j * cmath.pi * r / order),
-                v=cmath.exp(2j * cmath.pi * k / order),
-                v_order=order,
-                u_order=order // gcd(order, r),
-                forces_trivial=(r == 0),
-            )
-        )
-    return pts
+    __slots__ = ("n", "slope_denominator", "groups")
 
+    def __init__(self, n, slope_denominator, groups):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "slope_denominator", slope_denominator)
+        object.__setattr__(self, "groups", groups)
 
-class ReplayStep(Record, frozen=False):
-    __slots__ = ("n", "slope_denominator", "num_points", "all_forced_trivial", "points")
+    @property
+    def num_points(self):
+        return sum(count for _, count, _ in self.groups)
 
-    def __init__(self, n, slope_denominator, num_points, all_forced_trivial, points):
-        self.n, self.slope_denominator, self.num_points = n, slope_denominator, num_points
-        self.all_forced_trivial, self.points = all_forced_trivial, points
+    @property
+    def all_forced_trivial(self):
+        return all(u_order == 1 for _, _, u_order in self.groups)
 
 
 class ReplayReport(Record, frozen=False):
@@ -100,12 +78,9 @@ class ReplayReport(Record, frozen=False):
                     "num_points": s.num_points,
                     "all_forced_trivial": s.all_forced_trivial,
                     "points": [
-                        {
-                            "v_order": p.v_order,
-                            "u_order": p.u_order,
-                            "forces_trivial": p.forces_trivial,
-                        }
-                        for p in s.points
+                        {"v_order": e, "u_order": u, "forces_trivial": u == 1}
+                        for e, count, u in s.groups
+                        for _ in range(count)
                     ],
                 }
                 for s in self.steps
@@ -160,7 +135,9 @@ def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
     decomposition A(1, v) = +/-(v - 1) * prod Phi_e(v) over distinct orders
     e has already listed them exactly, each with multiplicity 1: the
     primitive e-th roots of unity for e = 1 and each order of the profile.
-    More than 100,000 such points in all, n_max * deg_L, is a ValueError.
+    Every order divides d, so ok is True exactly when the decomposition
+    succeeds. More than 100,000 such points in all, n_max * deg_L, is a
+    ValueError raised before the decomposition runs.
     """
     if a.is_zero:
         raise ValueError("zero polynomial")
@@ -181,19 +158,6 @@ def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
     _, profile = dec
     orders = [1] + [e for e, _ in profile.factors]
     d = lcm(*orders)
-    steps = []
-    ok = True
-    for n in range(1, n_max + 1):
-        points = [p for e in orders for p in _unit_root_points(e, n * d)]
-        all_trivial = all(p.forces_trivial for p in points)
-        ok = ok and all_trivial
-        steps.append(
-            ReplayStep(
-                n=n,
-                slope_denominator=n * d,
-                num_points=len(points),
-                all_forced_trivial=all_trivial,
-                points=points,
-            )
-        )
+    steps = [ReplayStep(n, n * d, _points_by_order(orders, n * d)) for n in range(1, n_max + 1)]
+    ok = all(s.all_forced_trivial for s in steps)
     return ReplayReport(ok=ok, violation=None, profile=profile, d=d, steps=steps)

@@ -1,10 +1,14 @@
+import cmath
 import random
+from math import gcd
 
 import pytest
 from hypothesis import strategies as st
 
 from apoly.poly import BivarPoly, UnivarPoly, charpoly
 
+M = BivarPoly({(1, 0): 1})
+L = BivarPoly({(0, 1): 1})
 
 @st.composite
 def bivar_polys(draw, max_exp=4, max_terms=6, max_coeff=9, allow_zero=True):
@@ -171,6 +175,21 @@ def substitute_surgery(p, n):
         e = n * (d - i) + j
         out[e] = out.get(e, 0) + c
     return UnivarPoly([out.get(e, 0) for e in range(max(out) + 1)])
+
+
+def unit_root_points(order, n):
+    """Reference points (u, v) on the line u = v^(-n) with v a primitive
+    ``order``-th root of unity, as complex floats: v = exp(2 pi i k / order)
+    for each k prime to order, and u = v^(-n) = exp(2 pi i r / order) with
+    r = -k*n mod order."""
+    return [
+        (
+            cmath.exp(2j * cmath.pi * ((-k * n) % order) / order),
+            cmath.exp(2j * cmath.pi * k / order),
+        )
+        for k in range(order)
+        if gcd(k, order) == 1
+    ]
 
 
 def symmetry_check(a):

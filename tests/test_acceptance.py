@@ -18,6 +18,7 @@ from apoly import cli, db, knots, newton, structure, surgery
 from apoly.poly import BivarPoly, UnivarPoly, parse_poly
 
 from conftest import (
+    L,
     TriPolyInT,
     random_tripoly_coeffs,
     resultant_t,
@@ -27,7 +28,6 @@ from conftest import (
 from test_knots import curve_membership_points
 from test_newton import brute_force_vertical
 
-L = BivarPoly.var_l()
 one = BivarPoly.const(1)
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
 
@@ -161,9 +161,9 @@ def test_criterion_5_proof_replay(capsys):
         ok = ok and rep.ok and rep.violation is None
         for step in rep.steps:
             ok = ok and step.all_forced_trivial
-            for pt in step.points:
-                # zero tolerance: the unit-root path is exact
-                ok = ok and pt.forces_trivial and pt.u == 1
+            for _, _, u_order in step.groups:
+                # zero tolerance: the orders are exact integers
+                ok = ok and u_order == 1
         if not ok:
             break
     elapsed = time.perf_counter() - start

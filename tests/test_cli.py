@@ -310,6 +310,12 @@ class TestReplay:
         assert code == 0
         assert [s["slope_denominator"] for s in payload["steps"]] == [2, 4]
 
+    def test_leading_minus_after_double_dash(self, capsys):
+        # options first, then --, then a polynomial that starts with "-"
+        code, out = run(capsys, "replay", "--nmax", "1", "--", "-(L-1)*(L+1)")
+        assert code == 0
+        assert out == run(capsys, "replay", "--nmax", "1", "(L-1)*(L+1)")[1]
+
     def test_positive_mdeg_exit_1(self, capsys):
         code, out = run(capsys, "replay", "L*M + 1")
         assert code == 1
@@ -389,5 +395,5 @@ def test_import_loads_no_heavy_stdlib():
     assert proc.returncode == 0, proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "apoly.surgery" in imported
-    heavy = {"dataclasses", "inspect", "fractions", "decimal", "html", "typing"}
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "html", "typing", "cmath"}
     assert not heavy & imported

@@ -20,9 +20,8 @@ from apoly.knots import _longitude_charpoly, _squarefree_bivar
 from apoly.poly import BivarPoly, parse_poly
 from apoly.structure import abelian_multiplicity
 
-from conftest import TriPolyInT, collect_t, rel_residual, resultant_t, symmetry_check
+from conftest import L, TriPolyInT, collect_t, rel_residual, resultant_t, symmetry_check
 
-L = BivarPoly.var_l()
 one = BivarPoly.const(1)
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
 

@@ -16,10 +16,8 @@ from apoly.poly import (
     parse_poly,
 )
 
-from conftest import bivar_polys, eval_complex, rel_residual, substitute_surgery
+from conftest import L, M, bivar_polys, eval_complex, rel_residual, substitute_surgery
 
-L = BivarPoly.var_l()
-M = BivarPoly.var_m()
 one = BivarPoly.const(1)
 
 

@@ -20,7 +20,7 @@ from apoly.structure import (
     UnitEvaluationForm,
     Violation,
 )
-from apoly.surgery import EigenPoint, ReplayReport, ReplayStep
+from apoly.surgery import ReplayReport, ReplayStep
 
 RESIDUAL = UnivarPoly([3, 1])
 FORM = UnitEvaluationForm(1, 0, 1, 0)
@@ -70,20 +70,7 @@ RECORDS = [
     (RecordError, ("line", "name", "message"), (3, "x", "DuplicateName: x"), {}, True),
     (LoadResult, ("records", "errors"), ([], []), {}, False),
     (BatchReport, ("reports", "anomalies", "failures", "status"), ([], [], [], "OK"), {}, False),
-    (
-        EigenPoint,
-        ("u", "v", "v_order", "u_order", "forces_trivial"),
-        (1, -1, 2, 1, True),
-        {},
-        True,
-    ),
-    (
-        ReplayStep,
-        ("n", "slope_denominator", "num_points", "all_forced_trivial", "points"),
-        (1, 2, 2, True, []),
-        {},
-        False,
-    ),
+    (ReplayStep, ("n", "slope_denominator", "groups"), (1, 2, ((1, 1, 1), (2, 1, 1))), {}, True),
     (
         ReplayReport,
         ("ok", "violation", "profile", "d", "steps"),
@@ -170,5 +157,3 @@ def test_checks_keep_their_messages():
         TwoBridgeKnot(9, 3)
     with pytest.raises(ValueError, match="record name must be nonempty"):
         DbRecord("", parse_poly("L - 1"))
-    with pytest.raises(ValueError, match=r"C\* x C\*"):
-        EigenPoint(0, 1, 1, 1, True)

@@ -2,10 +2,8 @@ import pytest
 
 from apoly.poly import BivarPoly
 
-from conftest import TriPolyInT, random_tripoly_coeffs, resultant_t, sylvester_resultant
+from conftest import L, M, TriPolyInT, random_tripoly_coeffs, resultant_t, sylvester_resultant
 
-L = BivarPoly.var_l()
-M = BivarPoly.var_m()
 one = BivarPoly.const(1)
 
 

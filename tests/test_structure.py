@@ -30,6 +30,8 @@ from apoly.structure import (
 from apoly import structure
 from apoly.structure import _cyclotomic_value, _strip_root, _synthetic_div
 from conftest import (
+    L,
+    M,
     abelian_multiplicity_by_division,
     bivar_polys,
     cyclotomic_by_division,
@@ -39,8 +41,6 @@ from conftest import (
     unit_evaluation_by_division,
 )
 
-L = BivarPoly.var_l()
-M = BivarPoly.var_m()
 one = BivarPoly.const(1)
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
 # torus knot parameters with their mirrors (one parameter negated)

@@ -9,11 +9,10 @@ from apoly.structure import (
     is_product_of_cyclotomics,
 )
 from apoly import surgery
-from apoly.surgery import EigenPoint, _unit_root_points, replay_contradiction
+from apoly.surgery import _points_by_order, replay_contradiction
 
-from conftest import substitute_surgery
+from conftest import L, substitute_surgery, unit_root_points
 
-L = BivarPoly.var_l()
 one = BivarPoly.const(1)
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
 
@@ -24,27 +23,23 @@ def lift(f: UnivarPoly) -> BivarPoly:
 
 
 def assert_numeric_surgery_points(a: BivarPoly, rep):
-    """Numeric oracle for the replay: at every step the v values are, as a
-    multiset, numpy's roots of a restricted to the line u = v^(-N) (which is
-    A(1, v) when deg_M = 0), and every point satisfies u * v^N = 1."""
+    """Numeric oracle for the replay: at every step the v values of the
+    reference points of its groups are, as a multiset, numpy's roots of a
+    restricted to the line u = v^(-N) (which is A(1, v) when deg_M = 0), and
+    every point satisfies u * v^N = 1."""
     for s in rep.steps:
         n = s.slope_denominator
         g = substitute_surgery(a, n)
         roots = list(np.roots(list(reversed(g.coeffs))))
-        assert len(roots) == s.num_points == len(s.points)
-        for p in s.points:
-            i = min(range(len(roots)), key=lambda j: abs(roots[j] - p.v))
-            assert abs(roots.pop(i) - p.v) < 1e-9
-            assert abs(p.u * p.v**n - 1) < 1e-9
-
-
-class TestEigenPoint:
-    def test_rejects_origin(self):
-        flags = dict(v_order=1, u_order=1, forces_trivial=True)
-        with pytest.raises(ValueError):
-            EigenPoint(u=0, v=1, **flags)
-        with pytest.raises(ValueError):
-            EigenPoint(u=1, v=0, **flags)
+        assert len(roots) == s.num_points
+        for e, count, _ in s.groups:
+            points = unit_root_points(e, n)
+            assert len(points) == count
+            for u, v in points:
+                i = min(range(len(roots)), key=lambda j: abs(roots[j] - v))
+                assert abs(roots.pop(i) - v) < 1e-9
+                assert abs(u * v**n - 1) < 1e-9
+        assert roots == []
 
 
 class TestClassifyUnitRoot:
@@ -57,7 +52,7 @@ class TestClassifyUnitRoot:
         assert isinstance(prof, CyclotomicProfile)
         assert prof.factors == ((1, 1), (2, 1))
         assert prof.sign == 1
-        vs = [p.v for e, _ in prof.factors for p in _unit_root_points(e, 1)]
+        vs = [v for e, _ in prof.factors for _, v in unit_root_points(e, 1)]
         assert len(vs) == 2
         assert abs(vs[0] - 1) < 1e-12 and abs(vs[1] + 1) < 1e-12
 
@@ -77,27 +72,40 @@ class TestSurgeryIntersection:
         rep = replay_contradiction(L - one, n_max=5)
         step = rep.steps[-1]
         assert step.slope_denominator == 5
-        assert len(step.points) == 1
-        pt = step.points[0]
-        assert pt.u == 1 and pt.v == 1
-        assert pt.forces_trivial
+        assert step.groups == ((1, 1, 1),)
+        assert step.num_points == 1 and step.all_forced_trivial
+        assert unit_root_points(1, 5) == [(1, 1)]
 
     def test_abelian_pair(self):
         rep = replay_contradiction(parse_poly("(L-1)*(L+1)"), n_max=1)
         (step,) = rep.steps
         assert step.slope_denominator == 2
-        assert sorted(p.v_order for p in step.points) == [1, 2]
-        assert all(p.forces_trivial for p in step.points)
-        assert all(p.u == 1 for p in step.points)
+        assert step.groups == ((1, 1, 1), (2, 1, 1))
+        assert step.all_forced_trivial
 
     def test_constraint_holds_everywhere(self):
         # on every line, also those that do not force u = 1
         for n in (1, 2, 3):
             for order in range(1, 13):
-                for p in _unit_root_points(order, n):
-                    assert abs(p.u * p.v**n - 1) < 1e-8
-                    assert abs(p.v**order - 1) < 1e-8
-                    assert p.forces_trivial == (abs(p.u - 1) < 1e-8)
+                ((_, _, u_order),) = _points_by_order((order,), n)
+                for u, v in unit_root_points(order, n):
+                    assert abs(u * v**n - 1) < 1e-8
+                    assert abs(v**order - 1) < 1e-8
+                    assert (u_order == 1) == (abs(u - 1) < 1e-8)
+
+    def test_points_by_order_matches_oracle(self):
+        # the gcd identity against the complex points, every e <= 60, N <= 120
+        for e in range(1, 61):
+            for n in range(1, 121):
+                points = unit_root_points(e, n)
+                ((order, count, u_order),) = _points_by_order((e,), n)
+                assert order == e and count == len(points)
+                least = next(
+                    m for m in range(1, e + 1)
+                    if all(abs(u**m - 1) < 1e-9 for u, _ in points)
+                )
+                assert u_order == least
+                assert (u_order == 1) == all(abs(u - 1) < 1e-9 for u, _ in points)
 
 
 class TestReplay:
@@ -108,14 +116,13 @@ class TestReplay:
         assert [s.slope_denominator for s in rep.steps] == [2, 4, 6]
         for s in rep.steps:
             assert s.all_forced_trivial
-            assert [p.v_order for p in s.points] == [1, 2]
-            assert all(p.u == 1 for p in s.points)
+            assert s.groups == ((1, 1, 1), (2, 1, 1))
 
     def test_unknot(self):
         rep = replay_contradiction(L - one, n_max=2)
         assert rep.ok and rep.d == 1
         assert all(s.num_points == 1 for s in rep.steps)
-        assert all(s.points[0].u == 1 and s.points[0].v == 1 for s in rep.steps)
+        assert all(s.groups == ((1, 1, 1),) for s in rep.steps)
 
     def test_reads_deg_m_of_normal_form(self):
         # an M-power factor is stripped by the A-normal form
@@ -150,19 +157,22 @@ class TestReplay:
 
     def test_point_bound(self, monkeypatch):
         # n_max * deg_L points at most 100,000; past it, a ValueError before
-        # any point is built (stubbed so the accepted case stays small)
-        built = []
+        # the decomposition runs
+        calls = []
+        decompose = surgery.mdeg_trivial_decomposition
         monkeypatch.setattr(
-            surgery, "_unit_root_points", lambda order, n: built.append(n) or []
+            surgery, "mdeg_trivial_decomposition", lambda a: calls.append(a) or decompose(a)
         )
         a = parse_poly("L^50 - 1")
-        assert len(replay_contradiction(a, n_max=2000).steps) == 2000
-        built.clear()
+        rep = replay_contradiction(a, n_max=2000)
+        assert len(rep.steps) == 2000 and rep.steps[-1].num_points == 50
+        assert len(calls) == 1
+        calls.clear()
         with pytest.raises(ValueError, match="n_max \\* deg_L = 2001 \\* 50 points"):
             replay_contradiction(a, n_max=2001)
         with pytest.raises(ValueError, match="the bound is 100000"):
             replay_contradiction(L - one, n_max=100_001)
-        assert built == []
+        assert calls == []
 
     def test_narrative(self):
         rep = replay_contradiction(parse_poly("(L-1)*(L+1)"), n_max=1)
@@ -177,6 +187,16 @@ class TestReplay:
         rep = replay_contradiction(parse_poly("(L-1)*(L+1)"), n_max=1)
         blob = json.dumps(rep.as_dict())
         assert json.loads(blob)["d"] == 2
+        # one point dict per point: a group of count c is written c times
+        rep = replay_contradiction(parse_poly("L^12 - 1"), n_max=2)
+        for step in json.loads(json.dumps(rep.as_dict()))["steps"]:
+            points = step["points"]
+            assert len(points) == step["num_points"] == 12
+            by_order = {}
+            for p in points:
+                by_order[p["v_order"]] = by_order.get(p["v_order"], 0) + 1
+                assert p == {"v_order": p["v_order"], "u_order": 1, "forces_trivial": True}
+            assert by_order == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
 
     def test_exactness_on_large_orders(self):
         # distinct large orders: d = 11 * 12 = 132, still exact and fast
@@ -184,9 +204,7 @@ class TestReplay:
         rep = replay_contradiction(a, n_max=3)
         assert rep.ok and rep.d == 132
         for s in rep.steps:
-            for p in s.points:
-                assert p.forces_trivial
-                assert p.u == 1
+            assert all(u_order == 1 for _, _, u_order in s.groups)
         assert_numeric_surgery_points(a, rep)
 
     def test_high_degree_power(self):
@@ -202,7 +220,7 @@ class TestReplay:
         rep = replay_contradiction(parse_poly("L^60 - 1"), n_max=2)
         assert rep.ok and rep.d == 60 and rep.profile.product_d == 46656000000
         assert [s.slope_denominator for s in rep.steps] == [60, 120]
-        assert all(p.u_order == 1 for s in rep.steps for p in s.points)
+        assert all(u == 1 for s in rep.steps for _, _, u in s.groups)
 
 
 class TestForcedTrivialityIsExact:
@@ -211,15 +229,15 @@ class TestForcedTrivialityIsExact:
         rep = replay_contradiction(a, n_max=2)
         assert rep.ok and rep.d == 6
         for s in rep.steps:
-            for p in s.points:
-                assert rep.d % p.v_order == 0
-                assert p.u_order == 1
+            for e, _, u_order in s.groups:
+                assert rep.d % e == 0
+                assert u_order == 1
 
     def test_wrong_slope_does_not_force(self):
         # at slope 1/1 the Phi_3 points have u = v^-1 != 1
-        points = _unit_root_points(3, 1)
+        assert _points_by_order((3,), 1) == ((3, 2, 3),)
+        points = unit_root_points(3, 1)
         assert len(points) == 2
-        for p in points:
-            assert not p.forces_trivial
-            assert p.v_order == 3 and p.u_order == 3
-            assert abs(p.u * p.v - 1) < 1e-12
+        for u, v in points:
+            assert abs(u * v - 1) < 1e-12
+            assert abs(u - 1) > 1e-9
