@@ -1,4 +1,7 @@
-"""Command-line front end: compute, analyze, verify-db, newton, replay."""
+"""Command-line front end: compute, analyze, verify-db, newton, replay.
+
+Each command imports the modules it uses, so a run loads only its own.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +9,6 @@ import argparse
 import json
 import sys
 
-from . import db, knots, newton, structure, surgery
 from .poly import PolyParseError, format_poly, parse_poly
 
 __all__ = ["main"]
@@ -29,6 +31,8 @@ def _parse_or_exit(text):
 
 
 def cmd_compute(args) -> int:
+    from . import knots, structure
+
     try:
         if args.unknot:
             name, poly = "unknot", knots.unknot_a()
@@ -54,6 +58,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import structure
+
     text = args.poly
     if args.file:
         try:
@@ -75,6 +81,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_db(args) -> int:
+    from . import db
+
     try:
         loaded = db.load_table(args.path)
     except (OSError, UnicodeDecodeError) as exc:
@@ -93,6 +101,8 @@ def cmd_verify_db(args) -> int:
 
 
 def cmd_newton(args) -> int:
+    from . import newton
+
     poly = _parse_or_exit(args.poly)
     ngon = newton.newton_polygon(poly.normalize())
     degenerate = ngon.degenerate
@@ -130,6 +140,8 @@ def cmd_newton(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from . import surgery
+
     if args.nmax < 1:
         print(f"error: --nmax must be at least 1, got {args.nmax}")
         return 1

@@ -406,14 +406,16 @@ class BivarPoly:
 
     def eval_m(self, m: int) -> UnivarPoly:
         """Substitute an exact integer for M, yielding a polynomial in L."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            out[j] = out.get(j, 0) + c * m**i
-        if not out:
+        if self.is_zero:
             return UnivarPoly()
-        coeffs = [0] * (max(out) + 1)
-        for j, c in out.items():
-            coeffs[j] = c
+        coeffs = [0] * (self.deg_l() + 1)
+        if m in (1, -1):
+            # a unit's powers are +/-1, so add or subtract by the parity of i
+            for (i, j), c in self.terms.items():
+                coeffs[j] += -c if m < 0 and i & 1 else c
+        else:
+            for (i, j), c in self.terms.items():
+                coeffs[j] += c * m**i
         return UnivarPoly(coeffs)
 
     def invert_l(self):
@@ -624,22 +626,25 @@ def parse_poly(text: str) -> BivarPoly:
             _error("expected exponent after '^'", text, etok[2])
         return int(etok[1])
 
+    # Each rule returns a term dict {(i, j): c}; only the result becomes a
+    # BivarPoly. An integer factor may map to 0, which products and sums drop.
     def parse_factor():
         kind, val, offset = peek()
         if kind == "int":
             take()
-            return BivarPoly.const(int(val))
+            return {(0, 0): int(val)}
         if kind == "var":
             take()
             e = parse_exponent()
-            return BivarPoly.term(1, e if val == "M" else 0, e if val == "L" else 0)
+            return {(e, 0) if val == "M" else (0, e): 1}
         if kind == "lparen":
             take()
             inner = parse_expression()
             if peek()[0] != "rparen":
                 _error("expected ')'", text, peek()[2])
             take()
-            return inner ** parse_exponent()
+            e = parse_exponent()
+            return inner if e == 1 else (BivarPoly(inner) ** e).terms
         _error("expected a term", text, offset)
 
     def parse_term():
@@ -650,7 +655,7 @@ def parse_poly(text: str) -> BivarPoly:
                 take()
             elif kind not in ("int", "var", "lparen"):
                 return result
-            result = result * parse_factor()
+            result = _mul_terms(result, parse_factor())
 
     def parse_expression():
         # every term is added into one dict, so a sum of n terms costs O(n)
@@ -659,12 +664,12 @@ def parse_poly(text: str) -> BivarPoly:
         if peek()[0] in ("plus", "minus"):
             sign = -1 if take()[0] == "minus" else 1
         while True:
-            _add_terms(terms, parse_term().terms, sign)
+            _add_terms(terms, parse_term(), sign)
             if peek()[0] not in ("plus", "minus"):
-                return BivarPoly(terms)
+                return terms
             sign = -1 if take()[0] == "minus" else 1
 
-    result = parse_expression()
+    result = BivarPoly(parse_expression())
     if peek()[0] != "end":
         _error("unexpected trailing input", text, peek()[2])
     for (i, j), c in result.terms.items():

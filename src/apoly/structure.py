@@ -136,6 +136,27 @@ def cyclotomic_candidates(degree: int):
     return sorted(found)
 
 
+# Candidate rows of each degree up to _ROWS_CACHED_DEGREE, kept for the
+# process: verify-db recognizes many small polynomials of the same few
+# degrees. Degree D has about 2D orders, whose Phi_d(2) run up to D bits, so
+# the rows of one degree grow as D^2: all 64 cached degrees take about
+# 0.4 MB, degree 2000 alone 1.1 MB. Larger degrees compute their rows
+# lazily and keep none, so a recognition that stops early skips the rest.
+_ROWS_CACHED_DEGREE = 64
+_candidate_rows_cache = {}
+
+
+def _candidate_rows(degree: int):
+    """(d, euler_phi(d), Phi_d(2)) for each d in cyclotomic_candidates(degree)."""
+    rows = _candidate_rows_cache.get(degree)
+    if rows is not None:
+        return rows
+    rows = ((d, euler_phi(d), _cyclotomic_value(d, 2)) for d in cyclotomic_candidates(degree))
+    if degree <= _ROWS_CACHED_DEGREE:
+        rows = _candidate_rows_cache[degree] = tuple(rows)
+    return rows
+
+
 class CyclotomicProfile(Record):
     """Orders and multiplicities of recognized cyclotomic factors."""
 
@@ -184,10 +205,9 @@ def is_product_of_cyclotomics(f: UnivarPoly):
         return CyclotomicProfile((), sign=f.leading_coefficient())
     factors = []
     v2, v3 = f(2), f(3)
-    for d in cyclotomic_candidates(f.degree()):
-        if euler_phi(d) > f.degree():
+    for d, phi, c2 in _candidate_rows(f.degree()):
+        if phi > f.degree():
             continue
-        c2 = _cyclotomic_value(d, 2)
         if v2 % c2:
             continue
         c3 = _cyclotomic_value(d, 3)
@@ -419,17 +439,19 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
         vertical = None
     else:
         vertical = newton.has_vertical_edge(poly)
-    if nf.deg_m() == 0:
+    deg_m = nf.deg_m()
+    if deg_m == 0:
         dec = mdeg_trivial_decomposition(nf)
         cyc = dec if isinstance(dec, Violation) else dec[1]
         verdict = UNKNOT_OK if nf == _L_MINUS_1 and not claims_nontrivial_knot else FAIL
     else:
         cyc, verdict = None, PASS
     unit_plus = check_unit_evaluation(nf, 1)
-    unit_minus = check_unit_evaluation(nf, -1)
+    # without M, A(-1, L) = A(1, L)
+    unit_minus = unit_plus if deg_m == 0 else check_unit_evaluation(nf, -1)
     return AnalysisReport(
         name=name,
-        deg_m=nf.deg_m(),
+        deg_m=deg_m,
         deg_l=nf.deg_l(),
         abelian_multiplicity=abelian_multiplicity(nf),
         unit_eval_plus=unit_plus,

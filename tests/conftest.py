@@ -1,5 +1,6 @@
 import cmath
 import random
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -24,6 +25,59 @@ def bivar_polys(draw, max_exp=4, max_terms=6, max_coeff=9, allow_zero=True):
     if not allow_zero and result.is_zero:
         result = BivarPoly({(0, 0): 1})
     return result
+
+
+@st.composite
+def poly_expressions(draw, depth=2):
+    """(text, value): a random expression in parse_poly's grammar and the
+    polynomial it denotes, built with BivarPoly operations alone.
+
+    The text has integers (0 included), M^e and L^e (bare M and L too),
+    implicit and explicit products, parenthesized sums raised to powers 0
+    to 3, an optional leading sign and, sometimes, a term that cancels an
+    earlier one.
+    """
+    terms = []  # (sign, text, value)
+    for k in range(draw(st.integers(1, 3 if depth < 2 else 4))):
+        sign = draw(st.sampled_from(["", "+", "-"] if k == 0 else ["+", "-"]))
+        terms.append((sign, *draw(_term_expressions(depth))))
+    if draw(st.integers(0, 3)) == 0:
+        sign, text, value = draw(st.sampled_from(terms))
+        terms.append(("+" if sign == "-" else "-", text, value))
+    text, value = "", BivarPoly.zero()
+    for sign, t_text, t_value in terms:
+        text += draw(st.sampled_from(["", " "])) + sign + draw(st.sampled_from(["", " "])) + t_text
+        value = value - t_value if sign == "-" else value + t_value
+    return text, value
+
+
+@st.composite
+def _term_expressions(draw, depth):
+    text, value = draw(_factor_expressions(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        f_text, f_value = draw(_factor_expressions(depth))
+        # implicit products need a space before a digit, or "2" "3" reads 23
+        implicit = " " if f_text[0].isdigit() else draw(st.sampled_from(["", " "]))
+        text += draw(st.sampled_from(["*", " * ", implicit]))
+        text += f_text
+        value = value * f_value
+    return text, value
+
+
+@st.composite
+def _factor_expressions(draw, depth):
+    kind = draw(st.sampled_from(["int", "var", "paren"] if depth else ["int", "var"]))
+    if kind == "int":
+        c = draw(st.one_of(st.integers(0, 12), st.integers(0, 10**30)))
+        return str(c), BivarPoly.const(c)
+    if kind == "var":
+        name, e = draw(st.sampled_from("ML")), draw(st.integers(0, 6))
+        text = name if e == 1 and draw(st.booleans()) else f"{name}^{e}"
+        return text, BivarPoly.term(1, e if name == "M" else 0, e if name == "L" else 0)
+    inner_text, inner_value = draw(poly_expressions(depth - 1))
+    e = draw(st.integers(0, 3))
+    text = f"({inner_text})" if e == 1 and draw(st.booleans()) else f"({inner_text})^{e}"
+    return text, inner_value**e
 
 
 _division_cache = {1: UnivarPoly([-1, 1])}
@@ -93,6 +147,20 @@ def unit_evaluation_by_division(a, m):
     if f.degree() != 0 or abs(f.coeffs[0]) != 1:
         return "failure", f
     return f.coeffs[0], av, b, c
+
+
+def two_bridge_alexander(pres):
+    """The Alexander polynomial of a two-bridge knot from its presentation,
+    as {exponent: c} shifted to lowest exponent 0: Delta(t) = sum over
+    i = 0 .. p-1 of (-1)^i t^sigma_i, where sigma_i = eps_1 + ... + eps_i
+    runs over the sign sequence (Hartley, "On two-bridged knot
+    polynomials", J. Austral. Math. Soc. 1979)."""
+    sigma = [0, *accumulate(pres.sign_sequence)]
+    low = min(sigma)
+    out = {}
+    for i, s in enumerate(sigma):
+        out[s - low] = out.get(s - low, 0) + (-1) ** i
+    return {k: c for k, c in out.items() if c}
 
 
 class TriPolyInT:

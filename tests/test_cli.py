@@ -353,15 +353,15 @@ class TestReplay:
 
 
 @pytest.mark.parametrize(
-    "argv, key, expected",
+    "argv, key, expected, module",
     [
-        (["compute", "--two-bridge", "7", "3"], "verdict", "PASS"),
-        (["analyze", "L^60 - 1"], "verdict", "FAIL"),
-        (["replay", "L^60 - 1"], "ok", True),
+        (["compute", "--two-bridge", "7", "3"], "verdict", "PASS", "apoly.knots"),
+        (["analyze", "L^60 - 1"], "verdict", "FAIL", "apoly.structure"),
+        (["replay", "L^60 - 1"], "ok", True, "apoly.surgery"),
     ],
     ids=["compute", "analyze", "replay"],
 )
-def test_runs_without_numpy_or_sympy(argv, key, expected):
+def test_runs_without_numpy_or_sympy(argv, key, expected, module):
     # -X importtime lists every module the interpreter imports on stderr
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -376,24 +376,40 @@ def test_runs_without_numpy_or_sympy(argv, key, expected):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload.get("report", payload)[key] == expected
-    assert "| apoly.surgery" in proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert module in imported
     assert "numpy" not in proc.stderr
     assert "sympy" not in proc.stderr
 
 
-def test_import_loads_no_heavy_stdlib():
-    # -S keeps site's .pth files from importing modules apoly does not need
+def imported_modules(code):
+    """The modules that `python -S -X importtime -c code` imports; -S keeps
+    site's .pth files from importing modules apoly does not need."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-c", "import apoly.cli"],
+        [sys.executable, "-S", "-X", "importtime", "-c", code],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+
+
+def test_import_loads_no_heavy_stdlib():
+    imported = imported_modules(
+        "import apoly.cli, apoly.db, apoly.knots, apoly.newton, apoly.structure, apoly.surgery"
+    )
     assert "apoly.surgery" in imported
     heavy = {"dataclasses", "inspect", "fractions", "decimal", "html", "typing", "cmath"}
     assert not heavy & imported
+
+
+def test_cli_import_loads_no_command_module():
+    # each command imports its own modules when it runs
+    imported = imported_modules("import apoly.cli")
+    assert "apoly.poly" in imported
+    commands = {"apoly.db", "apoly.knots", "apoly.newton", "apoly.structure", "apoly.surgery"}
+    assert not commands & imported

@@ -20,7 +20,15 @@ from apoly.knots import _longitude_charpoly, _squarefree_bivar
 from apoly.poly import BivarPoly, parse_poly
 from apoly.structure import abelian_multiplicity
 
-from conftest import L, TriPolyInT, collect_t, rel_residual, resultant_t, symmetry_check
+from conftest import (
+    L,
+    TriPolyInT,
+    collect_t,
+    rel_residual,
+    resultant_t,
+    symmetry_check,
+    two_bridge_alexander,
+)
 
 one = BivarPoly.const(1)
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
@@ -105,6 +113,36 @@ class TestPresentation:
         for p, q in [(3, 1), (5, 3), (7, 3), (9, 5)]:
             pres = two_bridge_presentation(p, q)
             assert sum(e for _, e in pres.longitude) == 0
+
+
+class TestAlexanderOracle:
+    """The Alexander polynomial, read off the sign sequence, checks the
+    presentation and the Riley polynomial against numbers that do not
+    depend on either."""
+
+    @pytest.mark.parametrize("p", range(3, 42, 2))
+    def test_determinant_and_value_at_one(self, p):
+        # |Delta(-1)| is the knot determinant p, and |Delta(1)| = 1
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                delta = two_bridge_alexander(two_bridge_presentation(p, q))
+                assert abs(sum(delta.values())) == 1, (p, q)
+                assert abs(sum(c * (-1) ** k for k, c in delta.items())) == p, (p, q)
+
+    @pytest.mark.parametrize("p", range(3, 22, 2))
+    def test_riley_at_t_zero_is_delta_of_m_squared(self, p):
+        # t = 0 gives the reducible representations: phi(M, 0) = +/- M^k Delta(M^2)
+        # (Burde 1967; de Rham 1967)
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            phi, pres = riley_polynomial(p, q)
+            at_zero = {i: c for (i, k), c in phi.items() if k == 0}
+            low = min(at_zero)
+            at_zero = {i - low: c for i, c in at_zero.items()}
+            delta = two_bridge_alexander(pres)
+            sign = 1 if at_zero[max(at_zero)] * delta[max(delta)] > 0 else -1
+            assert at_zero == {2 * k: sign * c for k, c in delta.items()}, (p, q)
 
 
 # Laurent polynomials in M and t: {(M-exponent, t-exponent): coefficient}

@@ -16,7 +16,15 @@ from apoly.poly import (
     parse_poly,
 )
 
-from conftest import L, M, bivar_polys, eval_complex, rel_residual, substitute_surgery
+from conftest import (
+    L,
+    M,
+    bivar_polys,
+    eval_complex,
+    poly_expressions,
+    rel_residual,
+    substitute_surgery,
+)
 
 one = BivarPoly.const(1)
 
@@ -125,8 +133,16 @@ class TestEval:
     @given(bivar_polys(), bivar_polys())
     @settings(max_examples=100, deadline=None)
     def test_eval_m_multiplicative(self, p, q):
-        for m in (1, -1):
+        for m in (1, -1, 2, -3):
             assert (p * q).eval_m(m) == p.eval_m(m) * q.eval_m(m)
+
+    @given(bivar_polys(), st.sampled_from([1, -1, 0, 2, -3]))
+    @settings(max_examples=100, deadline=None)
+    def test_eval_m_matches_term_sum(self, p, m):
+        # the value at each L-power is the sum of c * m^i over its terms
+        f = p.eval_m(m)
+        for j in range(max([len(f.coeffs)] + [j + 1 for _, j in p.terms])):
+            assert f[j] == sum(c * m**i for (i, jj), c in p.terms.items() if jj == j)
 
     def test_eval_complex_on_curve(self):
         assert eval_complex(L - one, 2.7j, 1.0) == 0
@@ -255,6 +271,12 @@ class TestGrammar:
     @settings(max_examples=150, deadline=None)
     def test_roundtrip(self, p):
         assert parse_poly(format_poly(p)) == p
+
+    @given(poly_expressions())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_expression_tree(self, expression):
+        text, value = expression
+        assert parse_poly(text) == value
 
     def test_expanded_coefficient_at_bound(self):
         # 10^4300 - 1 has 4300 digits and is accepted; (10^2150)^2 has 4301

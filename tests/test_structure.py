@@ -160,6 +160,94 @@ class TestRecognition:
             assert isinstance(is_product_of_cyclotomics(f), NotCyclotomic)
 
 
+def recognition_cases():
+    """Every polynomial the recognition tests above use, and both unit
+    evaluations of every fixture record."""
+    cases = [
+        UnivarPoly([-1, 0, 1]),
+        UnivarPoly([1, 1, 1]),
+        UnivarPoly([1, 0, 1]),
+        cyclotomic(3) * UnivarPoly([-2, 1]),
+        UnivarPoly([-2, 1]),
+        UnivarPoly([-1, 2]),
+        -cyclotomic(4),
+        UnivarPoly([-1]),
+        UnivarPoly([-1] + [0] * 1999 + [1]),
+    ]
+    with resources.as_file(resources.files("apoly.data") / "fixtures.txt") as path:
+        for rec in load_table(path).records:
+            cases += [rec.a_poly.eval_m(1), rec.a_poly.eval_m(-1)]
+    return [f for f in cases if not f.is_zero]
+
+
+def cyclotomic_table(rng):
+    """Text of a 600-record table: the fixtures, (L-1) times distinct
+    cyclotomic factors, and deg_M = 0 records that fail recognition."""
+    with resources.as_file(resources.files("apoly.data") / "fixtures.txt") as path:
+        fixtures = load_table(path).records
+    lines = []
+    for k in range(600):
+        if k % 3 == 0:
+            text = str(fixtures[k // 3 % len(fixtures)].a_poly)
+        else:
+            f = UnivarPoly([-1, 1])
+            for d in rng.sample(range(2, 31), rng.randint(0, 3)):
+                f = f * cyclotomic(d)
+            if k % 3 == 2:
+                f = f * UnivarPoly([rng.choice([-3, -2, 2, 3]), 1])
+            text = str(f)
+        lines.append(f"r{k} ; {text}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCandidateRows:
+    def test_large_degree_rows_not_kept(self, monkeypatch):
+        monkeypatch.setattr(structure, "_candidate_rows_cache", {})
+        prof = is_product_of_cyclotomics(UnivarPoly([-1] + [0] * 1999 + [1]))
+        assert [d for d, _ in prof.factors] == [d for d in range(1, 2001) if 2000 % d == 0]
+        is_product_of_cyclotomics(cyclotomic(7) * cyclotomic(9))
+        assert set(structure._candidate_rows_cache) == {12}
+
+    def test_rows_match_their_definition(self):
+        for degree in (1, 12, 64, 65, 200):
+            rows = list(structure._candidate_rows(degree))
+            assert [d for d, _, _ in rows] == cyclotomic_candidates(degree)
+            assert all(phi == euler_phi(d) for d, phi, _ in rows)
+            assert all(c2 == cyclotomic(d)(2) for d, _, c2 in rows)
+        assert max(structure._candidate_rows_cache) <= 64
+
+    def test_second_pass_computes_no_rows(self, monkeypatch, rng, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text(cyclotomic_table(rng), encoding="utf-8")
+        records = load_table(path).records
+        assert len(records) == 600
+        monkeypatch.setattr(structure, "_candidate_rows_cache", {})
+        calls = []
+        value = structure._cyclotomic_value
+        monkeypatch.setattr(
+            structure, "_cyclotomic_value", lambda d, x: calls.append(x) or value(d, x)
+        )
+        first = verify_all(records).as_dict()
+        assert calls.count(2) > 0
+        calls.clear()
+        assert verify_all(records).as_dict() == first
+        assert 2 not in calls
+        verdicts = {r["verdict"] for r in first["records"]}
+        assert verdicts == {PASS, FAIL, UNKNOT_OK}
+
+    def test_cached_and_uncached_recognition_agree(self, monkeypatch):
+        cases = recognition_cases()
+        warm = [is_product_of_cyclotomics(f) for f in cases]
+        monkeypatch.setattr(structure, "_ROWS_CACHED_DEGREE", 0)
+        monkeypatch.setattr(structure, "_candidate_rows_cache", {})
+        cold = [is_product_of_cyclotomics(f) for f in cases]
+        assert structure._candidate_rows_cache == {}
+        assert warm == cold
+        for f, prof in zip(cases, warm):
+            if isinstance(prof, CyclotomicProfile):
+                assert reconstruct_profile(prof) == f
+
+
 class TestDecomposition:
     def test_abelian_pair(self):
         mult, prof = mdeg_trivial_decomposition(parse_poly("L^2 - 1"))
@@ -367,6 +455,19 @@ class TestMonicity:
         report = analyze(TREFOIL)
         assert sorted(calls) == [-1, 1]
         assert (report.monic_plus, report.monic_minus) == (True, True)
+
+    def test_degree_zero_evaluates_one_unit(self, monkeypatch):
+        # without M, A(-1, L) = A(1, L): the evaluation at 1 serves both
+        calls = []
+        check = structure.check_unit_evaluation
+        monkeypatch.setattr(
+            structure, "check_unit_evaluation", lambda a, m: calls.append(m) or check(a, m)
+        )
+        a = parse_poly("(L - 1)*(L + 1)^2*L^3")
+        report = analyze(a)
+        assert calls == [1]
+        minus = check_unit_evaluation(a.normalize(), -1)
+        assert report.unit_eval_minus == report.unit_eval_plus == minus
 
 
 def verdict(a, claims_nontrivial_knot):
