@@ -120,23 +120,26 @@ def phase_table(roots):
     }
 
 
-def main():
-    if len(sys.argv) != 4:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    roots = {"parent": Path(sys.argv[1]).resolve(), "change": Path(sys.argv[2]).resolve()}
-    pairs = []
-    for k, (workload, seed) in enumerate(PAIRS):
+def run_pairs(roots, pairs):
+    """Run each (workload, seed) of pairs on both sides, the side that runs
+    first alternating from pair to pair; returns the raw pairs."""
+    out = []
+    for k, (workload, seed) in enumerate(pairs):
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         pair = {"workload": workload, "seed": seed, "first": order[0]}
         for side in order:
             pair[side] = run_pair_side(roots[side], workload, seed)
             m = pair[side]["metrics"]
             print(workload, seed, side, {n: round(m[n]["value"], 4) for n in METRICS}, flush=True)
-        pairs.append(pair)
+        out.append(pair)
+    return out
 
+
+def summarize(pairs, roots):
+    """Per workload and metric: quartiles per side, the pairs the change
+    wins and the ratio of the medians; failed operations and correctness."""
     summary = {}
-    for workload in dict.fromkeys(w for w, _ in PAIRS):
+    for workload in dict.fromkeys(p["workload"] for p in pairs):
         these = [p for p in pairs if p["workload"] == workload]
         summary[workload] = {"pairs": len(these)}
         for name in METRICS:
@@ -155,6 +158,16 @@ def main():
             }
         summary[workload]["failed_ops"] = {s: sum(p[s]["failed"] for p in these) for s in roots}
         summary[workload]["all_correct"] = {s: all(p[s]["correct"] for p in these) for s in roots}
+    return summary
+
+
+def main():
+    if len(sys.argv) != 4:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    roots = {"parent": Path(sys.argv[1]).resolve(), "change": Path(sys.argv[2]).resolve()}
+    pairs = run_pairs(roots, PAIRS)
+    summary = summarize(pairs, roots)
 
     doc = {
         "label": "verify_db_overhead",

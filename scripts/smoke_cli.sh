@@ -32,6 +32,11 @@ expect() {
 }
 
 expect 0 compute --two-bridge 5 3
+expect 0 compute --two-bridge 7 2
+
+# two-bridge p above the documented bound 25 is an error line, exit 1
+expect 1 compute --two-bridge 27 5
+grep -q "^error: two-bridge p = 27 is above the largest accepted, 25" "$tmp/out"
 expect 0 replay "(L-1)*(L+1)"
 expect 0 verify-db "$root/src/apoly/data/fixtures.txt"
 

@@ -17,6 +17,19 @@ equals Res_t(phi, lambda - L) up to sign and a power of M (the tests'
 resultant oracle). The longitude word convention (including the meridian
 framing correction) is pinned here and validated by the oracle tests; see
 the presentation docstring.
+
+The relator word w is evaluated once, to W, and serves both phi and
+lambda. The longitude is w * wbar * a^k with k = -2e, and only its (1,1)
+entry is read, so its tail a^k is never multiplied out: a is upper
+triangular with (1,1) entry M, so a^k is upper triangular with (1,1)
+entry M^k (for k < 0 too, as a^-1 = [[1/M, -1], [0, M]] is), and the
+first column of a^k is (M^k, 0). Hence, with Wbar = eval(wbar),
+
+    lambda = (W Wbar a^k)_11 = (W Wbar)_11 M^k
+           = M^(-2e) (W_11 Wbar_11 + W_12 Wbar_21).
+
+The elimination accepts p <= 25 (MAX_TWO_BRIDGE_P) and raises ValueError
+above it, before any word is evaluated.
 """
 
 from __future__ import annotations
@@ -148,19 +161,33 @@ class EliminationDegeneracyError(RuntimeError):
     leading t-coefficient is not a unit monomial in M."""
 
 
+def _riley_phi(w):
+    """phi, the (1,2) entry of a W - W b for the relator matrix W = eval(w).
+
+    The diagonal entries of a W - W b vanish identically and the
+    off-diagonal entries agree up to a factor of -t, so the (1,2) entry is
+    the single independent condition.
+    """
+    left, right = _mat_mul(_NORMAL_FORM["a"], w), _mat_mul(w, _NORMAL_FORM["b"])
+    return _add_terms(left[0][1], right[0][1], -1)
+
+
 def riley_polynomial(p: int, q: int):
     """The representation condition phi(M, t) = 0, as a Laurent dict
-    {(M-exponent, t-exponent): c}, and the presentation.
-
-    Evaluates a w - w b on the normal-form matrices; the diagonal entries
-    vanish identically and the off-diagonal entries agree up to a factor
-    of -t, so the (1,2) entry is the single independent condition.
-    """
+    {(M-exponent, t-exponent): c}, and the presentation."""
     pres = two_bridge_presentation(p, q)
-    a, b = _NORMAL_FORM["a"], _NORMAL_FORM["b"]
-    w = sl2_word_eval(pres.w, _NORMAL_FORM)
-    left, right = _mat_mul(a, w), _mat_mul(w, b)
-    return _add_terms(left[0][1], right[0][1], -1), pres
+    return _riley_phi(sl2_word_eval(pres.w, _NORMAL_FORM)), pres
+
+
+def _longitude_entry(pres, w):
+    """lambda, the (1,1) entry of the longitude w wbar a^(-2e), from the
+    relator matrix W = eval(w): M^(-2e) (W_11 Wbar_11 + W_12 Wbar_21).
+    Only wbar is evaluated here; the module docstring has the proof."""
+    n = len(pres.w)
+    wbar = sl2_word_eval(pres.longitude[n : 2 * n], _NORMAL_FORM)
+    shift = -2 * sum(pres.sign_sequence)
+    entry = _add_terms(_mul_terms(w[0][0], wbar[0][0]), _mul_terms(w[0][1], wbar[1][0]))
+    return {(i + shift, k): c for (i, k), c in entry.items()}
 
 
 def _reduce_mod(f, monic, n):
@@ -174,13 +201,13 @@ def _reduce_mod(f, monic, n):
         _add_terms(f, _mul_terms(top, monic), -1)
 
 
-def _longitude_charpoly(phi, lam) -> BivarPoly:
-    """M^(s*n) * det(L*I - X), X the multiplication by lam in
-    Z[M^+-1][t]/(phi) on the basis 1, t, ..., t^(n-1), n = deg_t phi.
+def _multiplication_matrix(phi, lam):
+    """(M^s * X, s): X is the multiplication by lam in Z[M^+-1][t]/(phi)
+    on the basis 1, t, ..., t^(n-1), n = deg_t phi, as rows of UnivarPoly
+    in M, and s >= 0 the least shift that makes every entry a polynomial.
 
-    The shift s is the least that makes every entry of M^s * X a
-    polynomial. Up to sign and a power of M this is Res_t(phi, lam - L),
-    because the leading coefficient of phi is a unit monomial.
+    Raises EliminationDegeneracyError unless phi's leading t-coefficient
+    is a unit monomial.
     """
     n = max(k for _, k in phi)
     lead = {i: c for (i, k), c in phi.items() if k == n}
@@ -206,6 +233,18 @@ def _longitude_charpoly(phi, lam) -> BivarPoly:
         [UnivarPoly([d.get(i, 0) for i in range(max(d, default=-1) + 1)]) for d in row]
         for row in entries
     ]
+    return matrix, s
+
+
+def _longitude_charpoly(phi, lam) -> BivarPoly:
+    """M^(s*n) * det(L*I - X) for the multiplication matrix M^s * X of
+    lam modulo phi (see _multiplication_matrix).
+
+    Up to sign and a power of M this is Res_t(phi, lam - L), because the
+    leading coefficient of phi is a unit monomial.
+    """
+    matrix, s = _multiplication_matrix(phi, lam)
+    n = len(matrix)
     terms = {}
     for k, coeff in enumerate(charpoly(matrix)):
         for i, c in enumerate(coeff.coeffs):
@@ -258,16 +297,28 @@ def _squarefree_bivar(r: BivarPoly) -> BivarPoly:
     return r.try_divide(_gcd_l(r, dr))
 
 
+# Largest p accepted by the elimination. Every knot within it, either parity
+# of q, takes at most about 3 s (Python 3.11, 2 vCPUs); the slowest, 21/13
+# and 21/8, spend most of it in the square-free step.
+MAX_TWO_BRIDGE_P = 25
+
+
 def eliminate_two_bridge(p: int, q: int) -> BivarPoly:
     """A-polynomial of the two-bridge knot p/q by elimination of t.
 
     Eliminates the representation parameter t from the relator condition
     and the longitude eigenvalue relation, takes the square-free part,
     guarantees one abelian (L-1) factor, and returns A-normal form.
+    Raises ValueError for p above MAX_TWO_BRIDGE_P.
     """
-    phi, pres = riley_polynomial(p, q)
-    lam = sl2_word_eval(pres.longitude, _NORMAL_FORM)[0][0]
-    nf = _squarefree_bivar(_longitude_charpoly(phi, lam)).normalize()
+    pres = two_bridge_presentation(p, q)
+    if p > MAX_TWO_BRIDGE_P:
+        raise ValueError(
+            f"two-bridge p = {p} is above the largest accepted, {MAX_TWO_BRIDGE_P}"
+        )
+    w = sl2_word_eval(pres.w, _NORMAL_FORM)
+    lam = _longitude_entry(pres, w)
+    nf = _squarefree_bivar(_longitude_charpoly(_riley_phi(w), lam)).normalize()
     if not nf.taylor_at_l1(0).is_zero:  # A(M, 1) != 0: no (L-1) factor
         nf = nf * _L_MINUS_1  # a product of A-normal forms is A-normal
     return nf

@@ -9,13 +9,19 @@ Two carriers:
 
 Each ring operation is written once: sparse + and * are the term kernels
 ``_add_terms`` and ``_mul_terms``, shared with the Laurent dicts of
-``knots``; both carriers use one ``_power`` and one text form,
-``format_poly``, which writes coefficients of any length and which
-``parse_poly`` reads back, within the bounds its docstring lists.
+``knots``; dense * is the coefficient-list kernel ``_mul_coeffs``, shared
+by ``UnivarPoly`` and ``charpoly``; both carriers use one ``_power`` and
+one text form, ``format_poly``, which writes coefficients of any length
+and which ``parse_poly`` reads back, within the bounds its docstring
+lists.
 
-Characteristic polynomials of matrices over either carrier are computed
-division-free by Berkowitz's algorithm (``charpoly``), so every result is
-exact integer arithmetic with no computer-algebra system.
+``charpoly`` is the characteristic polynomial of a square matrix of
+``UnivarPoly`` entries, and of nothing else: Berkowitz's division-free
+algorithm run on the entries' coefficient lists. Each inner product adds
+its terms into one list, and a product skips the zeros of both factors,
+so the zeros of a shifted entry (the M^s of the two-bridge elimination)
+or of a polynomial in M^2 cost nothing. Every result is exact integer
+arithmetic with no computer-algebra system.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
@@ -57,6 +63,24 @@ def _mul_terms(f, g):
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, 0) + c1 * c2
     return {key: c for key, c in out.items() if c}
+
+
+def _mul_coeffs(f, g, out=None):
+    """Add the product of the dense coefficient lists f and g into out in
+    place, a new list when out is None; returns out. Only pairs of nonzero
+    coefficients are multiplied."""
+    if out is None:
+        out = []
+    nonzero = [(b, c) for b, c in enumerate(g) if c]
+    if nonzero:
+        need = len(f) + nonzero[-1][0]
+        if len(out) < need:
+            out.extend([0] * (need - len(out)))
+        for a, ca in enumerate(f):
+            if ca:
+                for b, cb in nonzero:
+                    out[a + b] += ca * cb
+    return out
 
 
 def _power(base, n):
@@ -139,32 +163,29 @@ class UnivarPoly:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         if not isinstance(other, UnivarPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivarPoly([self[k] + other[k] for k in range(n)])
+        f, g = self.coeffs, other.coeffs
+        n = max(len(f), len(g))
+        f, g = f + (0,) * (n - len(f)), g + (0,) * (n - len(g))
+        return UnivarPoly([x + sign * y for x, y in zip(f, g)])
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __neg__(self):
         return UnivarPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return UnivarPoly([c * other for c in self.coeffs])
         if not isinstance(other, UnivarPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return UnivarPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if ca == 0:
-                continue
-            for b, cb in enumerate(other.coeffs):
-                out[a + b] += ca * cb
-        return UnivarPoly(out)
+        return UnivarPoly(_mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -497,36 +518,36 @@ class BivarPoly:
 _L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
 
 
-def _dot(xs, ys):
-    acc = None
+def _dot_coeffs(xs, ys):
+    """Sum of the products of paired coefficient lists, in one list."""
+    out = []
     for x, y in zip(xs, ys):
-        acc = x * y if acc is None else acc + x * y
-    return acc
+        _mul_coeffs(x, y, out)
+    return out
 
 
 def charpoly(matrix):
-    """Coefficients [1, c_1, ..., c_n] of det(x*I - A), highest degree first.
+    """Coefficients [1, c_1, ..., c_n] of det(x*I - A), highest degree
+    first, for a nonempty square list of rows of UnivarPoly entries.
 
     Berkowitz's division-free algorithm (Inf. Proc. Letters 18, 1984): the
     characteristic polynomial of each leading principal submatrix is a
-    lower-triangular Toeplitz matrix times that of the previous one. The
-    entries only need +, - and * (UnivarPoly or BivarPoly here), so the
-    result is exact over their ring. ``matrix`` is a nonempty square list
-    of rows.
+    lower-triangular Toeplitz matrix times that of the previous one. It
+    runs on the entries' coefficient lists and returns UnivarPoly values.
     """
-    one = type(matrix[0][0]).const(1)
-    poly = [one, -matrix[0][0]]
-    for r in range(1, len(matrix)):
-        row = matrix[r][:r]
-        col = [matrix[i][r] for i in range(r)]
+    a = [[entry.coeffs for entry in row] for row in matrix]
+    poly = [[1], [-c for c in a[0][0]]]
+    for r in range(1, len(a)):
+        row = a[r][:r]
+        col = [a[i][r] for i in range(r)]
         # first Toeplitz column: 1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C
-        toeplitz = [one, -matrix[r][r]]
+        toeplitz = [[1], [-c for c in a[r][r]]]
         for k in range(r):
-            toeplitz.append(-_dot(row, col))
+            toeplitz.append([-c for c in _dot_coeffs(row, col)])
             if k < r - 1:
-                col = [_dot(matrix[i][:r], col) for i in range(r)]
-        poly = [_dot(toeplitz[i::-1], poly) for i in range(r + 2)]
-    return poly
+                col = [_dot_coeffs(a[i][:r], col) for i in range(r)]
+        poly = [_dot_coeffs(toeplitz[i::-1], poly) for i in range(r + 2)]
+    return [UnivarPoly(c) for c in poly]
 
 
 # -- text grammar -----------------------------------------------------

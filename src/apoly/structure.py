@@ -251,7 +251,12 @@ def mdeg_trivial_decomposition(a: BivarPoly):
         raise ValueError("zero polynomial")
     if a.deg_m() != 0:
         raise ValueError("decomposition applies only to M-degree-zero polynomials")
-    f = a.eval_m(1)  # faithful: no M dependence
+    return _decompose(a.eval_m(1))  # faithful: no M dependence
+
+
+def _decompose(f: UnivarPoly):
+    """mdeg_trivial_decomposition of the polynomial whose value at M = 1
+    is f."""
     prof = is_product_of_cyclotomics(f)
     if isinstance(prof, NotCyclotomic):
         return Violation("not a product of cyclotomic polynomials", prof.residual)
@@ -332,7 +337,11 @@ def check_unit_evaluation(a: BivarPoly, m: int):
         raise ValueError("zero polynomial")
     if m not in (1, -1):
         raise ValueError("unit evaluation is defined at M = +1 or -1 only")
-    f = a.eval_m(m)
+    return _unit_form(a.eval_m(m))
+
+
+def _unit_form(f: UnivarPoly):
+    """check_unit_evaluation of the evaluation f = A(m, L)."""
     if f.is_zero:
         return UnitEvalFailure(f)
     av = next(k for k, c in enumerate(f.coeffs) if c)
@@ -441,14 +450,15 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
         vertical = newton.has_vertical_edge(poly)
     deg_m = nf.deg_m()
     if deg_m == 0:
-        dec = mdeg_trivial_decomposition(nf)
+        # one evaluation serves all three: without M, A(-1, L) = A(1, L)
+        f = nf.eval_m(1)
+        dec = _decompose(f)
         cyc = dec if isinstance(dec, Violation) else dec[1]
         verdict = UNKNOT_OK if nf == _L_MINUS_1 and not claims_nontrivial_knot else FAIL
+        unit_plus = unit_minus = _unit_form(f)
     else:
         cyc, verdict = None, PASS
-    unit_plus = check_unit_evaluation(nf, 1)
-    # without M, A(-1, L) = A(1, L)
-    unit_minus = unit_plus if deg_m == 0 else check_unit_evaluation(nf, -1)
+        unit_plus, unit_minus = check_unit_evaluation(nf, 1), check_unit_evaluation(nf, -1)
     return AnalysisReport(
         name=name,
         deg_m=deg_m,

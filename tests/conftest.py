@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import strategies as st
 
-from apoly.poly import BivarPoly, UnivarPoly, charpoly
+from apoly.poly import BivarPoly, UnivarPoly
 
 M = BivarPoly({(1, 0): 1})
 L = BivarPoly({(0, 1): 1})
@@ -163,6 +163,41 @@ def two_bridge_alexander(pres):
     return {k: c for k, c in out.items() if c}
 
 
+def torus_alexander(a, b):
+    """The Alexander polynomial of the (a, b) torus knot as {exponent: c}:
+    Delta(t) = (t^(ab) - 1)(t - 1) / ((t^a - 1)(t^b - 1)), by sympy."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    num = sympy.Poly((t ** (a * b) - 1) * (t - 1), t)
+    quotient, remainder = num.div(sympy.Poly((t**a - 1) * (t**b - 1), t))
+    assert remainder.is_zero
+    return {k: int(c) for (k,), c in quotient.terms()}
+
+
+def alexander_divides_at_l1(a, delta):
+    """Whether A'(M, 1) is nonzero and the square-free part of Delta(M^2)
+    divides it in Z[M], where A' = A / (L - 1) and Delta is {exponent: c}
+    with a nonzero constant term (so powers of M do not matter).
+
+    The reducible characters at the roots of Delta(M^2) lie on the
+    non-abelian curve (Cooper-Culler-Gillet-Long-Shalen, Invent. Math.
+    1994; Heusener-Porti-Suarez, J. reine angew. Math. 2001). A'(M, 1) is
+    dA/dL at L = 1, given A(M, 1) = 0; sympy takes the square-free part
+    and divides, so no apoly kernel is involved.
+    """
+    import sympy
+
+    m = sympy.Symbol("M")
+    at_one = sympy.Poly(sum(c * m**i for (i, j), c in a.terms.items()), m)
+    derivative = sympy.Poly(sum(j * c * m**i for (i, j), c in a.terms.items()), m)
+    if not at_one.is_zero or derivative.is_zero:
+        return False
+    sqf = sympy.Poly(sum(c * m ** (2 * k) for k, c in delta.items()), m).sqf_part()
+    quotient, remainder = derivative.div(sqf)
+    return remainder.is_zero and all(c.is_integer for c in quotient.all_coeffs())
+
+
 class TriPolyInT:
     """Polynomial in an elimination variable t over BivarPoly coefficients;
     ``coeffs[k]`` is the coefficient of t^k, trailing zeros trimmed."""
@@ -192,12 +227,47 @@ def collect_t(terms):
     return TriPolyInT([BivarPoly(by_t.get(k)) for k in range(top + 1)]), dm
 
 
+def _dot(xs, ys):
+    acc = None
+    for x, y in zip(xs, ys):
+        acc = x * y if acc is None else acc + x * y
+    return acc
+
+
+def berkowitz_charpoly(matrix):
+    """Reference coefficients [1, c_1, ..., c_n] of det(x*I - A), highest
+    degree first, for a nonempty square list of rows of UnivarPoly or
+    BivarPoly entries: Berkowitz's division-free algorithm (Inf. Proc.
+    Letters 18, 1984) on the carriers' own + and *."""
+    one = type(matrix[0][0]).const(1)
+    poly = [one, -matrix[0][0]]
+    for r in range(1, len(matrix)):
+        row = matrix[r][:r]
+        col = [matrix[i][r] for i in range(r)]
+        # first Toeplitz column: 1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C
+        toeplitz = [one, -matrix[r][r]]
+        for k in range(r):
+            toeplitz.append(-_dot(row, col))
+            if k < r - 1:
+                col = [_dot(matrix[i][:r], col) for i in range(r)]
+        poly = [_dot(toeplitz[i::-1], poly) for i in range(r + 2)]
+    return poly
+
+
+def charpoly_by_terms(matrix):
+    """berkowitz_charpoly of a matrix of UnivarPoly in M, run on BivarPoly
+    copies: its products are the sparse term kernels, which share nothing
+    with apoly.poly.charpoly's coefficient lists. BivarPoly results."""
+    return berkowitz_charpoly([[BivarPoly.from_univar_m(u) for u in row] for row in matrix])
+
+
 def resultant_t(p, q):
     """Resultant of two TriPolyInT with respect to t, exact over Z[M, L].
 
     The Sylvester determinant with deg(p) rows of q's coefficients on top,
     so that Res_t(t - f, t - g) = g - f, computed division-free as the
-    constant term of the Sylvester matrix's characteristic polynomial.
+    constant term of the Sylvester matrix's characteristic polynomial
+    (berkowitz_charpoly).
     """
     if not p.coeffs or not q.coeffs:
         raise ValueError("resultant of the zero polynomial is undefined")
@@ -211,7 +281,7 @@ def resultant_t(p, q):
             row = [BivarPoly()] * size
             row[r : r + len(coeffs)] = reversed(coeffs)
             rows.append(row)
-    det = charpoly(rows)[size]
+    det = berkowitz_charpoly(rows)[size]
     return det if size % 2 == 0 else -det
 
 

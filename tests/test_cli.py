@@ -65,6 +65,11 @@ class TestCompute:
         assert code == 0
         assert out == run(capsys, "compute", "--two-bridge", "5", "3")[1]
 
+    def test_two_bridge_above_bound(self, capsys):
+        code, out = run(capsys, "compute", "--two-bridge", "27", "5")
+        assert code == 1
+        assert out == "error: two-bridge p = 27 is above the largest accepted, 25\n"
+
     def test_invalid_torus(self, capsys):
         code, out = run(capsys, "compute", "--torus", "2", "4")
         assert code == 1

@@ -5,6 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from apoly import knots
 from apoly.knots import (
     EliminationDegeneracyError,
     TorusKnot,
@@ -16,17 +17,25 @@ from apoly.knots import (
     two_bridge_presentation,
     unknot_a,
 )
-from apoly.knots import _longitude_charpoly, _squarefree_bivar
-from apoly.poly import BivarPoly, parse_poly
+from apoly.knots import (
+    _longitude_charpoly,
+    _longitude_entry,
+    _multiplication_matrix,
+    _squarefree_bivar,
+)
+from apoly.poly import BivarPoly, charpoly, parse_poly
 from apoly.structure import abelian_multiplicity
 
 from conftest import (
     L,
     TriPolyInT,
+    alexander_divides_at_l1,
+    charpoly_by_terms,
     collect_t,
     rel_residual,
     resultant_t,
     symmetry_check,
+    torus_alexander,
     two_bridge_alexander,
 )
 
@@ -143,6 +152,20 @@ class TestAlexanderOracle:
             delta = two_bridge_alexander(pres)
             sign = 1 if at_zero[max(at_zero)] * delta[max(delta)] > 0 else -1
             assert at_zero == {2 * k: sign * c for k, c in delta.items()}, (p, q)
+
+    @pytest.mark.parametrize("p", range(3, 18, 2))
+    def test_delta_divides_nonabelian_part_at_l1(self, p):
+        # the whole elimination: Delta(M^2)'s square-free part divides A'(M, 1)
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                delta = two_bridge_alexander(two_bridge_presentation(p, q))
+                assert alexander_divides_at_l1(eliminate_cached(p, q), delta), (p, q)
+
+    def test_torus_delta_divides_nonabelian_part_at_l1(self):
+        cases = [(a, b) for a in range(2, 8) for b in range(a + 1, 12) if gcd(a, b) == 1]
+        for a, b in cases:
+            assert alexander_divides_at_l1(torus_a(a, b), torus_alexander(a, b)), (a, b)
+        assert torus_alexander(2, 3) == {0: 1, 1: -1, 2: 1}
 
 
 # Laurent polynomials in M and t: {(M-exponent, t-exponent): coefficient}
@@ -267,6 +290,37 @@ class TestElimination:
                 _longitude_charpoly(phi, lam).normalize()
                 == resultant_t(collect_t(phi)[0], psi).normalize()
             )
+
+    @pytest.mark.parametrize("p", range(3, 22, 2))
+    def test_longitude_entry_matches_word(self, p):
+        # lambda = M^(-2e) (W_11 Wbar_11 + W_12 Wbar_21): the a^(-2e) tail is
+        # upper triangular with (1,1) entry M^(-2e)
+        mats = {"a": A_MAT, "b": B_MAT}
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                pres = two_bridge_presentation(p, q)
+                expected = sl2_word_eval(pres.longitude, mats)[0][0]
+                assert _longitude_entry(pres, sl2_word_eval(pres.w, mats)) == expected, (p, q)
+
+    @pytest.mark.parametrize("p", range(3, 14, 2))
+    def test_charpoly_matches_berkowitz_by_terms(self, p):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                pres = two_bridge_presentation(p, q)
+                lam = _longitude_entry(pres, sl2_word_eval(pres.w, {"a": A_MAT, "b": B_MAT}))
+                matrix, _ = _multiplication_matrix(riley_polynomial(p, q)[0], lam)
+                expected = charpoly_by_terms(matrix)
+                assert [BivarPoly.from_univar_m(c) for c in charpoly(matrix)] == expected, (p, q)
+
+    def test_rejects_p_above_bound(self, monkeypatch):
+        # rejected before any word is evaluated; the presentation still exists
+        def fail(*args):
+            raise AssertionError("evaluated a word")
+
+        monkeypatch.setattr(knots, "sl2_word_eval", fail)
+        with pytest.raises(ValueError, match=r"p = 27 is above the largest accepted, 25"):
+            eliminate_two_bridge(27, 5)
+        assert len(two_bridge_presentation(41, 3).w) == 40
 
     def test_non_unit_leading_coefficient(self):
         phi = {(0, 0): 1, (-1, 1): 2}  # 1 + 2*M^-1*t

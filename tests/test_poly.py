@@ -11,6 +11,7 @@ from apoly.poly import (
     PolyParseError,
     UnivarPoly,
     _decimal,
+    charpoly,
     format_poly,
     gcd_univar,
     parse_poly,
@@ -20,6 +21,7 @@ from conftest import (
     L,
     M,
     bivar_polys,
+    charpoly_by_terms,
     eval_complex,
     poly_expressions,
     rel_residual,
@@ -189,6 +191,54 @@ class TestSurgerySubstitution:
             if abs(v) < 1e-6:
                 continue  # v = 0 is outside C* x C*
             assert rel_residual(p, v ** (-n), v) < 1e-6
+
+
+# entries of a charpoly matrix: zero, constants, and dense lists whose
+# zeros include the low ones of a shifted entry and the odd ones of a
+# polynomial in M^2
+_entries = st.one_of(
+    st.just(UnivarPoly()),
+    st.integers(-9, 9).map(UnivarPoly.const),
+    st.lists(st.integers(-9, 9), max_size=7).map(UnivarPoly),
+    st.lists(st.integers(-50, 50), max_size=4).map(lambda cs: UnivarPoly([0, 0, 0, *cs])),
+    st.lists(st.integers(-9, 9), max_size=4).map(
+        lambda cs: UnivarPoly([c for x in cs for c in (x, 0)])
+    ),
+)
+
+
+@st.composite
+def univar_matrices(draw):
+    n = draw(st.integers(1, 7))
+    return [[draw(_entries) for _ in range(n)] for _ in range(n)]
+
+
+class TestCharpoly:
+    def test_two_by_two(self):
+        # det(x I - [[M, 1], [2, 3]]) = x^2 - (M + 3) x + 3M - 2
+        m = UnivarPoly([0, 1])
+        matrix = [[m, UnivarPoly.const(1)], [UnivarPoly.const(2), UnivarPoly.const(3)]]
+        assert charpoly(matrix) == [
+            UnivarPoly.const(1), UnivarPoly([-3, -1]), UnivarPoly([-2, 3])
+        ]
+
+    @given(univar_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_berkowitz_by_terms(self, matrix):
+        assert [BivarPoly.from_univar_m(c) for c in charpoly(matrix)] == charpoly_by_terms(matrix)
+
+    @given(st.lists(st.integers(-9, 9), max_size=8), st.lists(st.integers(-9, 9), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_univar_ring_matches_sums(self, f, g):
+        product = [0] * (len(f) + len(g))
+        for a, ca in enumerate(f):
+            for b, cb in enumerate(g):
+                product[a + b] += ca * cb
+        total = [x + y for x, y in zip(f + [0] * len(g), g + [0] * len(f))]
+        difference = [x - y for x, y in zip(f + [0] * len(g), g + [0] * len(f))]
+        assert UnivarPoly(f) * UnivarPoly(g) == UnivarPoly(product)
+        assert UnivarPoly(f) + UnivarPoly(g) == UnivarPoly(total)
+        assert UnivarPoly(f) - UnivarPoly(g) == UnivarPoly(difference)
 
 
 class TestUnivarGcd:

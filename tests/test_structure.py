@@ -459,15 +459,26 @@ class TestMonicity:
     def test_degree_zero_evaluates_one_unit(self, monkeypatch):
         # without M, A(-1, L) = A(1, L): the evaluation at 1 serves both
         calls = []
-        check = structure.check_unit_evaluation
-        monkeypatch.setattr(
-            structure, "check_unit_evaluation", lambda a, m: calls.append(m) or check(a, m)
-        )
+        eval_m = BivarPoly.eval_m
+        monkeypatch.setattr(BivarPoly, "eval_m", lambda p, m: calls.append(m) or eval_m(p, m))
         a = parse_poly("(L - 1)*(L + 1)^2*L^3")
         report = analyze(a)
         assert calls == [1]
         minus = check_unit_evaluation(a.normalize(), -1)
         assert report.unit_eval_minus == report.unit_eval_plus == minus
+
+    def test_degree_zero_decomposes_the_same_evaluation(self, monkeypatch):
+        # the decomposition and the unit evaluations share one A(1, L)
+        calls = []
+        eval_m = BivarPoly.eval_m
+        monkeypatch.setattr(BivarPoly, "eval_m", lambda p, m: calls.append(m) or eval_m(p, m))
+        a = parse_poly("(L-1)*(L+1)^2")
+        report = analyze(a)
+        assert calls == [1]
+        monkeypatch.undo()
+        assert report.cyclotomic == mdeg_trivial_decomposition(a)
+        assert report.cyclotomic == Violation("repeated cyclotomic factor of order 2")
+        assert report.unit_eval_plus == check_unit_evaluation(a, 1)
 
 
 def verdict(a, claims_nontrivial_knot):
