@@ -16,12 +16,14 @@ PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts. Two parts:
   timing the phases of ``verify-db --json`` on one 600-record table of
   the ``verify-db`` workload (seed 7, table 3): interpreter and ``site``
   (a ``python -c pass``), the imports ``verify-db`` needs, argparse,
-  ``load_table``, ``verify_all``, ``as_dict`` and ``json.dumps``.
+  ``load_table``, ``verify_all``, ``as_dict`` and ``apoly.cli._emit_json``
+  (the ``--json`` writer, its output sent to ``os.devnull``).
 
 Both sides run without a bytecode cache (PYTHONDONTWRITEBYTECODE=1), so
 every run compiles apoly's source, as an uninstalled checkout does.
 OUT.json gets per-side medians and quartiles, the pair wins and every raw
-result.
+result, under the label of its file name (``BENCH_<label>.json``). WHAT
+says what the two sides differ in.
 """
 
 from __future__ import annotations
@@ -36,17 +38,24 @@ import tempfile
 import time
 from pathlib import Path
 
+WHAT = (
+    "verify-db's two text layers: parse_poly finds lexical errors with one regex search, "
+    "lists its tokens with one findall and multiplies a term's integers and powers of M "
+    "and L into one monomial; every --json output is written by apoly.cli's own indent-2 "
+    "writer, whose strings go through the C encoder, in place of json.dumps(indent=2)."
+)
 PAIRS = (
-    [("verify-db", s) for s in range(961, 971)]
-    + [("twobridge", s) for s in range(971, 975)]
-    + [("degree-zero", s) for s in range(981, 985)]
+    [("verify-db", s) for s in range(1501, 1511)]
+    + [("twobridge", s) for s in range(1511, 1515)]
+    + [("degree-zero", s) for s in range(1521, 1525)]
 )
 METRICS = ("setup_s", "ops_per_s", "op_gmean_s", "peak_rss_mb")
 HIGHER_IS_BETTER = {"ops_per_s"}
 PHASE_RUNS = 40
 
 PHASE_CHILD = """
-import json, sys, time
+import json, os, sys, time
+devnull = open(os.devnull, "w")
 t0 = time.perf_counter()
 import apoly.cli
 from apoly import db
@@ -59,10 +68,13 @@ report = db.verify_all(loaded.records)
 t4 = time.perf_counter()
 d = report.as_dict()
 t5 = time.perf_counter()
-json.dumps(d, indent=2)
+sys.stdout = devnull
+apoly.cli._emit_json(d)
+sys.stdout.flush()
+sys.stdout = sys.__stdout__
 t6 = time.perf_counter()
 print(json.dumps({"import": t1 - t0, "argparse": t2 - t1, "load_table": t3 - t2,
-                  "verify_all": t4 - t3, "as_dict": t5 - t4, "json_dumps": t6 - t5}))
+                  "verify_all": t4 - t3, "as_dict": t5 - t4, "emit_json": t6 - t5}))
 """
 
 
@@ -169,14 +181,11 @@ def main():
     pairs = run_pairs(roots, PAIRS)
     summary = summarize(pairs, roots)
 
+    out = Path(sys.argv[3])
     doc = {
-        "label": "verify_db_overhead",
-        "what": "verify-db's per-record and per-process overhead: parse_poly builds term dicts "
-                "and one BivarPoly, recognition rows of degree <= 64 are cached, the unit "
-                "evaluations at M = +/-1 build no powers (one evaluation when deg_M = 0), and "
-                "apoly.cli imports each command's modules inside that command.",
-        "command": "python3 scripts/bench_verify_db_overhead.py PARENT_ROOT CHANGE_ROOT "
-                   "BENCH_verify_db_overhead.json",
+        "label": out.stem.removeprefix("BENCH_"),
+        "what": WHAT,
+        "command": f"python3 scripts/bench_verify_db_overhead.py PARENT_ROOT CHANGE_ROOT {out.name}",
         "protocol": "perfbench/run.py --seconds 20 --trace 0 per side and pair, the side that "
                     "runs first alternating from pair to pair; no bytecode cache on either side. "
                     "Phases: median of 40 fresh interpreters per side, alternating, in ms.",
@@ -187,7 +196,7 @@ def main():
                       "runs_per_side": PHASE_RUNS, **phase_table(roots)},
         "pairs": pairs,
     }
-    Path(sys.argv[3]).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -19,6 +19,15 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+# same_as_json_dumps: $tmp/out is json.dumps(its value, indent=2) and a newline
+same_as_json_dumps() {
+  python3 - "$tmp/out" <<'EOF'
+import json, sys
+text = open(sys.argv[1], encoding="utf-8").read()
+assert text == json.dumps(json.loads(text), indent=2) + "\n"
+EOF
+}
+
 # expect CODE ARGS...: run apoly ARGS with stdout in $tmp/out, require exit CODE
 expect() {
   local want=$1 code=0
@@ -72,6 +81,7 @@ python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['records'][0][
 # the replay lists every point of a group: 12 for L^12 - 1 at each step,
 # counted by v_order as the primitive roots of each divisor of 12, all u = 1
 expect 0 replay "L^12 - 1" --json
+same_as_json_dumps
 python3 - "$tmp/out" <<'EOF'
 import json, sys
 from collections import Counter
@@ -141,5 +151,15 @@ expect 0 verify-db "$tmp/raw_db.txt" --json
 mv "$tmp/out" "$tmp/raw_db.json"
 expect 0 verify-db "$tmp/nf_db.txt" --json
 cmp "$tmp/out" "$tmp/raw_db.json"
+
+# verify-db --json is json.dumps(indent=2) byte for byte, also for a record
+# named with a non-ASCII letter, a quote and a backslash
+printf 'caf\xc3\xa9 "q" \\b ; L^2*M^6 - L*M^6 + L - 1\nunknot ; L - 1\n' > "$tmp/names_db.txt"
+expect 0 verify-db "$tmp/names_db.txt" --json
+same_as_json_dumps
+python3 - "$tmp/out" <<'EOF'
+import json, sys
+assert json.load(open(sys.argv[1]))["records"][0]["name"] == 'café "q" \\b'
+EOF
 
 echo "smoke_cli: all checks hold"

@@ -6,16 +6,54 @@ Each command imports the modules it uses, so a run loads only its own.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .poly import PolyParseError, format_poly, parse_poly
 
 __all__ = ["main"]
 
 
+def _json_parts(obj, indent, out):
+    """Append the text of obj, as json.dumps(obj, indent=2) writes it at
+    the indent given, to the list out. The standard encoder runs in pure
+    Python whenever indent is set; this one writes strings in C."""
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in obj:
+            out.append(sep)
+            _json_parts(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, dict) and obj:
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _json_str(key) + ": ")
+            _json_parts(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple, dict)):
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit_json(obj):
-    print(json.dumps(obj, indent=2))
+    """Print obj as json.dumps(obj, indent=2) would, byte for byte."""
+    out = []
+    _json_parts(obj, "", out)
+    print("".join(out))
 
 
 def _parse_or_exit(text):
@@ -203,7 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    code = args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`apoly ... | head -1`): nothing more can
+        # be written, and the flush at exit writes what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     if argv is None:
         sys.exit(code)
     return code

@@ -116,7 +116,7 @@ class UnivarPoly:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        object.__setattr__(self, "coeffs", tuple(map(int, cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("UnivarPoly is immutable")
@@ -562,9 +562,6 @@ class PolyParseError(ValueError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[ML])|(?P<caret>\^)|(?P<star>\*)"
-                       r"|(?P<plus>\+)|(?P<minus>-)|(?P<lparen>\()|(?P<rparen>\))|(?P<bad>\S))")
-
 # Longest integer literal accepted, checked here so that the bound does not
 # depend on the interpreter's own int() digit limit (absent before 3.10.7).
 # The same bound holds for every coefficient after expansion, where it is
@@ -573,8 +570,16 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[ML])|(?P<caret>\^)|(?P<star
 _MAX_DIGITS = 4300
 _COEFF_BOUND = 10**_MAX_DIGITS
 
-# Deepest nesting accepted, far inside the recursion limit (3 frames a level)
+# Deepest nesting accepted, far inside the recursion limit (1 frame a level)
 _MAX_DEPTH = 200
+
+# The first character outside the grammar or integer literal too long to
+# accept: either is an error before any grammar error.
+_LEXICAL_ERROR_RE = re.compile(rf"[^\s\dML^*+()-]|\d{{{_MAX_DIGITS + 1},}}")
+# One token per match: an integer, M or L with its optional exponent, or any
+# other single character.
+_FACTOR_TOKEN_RE = re.compile(r"\s*(\d+|[ML](?:\s*\^\s*\d+)?|\S)")
+_PAREN_RE = re.compile(r"[()]")
 
 
 def _decimal(n):
@@ -592,24 +597,37 @@ def _error(msg, text, offset):
     raise PolyParseError(msg, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text):
-    """(kind, text, offset) triples, then an "end" token just past the last."""
-    tokens = []
-    depth = 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok, offset = m.group(kind), m.start(kind)
-        if kind == "bad":
-            _error(f"unexpected character {tok!r}", text, offset)
-        if kind == "int" and len(tok) > _MAX_DIGITS:
-            msg = f"integer literal of {len(tok)} digits is longer than {_MAX_DIGITS}"
-            _error(msg, text, offset)
-        depth += (kind == "lparen") - (kind == "rparen")
-        if depth > _MAX_DEPTH:
-            _error(f"parentheses nested deeper than {_MAX_DEPTH}", text, offset)
-        tokens.append((kind, tok, offset))
-    tokens.append(("end", "", m.end() if tokens else 0))
-    return tokens
+def _token_error(msg, text, k):
+    """Raise PolyParseError at the k-th token of text, or just past the last
+    token when k is the number of tokens. Offsets are found only here."""
+    offset = 0
+    for n, m in enumerate(_FACTOR_TOKEN_RE.finditer(text)):
+        if n == k:
+            offset = m.start(1)
+            break
+        offset = m.end()
+    _error(msg, text, offset)
+
+
+def _check_lexical(text):
+    """Raise the lexical error that comes first in text, if any: a
+    character outside the grammar, an integer literal longer than
+    _MAX_DIGITS or a parenthesis nested deeper than _MAX_DEPTH."""
+    bad = _LEXICAL_ERROR_RE.search(text)
+    stop = bad.start() if bad else len(text)
+    # the depth never exceeds the number of '(' before it
+    if text.count("(", 0, stop) > _MAX_DEPTH:
+        depth = 0
+        for m in _PAREN_RE.finditer(text, 0, stop):
+            depth += 1 if m.group() == "(" else -1
+            if depth > _MAX_DEPTH:
+                _error(f"parentheses nested deeper than {_MAX_DEPTH}", text, m.start())
+    if bad:
+        tok = bad.group()
+        if len(tok) > _MAX_DIGITS:
+            _error(f"integer literal of {len(tok)} digits is longer than {_MAX_DIGITS}",
+                   text, stop)
+        _error(f"unexpected character {tok!r}", text, stop)
 
 
 def parse_poly(text: str) -> BivarPoly:
@@ -624,79 +642,87 @@ def parse_poly(text: str) -> BivarPoly:
     emits them. Each of these is a PolyParseError at its position: an
     integer literal longer than 4300 digits, a parenthesis nested deeper
     than 200 and, at the first token, a coefficient of the expanded result
-    longer than 4300 digits.
+    longer than 4300 digits. Lexical errors (a character outside the
+    grammar, a long literal, deep nesting) come before grammar errors, and
+    among each kind the first in the text is raised.
     """
-    tokens = _tokenize(text)
-    idx = 0
+    _check_lexical(text)
+    tokens = _FACTOR_TOKEN_RE.findall(text)
+    tokens.append("")  # the end
+    k = 0
 
-    def peek():
-        return tokens[idx]
-
-    def take():
-        nonlocal idx
-        t = tokens[idx]
-        idx += 1
-        return t
-
-    def parse_exponent():
-        if peek()[0] != "caret":
-            return 1
-        take()
-        etok = take()
-        if etok[0] != "int":
-            _error("expected exponent after '^'", text, etok[2])
-        return int(etok[1])
-
-    # Each rule returns a term dict {(i, j): c}; only the result becomes a
-    # BivarPoly. An integer factor may map to 0, which products and sums drop.
-    def parse_factor():
-        kind, val, offset = peek()
-        if kind == "int":
-            take()
-            return {(0, 0): int(val)}
-        if kind == "var":
-            take()
-            e = parse_exponent()
-            return {(e, 0) if val == "M" else (0, e): 1}
-        if kind == "lparen":
-            take()
-            inner = parse_expression()
-            if peek()[0] != "rparen":
-                _error("expected ')'", text, peek()[2])
-            take()
-            e = parse_exponent()
-            return inner if e == 1 else (BivarPoly(inner) ** e).terms
-        _error("expected a term", text, offset)
-
-    def parse_term():
-        result = parse_factor()
-        while True:
-            kind = peek()[0]
-            if kind == "star":
-                take()
-            elif kind not in ("int", "var", "lparen"):
-                return result
-            result = _mul_terms(result, parse_factor())
-
-    def parse_expression():
-        # every term is added into one dict, so a sum of n terms costs O(n)
+    # Returns the term dict {(i, j): c} of the expression starting at
+    # tokens[k] and leaves k at the token after it. Integers and powers of
+    # M and L multiply into one monomial per term; only parenthesized
+    # factors are multiplied as term dicts.
+    def expression():
+        nonlocal k
         terms = {}
         sign = 1
-        if peek()[0] in ("plus", "minus"):
-            sign = -1 if take()[0] == "minus" else 1
+        tok = tokens[k]
+        if tok == "+" or tok == "-":
+            sign = -1 if tok == "-" else 1
+            k += 1
         while True:
-            _add_terms(terms, parse_term(), sign)
-            if peek()[0] not in ("plus", "minus"):
+            c, i, j = sign, 0, 0
+            product = None
+            while True:
+                tok = tokens[k]
+                head = tok[:1]
+                if head == "M" or head == "L":
+                    if len(tok) > 1:
+                        e = int(tok.partition("^")[2].lstrip())
+                    elif tokens[k + 1] == "^":
+                        # an integer exponent would be part of this token
+                        _token_error("expected exponent after '^'", text, k + 2)
+                    else:
+                        e = 1
+                    if head == "M":
+                        i += e
+                    else:
+                        j += e
+                    k += 1
+                elif head == "(":
+                    k += 1
+                    inner = expression()
+                    if tokens[k] != ")":
+                        _token_error("expected ')'", text, k)
+                    k += 1
+                    if tokens[k] == "^":
+                        etok = tokens[k + 1]
+                        if not etok[:1].isdecimal():
+                            _token_error("expected exponent after '^'", text, k + 1)
+                        k += 2
+                        e = int(etok)
+                        if e != 1:
+                            inner = (BivarPoly(inner) ** e).terms
+                    product = inner if product is None else _mul_terms(product, inner)
+                elif head.isdecimal():
+                    c *= int(tok)
+                    k += 1
+                else:
+                    _token_error("expected a term", text, k)
+                tok = tokens[k]
+                if tok == "*":
+                    k += 1
+                elif tok in "^+-)":  # or the end
+                    break
+            if product is None:
+                _add_terms(terms, {(i, j): c})
+            else:
+                _add_terms(terms, {(a + i, b + j): c * v for (a, b), v in product.items()})
+            if tok != "+" and tok != "-":
                 return terms
-            sign = -1 if take()[0] == "minus" else 1
+            sign = -1 if tok == "-" else 1
+            k += 1
 
-    result = BivarPoly(parse_expression())
-    if peek()[0] != "end":
-        _error("unexpected trailing input", text, peek()[2])
+    result = BivarPoly(expression())
+    if tokens[k]:
+        _token_error("unexpected trailing input", text, k)
     for (i, j), c in result.terms.items():
         if abs(c) >= _COEFF_BOUND:
             msg = f"expanded coefficient of M^{i}*L^{j} is longer than {_MAX_DIGITS} digits"
-            _error(msg, text, tokens[0][2])
+            _token_error(msg, text, 0)
     return result
 
 

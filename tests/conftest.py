@@ -1,12 +1,22 @@
 import cmath
 import random
+import re
 from itertools import accumulate
 from math import gcd
 
 import pytest
 from hypothesis import strategies as st
 
-from apoly.poly import BivarPoly, UnivarPoly
+from apoly.poly import (
+    _COEFF_BOUND,
+    _MAX_DEPTH,
+    _MAX_DIGITS,
+    BivarPoly,
+    UnivarPoly,
+    _add_terms,
+    _error,
+    _mul_terms,
+)
 
 M = BivarPoly({(1, 0): 1})
 L = BivarPoly({(0, 1): 1})
@@ -259,6 +269,106 @@ def charpoly_by_terms(matrix):
     copies: its products are the sparse term kernels, which share nothing
     with apoly.poly.charpoly's coefficient lists. BivarPoly results."""
     return berkowitz_charpoly([[BivarPoly.from_univar_m(u) for u in row] for row in matrix])
+
+
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[ML])|(?P<caret>\^)|(?P<star>\*)"
+                       r"|(?P<plus>\+)|(?P<minus>-)|(?P<lparen>\()|(?P<rparen>\))|(?P<bad>\S))")
+
+
+def _tokenize(text):
+    """(kind, text, offset) triples, then an "end" token just past the last."""
+    tokens = []
+    depth = 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok, offset = m.group(kind), m.start(kind)
+        if kind == "bad":
+            _error(f"unexpected character {tok!r}", text, offset)
+        if kind == "int" and len(tok) > _MAX_DIGITS:
+            msg = f"integer literal of {len(tok)} digits is longer than {_MAX_DIGITS}"
+            _error(msg, text, offset)
+        depth += (kind == "lparen") - (kind == "rparen")
+        if depth > _MAX_DEPTH:
+            _error(f"parentheses nested deeper than {_MAX_DEPTH}", text, offset)
+        tokens.append((kind, tok, offset))
+    tokens.append(("end", "", m.end() if tokens else 0))
+    return tokens
+
+
+def parse_poly_by_tokens(text):
+    """Reference parser for apoly.poly.parse_poly: the same grammar, bounds
+    and messages, by recursive descent over a list of (kind, text, offset)
+    tokens with one rule per grammar symbol, every factor a term dict and
+    every product a _mul_terms call."""
+    tokens = _tokenize(text)
+    idx = 0
+
+    def peek():
+        return tokens[idx]
+
+    def take():
+        nonlocal idx
+        t = tokens[idx]
+        idx += 1
+        return t
+
+    def parse_exponent():
+        if peek()[0] != "caret":
+            return 1
+        take()
+        etok = take()
+        if etok[0] != "int":
+            _error("expected exponent after '^'", text, etok[2])
+        return int(etok[1])
+
+    def parse_factor():
+        kind, val, offset = peek()
+        if kind == "int":
+            take()
+            return {(0, 0): int(val)}
+        if kind == "var":
+            take()
+            e = parse_exponent()
+            return {(e, 0) if val == "M" else (0, e): 1}
+        if kind == "lparen":
+            take()
+            inner = parse_expression()
+            if peek()[0] != "rparen":
+                _error("expected ')'", text, peek()[2])
+            take()
+            e = parse_exponent()
+            return inner if e == 1 else (BivarPoly(inner) ** e).terms
+        _error("expected a term", text, offset)
+
+    def parse_term():
+        result = parse_factor()
+        while True:
+            kind = peek()[0]
+            if kind == "star":
+                take()
+            elif kind not in ("int", "var", "lparen"):
+                return result
+            result = _mul_terms(result, parse_factor())
+
+    def parse_expression():
+        terms = {}
+        sign = 1
+        if peek()[0] in ("plus", "minus"):
+            sign = -1 if take()[0] == "minus" else 1
+        while True:
+            _add_terms(terms, parse_term(), sign)
+            if peek()[0] not in ("plus", "minus"):
+                return terms
+            sign = -1 if take()[0] == "minus" else 1
+
+    result = BivarPoly(parse_expression())
+    if peek()[0] != "end":
+        _error("unexpected trailing input", text, peek()[2])
+    for (i, j), c in result.terms.items():
+        if abs(c) >= _COEFF_BOUND:
+            msg = f"expanded coefficient of M^{i}*L^{j} is longer than {_MAX_DIGITS} digits"
+            _error(msg, text, tokens[0][2])
+    return result
 
 
 def resultant_t(p, q):

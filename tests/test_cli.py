@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,8 +8,10 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apoly.cli import main
+from apoly.cli import _emit_json, main
 from apoly.poly import BivarPoly
 
 FIXTURES = resources.files("apoly.data") / "fixtures.txt"
@@ -418,3 +422,59 @@ def test_cli_import_loads_no_command_module():
     assert "apoly.poly" in imported
     commands = {"apoly.db", "apoly.knots", "apoly.newton", "apoly.structure", "apoly.surgery"}
     assert not commands & imported
+
+
+# strings with non-ASCII characters, quotes, backslashes and control characters
+JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7fé€𝄞'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=25,
+)
+
+
+def emitted(value):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit_json(value)
+    return buf.getvalue()
+
+
+@given(JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_emit_json_matches_json_dumps(value):
+    assert emitted(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1.5}, {"x": object()}, [1, b"x"], {1: 2}])
+def test_emit_json_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        emitted(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["replay", "L^60 - 1", "--nmax", "30", "--json"], ["verify-db", str(FIXTURES)]],
+    ids=["replay", "verify-db"],
+)
+def test_closed_stdout_exits_1_quietly(argv):
+    # a pipe whose reader is gone, as for `apoly ... | head -1` once head exits
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "apoly.cli"] + argv,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")

@@ -1,9 +1,10 @@
 import decimal
+import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apoly.poly import (
@@ -23,6 +24,7 @@ from conftest import (
     bivar_polys,
     charpoly_by_terms,
     eval_complex,
+    parse_poly_by_tokens,
     poly_expressions,
     rel_residual,
     substitute_surgery,
@@ -266,6 +268,20 @@ class TestUnivarGcd:
             gcd_univar(UnivarPoly(), UnivarPoly())
 
 
+# the grammar's alphabet, a character outside it, and literals at and past
+# the 4300-digit bound
+GRAMMAR_PIECES = ["M", "L", "^", "*", "+", "-", "(", ")", "0", "1", "2", "7", " ", "\n",
+                  "x", "M^", "^2", "9" * 4300, "9" * 4301]
+
+
+def parse_outcome(parse, text):
+    """The terms in order, or the error text with its line and column."""
+    try:
+        return list(parse(text).terms.items())
+    except PolyParseError as exc:
+        return str(exc)
+
+
 class TestGrammar:
     def test_simple(self):
         assert parse_poly("L - 1") == L - one
@@ -335,6 +351,36 @@ class TestGrammar:
             parse_poly(f"L + (1{'0' * 2150}*M)^2")
         assert "expanded coefficient of M^2*L^0" in str(exc.value)
         assert (exc.value.line, exc.value.col) == (1, 1)
+
+    @given(st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=25).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_token_parser(self, text):
+        # a power of a power, or a two-digit exponent, is slow in both alike
+        assume(len(re.findall(r"\)\s*\^", text)) <= 1)
+        assume(not re.search(r"\)\s*\^\s*\d\d", text))
+        assert parse_outcome(parse_poly, text) == parse_outcome(parse_poly_by_tokens, text)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("M ^ 2", [((2, 0), 1)]),
+            ("1 2", [((0, 0), 2)]),
+            ("M2L3", [((1, 1), 6)]),
+            ("L^2^3", "unexpected trailing input (line 1, column 4)"),
+            ("M--L", "expected a term (line 1, column 3)"),
+            ("", "expected a term (line 1, column 1)"),
+            ("(" * 201 + "$", "parentheses nested deeper than 200 (line 1, column 201)"),
+            ("(L)" * 201 + "$" + "(" * 201, "unexpected character '$' (line 1, column 604)"),
+            ("9" * 4301 + " $", "integer literal of 4301 digits is longer than 4300 (line 1, column 1)"),
+            ("$ " + "9" * 4301, "unexpected character '$' (line 1, column 1)"),
+            ("+", "expected a term (line 1, column 2)"),
+        ],
+        ids=["spaced-power", "juxtaposed-integers", "juxtaposed-factors", "double-power",
+             "double-sign", "empty", "deep-then-bad", "bad-then-deep", "long-then-bad", "bad-then-long", "sign-alone"],
+    )
+    def test_edge_cases_match_token_parser(self, text, expected):
+        assert parse_outcome(parse_poly, text) == expected
+        assert parse_outcome(parse_poly_by_tokens, text) == expected
 
     def test_long_sum_parses_in_linear_time(self):
         # copying the term dict once per term made this sum take minutes
