@@ -40,6 +40,15 @@ expect() {
   fi
 }
 
+# expect_within SECONDS CODE ARGS...: expect, with apoly stopped after SECONDS
+expect_within() {
+  local limit=$1 saved=("${apoly[@]}")
+  shift
+  apoly=(timeout "$limit" "${saved[@]}")
+  expect "$@"
+  apoly=("${saved[@]}")
+}
+
 expect 0 compute --two-bridge 5 3
 expect 0 compute --two-bridge 7 2
 
@@ -56,6 +65,20 @@ expect 1 analyze --file "$tmp/long.txt"
 # so is a coefficient past 4300 digits after expansion, exit 1
 python3 -c "print('(' + '9' * 3000 + '*L - 1)^2')" > "$tmp/product.txt"
 expect 1 analyze --file "$tmp/product.txt"
+
+# a parenthesized power past the expansion bound is an error at its '^',
+# exit 1, found before any multiplication
+expect_within 5 1 analyze "(L-1)^11000000000000000000000000000007"
+grep -q "^error: power too large to expand: .*(line 1, column 6)" "$tmp/out"
+
+# roots 2 and 3 do not let every cyclotomic order through recognition's
+# filters: this takes about as long as L^2000 - 1 alone
+expect_within 10 0 analyze "(L-2)*(L-3)*(L^2000-1)" --json
+python3 - "$tmp/out" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["cyclotomic"] == {"violation": "not a product of cyclotomic polynomials"}, report
+EOF
 
 # the replay's d is the lcm of the cyclotomic orders
 expect 0 replay "L^60 - 1" --json

@@ -40,8 +40,6 @@ from ._record import Record
 from .poly import _L_MINUS_1, BivarPoly, UnivarPoly, _add_terms, _mul_terms, charpoly, gcd_univar
 
 __all__ = [
-    "TorusKnot",
-    "TwoBridgeKnot",
     "GroupPresentation",
     "unknot_a",
     "torus_a",
@@ -50,32 +48,6 @@ __all__ = [
     "eliminate_two_bridge",
     "EliminationDegeneracyError",
 ]
-
-
-class TorusKnot(Record):
-    __slots__ = ("p", "q")
-
-    def __init__(self, p, q):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        if abs(p) < 2 or abs(q) < 2:
-            raise ValueError("torus knot parameters need |p| >= 2 and |q| >= 2")
-        if gcd(p, q) != 1:
-            raise ValueError("p and q must be coprime")
-
-
-class TwoBridgeKnot(Record):
-    __slots__ = ("p", "q")
-
-    def __init__(self, p, q):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        if p < 3 or p % 2 == 0:
-            raise ValueError("two-bridge p must be odd and >= 3")
-        if not (0 < q < p):
-            raise ValueError("two-bridge q must satisfy 0 < q < p")
-        if gcd(p, q) != 1:
-            raise ValueError("p and q must be coprime")
 
 
 class GroupPresentation(Record):
@@ -107,7 +79,12 @@ def two_bridge_presentation(p: int, q: int) -> GroupPresentation:
     qtilde is the odd representative of q modulo 2p in (-p, p); w
     alternates b, a, ... with those exponents. The relator is a w = w b.
     """
-    TwoBridgeKnot(p, q)  # validate
+    if p < 3 or p % 2 == 0:
+        raise ValueError("two-bridge p must be odd and >= 3")
+    if not (0 < q < p):
+        raise ValueError("two-bridge q must satisfy 0 < q < p")
+    if gcd(p, q) != 1:
+        raise ValueError("p and q must be coprime")
     qt = q if q % 2 == 1 else q - p
     eps = tuple(-1 if (i * qt) // p % 2 else 1 for i in range(1, p))
     w = tuple(("b" if i % 2 == 0 else "a", e) for i, e in enumerate(eps))
@@ -170,13 +147,6 @@ def _riley_phi(w):
     """
     left, right = _mat_mul(_NORMAL_FORM["a"], w), _mat_mul(w, _NORMAL_FORM["b"])
     return _add_terms(left[0][1], right[0][1], -1)
-
-
-def riley_polynomial(p: int, q: int):
-    """The representation condition phi(M, t) = 0, as a Laurent dict
-    {(M-exponent, t-exponent): c}, and the presentation."""
-    pres = two_bridge_presentation(p, q)
-    return _riley_phi(sl2_word_eval(pres.w, _NORMAL_FORM)), pres
 
 
 def _longitude_entry(pres, w):
@@ -332,7 +302,10 @@ def torus_a(p: int, q: int) -> BivarPoly:
     sign only when both parameters exceed 2. Negative parameters (mirror
     images) invert the longitude eigenvalue.
     """
-    TorusKnot(p, q)  # validate
+    if abs(p) < 2 or abs(q) < 2:
+        raise ValueError("torus knot parameters need |p| >= 2 and |q| >= 2")
+    if gcd(p, q) != 1:
+        raise ValueError("p and q must be coprime")
     mirror = (p * q) < 0
     a, b = abs(p), abs(q)
     pq = a * b

@@ -1,8 +1,9 @@
 """Newton polygons of bivariate polynomials.
 
 Convex hulls are computed with exact integer cross products (monotone
-chain); edge slopes are lowest-terms fractions of L-exponent over
-M-exponent, with a distinguished VERTICAL tag, and polygons render to
+chain). The hull's edges are its consecutive vertex pairs, cyclically, and
+a segment's one pair; edge slopes are lowest-terms fractions of L-exponent
+over M-exponent, with a distinguished VERTICAL tag, and polygons render to
 deterministic SVG.
 """
 
@@ -15,7 +16,6 @@ from .poly import BivarPoly
 
 __all__ = [
     "VERTICAL",
-    "Edge",
     "NewtonPolygon",
     "support",
     "convex_hull",
@@ -39,17 +39,10 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-class Edge(Record):
-    __slots__ = ("start", "end", "slope")
-
-    def __init__(self, start, end, slope):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "slope", slope)  # Fraction or VERTICAL
-
-    @property
-    def is_vertical(self):
-        return self.slope == VERTICAL
+def _edges(vs):
+    """The (start, end) vertex pairs of the hull edges; none for a single
+    point, and one, not two, for a segment."""
+    return zip(vs, vs[1:] + vs[:1] if len(vs) > 2 else vs[1:])
 
 
 class NewtonPolygon(Record):
@@ -65,17 +58,6 @@ class NewtonPolygon(Record):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "degenerate", degenerate)
-
-    def edges(self):
-        """Hull edges with slope tags; empty for a single point."""
-        from fractions import Fraction
-
-        vs = self.vertices
-        ends = vs[1:] + vs[:1] if len(vs) > 2 else vs[1:]  # a segment has one edge, not two
-        return [
-            Edge(a, b, VERTICAL if a[0] == b[0] else Fraction(b[1] - a[1], b[0] - a[0]))
-            for a, b in zip(vs, ends)
-        ]
 
 
 def convex_hull(points) -> NewtonPolygon:
@@ -110,7 +92,12 @@ def edge_slopes(poly: NewtonPolygon):
     """Multiset (list) of slope tags, one entry per hull edge."""
     if len(poly.vertices) < 2:
         raise ValueError("a single-point polygon has no edges")
-    return [e.slope for e in poly.edges()]
+    from fractions import Fraction
+
+    return [
+        VERTICAL if a[0] == b[0] else Fraction(b[1] - a[1], b[0] - a[0])
+        for a, b in _edges(poly.vertices)
+    ]
 
 
 def has_vertical_edge(poly: NewtonPolygon) -> bool:
@@ -118,7 +105,7 @@ def has_vertical_edge(poly: NewtonPolygon) -> bool:
     vs = poly.vertices
     if len(vs) < 2:
         raise ValueError("vertical-edge test needs at least two distinct points")
-    return any(vs[k - 1][0] == vs[k][0] for k in range(len(vs)))
+    return any(a[0] == b[0] for a, b in _edges(vs))
 
 
 # what XML 1.0's Char production leaves out; compiled on first use, not at import
@@ -188,11 +175,11 @@ def render_svg(poly: NewtonPolygon, title: str = "") -> str:
         )
         closing = " Z" if len(poly.vertices) > 2 else ""
         lines.append(f'<path class="hull" d="{path}{closing}"/>')
-        for e in poly.edges():
-            if e.is_vertical:
+        for a, b in _edges(poly.vertices):
+            if a[0] == b[0]:
                 lines.append(
-                    f'<line class="vertical" x1="{sx(e.start[0]):.2f}" y1="{sy(e.start[1]):.2f}" '
-                    f'x2="{sx(e.end[0]):.2f}" y2="{sy(e.end[1]):.2f}"/>'
+                    f'<line class="vertical" x1="{sx(a[0]):.2f}" y1="{sy(a[1]):.2f}" '
+                    f'x2="{sx(b[0]):.2f}" y2="{sy(b[1]):.2f}"/>'
                 )
     for p in pts:
         lines.append(f'<circle class="dot" cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="4"/>')

@@ -30,7 +30,7 @@ function, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import re
-from math import comb, gcd
+from math import comb, gcd, log2
 
 __all__ = [
     "UnivarPoly",
@@ -573,6 +573,15 @@ _COEFF_BOUND = 10**_MAX_DIGITS
 # Deepest nesting accepted, far inside the recursion limit (1 frame a level)
 _MAX_DEPTH = 200
 
+# A parenthesized power (B)^e is bounded before it is expanded. Each of its
+# coefficients has at most b = e * log2(sum of |coefficients of B|) bits,
+# and it has at most n terms, the lesser of (e*span_M + 1)(e*span_L + 1)
+# and C(e + T - 1, T - 1) for B's T terms. It needs b <= _MAX_POWER_BITS,
+# far above the 4300-digit bound, which then names the coefficient, and
+# n^2 * b <= _MAX_POWER_COST, the order of its cost: (L-1)^2047 takes 3 s.
+_MAX_POWER_BITS = 1 << 16
+_MAX_POWER_COST = 1 << 33
+
 # The first character outside the grammar or integer literal too long to
 # accept: either is an error before any grammar error.
 _LEXICAL_ERROR_RE = re.compile(rf"[^\s\dML^*+()-]|\d{{{_MAX_DIGITS + 1},}}")
@@ -630,6 +639,28 @@ def _check_lexical(text):
         _error(f"unexpected character {tok!r}", text, stop)
 
 
+def _power_error(terms, e):
+    """Why the power (terms)^e, e >= 2, is too large to expand, or None."""
+    norm = sum(map(abs, terms.values()))
+    if norm <= 1:  # zero or a unit monomial: every power is one term at most
+        return None
+    bits = e * log2(norm) if e <= _MAX_POWER_BITS else e  # norm >= 2: b >= e
+    if bits > _MAX_POWER_BITS:
+        return f"power too large to expand: its coefficients could exceed {_MAX_POWER_BITS} bits"
+    ms = [i for i, _ in terms]
+    ls = [j for _, j in terms]
+    n = (e * (max(ms) - min(ms)) + 1) * (e * (max(ls) - min(ls)) + 1)
+    count = 1
+    for k in range(1, len(terms)):  # count = C(e + k, k)
+        count = count * (e + k) // k
+        if count >= n:
+            break
+    n = min(n, count)
+    if n * n * bits > _MAX_POWER_COST:
+        return f"power too large to expand: up to {n} terms of up to {round(bits)} bits"
+    return None
+
+
 def parse_poly(text: str) -> BivarPoly:
     """Parse the polynomial text grammar into a BivarPoly.
 
@@ -641,8 +672,9 @@ def parse_poly(text: str) -> BivarPoly:
     Parenthesized products are accepted on input; canonical printing never
     emits them. Each of these is a PolyParseError at its position: an
     integer literal longer than 4300 digits, a parenthesis nested deeper
-    than 200 and, at the first token, a coefficient of the expanded result
-    longer than 4300 digits. Lexical errors (a character outside the
+    than 200, at its '^' a parenthesized power too large to expand (see
+    _MAX_POWER_COST) and, at the first token, a coefficient of the expanded
+    result longer than 4300 digits. Lexical errors (a character outside the
     grammar, a long literal, deep nesting) come before grammar errors, and
     among each kind the first in the text is raised.
     """
@@ -695,6 +727,9 @@ def parse_poly(text: str) -> BivarPoly:
                         k += 2
                         e = int(etok)
                         if e != 1:
+                            msg = _power_error(inner, e)
+                            if msg:
+                                _token_error(msg, text, k - 2)
                             inner = (BivarPoly(inner) ** e).terms
                     product = inner if product is None else _mul_terms(product, inner)
                 elif head.isdecimal():

@@ -1,12 +1,14 @@
 """Structural analysis of A-polynomials.
 
-Covers the abelian (L-1) factor, whose multiplicity is counted from the
-Taylor coefficients at L = 1, recognition of products of cyclotomic
-polynomials, the degree-zero decomposition into (L-1) times distinct
-cyclotomics, unit evaluations at M = +1/-1 against the +/- L^a (L-1)^b
-(L+1)^c form, monicity at the units, and the M-degree verdict.
-``analyze`` reduces its input to A-normal form once and runs every check,
-the verdict included, on that form.
+Covers the abelian (L-1) factor, whose multiplicity is counted by
+synthetic division, recognition of products of cyclotomic polynomials,
+the degree-zero decomposition into (L-1) times distinct cyclotomics, unit
+evaluations at M = +1/-1 against the +/- L^a (L-1)^b (L+1)^c form,
+monicity at the units, and the M-degree verdict. Recognition and the
+decomposition have two outcomes each: a CyclotomicProfile, or a Violation
+that says why the structure fails. ``analyze`` reduces its input to
+A-normal form once and runs every check, the verdict included, on that
+form.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "euler_phi",
     "cyclotomic_candidates",
     "CyclotomicProfile",
-    "NotCyclotomic",
     "is_product_of_cyclotomics",
     "Violation",
     "mdeg_trivial_decomposition",
@@ -179,13 +180,17 @@ class CyclotomicProfile(Record):
         }
 
 
-class NotCyclotomic(Record):
-    """Recognition failure; residual is the undivided part."""
+class Violation(Record):
+    """Failure of the (L-1) * distinct-cyclotomics structure."""
 
-    __slots__ = ("residual",)
+    __slots__ = ("reason", "residual")
 
-    def __init__(self, residual):
+    def __init__(self, reason, residual=None):
+        object.__setattr__(self, "reason", reason)
         object.__setattr__(self, "residual", residual)
+
+
+_NOT_CYCLOTOMIC = "not a product of cyclotomic polynomials"
 
 
 def is_product_of_cyclotomics(f: UnivarPoly):
@@ -195,16 +200,29 @@ def is_product_of_cyclotomics(f: UnivarPoly):
     iff the final quotient is +/-1. A candidate is first filtered by the
     exact integers Phi_d(2) and Phi_d(3), which must divide f(2) and f(3);
     Phi_d itself is built and tried by exact division only when both do.
-    Returns a CyclotomicProfile or NotCyclotomic(residual).
+    Roots 2 and 3, which would let every candidate through, are divided
+    out first and go back onto the residual. After each division the
+    filter values are divided too: f = Phi_d * q gives f(x) = Phi_d(x) q(x).
+    Returns a CyclotomicProfile, or a Violation whose residual is f over
+    the cyclotomic factors found.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
     if abs(f.leading_coefficient()) != 1:
-        return NotCyclotomic(f)
+        return Violation(_NOT_CYCLOTOMIC, f)
     if f.degree() == 0:
         return CyclotomicProfile((), sign=f.leading_coefficient())
-    factors = []
     v2, v3 = f(2), f(3)
+    aside = []  # the factors L - 2 and L - 3
+    if not (v2 and v3):
+        for x in (2, 3):
+            coeffs, k = _strip_root(f.coeffs, x)
+            f = UnivarPoly(coeffs)
+            aside += [UnivarPoly([-x, 1])] * k
+        if f.degree() == 0:
+            return Violation(_NOT_CYCLOTOMIC, prod(aside, start=f))
+        v2, v3 = f(2), f(3)
+    factors = []
     for d, phi, c2 in _candidate_rows(f.degree()):
         if phi > f.degree():
             continue
@@ -216,36 +234,25 @@ def is_product_of_cyclotomics(f: UnivarPoly):
             q = f.try_divide(cyclotomic(d))
             if q is None:
                 break
-            f = q
+            f, v2, v3 = q, v2 // c2, v3 // c3
             mult += 1
-            v2, v3 = f(2), f(3)
             if f.degree() == 0:
                 break
         if mult:
             factors.append((d, mult))
         if f.degree() == 0:
             break
-    if f.degree() != 0 or abs(f.coeffs[0]) != 1:
-        return NotCyclotomic(f)
+    if aside or f.degree() != 0 or abs(f.coeffs[0]) != 1:
+        return Violation(_NOT_CYCLOTOMIC, prod(aside, start=f))
     return CyclotomicProfile(tuple(factors), sign=f.coeffs[0])
-
-
-class Violation(Record):
-    """Failure of the (L-1) * distinct-cyclotomics structure."""
-
-    __slots__ = ("reason", "residual")
-
-    def __init__(self, reason, residual=None):
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "residual", residual)
 
 
 def mdeg_trivial_decomposition(a: BivarPoly):
     """Decompose an M-degree-zero polynomial as +/-(L-1) * distinct Phi_d.
 
-    Returns (abelian multiplicity, CyclotomicProfile of the nonunit orders)
-    on success, else a Violation. The proof replay takes its surgery step d
-    from the profile's orders: their lcm, 1 when there are none.
+    Returns the CyclotomicProfile of the nonunit orders on success, else a
+    Violation. The proof replay takes its surgery step d from the
+    profile's orders: their lcm, 1 when there are none.
     """
     if a.is_zero:
         raise ValueError("zero polynomial")
@@ -258,8 +265,8 @@ def _decompose(f: UnivarPoly):
     """mdeg_trivial_decomposition of the polynomial whose value at M = 1
     is f."""
     prof = is_product_of_cyclotomics(f)
-    if isinstance(prof, NotCyclotomic):
-        return Violation("not a product of cyclotomic polynomials", prof.residual)
+    if isinstance(prof, Violation):
+        return prof
     mults = dict(prof.factors)
     if mults.get(1, 0) != 1:
         if 1 not in mults:
@@ -269,7 +276,7 @@ def _decompose(f: UnivarPoly):
         if d != 1 and m != 1:
             return Violation(f"repeated cyclotomic factor of order {d}")
     nonunit = tuple((d, m) for d, m in prof.factors if d != 1)
-    return 1, CyclotomicProfile(nonunit, sign=prof.sign)
+    return CyclotomicProfile(nonunit, sign=prof.sign)
 
 
 class UnitEvaluationForm(Record):
@@ -387,31 +394,28 @@ def abelian_multiplicity(a: BivarPoly) -> int:
 class AnalysisReport(Record, frozen=False):
     """All structural checks on one polynomial, JSON-serializable.
 
-    ``cyclotomic`` is a CyclotomicProfile, a Violation or None;
-    ``degenerate``, whether the Newton polygon is degenerate, is left out
-    of ``as_dict``.
+    ``cyclotomic`` is a CyclotomicProfile, a Violation or None.
+    ``as_dict`` leaves out ``degenerate``, whether the Newton polygon is
+    degenerate, and writes ``monic_plus`` and ``monic_minus`` from the
+    ``monic`` of the two unit evaluations.
     """
 
     __slots__ = (
         "name", "deg_m", "deg_l", "abelian_multiplicity", "unit_eval_plus", "unit_eval_minus",
-        "monic_plus", "monic_minus", "vertical_edge", "cyclotomic", "verdict", "degenerate",
+        "vertical_edge", "cyclotomic", "verdict", "degenerate",
     )
 
     def __init__(
         self, name, deg_m, deg_l, abelian_multiplicity, unit_eval_plus, unit_eval_minus,
-        monic_plus, monic_minus, vertical_edge, cyclotomic, verdict, degenerate=False,
+        vertical_edge, cyclotomic, verdict, degenerate=False,
     ):
         self.name, self.deg_m, self.deg_l = name, deg_m, deg_l
         self.abelian_multiplicity = abelian_multiplicity
         self.unit_eval_plus, self.unit_eval_minus = unit_eval_plus, unit_eval_minus
-        self.monic_plus, self.monic_minus = monic_plus, monic_minus
         self.vertical_edge, self.cyclotomic = vertical_edge, cyclotomic
         self.verdict, self.degenerate = verdict, degenerate
 
     def as_dict(self):
-        def unit(u):
-            return u.as_dict() if u is not None else None
-
         if isinstance(self.cyclotomic, CyclotomicProfile):
             cyc = self.cyclotomic.as_dict()
         elif isinstance(self.cyclotomic, Violation):
@@ -423,10 +427,10 @@ class AnalysisReport(Record, frozen=False):
             "deg_M": self.deg_m,
             "deg_L": self.deg_l,
             "abelian_multiplicity": self.abelian_multiplicity,
-            "unit_eval_plus": unit(self.unit_eval_plus),
-            "unit_eval_minus": unit(self.unit_eval_minus),
-            "monic_plus": self.monic_plus,
-            "monic_minus": self.monic_minus,
+            "unit_eval_plus": self.unit_eval_plus.as_dict(),
+            "unit_eval_minus": self.unit_eval_minus.as_dict(),
+            "monic_plus": self.unit_eval_plus.monic,
+            "monic_minus": self.unit_eval_minus.monic,
             "vertical_edge": self.vertical_edge,
             "cyclotomic": cyc,
             "verdict": self.verdict,
@@ -452,8 +456,7 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
     if deg_m == 0:
         # one evaluation serves all three: without M, A(-1, L) = A(1, L)
         f = nf.eval_m(1)
-        dec = _decompose(f)
-        cyc = dec if isinstance(dec, Violation) else dec[1]
+        cyc = _decompose(f)
         verdict = UNKNOT_OK if nf == _L_MINUS_1 and not claims_nontrivial_knot else FAIL
         unit_plus = unit_minus = _unit_form(f)
     else:
@@ -466,8 +469,6 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
         abelian_multiplicity=abelian_multiplicity(nf),
         unit_eval_plus=unit_plus,
         unit_eval_minus=unit_minus,
-        monic_plus=unit_plus.monic,
-        monic_minus=unit_minus.monic,
         vertical_edge=vertical,
         cyclotomic=cyc,
         verdict=verdict,

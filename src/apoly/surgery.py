@@ -152,10 +152,9 @@ def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
     if n_max * nf.deg_l() > _MAX_POINTS:
         raise ValueError(f"the replay would list n_max * deg_L = {n_max} * {nf.deg_l()} "
                          f"points; the bound is {_MAX_POINTS}")
-    dec = mdeg_trivial_decomposition(nf)
-    if isinstance(dec, Violation):
-        return ReplayReport(ok=False, violation=dec.reason, profile=None, d=None)
-    _, profile = dec
+    profile = mdeg_trivial_decomposition(nf)
+    if isinstance(profile, Violation):
+        return ReplayReport(ok=False, violation=profile.reason, profile=None, d=None)
     orders = [1] + [e for e, _ in profile.factors]
     d = lcm(*orders)
     steps = [ReplayStep(n, n * d, _points_by_order(orders, n * d)) for n in range(1, n_max + 1)]

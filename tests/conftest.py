@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import strategies as st
 
+from apoly.knots import _NORMAL_FORM, _riley_phi, sl2_word_eval, two_bridge_presentation
 from apoly.poly import (
     _COEFF_BOUND,
     _MAX_DEPTH,
@@ -16,6 +17,7 @@ from apoly.poly import (
     _add_terms,
     _error,
     _mul_terms,
+    _power_error,
 )
 
 M = BivarPoly({(1, 0): 1})
@@ -171,6 +173,14 @@ def two_bridge_alexander(pres):
     for i, s in enumerate(sigma):
         out[s - low] = out.get(s - low, 0) + (-1) ** i
     return {k: c for k, c in out.items() if c}
+
+
+def riley_polynomial(p, q):
+    """The representation condition phi(M, t) = 0 of the two-bridge knot
+    p/q, as a Laurent dict {(M-exponent, t-exponent): c}, and its
+    presentation, for the Alexander oracles."""
+    pres = two_bridge_presentation(p, q)
+    return _riley_phi(sl2_word_eval(pres.w, _NORMAL_FORM)), pres
 
 
 def torus_alexander(a, b):
@@ -336,8 +346,14 @@ def parse_poly_by_tokens(text):
             if peek()[0] != "rparen":
                 _error("expected ')'", text, peek()[2])
             take()
+            caret = peek()[2]
             e = parse_exponent()
-            return inner if e == 1 else (BivarPoly(inner) ** e).terms
+            if e == 1:
+                return inner
+            msg = _power_error(inner, e)
+            if msg:
+                _error(msg, text, caret)
+            return (BivarPoly(inner) ** e).terms
         _error("expected a term", text, offset)
 
     def parse_term():

@@ -35,3 +35,28 @@ def test_test_oracles_not_exported(name):
     module = importlib.import_module(name)
     for attr in ("TriPolyInT", "resultant_t", "squarefree_univar", "symmetry_check"):
         assert not hasattr(module, attr), f"{name}.{attr}"
+
+
+# each stood for another name's value or was built only to run a check
+DELETED = {
+    "apoly.structure": ["NotCyclotomic"],
+    "apoly.newton": ["Edge"],
+    "apoly.knots": ["TorusKnot", "TwoBridgeKnot", "riley_polynomial"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELETED))
+def test_restated_names_deleted(name):
+    module = importlib.import_module(name)
+    for attr in DELETED[name]:
+        assert not hasattr(module, attr), f"{name}.{attr}"
+
+
+def test_one_type_per_outcome():
+    from apoly.newton import NewtonPolygon
+    from apoly.structure import AnalysisReport
+
+    # the monicity is read off the unit evaluations, and edges off the vertices
+    assert "monic_plus" not in AnalysisReport.__slots__
+    assert "monic_minus" not in AnalysisReport.__slots__
+    assert not hasattr(NewtonPolygon, "edges")

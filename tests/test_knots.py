@@ -8,10 +8,7 @@ import pytest
 from apoly import knots
 from apoly.knots import (
     EliminationDegeneracyError,
-    TorusKnot,
-    TwoBridgeKnot,
     eliminate_two_bridge,
-    riley_polynomial,
     sl2_word_eval,
     torus_a,
     two_bridge_presentation,
@@ -34,6 +31,7 @@ from conftest import (
     collect_t,
     rel_residual,
     resultant_t,
+    riley_polynomial,
     symmetry_check,
     torus_alexander,
     two_bridge_alexander,
@@ -91,21 +89,27 @@ def curve_membership_points(p, q, a, rng, samples):
 
 class TestKnotSpecs:
     def test_torus_validation(self):
-        TorusKnot(2, 3)
-        TorusKnot(-3, 4)
-        with pytest.raises(ValueError):
-            TorusKnot(2, 4)
-        with pytest.raises(ValueError):
-            TorusKnot(1, 2)
+        torus_a(2, 3)
+        torus_a(-3, 4)
+        with pytest.raises(ValueError, match="coprime"):
+            torus_a(2, 4)
+        with pytest.raises(ValueError, match=r"need \|p\| >= 2 and \|q\| >= 2"):
+            torus_a(1, 2)
+        with pytest.raises(ValueError, match=r"need \|p\| >= 2 and \|q\| >= 2"):
+            torus_a(0, 4)  # |p| < 2 before not coprime
 
     def test_two_bridge_validation(self):
-        TwoBridgeKnot(5, 3)
-        with pytest.raises(ValueError):
-            TwoBridgeKnot(4, 1)  # even p
-        with pytest.raises(ValueError):
-            TwoBridgeKnot(5, 7)  # q out of range
-        with pytest.raises(ValueError):
-            TwoBridgeKnot(9, 3)  # not coprime
+        two_bridge_presentation(5, 3)
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            two_bridge_presentation(4, 1)  # even p
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            two_bridge_presentation(4, 6)  # even p before q out of range
+        with pytest.raises(ValueError, match="0 < q < p"):
+            two_bridge_presentation(5, 7)  # q out of range
+        with pytest.raises(ValueError, match="0 < q < p"):
+            two_bridge_presentation(9, 12)  # q out of range before not coprime
+        with pytest.raises(ValueError, match="coprime"):
+            two_bridge_presentation(9, 3)  # not coprime
 
 
 class TestPresentation:

@@ -104,6 +104,18 @@ class TestEdgeSlopes:
         poly = convex_hull({(0, 0), (4, 2), (4, 0)})
         assert Fraction(1, 2) in edge_slopes(poly)
 
+    @given(bivar_polys(allow_zero=False))
+    @settings(max_examples=100, deadline=None)
+    def test_one_edge_list_for_slopes_test_and_svg(self, p):
+        # the three read the same hull-vertex pairs, a segment's once
+        poly = newton_polygon(p)
+        if len(poly.vertices) < 2:
+            return
+        slopes = edge_slopes(poly)
+        assert len(slopes) == (1 if len(poly.vertices) == 2 else len(poly.vertices))
+        assert (VERTICAL in slopes) == has_vertical_edge(poly)
+        assert render_svg(poly).count('class="vertical"') == slopes.count(VERTICAL)
+
 
 class TestVerticalEdge:
     def test_trefoil(self):
@@ -129,11 +141,13 @@ class TestVerticalEdge:
 
 
     def test_builds_no_edges(self, monkeypatch):
-        # consecutive hull vertices are compared directly
-        def no_edges(self):
-            raise AssertionError("edges were built")
+        # consecutive hull vertices are compared directly, with no slope
+        import fractions
 
-        monkeypatch.setattr(newton.NewtonPolygon, "edges", no_edges)
+        def no_slopes(*args):
+            raise AssertionError("a slope was built")
+
+        monkeypatch.setattr(fractions, "Fraction", no_slopes)
         assert has_vertical_edge(newton_polygon(TREFOIL))
         assert has_vertical_edge(convex_hull({(3, 0), (3, 5)}))
         assert not has_vertical_edge(convex_hull({(0, 0), (2, 1), (4, 0)}))

@@ -1,12 +1,14 @@
 import decimal
 import re
 import time
+from math import comb, factorial
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from apoly import poly
 from apoly.poly import (
     BivarPoly,
     PolyParseError,
@@ -351,6 +353,45 @@ class TestGrammar:
             parse_poly(f"L + (1{'0' * 2150}*M)^2")
         assert "expanded coefficient of M^2*L^0" in str(exc.value)
         assert (exc.value.line, exc.value.col) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "text, column, bound",
+        [
+            ("(L-1)^11000000000000000000000000000007", 6, "could exceed 65536 bits"),
+            ("(3*M)^1000000000", 6, "could exceed 65536 bits"),
+            ("L + (L-1)^2048", 10, "up to 2049 terms of up to 2048 bits"),
+            ("(L+M+1)^116", 8, "up to 6903 terms of up to 184 bits"),
+        ],
+    )
+    def test_power_bound(self, monkeypatch, text, column, bound):
+        # rejected at the '^' before _power runs, in both parsers
+        calls = []
+        monkeypatch.setattr(poly, "_power", lambda base, n: calls.append(n))
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value).startswith("power too large to expand: ")
+            assert bound in str(exc.value)
+            assert (exc.value.line, exc.value.col) == (1, column)
+        assert calls == []
+
+    @pytest.mark.parametrize("text", ["(L-1)^2047", "(L+M+1)^115", "(M*L)^99999999999999999999",
+                                      "(L-L)^99999999999999999999", "(2*M)^65536"])
+    def test_powers_within_the_bound_reach_power(self, monkeypatch, text):
+        calls = []
+        monkeypatch.setattr(poly, "_power", lambda base, n: calls.append(n) or BivarPoly.const(1))
+        parse_poly(text)
+        assert len(calls) == 1
+
+    def test_power_bound_keeps_results(self):
+        assert parse_poly("(L-1)^2000").terms == {
+            (0, j): (-1) ** j * comb(2000, j) for j in range(2001)
+        }
+        assert parse_poly("(L+M+1)^100").terms == {
+            (i, j): factorial(100) // (factorial(i) * factorial(j) * factorial(100 - i - j))
+            for i in range(101)
+            for j in range(101 - i)
+        }
 
     @given(st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=25).map("".join))
     @settings(max_examples=400, deadline=None)

@@ -1,21 +1,22 @@
 """Result records: construction, defaults, value equality, immutability.
 
-Every record is a slotted class with a hand-written ``__init__``. Its field
-order, keyword names and defaults are pinned here; records that cannot
-change are hashable and refuse assignment, the others are mutable and
-unhashable.
+Every record is a slotted class with a hand-written ``__init__``, one
+class per kind of result: a cyclotomic recognition, for one, gives a
+CyclotomicProfile or a Violation. The table below lists all 13 records.
+Their field order, keyword names and defaults are pinned here; records
+that cannot change are hashable and refuse assignment, the others are
+mutable and unhashable.
 """
 
 import pytest
 
 from apoly.db import BatchReport, DbRecord, LoadResult, RecordError
-from apoly.knots import GroupPresentation, TorusKnot, TwoBridgeKnot
-from apoly.newton import Edge, NewtonPolygon
+from apoly.knots import GroupPresentation
+from apoly.newton import NewtonPolygon
 from apoly.poly import UnivarPoly, parse_poly
 from apoly.structure import (
     AnalysisReport,
     CyclotomicProfile,
-    NotCyclotomic,
     UnitEvalFailure,
     UnitEvaluationForm,
     Violation,
@@ -27,8 +28,6 @@ FORM = UnitEvaluationForm(1, 0, 1, 0)
 
 # (class, fields in order, values for every field, defaults, frozen)
 RECORDS = [
-    (TorusKnot, ("p", "q"), (2, 3), {}, True),
-    (TwoBridgeKnot, ("p", "q"), (7, 3), {}, True),
     (
         GroupPresentation,
         ("w", "longitude", "sign_sequence"),
@@ -36,7 +35,6 @@ RECORDS = [
         {},
         True,
     ),
-    (Edge, ("start", "end", "slope"), ((0, 0), (0, 1), "VERTICAL"), {}, True),
     (
         NewtonPolygon,
         ("vertices", "support", "degenerate"),
@@ -45,7 +43,6 @@ RECORDS = [
         True,
     ),
     (CyclotomicProfile, ("factors", "sign"), (((2, 1),), -1), {"sign": 1}, True),
-    (NotCyclotomic, ("residual",), (RESIDUAL,), {}, True),
     (Violation, ("reason", "residual"), ("no (L-1)", RESIDUAL), {"residual": None}, True),
     (UnitEvaluationForm, ("sign", "a", "b", "c"), (-1, 2, 1, 3), {}, True),
     (UnitEvalFailure, ("residual",), (RESIDUAL,), {}, True),
@@ -53,10 +50,9 @@ RECORDS = [
         AnalysisReport,
         (
             "name", "deg_m", "deg_l", "abelian_multiplicity", "unit_eval_plus",
-            "unit_eval_minus", "monic_plus", "monic_minus", "vertical_edge",
-            "cyclotomic", "verdict", "degenerate",
+            "unit_eval_minus", "vertical_edge", "cyclotomic", "verdict", "degenerate",
         ),
-        ("k", 6, 2, 1, FORM, FORM, True, True, False, None, "PASS", True),
+        ("k", 6, 2, 1, FORM, FORM, False, None, "PASS", True),
         {"degenerate": False},
         False,
     ),
@@ -140,20 +136,10 @@ def test_frozen_or_mutable(cls, fields, values, defaults, frozen):
 
 def test_differing_field_breaks_equality():
     assert CyclotomicProfile(((2, 1),)) != CyclotomicProfile(((2, 1),), sign=-1)
-    assert TorusKnot(2, 3) != TorusKnot(3, 2)
+    assert UnitEvaluationForm(1, 0, 1, 0) != UnitEvaluationForm(1, 0, 0, 1)
     assert Violation("r") != Violation("r", RESIDUAL)
 
 
 def test_checks_keep_their_messages():
-    with pytest.raises(ValueError, match=r"need \|p\| >= 2 and \|q\| >= 2"):
-        TorusKnot(1, 3)
-    with pytest.raises(ValueError, match="coprime"):
-        TorusKnot(2, 4)
-    with pytest.raises(ValueError, match="odd and >= 3"):
-        TwoBridgeKnot(4, 1)
-    with pytest.raises(ValueError, match="0 < q < p"):
-        TwoBridgeKnot(5, 7)
-    with pytest.raises(ValueError, match="coprime"):
-        TwoBridgeKnot(9, 3)
     with pytest.raises(ValueError, match="record name must be nonempty"):
         DbRecord("", parse_poly("L - 1"))

@@ -14,7 +14,6 @@ from apoly.structure import (
     PASS,
     UNKNOT_OK,
     CyclotomicProfile,
-    NotCyclotomic,
     UnitEvalFailure,
     UnitEvaluationForm,
     Violation,
@@ -43,6 +42,7 @@ from conftest import (
 
 one = BivarPoly.const(1)
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
+NOT_CYCLOTOMIC = "not a product of cyclotomic polynomials"
 # torus knot parameters with their mirrors (one parameter negated)
 TORUS_GRID = [
     (sp * p, q)
@@ -111,16 +111,15 @@ class TestRecognition:
     def test_mixed_residual(self):
         # the residual is what is left after dividing out every Phi_d
         out = is_product_of_cyclotomics(cyclotomic(3) * UnivarPoly([-2, 1]))
-        assert isinstance(out, NotCyclotomic)
-        assert out.residual == UnivarPoly([-2, 1])
+        assert out == Violation(NOT_CYCLOTOMIC, UnivarPoly([-2, 1]))
 
     def test_nonunit_rejected(self):
         out = is_product_of_cyclotomics(UnivarPoly([-2, 1]))  # L - 2
-        assert isinstance(out, NotCyclotomic)
-        assert out.residual == UnivarPoly([-2, 1])
+        assert out == Violation(NOT_CYCLOTOMIC, UnivarPoly([-2, 1]))
 
     def test_nonmonic_rejected(self):
-        assert isinstance(is_product_of_cyclotomics(UnivarPoly([-1, 2])), NotCyclotomic)
+        out = is_product_of_cyclotomics(UnivarPoly([-1, 2]))
+        assert out == Violation(NOT_CYCLOTOMIC, UnivarPoly([-1, 2]))
 
     def test_negative_sign(self):
         prof = is_product_of_cyclotomics(-cyclotomic(4))
@@ -157,7 +156,53 @@ class TestRecognition:
             if not any(abs(abs(z) - 1) > 1e-6 for z in roots):
                 continue
             hits += 1
-            assert isinstance(is_product_of_cyclotomics(f), NotCyclotomic)
+            out = is_product_of_cyclotomics(f)
+            assert isinstance(out, Violation) and out.reason == NOT_CYCLOTOMIC
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=30), max_size=4),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_roots_two_and_three_stay_on_the_residual(self, orders, at2, at3):
+        aside = UnivarPoly([-2, 1]) ** at2 * UnivarPoly([-3, 1]) ** at3
+        f = aside
+        for d in orders:
+            f = f * cyclotomic(d)
+        out = is_product_of_cyclotomics(f)
+        if at2 or at3:
+            assert out == Violation(NOT_CYCLOTOMIC, aside)
+        else:
+            assert reconstruct_profile(out) == f
+
+    def test_roots_two_and_three_open_no_filter(self, monkeypatch):
+        # f(2) = 0 and f(3) = 0 would pass both filters for every order, and
+        # each Phi_d would be built and tried: 908 divisions, against 17
+        plain = UnivarPoly([-1] + [0] * 399 + [1])  # L^400 - 1
+        expected = is_product_of_cyclotomics(plain)  # builds each Phi_d tried
+        calls = []
+        try_divide = UnivarPoly.try_divide
+        monkeypatch.setattr(
+            UnivarPoly, "try_divide", lambda f, d: calls.append(d) or try_divide(f, d)
+        )
+        assert is_product_of_cyclotomics(plain) == expected
+        divisions = len(calls)
+        assert divisions == 17
+        for aside in (UnivarPoly([-2, 1]), UnivarPoly([-3, 1]) ** 2,
+                      UnivarPoly([-2, 1]) * UnivarPoly([-3, 1])):
+            calls.clear()
+            assert is_product_of_cyclotomics(plain * aside) == Violation(NOT_CYCLOTOMIC, aside)
+            assert len(calls) == divisions
+
+    def test_filter_values_divided_not_evaluated(self, monkeypatch):
+        # f = Phi_d * q gives f(x) = Phi_d(x) * q(x): f(2) and f(3) once each
+        calls = []
+        call = UnivarPoly.__call__
+        monkeypatch.setattr(UnivarPoly, "__call__", lambda f, x: calls.append(x) or call(f, x))
+        prof = is_product_of_cyclotomics(UnivarPoly([-1] + [0] * 399 + [1]))
+        assert len(prof.factors) == 15
+        assert calls == [2, 3]
 
 
 def recognition_cases():
@@ -250,14 +295,13 @@ class TestCandidateRows:
 
 class TestDecomposition:
     def test_abelian_pair(self):
-        mult, prof = mdeg_trivial_decomposition(parse_poly("L^2 - 1"))
-        assert mult == 1
+        prof = mdeg_trivial_decomposition(parse_poly("L^2 - 1"))
         assert prof.factors == ((2, 1),)
         assert prof.product_d == 2
 
     def test_unknot(self):
-        mult, prof = mdeg_trivial_decomposition(L - one)
-        assert mult == 1 and prof.factors == () and prof.product_d == 1
+        prof = mdeg_trivial_decomposition(L - one)
+        assert prof.factors == () and prof.product_d == 1
 
     def test_repeated_abelian(self):
         a = (L - one) * (L - one) * (L + one)
@@ -283,7 +327,7 @@ class TestDecomposition:
         for a in ((L - one) * (L - 2 * one), (L - one) * (L**1999 - L - one)):
             out = mdeg_trivial_decomposition(a)
             assert isinstance(out, Violation)
-            assert out.reason == "not a product of cyclotomic polynomials"
+            assert out.reason == NOT_CYCLOTOMIC
             assert out.residual is not None
 
     def test_requires_mdeg_zero(self):
@@ -454,7 +498,7 @@ class TestMonicity:
         monkeypatch.setattr(BivarPoly, "eval_m", lambda p, m: calls.append(m) or eval_m(p, m))
         report = analyze(TREFOIL)
         assert sorted(calls) == [-1, 1]
-        assert (report.monic_plus, report.monic_minus) == (True, True)
+        assert (report.unit_eval_plus.monic, report.unit_eval_minus.monic) == (True, True)
 
     def test_degree_zero_evaluates_one_unit(self, monkeypatch):
         # without M, A(-1, L) = A(1, L): the evaluation at 1 serves both

@@ -4,7 +4,7 @@ import pytest
 from apoly.poly import BivarPoly, UnivarPoly, parse_poly
 from apoly.structure import (
     CyclotomicProfile,
-    NotCyclotomic,
+    Violation,
     cyclotomic,
     is_product_of_cyclotomics,
 )
@@ -58,7 +58,7 @@ class TestClassifyUnitRoot:
 
     def test_no_unit_roots(self):
         out = is_product_of_cyclotomics(UnivarPoly([-3, 1]))  # L - 3
-        assert isinstance(out, NotCyclotomic)
+        assert isinstance(out, Violation)
         assert out.residual == UnivarPoly([-3, 1])
         rep = replay_contradiction(parse_poly("(L-1)*(L-3)"))
         assert not rep.ok and rep.steps == []
