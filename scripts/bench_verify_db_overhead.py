@@ -39,15 +39,18 @@ import time
 from pathlib import Path
 
 WHAT = (
-    "verify-db's two text layers: parse_poly finds lexical errors with one regex search, "
-    "lists its tokens with one findall and multiplies a term's integers and powers of M "
-    "and L into one monomial; every --json output is written by apoly.cli's own indent-2 "
-    "writer, whose strings go through the C encoder, in place of json.dumps(indent=2)."
+    "verify-db's per-record work: structure.analyze reads both degrees, both unit "
+    "evaluations, the abelian multiplicity and the Newton polygon's vertical edge and "
+    "degeneracy off the M-slices of the normal form, with no convex hull; parse_poly "
+    "adopts the term dict it built instead of re-checking it in BivarPoly(), and adds "
+    "each plain term in place; AnalysisReport.as_dict formats a unit form shared by "
+    "both units once; apoly.cli imports the C string encoder from _json, not the json "
+    "package."
 )
 PAIRS = (
-    [("verify-db", s) for s in range(1501, 1511)]
-    + [("twobridge", s) for s in range(1511, 1515)]
-    + [("degree-zero", s) for s in range(1521, 1525)]
+    [("verify-db", s) for s in range(1701, 1711)]
+    + [("twobridge", s) for s in range(1711, 1715)]
+    + [("degree-zero", s) for s in range(1721, 1725)]
 )
 METRICS = ("setup_s", "ops_per_s", "op_gmean_s", "peak_rss_mb")
 HIGHER_IS_BETTER = {"ops_per_s"}

@@ -71,6 +71,11 @@ expect 1 analyze --file "$tmp/product.txt"
 expect_within 5 1 analyze "(L-1)^11000000000000000000000000000007"
 grep -q "^error: power too large to expand: .*(line 1, column 6)" "$tmp/out"
 
+# so is a product of parenthesized factors past its bound, at the second
+# factor's '(', before that factor's power is expanded
+expect_within 5 1 analyze "(L-1)^1000*(L-1)^1000*(L-1)^1000"
+grep -q "^error: product too large to expand: .*(line 1, column 12)" "$tmp/out"
+
 # roots 2 and 3 do not let every cyclotomic order through recognition's
 # filters: this takes about as long as L^2000 - 1 alone
 expect_within 10 0 analyze "(L-2)*(L-3)*(L^2000-1)" --json

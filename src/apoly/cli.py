@@ -8,7 +8,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _json_str
+
+try:  # the C encoder alone, without the json package's decoder and scanner
+    from _json import encode_basestring_ascii as _json_str
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _json_str
 
 from .poly import PolyParseError, format_poly, parse_poly
 

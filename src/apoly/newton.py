@@ -1,5 +1,11 @@
 """Newton polygons of bivariate polynomials.
 
+The vertical edge and the degeneracy are read off the support's columns,
+with no hull, by ``vertical_edge`` and ``collinear`` from
+``apoly._columns``: ``has_vertical_edge`` reads the columns of the hull's
+vertices, and ``convex_hull`` sets its ``degenerate`` flag, and returns
+early, from those of the support.
+
 Convex hulls are computed with exact integer cross products (monotone
 chain). The hull's edges are its consecutive vertex pairs, cyclically, and
 a segment's one pair; edge slopes are lowest-terms fractions of L-exponent
@@ -11,6 +17,7 @@ from __future__ import annotations
 
 import re
 
+from ._columns import collinear, support_columns, vertical_edge
 from ._record import Record
 from .poly import BivarPoly
 
@@ -18,6 +25,8 @@ __all__ = [
     "VERTICAL",
     "NewtonPolygon",
     "support",
+    "vertical_edge",
+    "collinear",
     "convex_hull",
     "newton_polygon",
     "edge_slopes",
@@ -65,8 +74,10 @@ def convex_hull(points) -> NewtonPolygon:
     pts = sorted({(int(i), int(j)) for i, j in points})
     if not pts:
         raise ValueError("convex hull of an empty point set")
-    if len(pts) == 1:
-        return NewtonPolygon(tuple(pts), frozenset(pts), degenerate=True)
+    if collinear(support_columns(pts)):
+        # a single point, or a segment's two lexicographic extremes
+        ends = (pts[0],) if len(pts) == 1 else (pts[0], pts[-1])
+        return NewtonPolygon(ends, frozenset(pts), degenerate=True)
     lower = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
@@ -77,11 +88,7 @@ def convex_hull(points) -> NewtonPolygon:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    verts = lower[:-1] + upper[:-1]
-    if len(verts) <= 2:
-        # collinear: keep the two lexicographic extremes
-        return NewtonPolygon((pts[0], pts[-1]), frozenset(pts), degenerate=True)
-    return NewtonPolygon(tuple(verts), frozenset(pts))
+    return NewtonPolygon(tuple(lower[:-1] + upper[:-1]), frozenset(pts))
 
 
 def newton_polygon(p: BivarPoly) -> NewtonPolygon:
@@ -101,11 +108,11 @@ def edge_slopes(poly: NewtonPolygon):
 
 
 def has_vertical_edge(poly: NewtonPolygon) -> bool:
-    """Whether two cyclically consecutive hull vertices share their M-exponent."""
-    vs = poly.vertices
-    if len(vs) < 2:
+    """Whether the polygon has a vertical edge: vertical_edge of the
+    columns of its vertices, which hold each column's extremes."""
+    if len(poly.vertices) < 2:
         raise ValueError("vertical-edge test needs at least two distinct points")
-    return any(a[0] == b[0] for a, b in _edges(vs))
+    return vertical_edge(support_columns(poly.vertices))
 
 
 # what XML 1.0's Char production leaves out; compiled on first use, not at import

@@ -307,6 +307,15 @@ class BivarPoly:
                 t[(int(i), int(j))] = c
         object.__setattr__(self, "terms", t)
 
+    @classmethod
+    def _adopt(cls, terms):
+        """The polynomial whose term dict is terms itself, unchecked and
+        uncopied: the caller guarantees int keys >= 0, nonzero int values,
+        and that nothing else holds the dict."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("BivarPoly is immutable")
 
@@ -367,10 +376,7 @@ class BivarPoly:
         return min(j for _, j in self.terms)
 
     def content(self):
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
+        return gcd(*self.terms.values())
 
     # -- ring operations ----------------------------------------------
 
@@ -379,7 +385,7 @@ class BivarPoly:
             other = BivarPoly.const(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        return BivarPoly(_add_terms(dict(self.terms), other.terms, sign))
+        return BivarPoly._adopt(_add_terms(dict(self.terms), other.terms, sign))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -387,7 +393,7 @@ class BivarPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return BivarPoly({ij: -c for ij, c in self.terms.items()})
+        return BivarPoly._adopt({ij: -c for ij, c in self.terms.items()})
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -400,7 +406,7 @@ class BivarPoly:
             return BivarPoly({ij: c * other for ij, c in self.terms.items()})
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        return BivarPoly(_mul_terms(self.terms, other.terms))
+        return BivarPoly._adopt(_mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -413,15 +419,20 @@ class BivarPoly:
         """The A-normal form: coefficient gcd 1, positive sign on the
         graded-lex leading term (L > M), and no M or L monomial factor.
         """
-        if self.is_zero:
+        terms = self.terms
+        if not terms:
             raise ValueError("cannot normalize the zero polynomial")
-        i0 = self.min_m()
-        j0 = self.min_l()
-        cont = self.content()
-        shifted = {(i - i0, j - j0): c // cont for (i, j), c in self.terms.items()}
-        if shifted[max(shifted, key=_grlex_key)] < 0:
-            shifted = {ij: -c for ij, c in shifted.items()}
-        return BivarPoly(shifted)
+        ms, ls = zip(*terms)
+        i0, j0 = min(ms), min(ls)
+        # the shift keeps the graded-lex order, so the sign is read here
+        unit = self.content()
+        if terms[max(terms, key=_grlex_key)] < 0:
+            unit = -unit
+        if i0 == j0 == 0 and unit == 1:
+            return self
+        return BivarPoly._adopt(
+            {(i - i0, j - j0): c // unit for (i, j), c in terms.items()}
+        )
 
     # -- evaluation and substitution ----------------------------------
 
@@ -582,6 +593,19 @@ _MAX_DEPTH = 200
 _MAX_POWER_BITS = 1 << 16
 _MAX_POWER_COST = 1 << 33
 
+# A product of parenthesized factors is bounded the same way, before each
+# factor F is expanded and multiplied into the running product P of the
+# term's earlier ones. With n_P = |P| and b_P = log2 of the sum of its
+# |coefficients|, and n_F and b_F the same bounds for F (the power bounds
+# above when F is a power), b = b_P + b_F bounds the bits of every
+# coefficient and needs b <= _MAX_POWER_BITS; and the n_P * n_F term
+# pairs, each a multiplication whose cost grows as b^2 once b passes
+# _PRODUCT_PAIR_BITS, need n_P * n_F * max(b, _PRODUCT_PAIR_BITS)^2 <=
+# _MAX_PRODUCT_COST, about a second of work: (L+M+1)^45*(L+M+1)^45 is
+# inside and (L-1)^1000*(L-1)^1000, which took 2 s to expand, outside.
+_PRODUCT_PAIR_BITS = 1 << 10
+_MAX_PRODUCT_COST = 1 << 41
+
 # The first character outside the grammar or integer literal too long to
 # accept: either is an error before any grammar error.
 _LEXICAL_ERROR_RE = re.compile(rf"[^\s\dML^*+()-]|\d{{{_MAX_DIGITS + 1},}}")
@@ -639,14 +663,16 @@ def _check_lexical(text):
         _error(f"unexpected character {tok!r}", text, stop)
 
 
-def _power_error(terms, e):
-    """Why the power (terms)^e, e >= 2, is too large to expand, or None."""
+def _power_size(terms, e):
+    """(n, b) for the power (terms)^e, e >= 0, before it is expanded: n
+    bounds its number of terms, and b the bits of the sum of its
+    |coefficients|, which bounds every coefficient."""
     norm = sum(map(abs, terms.values()))
     if norm <= 1:  # zero or a unit monomial: every power is one term at most
-        return None
+        return (1 if e == 0 else len(terms)), 0
     bits = e * log2(norm) if e <= _MAX_POWER_BITS else e  # norm >= 2: b >= e
-    if bits > _MAX_POWER_BITS:
-        return f"power too large to expand: its coefficients could exceed {_MAX_POWER_BITS} bits"
+    if e == 1:
+        return len(terms), bits
     ms = [i for i, _ in terms]
     ls = [j for _, j in terms]
     n = (e * (max(ms) - min(ms)) + 1) * (e * (max(ls) - min(ls)) + 1)
@@ -655,9 +681,29 @@ def _power_error(terms, e):
         count = count * (e + k) // k
         if count >= n:
             break
-    n = min(n, count)
+    return min(n, count), bits
+
+
+def _power_error(terms, e):
+    """Why the power (terms)^e, e >= 2, is too large to expand, or None."""
+    n, bits = _power_size(terms, e)
+    if bits > _MAX_POWER_BITS:
+        return f"power too large to expand: its coefficients could exceed {_MAX_POWER_BITS} bits"
     if n * n * bits > _MAX_POWER_COST:
         return f"power too large to expand: up to {n} terms of up to {round(bits)} bits"
+    return None
+
+
+def _product_error(f_size, g_size):
+    """Why the product of two factors is too large to expand, or None; each
+    factor is given by its _power_size (n, b)."""
+    (nf, bf), (ng, bg) = f_size, g_size
+    bits = bf + bg
+    if bits > _MAX_POWER_BITS:
+        return f"product too large to expand: its coefficients could exceed {_MAX_POWER_BITS} bits"
+    pairs = nf * ng
+    if pairs * max(bits, _PRODUCT_PAIR_BITS) ** 2 > _MAX_PRODUCT_COST:
+        return f"product too large to expand: {pairs} term pairs of up to {round(bits)} bits"
     return None
 
 
@@ -673,7 +719,9 @@ def parse_poly(text: str) -> BivarPoly:
     emits them. Each of these is a PolyParseError at its position: an
     integer literal longer than 4300 digits, a parenthesis nested deeper
     than 200, at its '^' a parenthesized power too large to expand (see
-    _MAX_POWER_COST) and, at the first token, a coefficient of the expanded
+    _MAX_POWER_COST), at its '(' a parenthesized factor whose product with
+    the term's earlier ones is too large to expand (see _MAX_PRODUCT_COST)
+    and, at the first token, a coefficient of the expanded
     result longer than 4300 digits. Lexical errors (a character outside the
     grammar, a long literal, deep nesting) come before grammar errors, and
     among each kind the first in the text is raised.
@@ -715,11 +763,13 @@ def parse_poly(text: str) -> BivarPoly:
                         j += e
                     k += 1
                 elif head == "(":
+                    start = k
                     k += 1
                     inner = expression()
                     if tokens[k] != ")":
                         _token_error("expected ')'", text, k)
                     k += 1
+                    e = 1
                     if tokens[k] == "^":
                         etok = tokens[k + 1]
                         if not etok[:1].isdecimal():
@@ -730,7 +780,13 @@ def parse_poly(text: str) -> BivarPoly:
                             msg = _power_error(inner, e)
                             if msg:
                                 _token_error(msg, text, k - 2)
-                            inner = (BivarPoly(inner) ** e).terms
+                    if product is not None:
+                        # bounded before the power is expanded, by its size
+                        msg = _product_error(_power_size(product, 1), _power_size(inner, e))
+                        if msg:
+                            _token_error(msg, text, start)
+                    if e != 1:
+                        inner = (BivarPoly._adopt(inner) ** e).terms
                     product = inner if product is None else _mul_terms(product, inner)
                 elif head.isdecimal():
                     c *= int(tok)
@@ -743,7 +799,11 @@ def parse_poly(text: str) -> BivarPoly:
                 elif tok in "^+-)":  # or the end
                     break
             if product is None:
-                _add_terms(terms, {(i, j): c})
+                c += terms.get((i, j), 0)
+                if c:
+                    terms[(i, j)] = c
+                else:
+                    terms.pop((i, j), None)
             else:
                 _add_terms(terms, {(a + i, b + j): c * v for (a, b), v in product.items()})
             if tok != "+" and tok != "-":
@@ -751,7 +811,7 @@ def parse_poly(text: str) -> BivarPoly:
             sign = -1 if tok == "-" else 1
             k += 1
 
-    result = BivarPoly(expression())
+    result = BivarPoly._adopt(expression())
     if tokens[k]:
         _token_error("unexpected trailing input", text, k)
     for (i, j), c in result.terms.items():

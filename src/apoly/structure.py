@@ -7,8 +7,10 @@ evaluations at M = +1/-1 against the +/- L^a (L-1)^b (L+1)^c form,
 monicity at the units, and the M-degree verdict. Recognition and the
 decomposition have two outcomes each: a CyclotomicProfile, or a Violation
 that says why the structure fails. ``analyze`` reduces its input to
-A-normal form once and runs every check, the verdict included, on that
-form.
+A-normal form once, splits that form into its M-slices {i: {j: c}} in one
+walk over the terms, and reads every check off the slices: both degrees,
+both unit evaluations, the abelian multiplicity and the two Newton-polygon
+facts, which need no hull.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import prod
 
-from . import newton
+from ._columns import collinear, vertical_edge
 from ._record import Record
 from .poly import _L_MINUS_1, BivarPoly, UnivarPoly
 
@@ -364,6 +366,40 @@ FAIL = "FAIL"
 UNKNOT_OK = "UNKNOT_OK"
 
 
+def _m_slices(terms):
+    """The M-slices {i: {j: c}} of a nonempty term dict: for each
+    M-exponent i, the polynomial in L of the terms with that exponent."""
+    slices = {}
+    for (i, j), c in terms.items():
+        s = slices.get(i)
+        if s is None:
+            slices[i] = {j: c}
+        else:
+            s[j] = c
+    return slices
+
+
+def _unit_evaluations(slices, deg_l):
+    """A(1, L) and A(-1, L) from the M-slices of A: the sum of the slices,
+    and that sum less twice the odd ones. Without an odd slice the two are
+    equal, and the one UnivarPoly is returned twice."""
+    plus = [0] * (deg_l + 1)
+    odd = []
+    for i, s in slices.items():
+        for j, c in s.items():
+            plus[j] += c
+        if i & 1:
+            odd.append(s)
+    if not odd:
+        f = UnivarPoly(plus)
+        return f, f
+    minus = plus[:]
+    for s in odd:
+        for j, c in s.items():
+            minus[j] -= 2 * c
+    return UnivarPoly(plus), UnivarPoly(minus)
+
+
 def abelian_multiplicity(a: BivarPoly) -> int:
     """Multiplicity of the (L-1) factor.
 
@@ -377,9 +413,11 @@ def abelian_multiplicity(a: BivarPoly) -> int:
     """
     if a.is_zero:
         raise ValueError("zero polynomial")
-    slices = {}
-    for (i, j), c in a.terms.items():
-        slices.setdefault(i, {})[j] = c
+    return _abelian_multiplicity(_m_slices(a.terms))
+
+
+def _abelian_multiplicity(slices):
+    """abelian_multiplicity of the polynomial with these M-slices."""
     mult = None
     for s in sorted(slices.values(), key=lambda s: max(s) - min(s)):
         if sum(s.values()):  # nonzero at L = 1
@@ -397,7 +435,9 @@ class AnalysisReport(Record, frozen=False):
     ``cyclotomic`` is a CyclotomicProfile, a Violation or None.
     ``as_dict`` leaves out ``degenerate``, whether the Newton polygon is
     degenerate, and writes ``monic_plus`` and ``monic_minus`` from the
-    ``monic`` of the two unit evaluations.
+    ``monic`` of the two unit evaluations. When the two are one object,
+    as they are whenever A(-1, L) = A(1, L), it is written once and its
+    dict serves both keys.
     """
 
     __slots__ = (
@@ -422,13 +462,18 @@ class AnalysisReport(Record, frozen=False):
             cyc = {"violation": self.cyclotomic.reason}
         else:
             cyc = None
+        plus = self.unit_eval_plus.as_dict()
+        if self.unit_eval_minus is self.unit_eval_plus:
+            minus = plus
+        else:
+            minus = self.unit_eval_minus.as_dict()
         return {
             "name": self.name,
             "deg_M": self.deg_m,
             "deg_L": self.deg_l,
             "abelian_multiplicity": self.abelian_multiplicity,
-            "unit_eval_plus": self.unit_eval_plus.as_dict(),
-            "unit_eval_minus": self.unit_eval_minus.as_dict(),
+            "unit_eval_plus": plus,
+            "unit_eval_minus": minus,
             "monic_plus": self.unit_eval_plus.monic,
             "monic_minus": self.unit_eval_minus.monic,
             "vertical_edge": self.vertical_edge,
@@ -442,35 +487,34 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
 
     The verdict is PASS when deg_M != 0; UNKNOT_OK for L-1 when the input is
     not claimed to come from a nontrivial knot; FAIL otherwise (for real
-    knot data a FAIL would contradict the nontriviality theorem).
+    knot data a FAIL would contradict the nontriviality theorem). Every
+    check reads the M-slices of the normal form: the degrees are the
+    largest slice index and exponent, and the slices are the columns of
+    the Newton polygon (see apoly._columns).
     """
     if a.is_zero:
         raise ValueError("cannot analyze the zero polynomial")
     nf = a.normalize()
-    poly = newton.newton_polygon(nf)
-    if len(poly.vertices) < 2:
-        vertical = None
-    else:
-        vertical = newton.has_vertical_edge(poly)
-    deg_m = nf.deg_m()
+    slices = _m_slices(nf.terms)
+    deg_m, deg_l = max(slices), max(map(max, slices.values()))
+    plus, minus = _unit_evaluations(slices, deg_l)
+    unit_plus = _unit_form(plus)
+    unit_minus = unit_plus if minus is plus else _unit_form(minus)
     if deg_m == 0:
-        # one evaluation serves all three: without M, A(-1, L) = A(1, L)
-        f = nf.eval_m(1)
-        cyc = _decompose(f)
+        # without M, A(1, L) is the polynomial itself
+        cyc = _decompose(plus)
         verdict = UNKNOT_OK if nf == _L_MINUS_1 and not claims_nontrivial_knot else FAIL
-        unit_plus = unit_minus = _unit_form(f)
     else:
         cyc, verdict = None, PASS
-        unit_plus, unit_minus = check_unit_evaluation(nf, 1), check_unit_evaluation(nf, -1)
     return AnalysisReport(
         name=name,
         deg_m=deg_m,
-        deg_l=nf.deg_l(),
-        abelian_multiplicity=abelian_multiplicity(nf),
+        deg_l=deg_l,
+        abelian_multiplicity=_abelian_multiplicity(slices),
         unit_eval_plus=unit_plus,
         unit_eval_minus=unit_minus,
-        vertical_edge=vertical,
+        vertical_edge=vertical_edge(slices),
         cyclotomic=cyc,
         verdict=verdict,
-        degenerate=poly.degenerate,
+        degenerate=collinear(slices),
     )

@@ -18,7 +18,11 @@ from apoly.poly import (
     _error,
     _mul_terms,
     _power_error,
+    _power_size,
+    _product_error,
 )
+from apoly.newton import _cross
+from apoly.structure import FAIL, PASS, UNKNOT_OK, AnalysisReport, _decompose, check_unit_evaluation
 
 M = BivarPoly({(1, 0): 1})
 L = BivarPoly({(0, 1): 1})
@@ -340,31 +344,44 @@ def parse_poly_by_tokens(text):
             take()
             e = parse_exponent()
             return {(e, 0) if val == "M" else (0, e): 1}
-        if kind == "lparen":
-            take()
-            inner = parse_expression()
-            if peek()[0] != "rparen":
-                _error("expected ')'", text, peek()[2])
-            take()
-            caret = peek()[2]
-            e = parse_exponent()
-            if e == 1:
-                return inner
+        _error("expected a term", text, offset)
+
+    def parse_parenthesized():
+        # (term dict, exponent), the power checked but not yet expanded
+        take()
+        inner = parse_expression()
+        if peek()[0] != "rparen":
+            _error("expected ')'", text, peek()[2])
+        take()
+        caret = peek()[2]
+        e = parse_exponent()
+        if e != 1:
             msg = _power_error(inner, e)
             if msg:
                 _error(msg, text, caret)
-            return (BivarPoly(inner) ** e).terms
-        _error("expected a term", text, offset)
+        return inner, e
 
     def parse_term():
-        result = parse_factor()
+        # the parenthesized factors multiply into one product, bounded
+        # before each factor is expanded; the others into one monomial
+        monomial, product = {(0, 0): 1}, None
         while True:
+            kind, _, offset = peek()
+            if kind == "lparen":
+                inner, e = parse_parenthesized()
+                if product is not None:
+                    msg = _product_error(_power_size(product, 1), _power_size(inner, e))
+                    if msg:
+                        _error(msg, text, offset)
+                factor = inner if e == 1 else (BivarPoly(inner) ** e).terms
+                product = factor if product is None else _mul_terms(product, factor)
+            else:
+                monomial = _mul_terms(monomial, parse_factor())
             kind = peek()[0]
             if kind == "star":
                 take()
             elif kind not in ("int", "var", "lparen"):
-                return result
-            result = _mul_terms(result, parse_factor())
+                return monomial if product is None else _mul_terms(monomial, product)
 
     def parse_expression():
         terms = {}
@@ -385,6 +402,63 @@ def parse_poly_by_tokens(text):
             msg = f"expanded coefficient of M^{i}*L^{j} is longer than {_MAX_DIGITS} digits"
             _error(msg, text, tokens[0][2])
     return result
+
+
+def hull_vertices(points):
+    """Reference hull of a nonempty set of lattice points: the monotone
+    chain's vertex list, counterclockwise from the lexicographically least
+    point. A collinear set gives at most two vertices."""
+    pts = sorted(set(points))
+    if len(pts) == 1:
+        return pts
+    chains = []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
+
+
+def hull_has_vertical_edge(vertices):
+    """Reference vertical-edge test: whether two cyclically consecutive
+    hull vertices share their M-exponent (a segment has one edge, not two).
+    None for a single vertex."""
+    if len(vertices) < 2:
+        return None
+    pairs = zip(vertices, vertices[1:] + vertices[:1] if len(vertices) > 2 else vertices[1:])
+    return any(a[0] == b[0] for a, b in pairs)
+
+
+def analyze_by_passes(a, name="", claims_nontrivial_knot=False):
+    """Reference apoly.structure.analyze: a pass over the terms for each
+    fact, the Newton polygon's from the reference hull, the unit
+    evaluations by eval_m, and the abelian multiplicity by trial division."""
+    nf = a.normalize()
+    vertices = hull_vertices(nf.terms)
+    deg_m = nf.deg_m()
+    if deg_m == 0:
+        f = nf.eval_m(1)
+        cyc = _decompose(f)
+        verdict = UNKNOT_OK if nf == _L_MINUS_1 and not claims_nontrivial_knot else FAIL
+        unit_plus = unit_minus = check_unit_evaluation(nf, 1)
+    else:
+        cyc, verdict = None, PASS
+        unit_plus, unit_minus = check_unit_evaluation(nf, 1), check_unit_evaluation(nf, -1)
+    return AnalysisReport(
+        name=name,
+        deg_m=deg_m,
+        deg_l=nf.deg_l(),
+        abelian_multiplicity=abelian_multiplicity_by_division(nf),
+        unit_eval_plus=unit_plus,
+        unit_eval_minus=unit_minus,
+        vertical_edge=hull_has_vertical_edge(vertices),
+        cyclotomic=cyc,
+        verdict=verdict,
+        degenerate=len(vertices) <= 2,
+    )
 
 
 def resultant_t(p, q):

@@ -123,6 +123,14 @@ class TestAnalyze:
         assert out.startswith("error: integer literal of 5000 digits")
         assert f"(line 1, column {col})" in out
 
+    def test_product_past_bound_exit_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "(L-1)^1000*(L-1)^1000*(L-1)^1000"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 1
+        assert out == ("error: product too large to expand: 1002001 term pairs of up to "
+                       "2000 bits (line 1, column 12)\n")
+
     def test_long_expanded_coefficient_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", LONG_PRODUCT])
@@ -422,6 +430,16 @@ def test_cli_import_loads_no_command_module():
     assert "apoly.poly" in imported
     commands = {"apoly.db", "apoly.knots", "apoly.newton", "apoly.structure", "apoly.surgery"}
     assert not commands & imported
+    # the --json writer needs the C string encoder only
+    assert "json.decoder" not in imported
+
+
+def test_analysis_imports_no_hull_code():
+    # analyze reads the Newton polygon's two facts from apoly._columns, so
+    # verify-db, analyze and compute compile no hull or SVG code
+    imported = imported_modules("import apoly.db")
+    assert "apoly._columns" in imported
+    assert "apoly.newton" not in imported
 
 
 # strings with non-ASCII characters, quotes, backslashes and control characters

@@ -143,17 +143,18 @@ class TestVerifyAll:
         assert rep.status == "ANOMALY" and rep.exit_code == 3
         assert rep.anomalies == ["synth"]
 
-    def test_one_newton_polygon_per_record(self, monkeypatch):
-        # analyze carries the degeneracy; verify_all builds no second polygon
+    def test_builds_no_newton_polygon(self, monkeypatch):
+        # analyze reads the vertical edge and the degeneracy off the
+        # M-slices, and verify_all reads both off the report: no hull
         from apoly import newton
 
         recs = [DbRecord(name=f"s{k}", a_poly=parse_poly("M^2*L^2 + L + M")) for k in range(5)]
         calls = []
-        polygon = newton.newton_polygon
-        monkeypatch.setattr(newton, "newton_polygon", lambda p: calls.append(p) or polygon(p))
+        hull = newton.convex_hull
+        monkeypatch.setattr(newton, "convex_hull", lambda pts: calls.append(pts) or hull(pts))
         rep = verify_all(recs)
         assert rep.anomalies == [r.name for r in recs]
-        assert len(calls) == 5
+        assert calls == []
 
     def test_degenerate_polygon_not_anomalous(self):
         # collinear support, no vertical edge, failing unit evaluation

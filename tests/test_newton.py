@@ -3,20 +3,24 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apoly import newton
 from apoly.newton import (
     VERTICAL,
+    collinear,
     convex_hull,
     edge_slopes,
     has_vertical_edge,
     newton_polygon,
     render_svg,
     support,
+    vertical_edge,
 )
+from apoly._columns import support_columns
 from apoly.poly import BivarPoly, parse_poly
 
-from conftest import bivar_polys
+from conftest import bivar_polys, hull_has_vertical_edge, hull_vertices
 
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
 
@@ -151,6 +155,52 @@ class TestVerticalEdge:
         assert has_vertical_edge(newton_polygon(TREFOIL))
         assert has_vertical_edge(convex_hull({(3, 0), (3, 5)}))
         assert not has_vertical_edge(convex_hull({(0, 0), (2, 1), (4, 0)}))
+
+
+@st.composite
+def point_sets(draw):
+    """Random supports, collinear (vertical lines included) and in one
+    column as well as scattered."""
+    kind = draw(st.sampled_from(["scattered", "line", "column"]))
+    if kind == "scattered":
+        coords = st.tuples(st.integers(0, 6), st.integers(0, 6))
+        return draw(st.sets(coords, min_size=1, max_size=12))
+    if kind == "column":
+        i = draw(st.integers(0, 6))
+        return {(i, j) for j in draw(st.sets(st.integers(0, 9), min_size=1, max_size=6))}
+    i0, di, dj = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(-3, 3))
+    ts = draw(st.sets(st.integers(0, 5), min_size=1, max_size=6))
+    return {(i0 + t * di, 15 + t * dj) for t in ts}
+
+
+class TestColumnReadings:
+    """The column readings of the vertical edge and the degeneracy against
+    the reference hull's edges and vertex count."""
+
+    @given(point_sets())
+    @settings(max_examples=500, deadline=None)
+    def test_match_hull(self, pts):
+        vertices = hull_vertices(pts)
+        columns = support_columns(pts)
+        assert vertical_edge(columns) == hull_has_vertical_edge(vertices)
+        assert collinear(columns) == (len(vertices) <= 2)
+        poly = convex_hull(pts)
+        assert poly.degenerate == (len(vertices) <= 2)
+        if not poly.degenerate:
+            assert poly.vertices == tuple(vertices)
+        if len(poly.vertices) >= 2:
+            assert has_vertical_edge(poly) == hull_has_vertical_edge(vertices)
+
+    @given(bivar_polys(allow_zero=False))
+    @settings(max_examples=200, deadline=None)
+    def test_slices_are_columns(self, p):
+        # an M-slice {j: c} serves as its column
+        slices = {}
+        for (i, j), c in p.terms.items():
+            slices.setdefault(i, {})[j] = c
+        columns = support_columns(p.terms)
+        assert vertical_edge(slices) == vertical_edge(columns)
+        assert collinear(slices) == collinear(columns)
 
 
 class TestSvg:

@@ -124,6 +124,20 @@ class TestNormalize:
         with pytest.raises(ValueError):
             BivarPoly.zero().normalize()
 
+    @given(bivar_polys(allow_zero=False), st.integers(-9, 9).filter(bool), st.integers(0, 3),
+           st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_definition(self, p, c, i, j):
+        # content 1, monomial factor stripped, positive graded-lex leading term
+        raw = c * M**i * L**j * p
+        nf = raw.normalize()
+        assert nf == BivarPoly(nf.terms)
+        assert nf.content() == 1 and nf.min_m() == nf.min_l() == 0
+        assert nf.terms[max(nf.terms, key=lambda ij: (ij[0] + ij[1], ij[1]))] > 0
+        shift, content = M ** raw.min_m() * L ** raw.min_l(), raw.content()
+        assert raw in (nf * content * shift, nf * -content * shift)
+        assert nf.normalize() is nf
+
 
 class TestEval:
     def test_eval_m_no_dependence(self):
@@ -422,6 +436,78 @@ class TestGrammar:
     def test_edge_cases_match_token_parser(self, text, expected):
         assert parse_outcome(parse_poly, text) == expected
         assert parse_outcome(parse_poly_by_tokens, text) == expected
+
+    @given(poly_expressions())
+    @settings(max_examples=100, deadline=None)
+    def test_adopted_terms_are_valid(self, expression):
+        # parse_poly adopts its term dict unchecked: it must be what the
+        # checking constructor would have built
+        p = parse_poly(expression[0])
+        assert BivarPoly(p.terms) == p
+        assert all(type(c) is int and c for c in p.terms.values())
+        assert all(type(i) is int and type(j) is int and i >= 0 and j >= 0 for i, j in p.terms)
+
+    @pytest.mark.parametrize("n, accepted", [(1448, True), (1449, False)])
+    def test_product_bound_at_the_cap(self, monkeypatch, n, accepted):
+        # n^2 pairs of 21-bit products: cost n^2 * 1024^2 against 2^41
+        calls = []
+        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append((len(f), len(g))) or {})
+        factor = "(" + " + ".join(f"L^{k}" for k in range(n)) + ")"
+        text = f"{factor}*{factor}"
+        if accepted:
+            assert parse_poly(text).is_zero  # the stub's product
+            assert calls == [(n, n)]
+            return
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value) == (f"product too large to expand: {n * n} term pairs of up to "
+                                      f"21 bits (line 1, column {len(factor) + 2})")
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "left, right, bound",
+        [
+            ("(" + " + ".join(f"L^{k}" for k in range(1200)) + ")", "(L+M+1)^60",
+             "2269200 term pairs of up to 105 bits"),
+            ("(31*L - 1)^400", "(31*L - 1)^400", "160801 term pairs of up to 4000 bits"),
+            (f"({'9' * 4000}*L + 1)", f"({'9' * 4000}*L + 1)^4", "could exceed 65536 bits"),
+        ],
+        ids=["terms", "pairs-and-bits", "bits"],
+    )
+    def test_product_bound_before_the_power(self, monkeypatch, left, right, bound):
+        # rejected at the right factor's '(' before its power is expanded:
+        # _mul_terms runs only for the left factor's power, once alone and
+        # once in each parser
+        calls = []
+        mul_terms = poly._mul_terms
+        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or mul_terms(f, g))
+        parse_poly(left)
+        alone = len(calls)
+        text = f"2*{left} M*{right} + L"
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value).startswith("product too large to expand: ")
+            assert bound in str(exc.value)
+            assert (exc.value.line, exc.value.col) == (1, len(left) + 6)
+        assert len(calls) == 3 * alone
+
+    def test_triple_product_rejected_at_the_second_factor(self, monkeypatch):
+        calls = []
+        mul_terms = poly._mul_terms
+        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or mul_terms(f, g))
+        parse_poly("(L-1)^1000")
+        alone = len(calls)
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly("(L-1)^1000*(L-1)^1000*(L-1)^1000")
+        assert str(exc.value) == ("product too large to expand: 1002001 term pairs of up to "
+                                  "2000 bits (line 1, column 12)")
+        assert len(calls) == 2 * alone
+
+    def test_products_within_the_bound_keep_results(self):
+        assert parse_poly("(L-1)^300*(L+1)^300") == parse_poly("(L^2-1)^300")
+        assert parse_poly("2*(L+M)*M*(L-M)^2*(L+1)") == 2 * M * (L + M) * (L - M) ** 2 * (L + one)
 
     def test_long_sum_parses_in_linear_time(self):
         # copying the term dict once per term made this sum take minutes

@@ -32,6 +32,7 @@ from conftest import (
     L,
     M,
     abelian_multiplicity_by_division,
+    analyze_by_passes,
     bivar_polys,
     cyclotomic_by_division,
     reconstruct_profile,
@@ -493,32 +494,45 @@ class TestMonicity:
         assert check_unit_evaluation(a, m).monic == expected
 
     def test_analyze_evaluates_once_per_unit(self, monkeypatch):
-        calls = []
+        # A(1, L) and A(-1, L) come off the M-slices, with no eval_m, and
+        # each has one unit form; with no odd M-exponent they are one
+        evals, forms = [], []
         eval_m = BivarPoly.eval_m
-        monkeypatch.setattr(BivarPoly, "eval_m", lambda p, m: calls.append(m) or eval_m(p, m))
-        report = analyze(TREFOIL)
-        assert sorted(calls) == [-1, 1]
+        monkeypatch.setattr(BivarPoly, "eval_m", lambda p, m: evals.append(m) or eval_m(p, m))
+        unit_form = structure._unit_form
+        monkeypatch.setattr(structure, "_unit_form", lambda f: forms.append(f) or unit_form(f))
+        odd = parse_poly("L^2*M^3 - L*M^3 + L - 1")
+        report = analyze(odd)
+        assert evals == [] and len(forms) == 2
         assert (report.unit_eval_plus.monic, report.unit_eval_minus.monic) == (True, True)
+        report = analyze(TREFOIL)
+        assert evals == [] and len(forms) == 3
+        assert report.unit_eval_minus is report.unit_eval_plus
+        monkeypatch.undo()
+        assert forms == [odd.eval_m(1), odd.eval_m(-1), TREFOIL.eval_m(1)]
+        assert report.unit_eval_plus == check_unit_evaluation(TREFOIL, -1)
 
     def test_degree_zero_evaluates_one_unit(self, monkeypatch):
-        # without M, A(-1, L) = A(1, L): the evaluation at 1 serves both
-        calls = []
-        eval_m = BivarPoly.eval_m
-        monkeypatch.setattr(BivarPoly, "eval_m", lambda p, m: calls.append(m) or eval_m(p, m))
+        # without M, A(-1, L) = A(1, L): one unit form serves both
+        forms = []
+        unit_form = structure._unit_form
+        monkeypatch.setattr(structure, "_unit_form", lambda f: forms.append(f) or unit_form(f))
         a = parse_poly("(L - 1)*(L + 1)^2*L^3")
         report = analyze(a)
-        assert calls == [1]
+        assert len(forms) == 1
+        assert report.unit_eval_minus is report.unit_eval_plus
         minus = check_unit_evaluation(a.normalize(), -1)
-        assert report.unit_eval_minus == report.unit_eval_plus == minus
+        assert report.unit_eval_plus == minus
 
     def test_degree_zero_decomposes_the_same_evaluation(self, monkeypatch):
         # the decomposition and the unit evaluations share one A(1, L)
-        calls = []
-        eval_m = BivarPoly.eval_m
-        monkeypatch.setattr(BivarPoly, "eval_m", lambda p, m: calls.append(m) or eval_m(p, m))
+        seen = []
+        decompose, unit_form = structure._decompose, structure._unit_form
+        monkeypatch.setattr(structure, "_decompose", lambda f: seen.append(f) or decompose(f))
+        monkeypatch.setattr(structure, "_unit_form", lambda f: seen.append(f) or unit_form(f))
         a = parse_poly("(L-1)*(L+1)^2")
         report = analyze(a)
-        assert calls == [1]
+        assert len(seen) == 2 and seen[0] is seen[1]
         monkeypatch.undo()
         assert report.cyclotomic == mdeg_trivial_decomposition(a)
         assert report.cyclotomic == Violation("repeated cyclotomic factor of order 2")
@@ -685,3 +699,91 @@ class TestAnalyze:
             orders = [d for d in range(2, n + 1) if n % d == 0]
             assert rep.cyclotomic.factors == tuple((d, 1) for d in orders)
         assert len(orders) == 19
+
+
+COEFFS = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def collinear_polys(draw):
+    # points (i0 + t*di, j0 + t*dj) on one line, vertical lines included
+    i0, di, dj = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(-3, 3))
+    ts = draw(st.sets(st.integers(0, 5), min_size=1, max_size=6))
+    return BivarPoly({(i0 + t * di, 15 + t * dj): draw(COEFFS) for t in ts})
+
+
+@st.composite
+def single_column_polys(draw):
+    i = draw(st.integers(0, 5))
+    js = draw(st.sets(st.integers(0, 8), min_size=1, max_size=6))
+    return BivarPoly({(i, j): draw(COEFFS) for j in js})
+
+
+ANALYZE_INPUTS = st.one_of(
+    bivar_polys(allow_zero=False, max_exp=6, max_terms=8),
+    collinear_polys(),
+    single_column_polys(),
+    st.builds(BivarPoly.term, COEFFS, st.integers(0, 9), st.integers(0, 9)),
+    st.builds(lambda b, k: b * (L - one) ** k, bivar_polys(allow_zero=False), st.integers(0, 4)),
+    st.builds(lambda n, s: (L - one) * (L**n + s * one), st.integers(1, 12),
+              st.sampled_from([1, -1])),
+)
+
+
+class TestAnalyzeMatchesPasses:
+    """analyze, which reads every check off the M-slices, against the
+    reference that makes a pass for each and builds the hull."""
+
+    @given(ANALYZE_INPUTS, st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_random(self, a, claims):
+        report = analyze(a, name="x", claims_nontrivial_knot=claims)
+        assert report == analyze_by_passes(a, name="x", claims_nontrivial_knot=claims)
+        assert report.as_dict() == analyze_by_passes(a, "x", claims).as_dict()
+
+    def test_fixtures(self):
+        with resources.as_file(resources.files("apoly.data") / "fixtures.txt") as path:
+            records = load_table(path).records
+        assert records
+        for rec in records:
+            expected = analyze_by_passes(rec.a_poly, rec.name)
+            assert analyze(rec.a_poly, rec.name) == expected, rec.name
+
+    @pytest.mark.parametrize("p, q", TORUS_GRID)
+    def test_torus(self, p, q):
+        a = torus_a(p, q)
+        assert analyze(a, claims_nontrivial_knot=True) == analyze_by_passes(a, "", True)
+
+    @pytest.mark.parametrize(
+        "text, vertical, degenerate",
+        [
+            ("L^3*M^2", None, True),
+            ("L - 1", True, True),
+            ("M*L + 1", False, True),
+            ("M^2*L^2 + 3 + M*L", False, True),
+            ("M^2*L^2 + L + M", False, False),
+            ("L^2*M^6 - L*M^6 + L - 1", True, False),
+            ("M^2*L + M^2 + 1", True, False),
+            ("M^2 + M*L + 1", False, False),
+        ],
+    )
+    def test_newton_facts(self, text, vertical, degenerate):
+        report = analyze(parse_poly(text))
+        assert (report.vertical_edge, report.degenerate) == (vertical, degenerate)
+
+    def test_as_dict_writes_a_shared_unit_form_once(self, monkeypatch):
+        # deg_M = 0: one unit form, one residual formatted, one dict for both
+        report = analyze(parse_poly("(L-1)*(L-2)"))
+        assert report.unit_eval_minus is report.unit_eval_plus
+        calls = []
+        as_dict = UnitEvalFailure.as_dict
+        monkeypatch.setattr(UnitEvalFailure, "as_dict", lambda u: calls.append(u) or as_dict(u))
+        d = report.as_dict()
+        assert len(calls) == 1
+        assert d["unit_eval_plus"] == d["unit_eval_minus"] == {"failure": True, "residual": "L - 2"}
+        # an odd M-exponent: two evaluations, each written from its own form
+        report = analyze(parse_poly("M*L^2 + L - 2"))
+        d = report.as_dict()
+        assert len(calls) == 3
+        assert d["unit_eval_plus"] == {"failure": True, "residual": "L + 2"}
+        assert d["unit_eval_minus"] == {"failure": True, "residual": "-L^2 + L - 2"}
