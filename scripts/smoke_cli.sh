@@ -132,6 +132,31 @@ expect 1 replay "L^60 - 1" --nmax 2000 --json
 grep -q "^error: the replay would list n_max \* deg_L = 2000 \* 60 points" "$tmp/out"
 test "$(wc -c < "$tmp/out")" -lt 1000
 
+# an L-exponent above 100,000 after expansion is a clean parse error, exit 1,
+# with nothing on stderr; in a table it is a record error and the rest is
+# verified
+expect_within 5 1 analyze "L^100000000000000000000 - 1" 2> "$tmp/err"
+grep -q "^error: expanded L-exponent is above 100000 (line 1, column 1)" "$tmp/out"
+test "$(wc -l < "$tmp/out")" -eq 1
+test ! -s "$tmp/err"
+printf 'huge ; L^100000000000000000000 - 1\nunknot ; L - 1\n' > "$tmp/huge_db.txt"
+expect_within 5 0 verify-db "$tmp/huge_db.txt" 2> "$tmp/err"
+grep -q "^record error (line 1, huge): expanded L-exponent is above 100000" "$tmp/out"
+grep -q "^status: OK (1 records" "$tmp/out"
+test ! -s "$tmp/err"
+
+# newton reads the degeneracy off the vertex count and the vertical edge
+# off the slopes: a point, a vertical segment and a sloped segment
+expect 0 newton "7"
+grep -qx "degenerate polygon" "$tmp/out"
+grep -qx "vertical edge: None" "$tmp/out"
+expect 0 newton "L - 1"
+grep -qx "degenerate polygon" "$tmp/out"
+grep -qx "vertical edge: True" "$tmp/out"
+expect 0 newton "M*L + M^2*L^2"
+grep -qx "degenerate polygon" "$tmp/out"
+grep -qx "vertical edge: False" "$tmp/out"
+
 # an SVG title with markup characters is escaped, and the file is XML
 expect 0 newton "L*M - 1" --svg "$tmp/out.svg" --title 'a<b & "c"'
 python3 - "$tmp/out.svg" <<'EOF'

@@ -147,13 +147,13 @@ def cmd_newton(args) -> int:
 
     poly = _parse_or_exit(args.poly)
     ngon = newton.newton_polygon(poly.normalize())
-    degenerate = ngon.degenerate
+    degenerate = len(ngon.vertices) < 3
     if len(ngon.vertices) < 2:
         slopes = []
         vertical = None
     else:
         slopes = newton.edge_slopes(ngon)
-        vertical = newton.has_vertical_edge(ngon)
+        vertical = newton.VERTICAL in slopes
     if args.svg:
         try:
             svg = newton.render_svg(ngon, title=args.title)

@@ -97,8 +97,16 @@ def load_table(path) -> LoadResult:
     return LoadResult(records=records, errors=errors)
 
 
+def _unit_eval_failed(rep: AnalysisReport) -> bool:
+    """Whether A(1, L) or A(-1, L) fails the unit-evaluation form."""
+    return isinstance(rep.unit_eval_plus, UnitEvalFailure) or isinstance(
+        rep.unit_eval_minus, UnitEvalFailure
+    )
+
+
 class BatchReport(Record, frozen=False):
-    """Record-wise reports plus summary counters and an overall status.
+    """Record-wise reports plus the names of the failing and anomalous
+    records, and an overall status read off those two lists.
 
     Status FAIL when any non-refined, non-unknot record has M-degree 0
     (which would contradict the nontriviality theorem); ANOMALY when some
@@ -106,11 +114,14 @@ class BatchReport(Record, frozen=False):
     Newton-polygon edge. FAIL takes precedence over ANOMALY.
     """
 
-    __slots__ = ("reports", "anomalies", "failures", "status")
+    __slots__ = ("reports", "anomalies", "failures")
 
-    def __init__(self, reports, anomalies, failures, status):
+    def __init__(self, reports, anomalies, failures):
         self.reports, self.anomalies, self.failures = reports, anomalies, failures
-        self.status = status
+
+    @property
+    def status(self):
+        return "FAIL" if self.failures else ("ANOMALY" if self.anomalies else "OK")
 
     @property
     def exit_code(self):
@@ -132,12 +143,7 @@ class BatchReport(Record, frozen=False):
         w = max([len(r.name) for r in self.reports] + [4])
         lines.append(f"{'name':<{w}}  deg_M  deg_L  eq1  vert  verdict")
         for r in self.reports:
-            eq1 = (
-                "ok"
-                if not isinstance(r.unit_eval_plus, UnitEvalFailure)
-                and not isinstance(r.unit_eval_minus, UnitEvalFailure)
-                else "FAIL"
-            )
+            eq1 = "FAIL" if _unit_eval_failed(r) else "ok"
             vert = {True: "yes", False: "no", None: "-"}[r.vertical_edge]
             lines.append(
                 f"{r.name:<{w}}  {r.deg_m:>5}  {r.deg_l:>5}  {eq1:<4} {vert:<5} {r.verdict}"
@@ -170,16 +176,7 @@ def verify_all(records) -> BatchReport:
     for rec, rep in zip(records, reports):
         if rep.verdict == FAIL:
             failures.append(rec.name)
-        eq1_failed = isinstance(rep.unit_eval_plus, UnitEvalFailure) or isinstance(
-            rep.unit_eval_minus, UnitEvalFailure
-        )
         # degenerate polygons are excluded from the implication check
-        if eq1_failed and rep.vertical_edge is False and not rep.degenerate:
+        if _unit_eval_failed(rep) and rep.vertical_edge is False and not rep.degenerate:
             anomalies.append(rec.name)
-    status = "FAIL" if failures else ("ANOMALY" if anomalies else "OK")
-    return BatchReport(
-        reports=reports,
-        anomalies=anomalies,
-        failures=failures,
-        status=status,
-    )
+    return BatchReport(reports=reports, anomalies=anomalies, failures=failures)

@@ -38,6 +38,7 @@ from math import gcd
 
 from ._record import Record
 from .poly import _L_MINUS_1, BivarPoly, UnivarPoly, _add_terms, _mul_terms, charpoly, gcd_univar
+from .structure import abelian_multiplicity
 
 __all__ = [
     "GroupPresentation",
@@ -289,7 +290,7 @@ def eliminate_two_bridge(p: int, q: int) -> BivarPoly:
     w = sl2_word_eval(pres.w, _NORMAL_FORM)
     lam = _longitude_entry(pres, w)
     nf = _squarefree_bivar(_longitude_charpoly(_riley_phi(w), lam)).normalize()
-    if not nf.taylor_at_l1(0).is_zero:  # A(M, 1) != 0: no (L-1) factor
+    if abelian_multiplicity(nf) == 0:
         nf = nf * _L_MINUS_1  # a product of A-normal forms is A-normal
     return nf
 

@@ -1,23 +1,18 @@
 """Newton polygons of bivariate polynomials.
 
-The vertical edge and the degeneracy are read off the support's columns,
-with no hull, by ``vertical_edge`` and ``collinear`` from
-``apoly._columns``: ``has_vertical_edge`` reads the columns of the hull's
-vertices, and ``convex_hull`` sets its ``degenerate`` flag, and returns
-early, from those of the support.
-
 Convex hulls are computed with exact integer cross products (monotone
 chain). The hull's edges are its consecutive vertex pairs, cyclically, and
 a segment's one pair; edge slopes are lowest-terms fractions of L-exponent
 over M-exponent, with a distinguished VERTICAL tag, and polygons render to
-deterministic SVG.
+deterministic SVG. A polygon is degenerate exactly when it has fewer than
+three vertices, and it has a vertical edge exactly when VERTICAL is among
+its slopes.
 """
 
 from __future__ import annotations
 
 import re
 
-from ._columns import collinear, support_columns, vertical_edge
 from ._record import Record
 from .poly import BivarPoly
 
@@ -25,12 +20,9 @@ __all__ = [
     "VERTICAL",
     "NewtonPolygon",
     "support",
-    "vertical_edge",
-    "collinear",
     "convex_hull",
     "newton_polygon",
     "edge_slopes",
-    "has_vertical_edge",
     "render_svg",
 ]
 
@@ -57,16 +49,15 @@ def _edges(vs):
 class NewtonPolygon(Record):
     """Hull vertices in counterclockwise order plus the original support.
 
-    Degenerate inputs keep 1 vertex (single point) or 2 (collinear set,
-    extreme points only) and set the degenerate flag.
+    A degenerate support keeps 1 vertex (single point) or 2 (collinear set,
+    extreme points only).
     """
 
-    __slots__ = ("vertices", "support", "degenerate")
+    __slots__ = ("vertices", "support")
 
-    def __init__(self, vertices, support, degenerate=False):
+    def __init__(self, vertices, support):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "degenerate", degenerate)
 
 
 def convex_hull(points) -> NewtonPolygon:
@@ -74,10 +65,6 @@ def convex_hull(points) -> NewtonPolygon:
     pts = sorted({(int(i), int(j)) for i, j in points})
     if not pts:
         raise ValueError("convex hull of an empty point set")
-    if collinear(support_columns(pts)):
-        # a single point, or a segment's two lexicographic extremes
-        ends = (pts[0],) if len(pts) == 1 else (pts[0], pts[-1])
-        return NewtonPolygon(ends, frozenset(pts), degenerate=True)
     lower = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
@@ -88,7 +75,8 @@ def convex_hull(points) -> NewtonPolygon:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return NewtonPolygon(tuple(lower[:-1] + upper[:-1]), frozenset(pts))
+    # a collinear set leaves its two extremes, a single point nothing
+    return NewtonPolygon(tuple(lower[:-1] + upper[:-1]) or (pts[0],), frozenset(pts))
 
 
 def newton_polygon(p: BivarPoly) -> NewtonPolygon:
@@ -105,14 +93,6 @@ def edge_slopes(poly: NewtonPolygon):
         VERTICAL if a[0] == b[0] else Fraction(b[1] - a[1], b[0] - a[0])
         for a, b in _edges(poly.vertices)
     ]
-
-
-def has_vertical_edge(poly: NewtonPolygon) -> bool:
-    """Whether the polygon has a vertical edge: vertical_edge of the
-    columns of its vertices, which hold each column's extremes."""
-    if len(poly.vertices) < 2:
-        raise ValueError("vertical-edge test needs at least two distinct points")
-    return vertical_edge(support_columns(poly.vertices))
 
 
 # what XML 1.0's Char production leaves out; compiled on first use, not at import

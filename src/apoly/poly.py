@@ -30,7 +30,7 @@ function, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import re
-from math import comb, gcd, log2
+from math import gcd, log2
 
 __all__ = [
     "UnivarPoly",
@@ -441,13 +441,8 @@ class BivarPoly:
         if self.is_zero:
             return UnivarPoly()
         coeffs = [0] * (self.deg_l() + 1)
-        if m in (1, -1):
-            # a unit's powers are +/-1, so add or subtract by the parity of i
-            for (i, j), c in self.terms.items():
-                coeffs[j] += -c if m < 0 and i & 1 else c
-        else:
-            for (i, j), c in self.terms.items():
-                coeffs[j] += c * m**i
+        for (i, j), c in self.terms.items():
+            coeffs[j] += c * m**i
         return UnivarPoly(coeffs)
 
     def invert_l(self):
@@ -456,21 +451,6 @@ class BivarPoly:
             return self
         d = self.deg_l()
         return BivarPoly({(i, d - j): c for (i, j), c in self.terms.items()})
-
-    def taylor_at_l1(self, k: int) -> "BivarPoly":
-        """The k-th Taylor coefficient at L = 1, a polynomial in M alone.
-
-        Substituting L = 1 + u, the coefficient of u^k is
-        sum over terms c_ij M^i L^j of C(j, k) c_ij M^i, summed over the
-        sparse terms without making any coefficient dense. Since L - 1 is
-        monic in L, (L-1)^k divides self in Z[M][L] exactly when the
-        coefficients 0 .. k-1 all vanish.
-        """
-        out = {}
-        for (i, j), c in self.terms.items():
-            if j >= k:
-                out[(i, 0)] = out.get((i, 0), 0) + comb(j, k) * c
-        return BivarPoly(out)
 
     # -- division -----------------------------------------------------
 
@@ -583,6 +563,11 @@ _COEFF_BOUND = 10**_MAX_DIGITS
 
 # Deepest nesting accepted, far inside the recursion limit (1 frame a level)
 _MAX_DEPTH = 200
+
+# Largest L-exponent accepted in the expanded result. The analysis makes a
+# polynomial dense in L, so its cost grows with the L-degree; M-exponents
+# are left unbounded, since nothing makes a polynomial dense in M.
+_MAX_L_EXPONENT = 100_000
 
 # A parenthesized power (B)^e is bounded before it is expanded. Each of its
 # coefficients has at most b = e * log2(sum of |coefficients of B|) bits,
@@ -721,10 +706,11 @@ def parse_poly(text: str) -> BivarPoly:
     than 200, at its '^' a parenthesized power too large to expand (see
     _MAX_POWER_COST), at its '(' a parenthesized factor whose product with
     the term's earlier ones is too large to expand (see _MAX_PRODUCT_COST)
-    and, at the first token, a coefficient of the expanded
-    result longer than 4300 digits. Lexical errors (a character outside the
-    grammar, a long literal, deep nesting) come before grammar errors, and
-    among each kind the first in the text is raised.
+    and, at the first token, an L-exponent of the expanded result above
+    100,000 or a coefficient of it longer than 4300 digits. Lexical errors
+    (a character outside the grammar, a long literal, deep nesting) come
+    before grammar errors, and among each kind the first in the text is
+    raised.
     """
     _check_lexical(text)
     tokens = _FACTOR_TOKEN_RE.findall(text)
@@ -815,8 +801,12 @@ def parse_poly(text: str) -> BivarPoly:
     if tokens[k]:
         _token_error("unexpected trailing input", text, k)
     for (i, j), c in result.terms.items():
+        if j > _MAX_L_EXPONENT:
+            _token_error(f"expanded L-exponent is above {_MAX_L_EXPONENT}", text, 0)
         if abs(c) >= _COEFF_BOUND:
-            msg = f"expanded coefficient of M^{i}*L^{j} is longer than {_MAX_DIGITS} digits"
+            # an M-exponent can be longer than str() writes
+            msg = (f"expanded coefficient of M^{_decimal(i)}*L^{j} "
+                   f"is longer than {_MAX_DIGITS} digits")
             _token_error(msg, text, 0)
     return result
 

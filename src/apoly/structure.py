@@ -10,7 +10,9 @@ that says why the structure fails. ``analyze`` reduces its input to
 A-normal form once, splits that form into its M-slices {i: {j: c}} in one
 walk over the terms, and reads every check off the slices: both degrees,
 both unit evaluations, the abelian multiplicity and the two Newton-polygon
-facts, which need no hull.
+facts. Those need no hull: the slices are the columns of the support (its
+L-exponents at each M-exponent), and the hull of a support is the hull of
+each column's lowest and highest point.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from itertools import accumulate
 from math import prod
 
-from ._columns import collinear, vertical_edge
 from ._record import Record
 from .poly import _L_MINUS_1, BivarPoly, UnivarPoly
 
@@ -400,6 +401,29 @@ def _unit_evaluations(slices, deg_l):
     return UnivarPoly(plus), UnivarPoly(minus)
 
 
+def _vertical_edge(slices):
+    """Whether the Newton polygon of the polynomial with these M-slices
+    has a vertical edge: None for a single point, otherwise whether the
+    first or the last slice holds two points, since a vertical supporting
+    line meets the hull at the least or the greatest M-exponent."""
+    first, last = slices[min(slices)], slices[max(slices)]
+    if len(slices) == 1 and len(first) == 1:
+        return None
+    return len(first) > 1 or len(last) > 1
+
+
+def _collinear(slices):
+    """Whether every point of the support of the polynomial with these
+    M-slices lies on one line, that is, whether its Newton polygon is
+    degenerate: every point must be collinear with the first two."""
+    points = [(i, j) for i, s in slices.items() for j in s]
+    if len(points) < 3:
+        return True
+    (i0, j0), (i1, j1) = points[0], points[1]
+    di, dj = i1 - i0, j1 - j0
+    return all(di * (j - j0) == dj * (i - i0) for i, j in points[2:])
+
+
 def abelian_multiplicity(a: BivarPoly) -> int:
     """Multiplicity of the (L-1) factor.
 
@@ -490,7 +514,7 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
     knot data a FAIL would contradict the nontriviality theorem). Every
     check reads the M-slices of the normal form: the degrees are the
     largest slice index and exponent, and the slices are the columns of
-    the Newton polygon (see apoly._columns).
+    the Newton polygon's support.
     """
     if a.is_zero:
         raise ValueError("cannot analyze the zero polynomial")
@@ -513,8 +537,8 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
         abelian_multiplicity=_abelian_multiplicity(slices),
         unit_eval_plus=unit_plus,
         unit_eval_minus=unit_minus,
-        vertical_edge=vertical_edge(slices),
+        vertical_edge=_vertical_edge(slices),
         cyclotomic=cyc,
         verdict=verdict,
-        degenerate=collinear(slices),
+        degenerate=_collinear(slices),
     )

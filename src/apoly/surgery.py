@@ -59,11 +59,16 @@ class ReplayStep(Record):
 class ReplayReport(Record, frozen=False):
     """Narrated replay of the degree-zero contradiction."""
 
-    __slots__ = ("ok", "violation", "profile", "d", "steps")
+    __slots__ = ("violation", "profile", "d", "steps")
 
-    def __init__(self, ok, violation, profile, d, steps=None):
-        self.ok, self.violation, self.profile, self.d = ok, violation, profile, d
+    def __init__(self, violation, profile, d, steps=None):
+        self.violation, self.profile, self.d = violation, profile, d
         self.steps = [] if steps is None else steps
+
+    @property
+    def ok(self):
+        """Whether the decomposition succeeded and every step forced u = 1."""
+        return self.violation is None and all(s.all_forced_trivial for s in self.steps)
 
     def as_dict(self):
         return {
@@ -154,9 +159,8 @@ def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
                          f"points; the bound is {_MAX_POINTS}")
     profile = mdeg_trivial_decomposition(nf)
     if isinstance(profile, Violation):
-        return ReplayReport(ok=False, violation=profile.reason, profile=None, d=None)
+        return ReplayReport(violation=profile.reason, profile=None, d=None)
     orders = [1] + [e for e, _ in profile.factors]
     d = lcm(*orders)
     steps = [ReplayStep(n, n * d, _points_by_order(orders, n * d)) for n in range(1, n_max + 1)]
-    ok = all(s.all_forced_trivial for s in steps)
-    return ReplayReport(ok=ok, violation=None, profile=profile, d=d, steps=steps)
+    return ReplayReport(violation=None, profile=profile, d=d, steps=steps)

@@ -12,9 +12,11 @@ from apoly.poly import (
     _COEFF_BOUND,
     _MAX_DEPTH,
     _MAX_DIGITS,
+    _MAX_L_EXPONENT,
     BivarPoly,
     UnivarPoly,
     _add_terms,
+    _decimal,
     _error,
     _mul_terms,
     _power_error,
@@ -398,8 +400,11 @@ def parse_poly_by_tokens(text):
     if peek()[0] != "end":
         _error("unexpected trailing input", text, peek()[2])
     for (i, j), c in result.terms.items():
+        if j > _MAX_L_EXPONENT:
+            _error(f"expanded L-exponent is above {_MAX_L_EXPONENT}", text, tokens[0][2])
         if abs(c) >= _COEFF_BOUND:
-            msg = f"expanded coefficient of M^{i}*L^{j} is longer than {_MAX_DIGITS} digits"
+            msg = (f"expanded coefficient of M^{_decimal(i)}*L^{j} "
+                   f"is longer than {_MAX_DIGITS} digits")
             _error(msg, text, tokens[0][2])
     return result
 

@@ -183,7 +183,7 @@ def test_criterion_6_vertical_edge_oracle(capsys):
         if len(pts) < 2:
             continue
         poly = newton.convex_hull(pts)
-        ok = ok and newton.has_vertical_edge(poly) == brute_force_vertical(pts)
+        ok = ok and (newton.VERTICAL in newton.edge_slopes(poly)) == brute_force_vertical(pts)
         if not ok:
             break
     # published-table path: only when the user supplies the file

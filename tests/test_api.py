@@ -40,7 +40,7 @@ def test_test_oracles_not_exported(name):
 # each stood for another name's value or was built only to run a check
 DELETED = {
     "apoly.structure": ["NotCyclotomic"],
-    "apoly.newton": ["Edge"],
+    "apoly.newton": ["Edge", "has_vertical_edge", "vertical_edge", "collinear"],
     "apoly.knots": ["TorusKnot", "TwoBridgeKnot", "riley_polynomial"],
 }
 
@@ -50,6 +50,19 @@ def test_restated_names_deleted(name):
     module = importlib.import_module(name)
     for attr in DELETED[name]:
         assert not hasattr(module, attr), f"{name}.{attr}"
+
+
+def test_restated_methods_and_modules_deleted():
+    from apoly.newton import NewtonPolygon
+    from apoly.poly import BivarPoly
+
+    # the degeneracy is the vertex count, the vertical edge a slope, the
+    # (L-1) test the abelian multiplicity, and the column readings
+    # structure's own
+    assert "degenerate" not in NewtonPolygon.__slots__
+    assert not hasattr(BivarPoly, "taylor_at_l1")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("apoly._columns")
 
 
 def test_one_type_per_outcome():

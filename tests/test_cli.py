@@ -131,6 +131,14 @@ class TestAnalyze:
         assert out == ("error: product too large to expand: 1002001 term pairs of up to "
                        "2000 bits (line 1, column 12)\n")
 
+    @pytest.mark.parametrize("cmd", ["analyze", "newton", "replay"])
+    def test_l_exponent_past_bound_exit_1(self, capsys, cmd):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "L^100000000000000000000 - 1"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 1
+        assert out == "error: expanded L-exponent is above 100000 (line 1, column 1)\n"
+
     def test_long_expanded_coefficient_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", LONG_PRODUCT])
@@ -233,6 +241,26 @@ class TestVerifyDb:
         payload = json.loads(captured.out)
         assert payload["status"] == "OK" and payload["n_records"] == 1
         assert [r["name"] for r in payload["records"]] == ["unknot"]
+
+    def test_l_exponent_past_bound_record_error(self, capsys, tmp_path, monkeypatch):
+        # the record is rejected on its sparse terms, before any analysis
+        from apoly import structure
+
+        degrees = []
+        unit_evaluations = structure._unit_evaluations
+        monkeypatch.setattr(
+            structure, "_unit_evaluations",
+            lambda slices, deg_l: degrees.append(deg_l) or unit_evaluations(slices, deg_l),
+        )
+        table = tmp_path / "table.txt"
+        table.write_text("huge ; L^100000000000000000000 - 1\nunknot ; L - 1\n", encoding="utf-8")
+        code, out = run(capsys, "verify-db", str(table))
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "record error (line 1, huge): expanded L-exponent is above 100000 (line 1, column 1)"
+        )
+        assert "status: OK (1 records" in out
+        assert degrees == [1]
 
     def test_record_errors_in_text_mode_on_stdout(self, capsys, tmp_path):
         table = tmp_path / "table.txt"
@@ -435,11 +463,12 @@ def test_cli_import_loads_no_command_module():
 
 
 def test_analysis_imports_no_hull_code():
-    # analyze reads the Newton polygon's two facts from apoly._columns, so
+    # analyze reads the Newton polygon's two facts off its own M-slices, so
     # verify-db, analyze and compute compile no hull or SVG code
     imported = imported_modules("import apoly.db")
-    assert "apoly._columns" in imported
+    assert "apoly.structure" in imported
     assert "apoly.newton" not in imported
+    assert "apoly._columns" not in imported
 
 
 # strings with non-ASCII characters, quotes, backslashes and control characters

@@ -143,6 +143,16 @@ class TestVerifyAll:
         assert rep.status == "ANOMALY" and rep.exit_code == 3
         assert rep.anomalies == ["synth"]
 
+    def test_one_failing_unit_evaluation_is_a_failure(self):
+        # A(1, L) = L has the form and A(-1, L) = L + 2 does not: the record
+        # is an anomaly, and its text row's eq1 column reads FAIL
+        rep = verify_all([DbRecord(name="half", a_poly=parse_poly("M^2 + L - M"))])
+        report = rep.reports[0]
+        assert not isinstance(report.unit_eval_plus, UnitEvalFailure)
+        assert isinstance(report.unit_eval_minus, UnitEvalFailure)
+        assert rep.anomalies == ["half"]
+        assert rep.to_text().splitlines()[1].split()[3] == "FAIL"
+
     def test_builds_no_newton_polygon(self, monkeypatch):
         # analyze reads the vertical edge and the degeneracy off the
         # M-slices, and verify_all reads both off the report: no hull

@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 from apoly import newton
 from apoly.newton import (
     VERTICAL,
-    collinear,
     convex_hull,
     edge_slopes,
-    has_vertical_edge,
     newton_polygon,
     render_svg,
     support,
-    vertical_edge,
 )
-from apoly._columns import support_columns
 from apoly.poly import BivarPoly, parse_poly
+from apoly.structure import _collinear, _m_slices, _vertical_edge
 
 from conftest import bivar_polys, hull_has_vertical_edge, hull_vertices
 
@@ -33,6 +30,16 @@ def brute_force_vertical(points):
     left = {j for i, j in points if i == imin}
     right = {j for i, j in points if i == imax}
     return len(left) > 1 or len(right) > 1
+
+
+def has_vertical_edge(poly):
+    """The vertical edge as the newton command reads it, off the slopes."""
+    return VERTICAL in edge_slopes(poly)
+
+
+def point_slices(points):
+    """The M-slices {i: {j: 1}} of the polynomial with this support."""
+    return _m_slices(dict.fromkeys(points, 1))
 
 
 class TestSupport:
@@ -54,12 +61,10 @@ class TestConvexHull:
     def test_interior_and_collinear_points_dropped(self):
         poly = convex_hull({(0, 0), (1, 1), (2, 0), (1, 0)})
         assert poly.vertices == ((0, 0), (2, 0), (1, 1))
-        assert not poly.degenerate
 
     def test_single_point(self):
         poly = convex_hull({(3, 4)})
         assert poly.vertices == ((3, 4),)
-        assert poly.degenerate
 
     def test_trefoil_quadrilateral(self):
         poly = convex_hull({(0, 0), (0, 1), (6, 1), (6, 2)})
@@ -67,9 +72,9 @@ class TestConvexHull:
         assert len(poly.vertices) == 4
 
     def test_collinear_segment(self):
-        poly = convex_hull({(0, 0), (1, 1), (2, 2)})
-        assert poly.degenerate
-        assert poly.vertices == ((0, 0), (2, 2))
+        poly = convex_hull({(0, 0), (1, 1), (2, 2), (3, 3)})
+        assert poly.vertices == ((0, 0), (3, 3))
+        assert convex_hull({(2, 5), (2, 1), (2, 3)}).vertices == ((2, 1), (2, 5))
 
     @given(bivar_polys(allow_zero=False, max_terms=10))
     @settings(max_examples=100, deadline=None)
@@ -117,7 +122,7 @@ class TestEdgeSlopes:
             return
         slopes = edge_slopes(poly)
         assert len(slopes) == (1 if len(poly.vertices) == 2 else len(poly.vertices))
-        assert (VERTICAL in slopes) == has_vertical_edge(poly)
+        assert (VERTICAL in slopes) == hull_has_vertical_edge(list(poly.vertices))
         assert render_svg(poly).count('class="vertical"') == slopes.count(VERTICAL)
 
 
@@ -145,16 +150,18 @@ class TestVerticalEdge:
 
 
     def test_builds_no_edges(self, monkeypatch):
-        # consecutive hull vertices are compared directly, with no slope
+        # the analysis reads the vertical edge off the M-slices, with no
+        # hull and no slope
         import fractions
 
-        def no_slopes(*args):
-            raise AssertionError("a slope was built")
+        def no_hull_or_slopes(*args):
+            raise AssertionError("a hull or a slope was built")
 
-        monkeypatch.setattr(fractions, "Fraction", no_slopes)
-        assert has_vertical_edge(newton_polygon(TREFOIL))
-        assert has_vertical_edge(convex_hull({(3, 0), (3, 5)}))
-        assert not has_vertical_edge(convex_hull({(0, 0), (2, 1), (4, 0)}))
+        monkeypatch.setattr(fractions, "Fraction", no_hull_or_slopes)
+        monkeypatch.setattr(newton, "convex_hull", no_hull_or_slopes)
+        assert _vertical_edge(_m_slices(TREFOIL.terms))
+        assert _vertical_edge(point_slices({(3, 0), (3, 5)}))
+        assert not _vertical_edge(point_slices({(0, 0), (2, 1), (4, 0)}))
 
 
 @st.composite
@@ -174,33 +181,33 @@ def point_sets(draw):
 
 
 class TestColumnReadings:
-    """The column readings of the vertical edge and the degeneracy against
-    the reference hull's edges and vertex count."""
+    """The two readings of the vertical edge and the degeneracy, the
+    analysis's off the M-slices and the newton command's off the hull's
+    slopes and vertex count, against the reference hull's edges and vertex
+    count."""
 
     @given(point_sets())
     @settings(max_examples=500, deadline=None)
     def test_match_hull(self, pts):
         vertices = hull_vertices(pts)
-        columns = support_columns(pts)
-        assert vertical_edge(columns) == hull_has_vertical_edge(vertices)
-        assert collinear(columns) == (len(vertices) <= 2)
+        slices = point_slices(pts)
+        assert _vertical_edge(slices) == hull_has_vertical_edge(vertices)
+        assert _collinear(slices) == (len(vertices) <= 2)
         poly = convex_hull(pts)
-        assert poly.degenerate == (len(vertices) <= 2)
-        if not poly.degenerate:
-            assert poly.vertices == tuple(vertices)
+        assert poly.vertices == tuple(vertices)
         if len(poly.vertices) >= 2:
             assert has_vertical_edge(poly) == hull_has_vertical_edge(vertices)
+            assert has_vertical_edge(poly) == brute_force_vertical(pts)
 
     @given(bivar_polys(allow_zero=False))
     @settings(max_examples=200, deadline=None)
     def test_slices_are_columns(self, p):
-        # an M-slice {j: c} serves as its column
-        slices = {}
-        for (i, j), c in p.terms.items():
-            slices.setdefault(i, {})[j] = c
-        columns = support_columns(p.terms)
-        assert vertical_edge(slices) == vertical_edge(columns)
-        assert collinear(slices) == collinear(columns)
+        # an M-slice {j: c} serves as its column whatever its coefficients
+        slices = _m_slices(p.terms)
+        vertices = hull_vertices(p.terms)
+        assert _vertical_edge(slices) == _vertical_edge(point_slices(p.terms))
+        assert _vertical_edge(slices) == hull_has_vertical_edge(vertices)
+        assert _collinear(slices) == (len(newton_polygon(p).vertices) < 3)
 
 
 class TestSvg:

@@ -369,6 +369,34 @@ class TestGrammar:
         assert (exc.value.line, exc.value.col) == (1, 1)
 
     @pytest.mark.parametrize(
+        "text",
+        ["L^100001 - 1", "(L^1000)^101", "L^100000*L", "L^100000000000000000000 - 1",
+         "M^3*(L^50001)^2 + 1", "L^2 - 3*M*L^" + "9" * 4300],
+    )
+    def test_l_exponent_past_bound_rejected(self, text):
+        # checked on the sparse terms, at the first token, in both parsers
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value) == "expanded L-exponent is above 100000 (line 1, column 1)"
+
+    @pytest.mark.parametrize(
+        "text, deg_l",
+        [("L^100000 - 1", 100000), ("(L^1000)^100", 100000), ("L^99999*L", 100000),
+         ("M^100000000000000000000*L^100000", 100000), ("L^200000 - L^200000 + L", 1)],
+    )
+    def test_l_exponent_at_bound_accepted(self, text, deg_l):
+        # a term that cancels before the end is not checked
+        assert parse_poly(text).deg_l() == deg_l
+
+    def test_long_m_exponent_in_coefficient_error(self):
+        # an M-exponent past str()'s 4300-digit limit is still written out
+        nines = "9" * 4300
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(f"M^{nines}*M^{nines}*{nines}*{nines}*L")
+        assert f"expanded coefficient of M^{_decimal(2 * (10**4300 - 1))}*L^1" in str(exc.value)
+
+    @pytest.mark.parametrize(
         "text, column, bound",
         [
             ("(L-1)^11000000000000000000000000000007", 6, "could exceed 65536 bits"),
@@ -543,29 +571,6 @@ class TestFormat:
     def test_long_coefficient_written_in_full(self):
         c = 10**8600 + 1
         assert format_poly(BivarPoly({(0, 1): -c})) == f"-{decimal.Decimal(c)}*L"
-
-
-class TestTaylorAtL1:
-    def test_coefficients(self):
-        # (L-1)^2 (L+M) = u^2 (1 + u + M) with L = 1 + u
-        a = (L - one) ** 2 * (L + M)
-        assert [a.taylor_at_l1(k) for k in range(5)] == [
-            BivarPoly(),
-            BivarPoly(),
-            M + one,
-            one,
-            BivarPoly(),
-        ]
-
-    @given(bivar_polys())
-    @settings(max_examples=100, deadline=None)
-    def test_derivatives_at_l1(self, p):
-        # at each integer M = m, the k-th coefficient is f^(k)(1) / k!
-        for m in (-2, 0, 3):
-            f, fact = p.eval_m(m), 1
-            for k in range(6):
-                assert p.taylor_at_l1(k).eval_m(m)(0) * fact == f(1)
-                f, fact = f.derivative(), fact * (k + 1)
 
 
 class TestSymmetryHelpers:

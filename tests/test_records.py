@@ -37,9 +37,9 @@ RECORDS = [
     ),
     (
         NewtonPolygon,
-        ("vertices", "support", "degenerate"),
-        (((0, 0), (1, 1)), frozenset({(0, 0), (1, 1)}), True),
-        {"degenerate": False},
+        ("vertices", "support"),
+        (((0, 0), (1, 1)), frozenset({(0, 0), (1, 1)})),
+        {},
         True,
     ),
     (CyclotomicProfile, ("factors", "sign"), (((2, 1),), -1), {"sign": 1}, True),
@@ -65,12 +65,12 @@ RECORDS = [
     ),
     (RecordError, ("line", "name", "message"), (3, "x", "DuplicateName: x"), {}, True),
     (LoadResult, ("records", "errors"), ([], []), {}, False),
-    (BatchReport, ("reports", "anomalies", "failures", "status"), ([], [], [], "OK"), {}, False),
+    (BatchReport, ("reports", "anomalies", "failures"), ([], [], []), {}, False),
     (ReplayStep, ("n", "slope_denominator", "groups"), (1, 2, ((1, 1, 1), (2, 1, 1))), {}, True),
     (
         ReplayReport,
-        ("ok", "violation", "profile", "d", "steps"),
-        (True, None, None, 2, [1]),
+        ("violation", "profile", "d", "steps"),
+        (None, None, 2, [ReplayStep(1, 2, ((1, 1, 1),))]),
         {"steps": []},
         False,
     ),
@@ -138,6 +138,16 @@ def test_differing_field_breaks_equality():
     assert CyclotomicProfile(((2, 1),)) != CyclotomicProfile(((2, 1),), sign=-1)
     assert UnitEvaluationForm(1, 0, 1, 0) != UnitEvaluationForm(1, 0, 0, 1)
     assert Violation("r") != Violation("r", RESIDUAL)
+
+
+def test_statuses_are_read_off_the_fields():
+    # no field restates another: the status and ok are properties
+    assert [BatchReport([], a, f).status for a, f in (([], []), (["x"], []), (["x"], ["y"]))] == [
+        "OK", "ANOMALY", "FAIL"]
+    trivial, nontrivial = ReplayStep(1, 2, ((1, 1, 1),)), ReplayStep(1, 2, ((2, 1, 2),))
+    assert ReplayReport(None, None, 2, [trivial]).ok
+    assert not ReplayReport(None, None, 2, [trivial, nontrivial]).ok
+    assert not ReplayReport("missing abelian factor (L-1)", None, None).ok
 
 
 def test_checks_keep_their_messages():
