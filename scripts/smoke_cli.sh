@@ -8,7 +8,10 @@
 # The arguments are the command that runs apoly. python3 on PATH writes the
 # large inputs and reads the JSON outputs; it needs nothing beyond the
 # standard library and may differ from the interpreter under test.
-set -euo pipefail
+set -Eeuo pipefail
+# a failing check names itself and, inside a function (-E carries the
+# trap there), the line that called it
+trap 'echo "smoke_cli: check failed at line $LINENO${FUNCNAME:+ (in $FUNCNAME, called at line ${BASH_LINENO[0]})}: $BASH_COMMAND" >&2' ERR
 
 if [ "$#" -eq 0 ]; then
   echo "usage: $0 APOLY-COMMAND..." >&2
@@ -38,6 +41,14 @@ expect() {
     head -c 2000 "$tmp/out" >&2
     exit 1
   fi
+}
+
+# one_error_line PATTERN: $tmp/out is one line, which PATTERN matches, and
+# $tmp/err is empty: an error line and no traceback
+one_error_line() {
+  grep -q "$1" "$tmp/out"
+  test "$(wc -l < "$tmp/out")" -eq 1
+  test ! -s "$tmp/err"
 }
 
 # expect_within SECONDS CODE ARGS...: expect, with apoly stopped after SECONDS
@@ -136,14 +147,27 @@ test "$(wc -c < "$tmp/out")" -lt 1000
 # with nothing on stderr; in a table it is a record error and the rest is
 # verified
 expect_within 5 1 analyze "L^100000000000000000000 - 1" 2> "$tmp/err"
-grep -q "^error: expanded L-exponent is above 100000 (line 1, column 1)" "$tmp/out"
-test "$(wc -l < "$tmp/out")" -eq 1
-test ! -s "$tmp/err"
+one_error_line "^error: expanded L-exponent is above 100000 (line 1, column 1)"
 printf 'huge ; L^100000000000000000000 - 1\nunknot ; L - 1\n' > "$tmp/huge_db.txt"
 expect_within 5 0 verify-db "$tmp/huge_db.txt" 2> "$tmp/err"
 grep -q "^record error (line 1, huge): expanded L-exponent is above 100000" "$tmp/out"
 grep -q "^status: OK (1 records" "$tmp/out"
 test ! -s "$tmp/err"
+
+# an M-exponent longer than 4300 digits after expansion is a clean parse
+# error too, where writing deg_M once ended in a traceback
+python3 -c "print('M^' + '9' * 4300 + '*M^' + '9' * 4300 + '*L - 1')" > "$tmp/m_exp.txt"
+expect_within 5 1 analyze --file "$tmp/m_exp.txt" 2> "$tmp/err"
+one_error_line "^error: expanded M-exponent is longer than 4300 digits (line 1, column 1)"
+
+# the powers and products of one parse share one budget: ten powers, each
+# inside its own bound, and a product of 8000 factors are rejected at the
+# construct that passes it
+expect_within 5 1 analyze "$(python3 -c 'print(" + ".join(["(L-1)^2047"] * 10))')" 2> "$tmp/err"
+one_error_line "^error: power too large to expand: .* parse budget (line 1, column 19)"
+python3 -c 'print("*".join(["(L+1)"] * 8000))' > "$tmp/factors.txt"
+expect_within 5 1 analyze --file "$tmp/factors.txt" 2> "$tmp/err"
+one_error_line "^error: product too large to expand: .* parse budget (line 1, column 8083)"
 
 # newton reads the degeneracy off the vertex count and the vertical edge
 # off the slopes: a point, a vertical segment and a sloped segment

@@ -565,8 +565,9 @@ _COEFF_BOUND = 10**_MAX_DIGITS
 _MAX_DEPTH = 200
 
 # Largest L-exponent accepted in the expanded result. The analysis makes a
-# polynomial dense in L, so its cost grows with the L-degree; M-exponents
-# are left unbounded, since nothing makes a polynomial dense in M.
+# polynomial dense in L, so its cost grows with the L-degree; nothing makes
+# a polynomial dense in M, so an M-exponent is bounded only as a coefficient
+# is, below _COEFF_BOUND, which keeps it short enough for str() to write.
 _MAX_L_EXPONENT = 100_000
 
 # A parenthesized power (B)^e is bounded before it is expanded. Each of its
@@ -590,6 +591,12 @@ _MAX_POWER_COST = 1 << 33
 # inside and (L-1)^1000*(L-1)^1000, which took 2 s to expand, outside.
 _PRODUCT_PAIR_BITS = 1 << 10
 _MAX_PRODUCT_COST = 1 << 41
+
+# One parse has one budget: each power spends n^2 * b / _MAX_POWER_COST of
+# it and each product n_P * n_F * max(b, _PRODUCT_PAIR_BITS)^2 /
+# _MAX_PRODUCT_COST, so the sum of many constructs, each inside its own
+# bound, is bounded too: ten copies of (L-1)^2047 would take 25 s.
+_PARSE_BUDGET = 1
 
 # The first character outside the grammar or integer literal too long to
 # accept: either is an error before any grammar error.
@@ -669,27 +676,42 @@ def _power_size(terms, e):
     return min(n, count), bits
 
 
-def _power_error(terms, e):
-    """Why the power (terms)^e, e >= 2, is too large to expand, or None."""
+def _power_error(terms, e, spent):
+    """(why the power (terms)^e, e >= 2, is too large to expand, or None;
+    the parse budget spent once it is), after spent before it."""
     n, bits = _power_size(terms, e)
     if bits > _MAX_POWER_BITS:
-        return f"power too large to expand: its coefficients could exceed {_MAX_POWER_BITS} bits"
-    if n * n * bits > _MAX_POWER_COST:
-        return f"power too large to expand: up to {n} terms of up to {round(bits)} bits"
-    return None
+        return ("power too large to expand: its coefficients could exceed "
+                f"{_MAX_POWER_BITS} bits"), spent
+    cost = n * n * bits
+    if cost > _MAX_POWER_COST:
+        return f"power too large to expand: up to {n} terms of up to {round(bits)} bits", spent
+    return _spend("power", spent + cost / _MAX_POWER_COST)
 
 
-def _product_error(f_size, g_size):
-    """Why the product of two factors is too large to expand, or None; each
-    factor is given by its _power_size (n, b)."""
+def _product_error(f_size, g_size, spent):
+    """(why the product of two factors is too large to expand, or None; the
+    parse budget spent once it is), after spent before it; each factor is
+    given by its _power_size (n, b)."""
     (nf, bf), (ng, bg) = f_size, g_size
     bits = bf + bg
     if bits > _MAX_POWER_BITS:
-        return f"product too large to expand: its coefficients could exceed {_MAX_POWER_BITS} bits"
+        return ("product too large to expand: its coefficients could exceed "
+                f"{_MAX_POWER_BITS} bits"), spent
     pairs = nf * ng
-    if pairs * max(bits, _PRODUCT_PAIR_BITS) ** 2 > _MAX_PRODUCT_COST:
-        return f"product too large to expand: {pairs} term pairs of up to {round(bits)} bits"
-    return None
+    cost = pairs * max(bits, _PRODUCT_PAIR_BITS) ** 2
+    if cost > _MAX_PRODUCT_COST:
+        return f"product too large to expand: {pairs} term pairs of up to {round(bits)} bits", spent
+    return _spend("product", spent + cost / _MAX_PRODUCT_COST)
+
+
+def _spend(construct, spent):
+    """(the error of a construct that takes the parse past its budget, or
+    None; spent)."""
+    if spent > _PARSE_BUDGET:
+        return (f"{construct} too large to expand: with the expansions before it, "
+                "it passes the parse budget"), spent
+    return None, spent
 
 
 def parse_poly(text: str) -> BivarPoly:
@@ -705,24 +727,25 @@ def parse_poly(text: str) -> BivarPoly:
     integer literal longer than 4300 digits, a parenthesis nested deeper
     than 200, at its '^' a parenthesized power too large to expand (see
     _MAX_POWER_COST), at its '(' a parenthesized factor whose product with
-    the term's earlier ones is too large to expand (see _MAX_PRODUCT_COST)
-    and, at the first token, an L-exponent of the expanded result above
-    100,000 or a coefficient of it longer than 4300 digits. Lexical errors
-    (a character outside the grammar, a long literal, deep nesting) come
-    before grammar errors, and among each kind the first in the text is
-    raised.
+    the term's earlier ones is too large to expand (see _MAX_PRODUCT_COST),
+    at either of these a power or product that takes the sum of their costs
+    past the parse budget (see _PARSE_BUDGET) and, at the first token, an
+    L-exponent of the expanded result above 100,000, or a coefficient or an
+    M-exponent of it longer than 4300 digits. Lexical errors (a character
+    outside the grammar, a long literal, deep nesting) come before grammar
+    errors, and among each kind the first in the text is raised.
     """
     _check_lexical(text)
     tokens = _FACTOR_TOKEN_RE.findall(text)
     tokens.append("")  # the end
-    k = 0
+    k, spent = 0, 0
 
     # Returns the term dict {(i, j): c} of the expression starting at
     # tokens[k] and leaves k at the token after it. Integers and powers of
     # M and L multiply into one monomial per term; only parenthesized
     # factors are multiplied as term dicts.
     def expression():
-        nonlocal k
+        nonlocal k, spent
         terms = {}
         sign = 1
         tok = tokens[k]
@@ -763,12 +786,13 @@ def parse_poly(text: str) -> BivarPoly:
                         k += 2
                         e = int(etok)
                         if e != 1:
-                            msg = _power_error(inner, e)
+                            msg, spent = _power_error(inner, e, spent)
                             if msg:
                                 _token_error(msg, text, k - 2)
                     if product is not None:
                         # bounded before the power is expanded, by its size
-                        msg = _product_error(_power_size(product, 1), _power_size(inner, e))
+                        msg, spent = _product_error(
+                            _power_size(product, 1), _power_size(inner, e), spent)
                         if msg:
                             _token_error(msg, text, start)
                     if e != 1:
@@ -808,6 +832,8 @@ def parse_poly(text: str) -> BivarPoly:
             msg = (f"expanded coefficient of M^{_decimal(i)}*L^{j} "
                    f"is longer than {_MAX_DIGITS} digits")
             _token_error(msg, text, 0)
+        if i >= _COEFF_BOUND:
+            _token_error(f"expanded M-exponent is longer than {_MAX_DIGITS} digits", text, 0)
     return result
 
 

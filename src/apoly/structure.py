@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import prod
+from operator import sub
 
 from ._record import Record
 from .poly import _L_MINUS_1, BivarPoly, UnivarPoly
@@ -41,9 +42,6 @@ __all__ = [
     "analyze",
 ]
 
-_cyclotomic_cache = {1: UnivarPoly([-1, 1])}
-
-
 def _prime_factors(n: int):
     """The distinct prime factors of n >= 1, ascending, by trial division."""
     primes = []
@@ -59,44 +57,48 @@ def _prime_factors(n: int):
     return primes
 
 
-def cyclotomic(d: int) -> UnivarPoly:
-    """The d-th cyclotomic polynomial, built from the radical of d.
+def _moebius_pairs(d: int):
+    """(e, mu(d/e)) for the divisors e of d with d/e squarefree, the only
+    ones whose Moebius value is nonzero: one for each set of primes of d."""
+    pairs = [(d, 1)]
+    for p in _prime_factors(d):
+        pairs += [(e // p, -mu) for e, mu in pairs]
+    return pairs
 
-    For each prime p of rad(d), Phi_{np}(x) = Phi_n(x^p) / Phi_n(x) (p does
-    not divide n); then Phi_d(x) = Phi_rad(x^(d/rad)). Every division is
-    exact.
-    """
+
+def _moebius_product(coeffs, pairs, power):
+    """coeffs, ascending, times the product of (x^e - 1)^(power * mu) over
+    the Moebius pairs (e, mu) of d, or None if a division leaves a remainder
+    (for power = -1: coeffs over Phi_d). Factors with mu = power multiply in
+    first, so a quotient that exists divides exactly. On the descending list,
+    dividing by x^e - 1 is a running sum along each residue class mod e,
+    whose last e sums (all, for a shorter list) are the remainder."""
+    c = list(reversed(coeffs))
+    for e, mu in pairs:
+        if mu == power:
+            c = list(map(sub, c + [0] * e, [0] * e + c))
+    for e, mu in pairs:
+        if mu != power:
+            for k in range(e, len(c)):
+                c[k] += c[k - e]
+            if any(c[-e:]):
+                return None
+            del c[-e:]
+    return c[::-1]
+
+
+def cyclotomic(d: int) -> UnivarPoly:
+    """The d-th cyclotomic polynomial, the Moebius product
+    Phi_d(x) = prod over e | d of (x^e - 1)^mu(d/e)."""
     if d < 1:
         raise ValueError("cyclotomic order must be positive")
-    if d in _cyclotomic_cache:
-        return _cyclotomic_cache[d]
-    f, rad = _cyclotomic_cache[1], 1
-    for p in _prime_factors(d):
-        f = _substitute_power(f, p).try_divide(f)
-        rad *= p
-    f = _substitute_power(f, d // rad)
-    _cyclotomic_cache[d] = f
-    return f
-
-
-def _substitute_power(f: UnivarPoly, k: int) -> UnivarPoly:
-    """f(x^k)."""
-    coeffs = [0] * (k * f.degree() + 1)
-    coeffs[::k] = f.coeffs
-    return UnivarPoly(coeffs)
+    return UnivarPoly(_moebius_product([1], _moebius_pairs(d), 1))
 
 
 def _cyclotomic_value(d: int, x: int) -> int:
-    """Phi_d(x) for an integer x >= 2, as the exact Moebius product.
-
-    Phi_d(x) = prod over e | d of (x^e - 1)^mu(d/e); only the e with d/e
-    squarefree contribute, one for each set of primes of d.
-    """
+    """Phi_d(x) for an integer x >= 2, as the exact Moebius product."""
     num, den = 1, 1
-    divisors = [(d, 1)]  # (e, mu(d/e))
-    for p in _prime_factors(d):
-        divisors += [(e // p, -mu) for e, mu in divisors]
-    for e, mu in divisors:
+    for e, mu in _moebius_pairs(d):
         if mu > 0:
             num *= x**e - 1
         else:
@@ -107,10 +109,7 @@ def _cyclotomic_value(d: int, x: int) -> int:
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("totient of nonpositive integer")
-    result = n
-    for p in _prime_factors(n):
-        result -= result // p
-    return result
+    return sum(e * mu for e, mu in _moebius_pairs(n))
 
 
 def cyclotomic_candidates(degree: int):
@@ -202,7 +201,7 @@ def is_product_of_cyclotomics(f: UnivarPoly):
     Greedy trial division by Phi_d over all d with phi(d) <= deg f; success
     iff the final quotient is +/-1. A candidate is first filtered by the
     exact integers Phi_d(2) and Phi_d(3), which must divide f(2) and f(3);
-    Phi_d itself is built and tried by exact division only when both do.
+    f is divided by Phi_d, through its Moebius product, only when both do.
     Roots 2 and 3, which would let every candidate through, are divided
     out first and go back onto the residual. After each division the
     filter values are divided too: f = Phi_d * q gives f(x) = Phi_d(x) q(x).
@@ -234,10 +233,10 @@ def is_product_of_cyclotomics(f: UnivarPoly):
         c3 = _cyclotomic_value(d, 3)
         mult = 0
         while (v2 % c2 == 0) and (v3 % c3 == 0):
-            q = f.try_divide(cyclotomic(d))
+            q = _moebius_product(f.coeffs, _moebius_pairs(d), -1)
             if q is None:
                 break
-            f, v2, v3 = q, v2 // c2, v3 // c3
+            f, v2, v3 = UnivarPoly(q), v2 // c2, v3 // c3
             mult += 1
             if f.degree() == 0:
                 break

@@ -312,12 +312,12 @@ def _tokenize(text):
 
 
 def parse_poly_by_tokens(text):
-    """Reference parser for apoly.poly.parse_poly: the same grammar, bounds
-    and messages, by recursive descent over a list of (kind, text, offset)
-    tokens with one rule per grammar symbol, every factor a term dict and
-    every product a _mul_terms call."""
+    """Reference parser for apoly.poly.parse_poly: the same grammar, bounds,
+    parse budget and messages, by recursive descent over a list of (kind,
+    text, offset) tokens with one rule per grammar symbol, every factor a
+    term dict and every product a _mul_terms call."""
     tokens = _tokenize(text)
-    idx = 0
+    idx, spent = 0, 0
 
     def peek():
         return tokens[idx]
@@ -350,6 +350,7 @@ def parse_poly_by_tokens(text):
 
     def parse_parenthesized():
         # (term dict, exponent), the power checked but not yet expanded
+        nonlocal spent
         take()
         inner = parse_expression()
         if peek()[0] != "rparen":
@@ -358,7 +359,7 @@ def parse_poly_by_tokens(text):
         caret = peek()[2]
         e = parse_exponent()
         if e != 1:
-            msg = _power_error(inner, e)
+            msg, spent = _power_error(inner, e, spent)
             if msg:
                 _error(msg, text, caret)
         return inner, e
@@ -366,13 +367,15 @@ def parse_poly_by_tokens(text):
     def parse_term():
         # the parenthesized factors multiply into one product, bounded
         # before each factor is expanded; the others into one monomial
+        nonlocal spent
         monomial, product = {(0, 0): 1}, None
         while True:
             kind, _, offset = peek()
             if kind == "lparen":
                 inner, e = parse_parenthesized()
                 if product is not None:
-                    msg = _product_error(_power_size(product, 1), _power_size(inner, e))
+                    msg, spent = _product_error(
+                        _power_size(product, 1), _power_size(inner, e), spent)
                     if msg:
                         _error(msg, text, offset)
                 factor = inner if e == 1 else (BivarPoly(inner) ** e).terms
@@ -406,6 +409,8 @@ def parse_poly_by_tokens(text):
             msg = (f"expanded coefficient of M^{_decimal(i)}*L^{j} "
                    f"is longer than {_MAX_DIGITS} digits")
             _error(msg, text, tokens[0][2])
+        if i >= _COEFF_BOUND:
+            _error(f"expanded M-exponent is longer than {_MAX_DIGITS} digits", text, tokens[0][2])
     return result
 
 

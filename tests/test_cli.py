@@ -139,6 +139,24 @@ class TestAnalyze:
         assert exc.value.code == 1
         assert out == "error: expanded L-exponent is above 100000 (line 1, column 1)\n"
 
+    @pytest.mark.parametrize("cmd", ["analyze", "newton", "replay"])
+    def test_long_m_exponent_exit_1(self, capsys, cmd):
+        # str() could not write deg_M, a hull vertex or the replay's error
+        nines = "9" * 4300
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, f"M^{nines}*M^{nines}*L - 1"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 1
+        assert out == "error: expanded M-exponent is longer than 4300 digits (line 1, column 1)\n"
+
+    def test_parse_budget_exit_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "(L-1)^860*(L-1)^860"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 1
+        assert out == ("error: product too large to expand: with the expansions before it, "
+                       "it passes the parse budget (line 1, column 11)\n")
+
     def test_long_expanded_coefficient_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", LONG_PRODUCT])
@@ -261,6 +279,18 @@ class TestVerifyDb:
         )
         assert "status: OK (1 records" in out
         assert degrees == [1]
+
+    def test_long_m_exponent_record_error(self, capsys, tmp_path):
+        nines = "9" * 4300
+        table = tmp_path / "table.txt"
+        table.write_text(f"huge ; M^{nines}*M^{nines}*L - 1\nunknot ; L - 1\n", encoding="utf-8")
+        code, out = run(capsys, "verify-db", str(table))
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "record error (line 1, huge): expanded M-exponent is longer than 4300 digits "
+            "(line 1, column 1)"
+        )
+        assert "status: OK (1 records" in out
 
     def test_record_errors_in_text_mode_on_stdout(self, capsys, tmp_path):
         table = tmp_path / "table.txt"

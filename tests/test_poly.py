@@ -397,6 +397,25 @@ class TestGrammar:
         assert f"expanded coefficient of M^{_decimal(2 * (10**4300 - 1))}*L^1" in str(exc.value)
 
     @pytest.mark.parametrize(
+        "text",
+        [f"M^{'9' * 4300}*M^{'9' * 4300}*L - 1", f"L + (M^{'9' * 4300})^2",
+         f"M^{'9' * 4300}*M - 1", f"(M^{'9' * 4300} + 1)*(M + 1) - 1"],
+    )
+    def test_m_exponent_past_bound_rejected(self, text):
+        # an M-exponent of 4301 digits, at the first token, in both parsers
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value) == (
+                "expanded M-exponent is longer than 4300 digits (line 1, column 1)"
+            )
+
+    def test_m_exponent_at_bound_accepted(self):
+        nines = "9" * 4300
+        assert parse_poly(f"M^{nines}*L - 1").deg_m() == 10**4300 - 1
+        assert parse_poly(f"M^{nines}*M^{nines}*L - M^{nines}*M^{nines}*L + M") == M
+
+    @pytest.mark.parametrize(
         "text, column, bound",
         [
             ("(L-1)^11000000000000000000000000000007", 6, "could exceed 65536 bits"),
@@ -532,6 +551,52 @@ class TestGrammar:
         assert str(exc.value) == ("product too large to expand: 1002001 term pairs of up to "
                                   "2000 bits (line 1, column 12)")
         assert len(calls) == 2 * alone
+
+    def test_powers_share_one_parse_budget(self, monkeypatch):
+        # each (L-1)^2047 spends 0.9995 of the budget alone: the second is
+        # rejected at its '^' before it is expanded, in both parsers
+        calls = []
+        monkeypatch.setattr(poly, "_power", lambda base, n: calls.append(n) or BivarPoly.const(1))
+        text = " + ".join(["(L-1)^2047"] * 10)
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value) == (
+                "power too large to expand: with the expansions before it, it passes the "
+                "parse budget (line 1, column 19)"
+            )
+        assert calls == [2047, 2047]
+
+    @pytest.mark.parametrize("count, accepted", [(2, True), (3, False)])
+    def test_products_share_one_parse_budget(self, monkeypatch, count, accepted):
+        # a product of two 1024-term factors spends exactly half the budget:
+        # two are accepted, and the third is rejected at its second '('
+        # (the oracle parser imports its own _mul_terms, which is not stubbed)
+        calls = []
+        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or {})
+        factor = "(" + " + ".join(f"L^{k}" for k in range(1024)) + ")"
+        text = " + ".join([f"{factor}*{factor}"] * count)
+        if accepted:
+            assert parse_poly(text).is_zero  # the stub's products
+            assert len(calls) == count
+            return
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value) == (
+                "product too large to expand: with the expansions before it, it passes the "
+                f"parse budget (line 1, column {2 * (2 * len(factor) + 4) + len(factor) + 2})"
+            )
+        assert len(calls) == 2
+
+    def test_powers_and_products_share_one_parse_budget(self):
+        # 0.074 for each power and 0.997 for the product: 1.15 in all
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly("(L-1)^860*(L-1)^860")
+        assert str(exc.value) == (
+            "product too large to expand: with the expansions before it, it passes the "
+            "parse budget (line 1, column 11)"
+        )
 
     def test_products_within_the_bound_keep_results(self):
         assert parse_poly("(L-1)^300*(L+1)^300") == parse_poly("(L^2-1)^300")

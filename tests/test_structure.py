@@ -71,7 +71,9 @@ class TestCyclotomic:
             assert cyclotomic(d).degree() == euler_phi(d) == sympy.totient(d)
 
     def test_matches_divisor_construction(self):
-        for d in range(1, 401):
+        # and squarefree orders with many primes, whose Moebius products
+        # have the most factors
+        for d in [*range(1, 401), 462, 1155, 2310]:
             assert cyclotomic(d) == cyclotomic_by_division(d)
 
     def test_values_match_horner(self):
@@ -179,13 +181,14 @@ class TestRecognition:
 
     def test_roots_two_and_three_open_no_filter(self, monkeypatch):
         # f(2) = 0 and f(3) = 0 would pass both filters for every order, and
-        # each Phi_d would be built and tried: 908 divisions, against 17
+        # each Phi_d would be tried: 908 divisions, against 17
         plain = UnivarPoly([-1] + [0] * 399 + [1])  # L^400 - 1
-        expected = is_product_of_cyclotomics(plain)  # builds each Phi_d tried
+        expected = is_product_of_cyclotomics(plain)
         calls = []
-        try_divide = UnivarPoly.try_divide
+        divide = structure._moebius_product
         monkeypatch.setattr(
-            UnivarPoly, "try_divide", lambda f, d: calls.append(d) or try_divide(f, d)
+            structure, "_moebius_product",
+            lambda f, pairs, power: calls.append(pairs) or divide(f, pairs, power),
         )
         assert is_product_of_cyclotomics(plain) == expected
         divisions = len(calls)
@@ -195,6 +198,12 @@ class TestRecognition:
             calls.clear()
             assert is_product_of_cyclotomics(plain * aside) == Violation(NOT_CYCLOTOMIC, aside)
             assert len(calls) == divisions
+
+    def test_squarefree_order_with_many_primes(self):
+        # L^2310 - 1 is the product of Phi_d over the 32 divisors of 2310
+        prof = is_product_of_cyclotomics(UnivarPoly([-1] + [0] * 2309 + [1]))
+        assert prof.factors == tuple((d, 1) for d in range(1, 2311) if 2310 % d == 0)
+        assert len(prof.factors) == 32 and prof.sign == 1
 
     def test_filter_values_divided_not_evaluated(self, monkeypatch):
         # f = Phi_d * q gives f(x) = Phi_d(x) * q(x): f(2) and f(3) once each
