@@ -14,10 +14,12 @@ PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts. Two parts:
   kept whole (metrics and raw samples).
 * Phases: PHASE_RUNS fresh interpreters per side, alternating, each
   timing the phases of ``verify-db --json`` on one 600-record table of
-  the ``verify-db`` workload (seed 7, table 3): interpreter and ``site``
-  (a ``python -c pass``), the imports ``verify-db`` needs, argparse,
-  ``load_table``, ``verify_all``, ``as_dict`` and ``apoly.cli._emit_json``
-  (the ``--json`` writer, its output sent to ``os.devnull``).
+  the ``verify-db`` workload (seed PHASE_SEED, table 3): interpreter and
+  ``site`` (a ``python -c pass``), the imports ``verify-db`` needs,
+  argparse, ``load_table``, ``verify_all`` and ``json`` (the ``--json``
+  writer that ``cmd_verify_db`` calls, its output sent to ``os.devnull``:
+  ``BatchReport.json_text`` where it exists, else ``as_dict`` and
+  ``apoly.cli._emit_json``), and ``per_record``, the sum of the last three.
 
 Both sides run without a bytecode cache (PYTHONDONTWRITEBYTECODE=1), so
 every run compiles apoly's source, as an uninstalled checkout does.
@@ -39,19 +41,19 @@ import time
 from pathlib import Path
 
 WHAT = (
-    "verify-db's per-record work: structure.analyze reads both degrees, both unit "
-    "evaluations, the abelian multiplicity and the Newton polygon's vertical edge and "
-    "degeneracy off the M-slices of the normal form, with no convex hull; parse_poly "
-    "adopts the term dict it built instead of re-checking it in BivarPoly(), and adds "
-    "each plain term in place; AnalysisReport.as_dict formats a unit form shared by "
-    "both units once; apoly.cli imports the C string encoder from _json, not the json "
-    "package."
+    "verify-db's per-record phases: BatchReport and AnalysisReport write their own "
+    "--json text in f-strings, with no as_dict and no recursive writer; UnivarPoly.__str__ "
+    "writes its terms in order, with no BivarPoly and no sort; recognition reads one "
+    "per-order table (phi(d), Moebius pairs, Phi_d(2), Phi_d(3)), ascending in phi(d), "
+    "and at deg_M = 0 L - 1 and L + 1 are divided out once for the unit form, the abelian "
+    "multiplicity and recognition; parse_poly leaves no reference cycle."
 )
 PAIRS = (
-    [("verify-db", s) for s in range(1701, 1711)]
-    + [("twobridge", s) for s in range(1711, 1715)]
-    + [("degree-zero", s) for s in range(1721, 1725)]
+    [("verify-db", s) for s in range(2101, 2111)]
+    + [("twobridge", s) for s in range(2111, 2115)]
+    + [("degree-zero", s) for s in range(2121, 2125)]
 )
+PHASE_SEED = 2131
 METRICS = ("setup_s", "ops_per_s", "op_gmean_s", "peak_rss_mb")
 HIGHER_IS_BETTER = {"ops_per_s"}
 PHASE_RUNS = 40
@@ -69,15 +71,16 @@ loaded = db.load_table(args.path)
 t3 = time.perf_counter()
 report = db.verify_all(loaded.records)
 t4 = time.perf_counter()
-d = report.as_dict()
-t5 = time.perf_counter()
 sys.stdout = devnull
-apoly.cli._emit_json(d)
+if hasattr(report, "json_text"):
+    print(report.json_text())
+else:
+    apoly.cli._emit_json(report.as_dict())
 sys.stdout.flush()
 sys.stdout = sys.__stdout__
-t6 = time.perf_counter()
+t5 = time.perf_counter()
 print(json.dumps({"import": t1 - t0, "argparse": t2 - t1, "load_table": t3 - t2,
-                  "verify_all": t4 - t3, "as_dict": t5 - t4, "emit_json": t6 - t5}))
+                  "verify_all": t4 - t3, "json": t5 - t4}))
 """
 
 
@@ -118,7 +121,7 @@ def phase_table(roots):
         encoding="utf-8"
     )
     with tempfile.TemporaryDirectory() as tmp:
-        ops = inputs.verify_db_ops(7, Path(tmp), fixtures)
+        ops = inputs.verify_db_ops(PHASE_SEED, Path(tmp), fixtures)
         table = next(a for a in ops[3].argv if a.endswith(".txt"))
         runs = {side: [] for side in roots}
         for k in range(PHASE_RUNS):
@@ -128,7 +131,9 @@ def phase_table(roots):
                     [sys.executable, "-c", PHASE_CHILD, table],
                     capture_output=True, text=True, env=child_env(roots[side] / "src"), check=True,
                 )
-                runs[side].append(dict(json.loads(proc.stdout), interpreter_site=bare))
+                r = json.loads(proc.stdout)
+                per_record = r["load_table"] + r["verify_all"] + r["json"]
+                runs[side].append(dict(r, per_record=per_record, interpreter_site=bare))
     return {
         side: {key: round(statistics.median(r[key] for r in rs) * 1000, 1) for key in rs[0]}
         for side, rs in runs.items()
@@ -195,7 +200,7 @@ def main():
         "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "summary": summary,
-        "phases_ms": {"table": "verify-db workload, seed 7, table 3 (600 records)",
+        "phases_ms": {"table": f"verify-db workload, seed {PHASE_SEED}, table 3 (600 records)",
                       "runs_per_side": PHASE_RUNS, **phase_table(roots)},
         "pairs": pairs,
     }

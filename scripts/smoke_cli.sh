@@ -229,6 +229,27 @@ mv "$tmp/out" "$tmp/raw_db.json"
 expect 0 verify-db "$tmp/nf_db.txt" --json
 cmp "$tmp/out" "$tmp/raw_db.json"
 
+# every --json the records write themselves is json.dumps(indent=2) byte for
+# byte: verify-db on the fixtures, on a residual past the 4300-digit str()
+# limit and on an empty table, compute, and analyze on a violation and on a
+# cyclotomic profile
+expect 0 verify-db "$root/src/apoly/data/fixtures.txt" --json
+same_as_json_dumps
+expect 2 verify-db "$tmp/residual_db.txt" --json
+same_as_json_dumps
+printf '# no records\n' > "$tmp/empty_db.txt"
+expect 0 verify-db "$tmp/empty_db.txt" --json
+same_as_json_dumps
+python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['records'] == []" "$tmp/out"
+expect 0 compute --two-bridge 7 3 --json
+same_as_json_dumps
+expect 0 analyze "(L-1)*(L-2)" --json
+same_as_json_dumps
+python3 -c "import json, sys; assert 'violation' in json.load(open(sys.argv[1]))['cyclotomic']" "$tmp/out"
+expect 0 analyze "(L-1)*(L^2+L+1)*(L^4+1)" --name 'q"é' --json
+same_as_json_dumps
+python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['cyclotomic']['product_d'] == 24" "$tmp/out"
+
 # verify-db --json is json.dumps(indent=2) byte for byte, also for a record
 # named with a non-ASCII letter, a quote and a backslash
 printf 'caf\xc3\xa9 "q" \\b ; L^2*M^6 - L*M^6 + L - 1\nunknot ; L - 1\n' > "$tmp/names_db.txt"

@@ -90,7 +90,8 @@ def cmd_compute(args) -> int:
     claims = not args.unknot
     report = structure.analyze(poly, name=name, claims_nontrivial_knot=claims)
     if args.json:
-        _emit_json({"name": name, "polynomial": format_poly(poly), "report": report.as_dict()})
+        print(f'{{\n  "name": {_json_str(name)},\n  "polynomial": {_json_str(format_poly(poly))},'
+              f'\n  "report": {report.json_text("  ")}\n}}')
     else:
         print(format_poly(poly))
         for k, v in report.as_dict().items():
@@ -115,7 +116,7 @@ def cmd_analyze(args) -> int:
         poly, name=args.name, claims_nontrivial_knot=args.nontrivial
     )
     if args.json:
-        _emit_json(report.as_dict())
+        print(report.json_text())
     else:
         for k, v in report.as_dict().items():
             print(f"{k}: {v}")
@@ -136,7 +137,7 @@ def cmd_verify_db(args) -> int:
         print(msg, file=sys.stderr if args.json else sys.stdout)
     report = db.verify_all(loaded.records)
     if args.json:
-        _emit_json(report.as_dict())
+        print(report.json_text())
     else:
         print(report.to_text())
     return report.exit_code

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .poly import BivarPoly, PolyParseError, parse_poly
-from .structure import FAIL, AnalysisReport, UnitEvalFailure, analyze
+from .structure import FAIL, AnalysisReport, UnitEvalFailure, _json_list, _json_str, analyze
 
 __all__ = [
     "DbRecord",
@@ -137,6 +137,15 @@ class BatchReport(Record, frozen=False):
             "anomalies": list(self.anomalies),
             "records": [r.as_dict() for r in self.reports],
         }
+
+    def json_text(self):
+        """The text of json.dumps(self.as_dict(), indent=2)."""
+        failures = _json_list(list(map(_json_str, self.failures)), "  ")
+        anomalies = _json_list(list(map(_json_str, self.anomalies)), "  ")
+        records = _json_list([r.json_text("    ") for r in self.reports], "  ")
+        return (f'{{\n  "status": "{self.status}",\n  "n_records": {len(self.reports)},\n  '
+                f'"n_fail": {len(self.failures)},\n  "n_anomaly": {len(self.anomalies)},\n  '
+                f'"failures": {failures},\n  "anomalies": {anomalies},\n  "records": {records}\n}}')
 
     def to_text(self):
         lines = []

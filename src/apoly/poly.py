@@ -158,8 +158,10 @@ class UnivarPoly:
         return f"UnivarPoly({list(self.coeffs)})"
 
     def __str__(self):
-        # the same polynomial in L, in the one canonical text form
-        return format_poly(BivarPoly({(0, k): c for k, c in enumerate(self.coeffs)}))
+        # the same polynomial in L in format_poly's text form, whose order
+        # is that of the L-exponents: no sort
+        cs = self.coeffs
+        return _text((cs[j], 0, j) for j in range(len(cs) - 1, -1, -1) if cs[j])
 
     # -- ring operations ----------------------------------------------
 
@@ -760,7 +762,7 @@ def parse_poly(text: str) -> BivarPoly:
                 head = tok[:1]
                 if head == "M" or head == "L":
                     if len(tok) > 1:
-                        e = int(tok.partition("^")[2].lstrip())
+                        e = int(tok.partition("^")[2])  # int() skips the spaces
                     elif tokens[k + 1] == "^":
                         # an integer exponent would be part of this token
                         _token_error("expected exponent after '^'", text, k + 2)
@@ -821,7 +823,10 @@ def parse_poly(text: str) -> BivarPoly:
             sign = -1 if tok == "-" else 1
             k += 1
 
-    result = BivarPoly._adopt(expression())
+    try:
+        result = BivarPoly._adopt(expression())
+    finally:
+        del expression  # it refers to itself through its cell: a cycle
     if tokens[k]:
         _token_error("unexpected trailing input", text, k)
     for (i, j), c in result.terms.items():
@@ -840,23 +845,20 @@ def parse_poly(text: str) -> BivarPoly:
 def format_poly(p: BivarPoly) -> str:
     """Canonical text form: descending graded-lex terms, explicit '^',
     coefficients in full at any length."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for ij in sorted(p.terms, key=_grlex_key, reverse=True):
-        i, j = ij
-        c = p.terms[ij]
-        factors = []
-        if j:
-            factors.append("L" if j == 1 else f"L^{j}")
+    return _text((p.terms[ij], *ij) for ij in sorted(p.terms, key=_grlex_key, reverse=True))
+
+
+def _text(terms):
+    """format_poly's text of the nonzero terms (c, i, j), c*L^j*M^i, in
+    the order given."""
+    out = []
+    for c, i, j in terms:
+        power = ("L" if j == 1 else f"L^{j}") if j else ""
         if i:
-            factors.append("M" if i == 1 else f"M^{i}")
-        if not factors or abs(c) != 1:
-            factors.insert(0, _decimal(abs(c)))
-        parts.append(("-" if c < 0 else "+", "*".join(factors)))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            power += ("*" if j else "") + ("M" if i == 1 else f"M^{i}")
+        if abs(c) != 1 or not power:
+            power = _decimal(abs(c)) + ("*" + power if power else "")
+        out.append(("- " if c < 0 else "+ ") + power)
+    text = " ".join(out) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 

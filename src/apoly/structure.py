@@ -17,7 +17,7 @@ each column's lowest and highest point.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import prod
 from operator import sub
 
@@ -41,6 +41,25 @@ __all__ = [
     "AnalysisReport",
     "analyze",
 ]
+
+try:  # the C encoder alone, without the json package's decoder and scanner
+    from _json import encode_basestring_ascii as _json_str
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _json_str
+
+# The --json writers: each record's json_text(indent) is the text of
+# json.dumps(record.as_dict(), indent=2), each line after the first starting
+# with indent, written in one f-string; strings go through the C encoder.
+_JSON_FLAG = {None: "null", True: "true", False: "false"}
+
+
+def _json_list(texts, indent):
+    """The json_text of the list of values whose JSON texts are texts."""
+    if not texts:
+        return "[]"
+    sep = "\n" + indent + "  "
+    return "[" + sep + ("," + sep).join(texts) + "\n" + indent + "]"
+
 
 def _prime_factors(n: int):
     """The distinct prime factors of n >= 1, ascending, by trial division."""
@@ -95,10 +114,11 @@ def cyclotomic(d: int) -> UnivarPoly:
     return UnivarPoly(_moebius_product([1], _moebius_pairs(d), 1))
 
 
-def _cyclotomic_value(d: int, x: int) -> int:
-    """Phi_d(x) for an integer x >= 2, as the exact Moebius product."""
+def _cyclotomic_value(pairs, x: int) -> int:
+    """Phi_d(x) for an integer x >= 2, as the exact Moebius product over the
+    Moebius pairs of d."""
     num, den = 1, 1
-    for e, mu in _moebius_pairs(d):
+    for e, mu in pairs:
         if mu > 0:
             num *= x**e - 1
         else:
@@ -113,51 +133,59 @@ def euler_phi(n: int) -> int:
 
 
 def cyclotomic_candidates(degree: int):
-    """All orders d with euler_phi(d) <= degree, ascending.
+    """All orders d with euler_phi(d) <= degree, ascending."""
+    return sorted(d for _, d in _orders(degree))
+
+
+def _orders(degree: int):
+    """(euler_phi(d), d) for every order d with euler_phi(d) <= degree.
 
     Enumerated from their factorizations: a depth-first search multiplies
     prime powers p^k with p - 1 <= degree, in increasing order of p, and
     stops a branch as soon as the running totient exceeds degree.
     """
-    if degree < 1:
-        return []
     primes = [p for p in range(2, degree + 2) if _prime_factors(p) == [p]]
-    found = [1]
-
-    def extend(start, d, phi):
+    found, stack = [], [(0, 1, 1)] if degree >= 1 else []
+    while stack:
+        start, d, phi = stack.pop()
+        found.append((phi, d))
         for i in range(start, len(primes)):
             p = primes[i]
             pk, phi_pk = p, phi * (p - 1)
             if phi_pk > degree:
-                return  # larger primes only raise the totient further
+                break  # larger primes only raise the totient further
             while phi_pk <= degree:
-                found.append(d * pk)
-                extend(i + 1, d * pk, phi_pk)
+                stack.append((i + 1, d * pk, phi_pk))
                 pk, phi_pk = pk * p, phi_pk * p
-
-    extend(0, 1, 1)
-    return sorted(found)
+    return found
 
 
-# Candidate rows of each degree up to _ROWS_CACHED_DEGREE, kept for the
-# process: verify-db recognizes many small polynomials of the same few
-# degrees. Degree D has about 2D orders, whose Phi_d(2) run up to D bits, so
-# the rows of one degree grow as D^2: all 64 cached degrees take about
-# 0.4 MB, degree 2000 alone 1.1 MB. Larger degrees compute their rows
-# lazily and keep none, so a recognition that stops early skips the rest.
-_ROWS_CACHED_DEGREE = 64
-_candidate_rows_cache = {}
+# Recognition's rows (phi(d), d, Moebius pairs of d, Phi_d(2), Phi_d(3)),
+# one per order d > 2 (orders 1 and 2 are L - 1 and L + 1, stripped first),
+# ascending in (phi(d), d). The 125 rows with phi(d) <= _KEPT_PHI are kept
+# for the process, since verify-db recognizes many small polynomials: their
+# Phi_d(3) have at most 102 bits, and all take about 70 KB. Rows of larger
+# phi(d) are computed as a recognition reaches them and kept by none, with
+# Phi_d(3) None: recognition computes it once Phi_d(2) passes.
+_KEPT_PHI = 64
+_kept_rows = []
 
 
 def _candidate_rows(degree: int):
-    """(d, euler_phi(d), Phi_d(2)) for each d in cyclotomic_candidates(degree)."""
-    rows = _candidate_rows_cache.get(degree)
-    if rows is not None:
-        return rows
-    rows = ((d, euler_phi(d), _cyclotomic_value(d, 2)) for d in cyclotomic_candidates(degree))
-    if degree <= _ROWS_CACHED_DEGREE:
-        rows = _candidate_rows_cache[degree] = tuple(rows)
-    return rows
+    """The rows of the orders with phi(d) <= degree and, for a degree below
+    _KEPT_PHI, the kept rows past it."""
+    if not _kept_rows:
+        _kept_rows[:] = _rows(_KEPT_PHI, 0)
+    return _kept_rows if degree <= _KEPT_PHI else chain(_kept_rows, _rows(degree, _KEPT_PHI))
+
+
+def _rows(degree, above):
+    """The rows of the orders with above < phi(d) <= degree, lazily."""
+    for phi, d in sorted(_orders(degree)):
+        if phi > above and d > 2:
+            pairs = _moebius_pairs(d)
+            c3 = _cyclotomic_value(pairs, 3) if phi <= _KEPT_PHI else None
+            yield phi, d, pairs, _cyclotomic_value(pairs, 2), c3
 
 
 class CyclotomicProfile(Record):
@@ -181,6 +209,12 @@ class CyclotomicProfile(Record):
             "sign": self.sign,
         }
 
+    def json_text(self, indent):
+        i, j = "\n" + indent + '  "', "\n" + indent + '      "'
+        factors = [f'{{{j}order": {d},{j}multiplicity": {m}\n{indent}    }}' for d, m in self.factors]
+        return (f'{{{i}factors": {_json_list(factors, indent + "  ")},'
+                f'{i}product_d": {self.product_d},{i}sign": {self.sign}\n{indent}}}')
+
 
 class Violation(Record):
     """Failure of the (L-1) * distinct-cyclotomics structure."""
@@ -198,10 +232,12 @@ _NOT_CYCLOTOMIC = "not a product of cyclotomic polynomials"
 def is_product_of_cyclotomics(f: UnivarPoly):
     """Recognize f as +/- a product of cyclotomic polynomials.
 
-    Greedy trial division by Phi_d over all d with phi(d) <= deg f; success
-    iff the final quotient is +/-1. A candidate is first filtered by the
-    exact integers Phi_d(2) and Phi_d(3), which must divide f(2) and f(3);
-    f is divided by Phi_d, through its Moebius product, only when both do.
+    L - 1 and L + 1, Phi_1 and Phi_2, are divided out first by synthetic
+    division, then each Phi_d with d > 2 by trial division, in ascending
+    order of phi(d) while phi(d) is at most the degree left; success iff
+    the final quotient is +/-1. A candidate is first filtered by the exact
+    integers Phi_d(2) and Phi_d(3), which must divide f(2) and f(3); f is
+    divided by Phi_d, through its Moebius product, only when both do.
     Roots 2 and 3, which would let every candidate through, are divided
     out first and go back onto the residual. After each division the
     filter values are divided too: f = Phi_d * q gives f(x) = Phi_d(x) q(x).
@@ -210,43 +246,44 @@ def is_product_of_cyclotomics(f: UnivarPoly):
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    if abs(f.leading_coefficient()) != 1:
+    return _recognize(f, _strip_units(f.coeffs))
+
+
+def _recognize(f, parts):
+    """is_product_of_cyclotomics of f, from its _strip_units parts."""
+    a, b, c, r = parts
+    if abs(r[-1]) != 1:
         return Violation(_NOT_CYCLOTOMIC, f)
-    if f.degree() == 0:
-        return CyclotomicProfile((), sign=f.leading_coefficient())
-    v2, v3 = f(2), f(3)
-    aside = []  # the factors L - 2 and L - 3
+    aside = [UnivarPoly([0, 1])] * a  # L, and the factors L - 2 and L - 3
+    g = UnivarPoly(r)
+    v2, v3 = g(2), g(3)
     if not (v2 and v3):
         for x in (2, 3):
-            coeffs, k = _strip_root(f.coeffs, x)
-            f = UnivarPoly(coeffs)
+            r, k = _strip_root(r, x)
             aside += [UnivarPoly([-x, 1])] * k
-        if f.degree() == 0:
-            return Violation(_NOT_CYCLOTOMIC, prod(aside, start=f))
-        v2, v3 = f(2), f(3)
-    factors = []
-    for d, phi, c2 in _candidate_rows(f.degree()):
-        if phi > f.degree():
-            continue
+        g = UnivarPoly(r)
+        v2, v3 = g(2), g(3)
+    factors = [(d, m) for d, m in ((1, b), (2, c)) if m]
+    deg = len(r) - 1
+    for phi, d, pairs, c2, c3 in _candidate_rows(deg) if deg else ():
+        if phi > deg:
+            break
         if v2 % c2:
             continue
-        c3 = _cyclotomic_value(d, 3)
+        c3 = c3 or _cyclotomic_value(pairs, 3)
         mult = 0
-        while (v2 % c2 == 0) and (v3 % c3 == 0):
-            q = _moebius_product(f.coeffs, _moebius_pairs(d), -1)
+        while not (v2 % c2 or v3 % c3):
+            q = _moebius_product(r, pairs, -1)
             if q is None:
                 break
-            f, v2, v3 = UnivarPoly(q), v2 // c2, v3 // c3
-            mult += 1
-            if f.degree() == 0:
-                break
+            r, v2, v3, deg, mult = q, v2 // c2, v3 // c3, deg - phi, mult + 1
         if mult:
             factors.append((d, mult))
-        if f.degree() == 0:
+        if not deg:
             break
-    if aside or f.degree() != 0 or abs(f.coeffs[0]) != 1:
-        return Violation(_NOT_CYCLOTOMIC, prod(aside, start=f))
-    return CyclotomicProfile(tuple(factors), sign=f.coeffs[0])
+    if aside or deg or abs(r[0]) != 1:
+        return Violation(_NOT_CYCLOTOMIC, prod(aside, start=UnivarPoly(r)))
+    return CyclotomicProfile(tuple(sorted(factors)), sign=r[0])
 
 
 def mdeg_trivial_decomposition(a: BivarPoly):
@@ -260,13 +297,12 @@ def mdeg_trivial_decomposition(a: BivarPoly):
         raise ValueError("zero polynomial")
     if a.deg_m() != 0:
         raise ValueError("decomposition applies only to M-degree-zero polynomials")
-    return _decompose(a.eval_m(1))  # faithful: no M dependence
+    return _decompose(is_product_of_cyclotomics(a.eval_m(1)))  # faithful: no M dependence
 
 
-def _decompose(f: UnivarPoly):
+def _decompose(prof):
     """mdeg_trivial_decomposition of the polynomial whose value at M = 1
-    is f."""
-    prof = is_product_of_cyclotomics(f)
+    is recognized as prof."""
     if isinstance(prof, Violation):
         return prof
     mults = dict(prof.factors)
@@ -298,6 +334,10 @@ class UnitEvaluationForm(Record):
     def as_dict(self):
         return {"sign": self.sign, "a": self.a, "b": self.b, "c": self.c}
 
+    def json_text(self, indent):
+        i = "\n" + indent + '  "'
+        return f'{{{i}sign": {self.sign},{i}a": {self.a},{i}b": {self.b},{i}c": {self.c}\n{indent}}}'
+
 
 class UnitEvalFailure(Record):
     __slots__ = ("residual",)
@@ -312,6 +352,10 @@ class UnitEvalFailure(Record):
 
     def as_dict(self):
         return {"failure": True, "residual": str(self.residual)}
+
+    def json_text(self, indent):
+        i = "\n" + indent + '  "'
+        return f'{{{i}failure": true,{i}residual": {_json_str(str(self.residual))}\n{indent}}}'
 
 
 def _synthetic_div(coeffs, zeta):
@@ -349,16 +393,24 @@ def check_unit_evaluation(a: BivarPoly, m: int):
     return _unit_form(a.eval_m(m))
 
 
-def _unit_form(f: UnivarPoly):
-    """check_unit_evaluation of the evaluation f = A(m, L)."""
+def _strip_units(coeffs):
+    """(a, b, c, r) with coeffs = L^a (L-1)^b (L+1)^c r and r prime to L,
+    L - 1 and L + 1, for the nonzero ascending coefficient list coeffs."""
+    a = next(k for k, c in enumerate(coeffs) if c)
+    r, b = _strip_root(coeffs[a:], 1)  # L - 1
+    r, c = _strip_root(r, -1)  # L + 1
+    return a, b, c, r
+
+
+def _unit_form(f: UnivarPoly, parts=None):
+    """check_unit_evaluation of the evaluation f = A(m, L), from the
+    _strip_units parts of f when they are given."""
     if f.is_zero:
         return UnitEvalFailure(f)
-    av = next(k for k, c in enumerate(f.coeffs) if c)
-    coeffs, b = _strip_root(f.coeffs[av:], 1)  # L - 1
-    coeffs, c = _strip_root(coeffs, -1)  # L + 1
-    if len(coeffs) != 1 or abs(coeffs[0]) != 1:
-        return UnitEvalFailure(UnivarPoly(coeffs))
-    return UnitEvaluationForm(sign=coeffs[0], a=av, b=b, c=c)
+    a, b, c, r = parts or _strip_units(f.coeffs)
+    if len(r) != 1 or abs(r[0]) != 1:
+        return UnitEvalFailure(UnivarPoly(r))
+    return UnitEvaluationForm(sign=r[0], a=a, b=b, c=c)
 
 
 PASS = "PASS"
@@ -504,6 +556,29 @@ class AnalysisReport(Record, frozen=False):
             "verdict": self.verdict,
         }
 
+    def json_text(self, indent=""):
+        """The text of json.dumps(self.as_dict(), indent=2), each line after
+        the first starting with indent; a shared unit form is written once."""
+        inner, cyc = indent + "  ", self.cyclotomic
+        plus, minus = self.unit_eval_plus, self.unit_eval_minus
+        plus_text = plus.json_text(inner)
+        minus_text = plus_text if minus is plus else minus.json_text(inner)
+        if cyc is None:
+            cyc_text = "null"
+        elif isinstance(cyc, Violation):
+            cyc_text = f'{{\n{inner}  "violation": {_json_str(cyc.reason)}\n{inner}}}'
+        else:
+            cyc_text = cyc.json_text(inner)
+        i = "\n" + inner + '"'
+        return (
+            f'{{{i}name": {_json_str(self.name)},{i}deg_M": {self.deg_m},{i}deg_L": {self.deg_l},'
+            f'{i}abelian_multiplicity": {self.abelian_multiplicity},'
+            f'{i}unit_eval_plus": {plus_text},{i}unit_eval_minus": {minus_text},'
+            f'{i}monic_plus": {_JSON_FLAG[plus.monic]},{i}monic_minus": {_JSON_FLAG[minus.monic]},'
+            f'{i}vertical_edge": {_JSON_FLAG[self.vertical_edge]},{i}cyclotomic": {cyc_text},'
+            f'{i}verdict": {_json_str(self.verdict)}\n{indent}}}'
+        )
+
 
 def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) -> AnalysisReport:
     """Run the full battery of structural checks on the A-normal form of a.
@@ -521,19 +596,25 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
     slices = _m_slices(nf.terms)
     deg_m, deg_l = max(slices), max(map(max, slices.values()))
     plus, minus = _unit_evaluations(slices, deg_l)
-    unit_plus = _unit_form(plus)
-    unit_minus = unit_plus if minus is plus else _unit_form(minus)
     if deg_m == 0:
-        # without M, A(1, L) is the polynomial itself
-        cyc = _decompose(plus)
+        # without M, A(1, L) = A(-1, L) is the polynomial itself: L - 1 and
+        # L + 1 are divided out of it once, for its unit form, its abelian
+        # multiplicity (that of L - 1) and its recognition
+        parts = _strip_units(plus.coeffs)
+        unit_plus = unit_minus = _unit_form(plus, parts)
+        abelian = parts[1]
+        cyc = _decompose(_recognize(plus, parts))
         verdict = UNKNOT_OK if nf == _L_MINUS_1 and not claims_nontrivial_knot else FAIL
     else:
+        unit_plus = _unit_form(plus)
+        unit_minus = unit_plus if minus is plus else _unit_form(minus)
+        abelian = _abelian_multiplicity(slices)
         cyc, verdict = None, PASS
     return AnalysisReport(
         name=name,
         deg_m=deg_m,
         deg_l=deg_l,
-        abelian_multiplicity=_abelian_multiplicity(slices),
+        abelian_multiplicity=abelian,
         unit_eval_plus=unit_plus,
         unit_eval_minus=unit_minus,
         vertical_edge=_vertical_edge(slices),

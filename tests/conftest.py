@@ -2,9 +2,10 @@ import cmath
 import random
 import re
 from itertools import accumulate
-from math import gcd
+from math import gcd, prod
 
 import pytest
+import sympy
 from hypothesis import strategies as st
 
 from apoly.knots import _NORMAL_FORM, _riley_phi, sl2_word_eval, two_bridge_presentation
@@ -24,7 +25,17 @@ from apoly.poly import (
     _product_error,
 )
 from apoly.newton import _cross
-from apoly.structure import FAIL, PASS, UNKNOT_OK, AnalysisReport, _decompose, check_unit_evaluation
+from apoly.structure import (
+    FAIL,
+    PASS,
+    UNKNOT_OK,
+    AnalysisReport,
+    CyclotomicProfile,
+    Violation,
+    _decompose,
+    check_unit_evaluation,
+    cyclotomic_candidates,
+)
 
 M = BivarPoly({(1, 0): 1})
 L = BivarPoly({(0, 1): 1})
@@ -152,6 +163,60 @@ def divide_out_by_division(f, g):
         f, count = q, count + 1
 
 
+def cyclotomic_value_by_divisors(d, x):
+    """Reference Phi_d(x): the product of (x^e - 1)^mu(d/e) over all
+    divisors e of d, with sympy's divisors and Moebius function."""
+    num = den = 1
+    for e in sympy.divisors(d):
+        mu = sympy.mobius(d // e)
+        if mu:
+            num, den = (num * (x**e - 1), den) if mu > 0 else (num, den * (x**e - 1))
+    return num // den
+
+
+def is_product_of_cyclotomics_by_scan(f):
+    """Reference apoly.structure.is_product_of_cyclotomics: the candidate
+    scan it replaced, on the reference Phi_d. Every order d with phi(d) at
+    most the degree left is tried in ascending order, L - 1 and L + 1
+    included; Phi_d is divided out by exact long division while Phi_d(2)
+    and Phi_d(3) divide f(2) and f(3), after the factors L - 2 and L - 3,
+    which would let every order through, are divided out onto the
+    residual. An order whose Phi_d(2) does not divide f(2) is passed over
+    before its Phi_d is built."""
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    reason = "not a product of cyclotomic polynomials"
+    if abs(f.leading_coefficient()) != 1:
+        return Violation(reason, f)
+    if f.degree() == 0:
+        return CyclotomicProfile((), sign=f.leading_coefficient())
+    aside = []
+    if not (f(2) and f(3)):
+        for x in (2, 3):
+            f, k = divide_out_by_division(f, UnivarPoly([-x, 1]))
+            aside += [UnivarPoly([-x, 1])] * k
+    v2, v3 = f(2), f(3)
+    factors = []
+    for d in cyclotomic_candidates(f.degree()):
+        if f.degree() == 0:
+            break
+        if sympy.totient(d) > f.degree() or v2 % cyclotomic_value_by_divisors(d, 2):
+            continue
+        phi_d = cyclotomic_by_division(d)
+        c2, c3 = phi_d(2), phi_d(3)
+        mult = 0
+        while v2 % c2 == 0 and v3 % c3 == 0:
+            q = f.try_divide(phi_d)
+            if q is None:
+                break
+            f, v2, v3, mult = q, v2 // c2, v3 // c3, mult + 1
+        if mult:
+            factors.append((d, mult))
+    if aside or f.degree() != 0 or abs(f.coeffs[0]) != 1:
+        return Violation(reason, prod(aside, start=f))
+    return CyclotomicProfile(tuple(factors), sign=f.coeffs[0])
+
+
 def unit_evaluation_by_division(a, m):
     """Reference (sign, a, b, c) of +/- L^a (L-1)^b (L+1)^c for A(m, L), or
     ("failure", residual): L, then L - 1, then L + 1 divided out by trial
@@ -192,8 +257,6 @@ def riley_polynomial(p, q):
 def torus_alexander(a, b):
     """The Alexander polynomial of the (a, b) torus knot as {exponent: c}:
     Delta(t) = (t^(ab) - 1)(t - 1) / ((t^a - 1)(t^b - 1)), by sympy."""
-    import sympy
-
     t = sympy.Symbol("t")
     num = sympy.Poly((t ** (a * b) - 1) * (t - 1), t)
     quotient, remainder = num.div(sympy.Poly((t**a - 1) * (t**b - 1), t))
@@ -399,7 +462,10 @@ def parse_poly_by_tokens(text):
                 return terms
             sign = -1 if take()[0] == "minus" else 1
 
-    result = BivarPoly(parse_expression())
+    try:
+        result = BivarPoly(parse_expression())
+    finally:
+        del parse_expression  # the rules refer to each other through their cells
     if peek()[0] != "end":
         _error("unexpected trailing input", text, peek()[2])
     for (i, j), c in result.terms.items():
@@ -445,13 +511,13 @@ def hull_has_vertical_edge(vertices):
 def analyze_by_passes(a, name="", claims_nontrivial_knot=False):
     """Reference apoly.structure.analyze: a pass over the terms for each
     fact, the Newton polygon's from the reference hull, the unit
-    evaluations by eval_m, and the abelian multiplicity by trial division."""
+    evaluations by eval_m, the abelian multiplicity by trial division and
+    the decomposition from the candidate scan."""
     nf = a.normalize()
     vertices = hull_vertices(nf.terms)
     deg_m = nf.deg_m()
     if deg_m == 0:
-        f = nf.eval_m(1)
-        cyc = _decompose(f)
+        cyc = _decompose(is_product_of_cyclotomics_by_scan(nf.eval_m(1)))
         verdict = UNKNOT_OK if nf == _L_MINUS_1 and not claims_nontrivial_knot else FAIL
         unit_plus = unit_minus = check_unit_evaluation(nf, 1)
     else:

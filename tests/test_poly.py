@@ -1,4 +1,5 @@
 import decimal
+import gc
 import re
 import time
 from math import comb, factorial
@@ -611,6 +612,25 @@ class TestGrammar:
         assert p.terms == {(0, k): 1 for k in range(20000)}
 
 
+class TestParseLeavesNoCycle:
+    @pytest.mark.parametrize("parse", [parse_poly, parse_poly_by_tokens])
+    def test_no_garbage_left_for_the_collector(self, parse):
+        # a recursive closure holds its own cell: each parse left a cycle
+        # of the closure, its cells and the token list until a collection
+        texts = ["L^2*M^6 - L*M^6 + L - 1", "(L-1)^3*(M+1) - L", "L +", "(L-1", "L^2^3", "x"]
+        gc.collect()
+        gc.disable()
+        try:
+            for text in texts:
+                try:
+                    parse(text)
+                except PolyParseError:
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestFormat:
     @pytest.mark.parametrize(
         "coeffs, text",
@@ -626,6 +646,14 @@ class TestFormat:
     )
     def test_univar_str(self, coeffs, text):
         assert str(UnivarPoly(coeffs)) == text
+
+    @given(st.lists(st.integers(-(10**5000), 10**5000) | st.sampled_from([0, 1, -1]), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_univar_str_is_format_poly(self, coeffs):
+        # the same polynomial in L, written without the detour through a
+        # BivarPoly and the graded-lex sort
+        f = UnivarPoly(coeffs)
+        assert str(f) == format_poly(BivarPoly({(0, k): c for k, c in enumerate(f.coeffs)}))
 
     def test_decimal_past_int_str_limit(self):
         n = 7**20000  # 16,902 digits, past the 4300-digit str() limit

@@ -1,5 +1,5 @@
 from importlib import resources
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -27,7 +27,7 @@ from apoly.structure import (
     mdeg_trivial_decomposition,
 )
 from apoly import structure
-from apoly.structure import _cyclotomic_value, _strip_root, _synthetic_div
+from apoly.structure import _cyclotomic_value, _moebius_pairs, _strip_root, _synthetic_div
 from conftest import (
     L,
     M,
@@ -35,6 +35,7 @@ from conftest import (
     analyze_by_passes,
     bivar_polys,
     cyclotomic_by_division,
+    is_product_of_cyclotomics_by_scan,
     reconstruct_profile,
     reconstruct_unit_form,
     symmetry_check,
@@ -79,7 +80,7 @@ class TestCyclotomic:
     def test_values_match_horner(self):
         for d in range(1, 401):
             for x in (2, 3):
-                assert _cyclotomic_value(d, x) == cyclotomic(d)(x)
+                assert _cyclotomic_value(_moebius_pairs(d), x) == cyclotomic(d)(x)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -181,7 +182,9 @@ class TestRecognition:
 
     def test_roots_two_and_three_open_no_filter(self, monkeypatch):
         # f(2) = 0 and f(3) = 0 would pass both filters for every order, and
-        # each Phi_d would be tried: 908 divisions, against 17
+        # each Phi_d would be tried: hundreds of divisions, against 14, the
+        # 13 orders d > 2 that divide 400 and one that fails (L - 1 and
+        # L + 1 come off by synthetic division)
         plain = UnivarPoly([-1] + [0] * 399 + [1])  # L^400 - 1
         expected = is_product_of_cyclotomics(plain)
         calls = []
@@ -192,7 +195,7 @@ class TestRecognition:
         )
         assert is_product_of_cyclotomics(plain) == expected
         divisions = len(calls)
-        assert divisions == 17
+        assert divisions == 14
         for aside in (UnivarPoly([-2, 1]), UnivarPoly([-3, 1]) ** 2,
                       UnivarPoly([-2, 1]) * UnivarPoly([-3, 1])):
             calls.clear()
@@ -213,6 +216,49 @@ class TestRecognition:
         prof = is_product_of_cyclotomics(UnivarPoly([-1] + [0] * 399 + [1]))
         assert len(prof.factors) == 15
         assert calls == [2, 3]
+
+
+# products of cyclotomic polynomials with, at times, a power of L, roots 2
+# and 3, a Selmer factor L^k - L - 1 (irreducible, not cyclotomic) and a
+# sign; dense from several orders, or sparse from L^n - 1 or L^n + 1
+CYCLOTOMIC_PRODUCTS = st.builds(
+    lambda orders, sparse, a, at2, at3, selmer, sign: (
+        prod((cyclotomic(d) for d in orders), start=UnivarPoly([sign]))
+        * (UnivarPoly([sparse[1]] + [0] * (sparse[0] - 1) + [1]) if sparse else UnivarPoly([1]))
+        * UnivarPoly([0, 1]) ** a
+        * UnivarPoly([-2, 1]) ** at2
+        * UnivarPoly([-3, 1]) ** at3
+        * (UnivarPoly([-1, -1] + [0] * (selmer - 2) + [1]) if selmer else UnivarPoly([1]))
+    ),
+    st.lists(st.integers(1, 40), max_size=5),
+    st.none() | st.tuples(st.integers(1, 60), st.sampled_from([1, -1])),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.none() | st.integers(2, 7),
+    st.sampled_from([1, -1]),
+)
+
+
+class TestRecognitionMatchesScan:
+    """Recognition against the candidate scan it replaced, record for
+    record, the residual of a Violation included."""
+
+    @given(CYCLOTOMIC_PRODUCTS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_products(self, f):
+        assert is_product_of_cyclotomics(f) == is_product_of_cyclotomics_by_scan(f)
+
+    @given(bivar_polys(allow_zero=False))
+    @settings(max_examples=150, deadline=None)
+    def test_random_polynomials(self, a):
+        f = a.eval_m(1)
+        if not f.is_zero:
+            assert is_product_of_cyclotomics(f) == is_product_of_cyclotomics_by_scan(f)
+
+    def test_recognition_cases(self):
+        for f in recognition_cases():
+            assert is_product_of_cyclotomics(f) == is_product_of_cyclotomics_by_scan(f)
 
 
 def recognition_cases():
@@ -257,30 +303,40 @@ def cyclotomic_table(rng):
 
 class TestCandidateRows:
     def test_large_degree_rows_not_kept(self, monkeypatch):
-        monkeypatch.setattr(structure, "_candidate_rows_cache", {})
+        monkeypatch.setattr(structure, "_kept_rows", [])
         prof = is_product_of_cyclotomics(UnivarPoly([-1] + [0] * 1999 + [1]))
         assert [d for d, _ in prof.factors] == [d for d in range(1, 2001) if 2000 % d == 0]
         is_product_of_cyclotomics(cyclotomic(7) * cyclotomic(9))
-        assert set(structure._candidate_rows_cache) == {12}
+        # the rows of the 125 orders d > 2 with phi(d) <= 64, and no others
+        kept = sorted(d for _, d, *_ in structure._kept_rows)
+        assert kept == [d for d in cyclotomic_candidates(64) if d > 2]
+        assert len(kept) == 125
 
     def test_rows_match_their_definition(self):
         for degree in (1, 12, 64, 65, 200):
             rows = list(structure._candidate_rows(degree))
-            assert [d for d, _, _ in rows] == cyclotomic_candidates(degree)
-            assert all(phi == euler_phi(d) for d, phi, _ in rows)
-            assert all(c2 == cyclotomic(d)(2) for d, _, c2 in rows)
-        assert max(structure._candidate_rows_cache) <= 64
+            assert rows == sorted(rows, key=lambda row: row[:2])
+            reached = sorted(d for phi, d, *_ in rows if phi <= degree)
+            assert reached == [d for d in cyclotomic_candidates(degree) if d > 2]
+            for phi, d, pairs, c2, c3 in rows:
+                assert phi == sympy.totient(d)
+                mu = {e: sympy.mobius(d // e) for e in sympy.divisors(d)}
+                assert sorted(pairs) == [(e, m) for e, m in mu.items() if m]
+                assert c2 == cyclotomic(d)(2)
+                # past the kept rows, recognition computes Phi_d(3) on demand
+                assert c3 == (cyclotomic(d)(3) if phi <= 64 else None)
+        assert max(phi for phi, *_ in structure._kept_rows) <= 64
 
     def test_second_pass_computes_no_rows(self, monkeypatch, rng, tmp_path):
         path = tmp_path / "table.txt"
         path.write_text(cyclotomic_table(rng), encoding="utf-8")
         records = load_table(path).records
         assert len(records) == 600
-        monkeypatch.setattr(structure, "_candidate_rows_cache", {})
+        monkeypatch.setattr(structure, "_kept_rows", [])
         calls = []
         value = structure._cyclotomic_value
         monkeypatch.setattr(
-            structure, "_cyclotomic_value", lambda d, x: calls.append(x) or value(d, x)
+            structure, "_cyclotomic_value", lambda pairs, x: calls.append(x) or value(pairs, x)
         )
         first = verify_all(records).as_dict()
         assert calls.count(2) > 0
@@ -293,10 +349,10 @@ class TestCandidateRows:
     def test_cached_and_uncached_recognition_agree(self, monkeypatch):
         cases = recognition_cases()
         warm = [is_product_of_cyclotomics(f) for f in cases]
-        monkeypatch.setattr(structure, "_ROWS_CACHED_DEGREE", 0)
-        monkeypatch.setattr(structure, "_candidate_rows_cache", {})
+        monkeypatch.setattr(structure, "_KEPT_PHI", 0)
+        monkeypatch.setattr(structure, "_kept_rows", [])
         cold = [is_product_of_cyclotomics(f) for f in cases]
-        assert structure._candidate_rows_cache == {}
+        assert structure._kept_rows == []
         assert warm == cold
         for f, prof in zip(cases, warm):
             if isinstance(prof, CyclotomicProfile):
@@ -525,7 +581,9 @@ class TestMonicity:
         # without M, A(-1, L) = A(1, L): one unit form serves both
         forms = []
         unit_form = structure._unit_form
-        monkeypatch.setattr(structure, "_unit_form", lambda f: forms.append(f) or unit_form(f))
+        monkeypatch.setattr(
+            structure, "_unit_form", lambda f, *parts: forms.append(f) or unit_form(f, *parts)
+        )
         a = parse_poly("(L - 1)*(L + 1)^2*L^3")
         report = analyze(a)
         assert len(forms) == 1
@@ -534,14 +592,18 @@ class TestMonicity:
         assert report.unit_eval_plus == minus
 
     def test_degree_zero_decomposes_the_same_evaluation(self, monkeypatch):
-        # the decomposition and the unit evaluations share one A(1, L)
+        # the decomposition, the unit evaluations and the abelian
+        # multiplicity share one A(1, L), from which L - 1 and L + 1 are
+        # divided out once: b + 1 and c + 1 passes, none in recognition
         seen = []
-        decompose, unit_form = structure._decompose, structure._unit_form
-        monkeypatch.setattr(structure, "_decompose", lambda f: seen.append(f) or decompose(f))
-        monkeypatch.setattr(structure, "_unit_form", lambda f: seen.append(f) or unit_form(f))
+        strip = structure._strip_units
+        monkeypatch.setattr(structure, "_strip_units", lambda c: seen.append(c) or strip(c))
+        calls = count_synthetic_divisions(monkeypatch)
         a = parse_poly("(L-1)*(L+1)^2")
         report = analyze(a)
-        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen == [a.eval_m(1).coeffs]
+        assert calls == [1, 1, -1, -1, -1]
+        assert report.abelian_multiplicity == 1
         monkeypatch.undo()
         assert report.cyclotomic == mdeg_trivial_decomposition(a)
         assert report.cyclotomic == Violation("repeated cyclotomic factor of order 2")
