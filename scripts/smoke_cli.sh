@@ -77,13 +77,13 @@ expect 1 analyze --file "$tmp/long.txt"
 python3 -c "print('(' + '9' * 3000 + '*L - 1)^2')" > "$tmp/product.txt"
 expect 1 analyze --file "$tmp/product.txt"
 
-# a parenthesized power past the expansion bound is an error at its '^',
-# exit 1, found before any multiplication
+# a parenthesized power whose expansion would pass the parse budget is an
+# error at its '^', exit 1, before the multiplication that would pass it
 expect_within 5 1 analyze "(L-1)^11000000000000000000000000000007"
 grep -q "^error: power too large to expand: .*(line 1, column 6)" "$tmp/out"
 
-# so is a product of parenthesized factors past its bound, at the second
-# factor's '(', before that factor's power is expanded
+# so is a product of parenthesized factors, at the second factor's '(',
+# once that factor's power is expanded and before the product is made
 expect_within 5 1 analyze "(L-1)^1000*(L-1)^1000*(L-1)^1000"
 grep -q "^error: product too large to expand: .*(line 1, column 12)" "$tmp/out"
 
@@ -160,14 +160,21 @@ python3 -c "print('M^' + '9' * 4300 + '*M^' + '9' * 4300 + '*L - 1')" > "$tmp/m_
 expect_within 5 1 analyze --file "$tmp/m_exp.txt" 2> "$tmp/err"
 one_error_line "^error: expanded M-exponent is longer than 4300 digits (line 1, column 1)"
 
-# the powers and products of one parse share one budget: ten powers, each
-# inside its own bound, and a product of 8000 factors are rejected at the
-# construct that passes it
+# the powers and products of one parse share one budget: of ten powers the
+# first already passes it, and a product of 8000 factors, each product
+# within it, is rejected at the factor whose product passes the sum
 expect_within 5 1 analyze "$(python3 -c 'print(" + ".join(["(L-1)^2047"] * 10))')" 2> "$tmp/err"
-one_error_line "^error: power too large to expand: .* parse budget (line 1, column 19)"
+one_error_line "^error: power too large to expand: .* parse budget (line 1, column 6)"
 python3 -c 'print("*".join(["(L+1)"] * 8000))' > "$tmp/factors.txt"
 expect_within 5 1 analyze --file "$tmp/factors.txt" 2> "$tmp/err"
-one_error_line "^error: product too large to expand: .* parse budget (line 1, column 8083)"
+one_error_line "^error: product too large to expand: .* parse budget (line 1, column 10003)"
+
+# a power of one term with coefficient +-1 is written in closed form and its
+# exponents checked at its '^': 200 nested powers of M (860 KB, past the
+# 128 KB limit of one argument) are rejected at the second
+python3 -c "print('(' * 200 + 'M' + (')^' + '9' * 4300) * 200 + '*L - 1')" > "$tmp/nested.txt"
+expect_within 5 1 analyze --file "$tmp/nested.txt" 2> "$tmp/err"
+one_error_line "^error: expanded M-exponent is longer than 4300 digits (line 1, column 4505)"
 
 # newton reads the degeneracy off the vertex count and the vertical edge
 # off the slopes: a point, a vertical segment and a sloped segment

@@ -29,8 +29,9 @@ function, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 import re
-from math import gcd, log2
+from math import gcd
 
 __all__ = [
     "UnivarPoly",
@@ -83,18 +84,21 @@ def _mul_coeffs(f, g, out=None):
     return out
 
 
-def _power(base, n):
-    """base ** n by square-and-multiply, for either carrier."""
+def _power(base, n, mul=operator.mul):
+    """base ** n by square-and-multiply: of either carrier, or, for n >= 1,
+    of a term dict whose products mul makes."""
     if n < 0:
         raise ValueError("negative power")
-    result = type(base).const(1)
-    while n:
+    if n == 0:
+        return type(base).const(1)
+    result = None
+    while True:
         if n & 1:
-            result = result * base
+            result = base if result is None else mul(result, base)
         n >>= 1
-        if n:
-            base = base * base
-    return result
+        if not n:
+            return result
+        base = mul(base, base)
 
 
 def _grlex_key(ij):
@@ -572,37 +576,25 @@ _MAX_DEPTH = 200
 # is, below _COEFF_BOUND, which keeps it short enough for str() to write.
 _MAX_L_EXPONENT = 100_000
 
-# A parenthesized power (B)^e is bounded before it is expanded. Each of its
-# coefficients has at most b = e * log2(sum of |coefficients of B|) bits,
-# and it has at most n terms, the lesser of (e*span_M + 1)(e*span_L + 1)
-# and C(e + T - 1, T - 1) for B's T terms. It needs b <= _MAX_POWER_BITS,
-# far above the 4300-digit bound, which then names the coefficient, and
-# n^2 * b <= _MAX_POWER_COST, the order of its cost: (L-1)^2047 takes 3 s.
-_MAX_POWER_BITS = 1 << 16
-_MAX_POWER_COST = 1 << 33
-
-# A product of parenthesized factors is bounded the same way, before each
-# factor F is expanded and multiplied into the running product P of the
-# term's earlier ones. With n_P = |P| and b_P = log2 of the sum of its
-# |coefficients|, and n_F and b_F the same bounds for F (the power bounds
-# above when F is a power), b = b_P + b_F bounds the bits of every
-# coefficient and needs b <= _MAX_POWER_BITS; and the n_P * n_F term
-# pairs, each a multiplication whose cost grows as b^2 once b passes
-# _PRODUCT_PAIR_BITS, need n_P * n_F * max(b, _PRODUCT_PAIR_BITS)^2 <=
-# _MAX_PRODUCT_COST, about a second of work: (L+M+1)^45*(L+M+1)^45 is
-# inside and (L-1)^1000*(L-1)^1000, which took 2 s to expand, outside.
-_PRODUCT_PAIR_BITS = 1 << 10
-_MAX_PRODUCT_COST = 1 << 41
-
-# One parse has one budget: each power spends n^2 * b / _MAX_POWER_COST of
-# it and each product n_P * n_F * max(b, _PRODUCT_PAIR_BITS)^2 /
-# _MAX_PRODUCT_COST, so the sum of many constructs, each inside its own
-# bound, is bounded too: ten copies of (L-1)^2047 would take 25 s.
-_PARSE_BUDGET = 1
+# One parse has one budget for its expansions. Before each multiplication
+# of two term dicts f and g that a parenthesized power or product makes, the
+# parse is charged len(f) * len(g) * max(b, 1024) * max(b, x, 1024), where
+# b = b_f + b_g for the bit lengths of the dicts' largest |coefficients| and
+# x = x_f + x_g for those of their largest exponents: for each term pair, a
+# product of coefficients, whose cost grows as b^2 once b passes about 1024,
+# and a sum of exponents, whose cost grows as x, which matters only when
+# the exponents are longer than the coefficients. The multiplication that
+# would take the sum past the budget is not made, so the work before a
+# rejection stays within it, about 2 s: (L+M+1)^60*(L+M+1)^60 is charged
+# 2^41.98 and parses, (L-1)^2047 is charged 2^42.2 and is rejected.
+_PARSE_BUDGET = 1 << 42
 
 # The first character outside the grammar or integer literal too long to
-# accept: either is an error before any grammar error.
-_LEXICAL_ERROR_RE = re.compile(rf"[^\s\dML^*+()-]|\d{{{_MAX_DIGITS + 1},}}")
+# accept: either is an error before any grammar error. Only a text longer
+# than _MAX_DIGITS can hold such a literal, and a literal is tried only from
+# its first digit, so a long one is scanned once, not once a digit.
+_BAD_CHAR_RE = re.compile(r"[^\s\dML^*+()-]")
+_LEXICAL_ERROR_RE = re.compile(rf"[^\s\dML^*+()-]|(?<!\d)\d{{{_MAX_DIGITS + 1},}}")
 # One token per match: an integer, M or L with its optional exponent, or any
 # other single character.
 _FACTOR_TOKEN_RE = re.compile(r"\s*(\d+|[ML](?:\s*\^\s*\d+)?|\S)")
@@ -640,7 +632,7 @@ def _check_lexical(text):
     """Raise the lexical error that comes first in text, if any: a
     character outside the grammar, an integer literal longer than
     _MAX_DIGITS or a parenthesis nested deeper than _MAX_DEPTH."""
-    bad = _LEXICAL_ERROR_RE.search(text)
+    bad = (_LEXICAL_ERROR_RE if len(text) > _MAX_DIGITS else _BAD_CHAR_RE).search(text)
     stop = bad.start() if bad else len(text)
     # the depth never exceeds the number of '(' before it
     if text.count("(", 0, stop) > _MAX_DEPTH:
@@ -657,63 +649,41 @@ def _check_lexical(text):
         _error(f"unexpected character {tok!r}", text, stop)
 
 
-def _power_size(terms, e):
-    """(n, b) for the power (terms)^e, e >= 0, before it is expanded: n
-    bounds its number of terms, and b the bits of the sum of its
-    |coefficients|, which bounds every coefficient."""
-    norm = sum(map(abs, terms.values()))
-    if norm <= 1:  # zero or a unit monomial: every power is one term at most
-        return (1 if e == 0 else len(terms)), 0
-    bits = e * log2(norm) if e <= _MAX_POWER_BITS else e  # norm >= 2: b >= e
-    if e == 1:
-        return len(terms), bits
-    ms = [i for i, _ in terms]
-    ls = [j for _, j in terms]
-    n = (e * (max(ms) - min(ms)) + 1) * (e * (max(ls) - min(ls)) + 1)
-    count = 1
-    for k in range(1, len(terms)):  # count = C(e + k, k)
-        count = count * (e + k) // k
-        if count >= n:
-            break
-    return min(n, count), bits
-
-
-def _power_error(terms, e, spent):
-    """(why the power (terms)^e, e >= 2, is too large to expand, or None;
-    the parse budget spent once it is), after spent before it."""
-    n, bits = _power_size(terms, e)
-    if bits > _MAX_POWER_BITS:
-        return ("power too large to expand: its coefficients could exceed "
-                f"{_MAX_POWER_BITS} bits"), spent
-    cost = n * n * bits
-    if cost > _MAX_POWER_COST:
-        return f"power too large to expand: up to {n} terms of up to {round(bits)} bits", spent
-    return _spend("power", spent + cost / _MAX_POWER_COST)
-
-
-def _product_error(f_size, g_size, spent):
-    """(why the product of two factors is too large to expand, or None; the
-    parse budget spent once it is), after spent before it; each factor is
-    given by its _power_size (n, b)."""
-    (nf, bf), (ng, bg) = f_size, g_size
-    bits = bf + bg
-    if bits > _MAX_POWER_BITS:
-        return ("product too large to expand: its coefficients could exceed "
-                f"{_MAX_POWER_BITS} bits"), spent
-    pairs = nf * ng
-    cost = pairs * max(bits, _PRODUCT_PAIR_BITS) ** 2
-    if cost > _MAX_PRODUCT_COST:
-        return f"product too large to expand: {pairs} term pairs of up to {round(bits)} bits", spent
-    return _spend("product", spent + cost / _MAX_PRODUCT_COST)
-
-
-def _spend(construct, spent):
-    """(the error of a construct that takes the parse past its budget, or
-    None; spent)."""
+def _charge(f, g, spent, construct, text, k):
+    """spent plus the charge for multiplying the term dicts f and g; past
+    the parse budget, a PolyParseError for the construct ("power" or
+    "product") at the k-th token of text."""
+    bits = sum(max(map(abs, h.values()), default=0).bit_length() for h in (f, g))
+    keys = sum(max(map(max, h), default=0).bit_length() for h in (f, g))
+    spent += len(f) * len(g) * max(bits, 1024) * max(bits, keys, 1024)
     if spent > _PARSE_BUDGET:
-        return (f"{construct} too large to expand: with the expansions before it, "
-                "it passes the parse budget"), spent
-    return None, spent
+        _token_error(f"{construct} too large to expand: it passes the parse budget", text, k)
+    return spent
+
+
+def _power_terms(base, e, spent, text, k):
+    """(base^e, spent after it) for the term dict base and the power whose
+    '^' is the k-th token of text. Zero and a term with coefficient +-1 are
+    powered in closed form, the exponent bounds checked here; any other base
+    by _power, each multiplication charged."""
+    if e == 0:
+        return {(0, 0): 1}, spent
+    if len(base) > 1 or any(c * c != 1 for c in base.values()):
+        def mul(f, g):
+            nonlocal spent
+            spent = _charge(f, g, spent, "power", text, k)
+            return _mul_terms(f, g)
+
+        return _power(base, e, mul), spent
+    power = {}
+    for (i, j), c in base.items():  # at most one term
+        i, j = i * e, j * e
+        if j > _MAX_L_EXPONENT:
+            _token_error(f"expanded L-exponent is above {_MAX_L_EXPONENT}", text, k)
+        if i >= _COEFF_BOUND:
+            _token_error(f"expanded M-exponent is longer than {_MAX_DIGITS} digits", text, k)
+        power[(i, j)] = c ** (e & 1)
+    return power, spent
 
 
 def parse_poly(text: str) -> BivarPoly:
@@ -727,15 +697,15 @@ def parse_poly(text: str) -> BivarPoly:
     Parenthesized products are accepted on input; canonical printing never
     emits them. Each of these is a PolyParseError at its position: an
     integer literal longer than 4300 digits, a parenthesis nested deeper
-    than 200, at its '^' a parenthesized power too large to expand (see
-    _MAX_POWER_COST), at its '(' a parenthesized factor whose product with
-    the term's earlier ones is too large to expand (see _MAX_PRODUCT_COST),
-    at either of these a power or product that takes the sum of their costs
-    past the parse budget (see _PARSE_BUDGET) and, at the first token, an
-    L-exponent of the expanded result above 100,000, or a coefficient or an
-    M-exponent of it longer than 4300 digits. Lexical errors (a character
-    outside the grammar, a long literal, deep nesting) come before grammar
-    errors, and among each kind the first in the text is raised.
+    than 200, at its '^' or '(' a parenthesized power or product whose next
+    multiplication would take the parse past its expansion budget (see
+    _PARSE_BUDGET), at its '^' a power of one term with coefficient +-1
+    whose L-exponent would be above 100,000 or whose M-exponent would be
+    longer than 4300 digits, and, at the first token, such an exponent or a
+    coefficient longer than 4300 digits in the expanded result. Lexical
+    errors (a character outside the grammar, a long literal, deep nesting)
+    come before grammar errors, and among each kind the first in the text
+    is raised.
     """
     _check_lexical(text)
     tokens = _FACTOR_TOKEN_RE.findall(text)
@@ -780,26 +750,19 @@ def parse_poly(text: str) -> BivarPoly:
                     if tokens[k] != ")":
                         _token_error("expected ')'", text, k)
                     k += 1
-                    e = 1
                     if tokens[k] == "^":
                         etok = tokens[k + 1]
                         if not etok[:1].isdecimal():
                             _token_error("expected exponent after '^'", text, k + 1)
-                        k += 2
                         e = int(etok)
                         if e != 1:
-                            msg, spent = _power_error(inner, e, spent)
-                            if msg:
-                                _token_error(msg, text, k - 2)
-                    if product is not None:
-                        # bounded before the power is expanded, by its size
-                        msg, spent = _product_error(
-                            _power_size(product, 1), _power_size(inner, e), spent)
-                        if msg:
-                            _token_error(msg, text, start)
-                    if e != 1:
-                        inner = (BivarPoly._adopt(inner) ** e).terms
-                    product = inner if product is None else _mul_terms(product, inner)
+                            inner, spent = _power_terms(inner, e, spent, text, k)
+                        k += 2
+                    if product is None:
+                        product = inner
+                    else:
+                        spent = _charge(product, inner, spent, "product", text, start)
+                        product = _mul_terms(product, inner)
                 elif head.isdecimal():
                     c *= int(tok)
                     k += 1

@@ -366,11 +366,19 @@ def _synthetic_div(coeffs, zeta):
     return acc[-2::-1], acc[-1]
 
 
+def _value_at_unit(coeffs, zeta):
+    """The value at zeta = 1 or -1 of the polynomial with ascending
+    coefficient list coeffs: its sum, or its alternating sum."""
+    return sum(coeffs) if zeta == 1 else sum(coeffs[::2]) - sum(coeffs[1::2])
+
+
 def _strip_root(coeffs, zeta, limit=None):
     """(coeffs / (L - zeta)^b, b) for the largest b, or at most limit, such
-    that (L - zeta)^b divides the nonzero polynomial coeffs."""
+    that (L - zeta)^b divides the nonzero polynomial coeffs. At zeta = +-1
+    the remainder is found by a sum first, so each division made is exact."""
     b = 0
-    while b != limit:
+    unit = zeta == 1 or zeta == -1
+    while b != limit and not (unit and _value_at_unit(coeffs, zeta)):
         quotient, remainder = _synthetic_div(coeffs, zeta)
         if remainder:
             break

@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import strategies as st
 
+import apoly.poly
 from apoly.knots import _NORMAL_FORM, _riley_phi, sl2_word_eval, two_bridge_presentation
 from apoly.poly import (
     _COEFF_BOUND,
@@ -20,9 +21,6 @@ from apoly.poly import (
     _decimal,
     _error,
     _mul_terms,
-    _power_error,
-    _power_size,
-    _product_error,
 )
 from apoly.newton import _cross
 from apoly.structure import (
@@ -378,7 +376,8 @@ def parse_poly_by_tokens(text):
     """Reference parser for apoly.poly.parse_poly: the same grammar, bounds,
     parse budget and messages, by recursive descent over a list of (kind,
     text, offset) tokens with one rule per grammar symbol, every factor a
-    term dict and every product a _mul_terms call."""
+    term dict and every product a _mul_terms call. A power is the product
+    of the repeated squares its exponent's bits pick, in ascending order."""
     tokens = _tokenize(text)
     idx, spent = 0, 0
 
@@ -411,9 +410,19 @@ def parse_poly_by_tokens(text):
             return {(e, 0) if val == "M" else (0, e): 1}
         _error("expected a term", text, offset)
 
-    def parse_parenthesized():
-        # (term dict, exponent), the power checked but not yet expanded
+    def metered_product(f, g, construct, offset):
+        # charged len(f) * len(g) * max(b, 1024) * max(b, x, 1024) before it
+        # is made, b the coefficient bits and x the exponent bits of a term
+        # pair at most, against the budget as it is now, which a test may lower
         nonlocal spent
+        bits = sum(max((abs(c).bit_length() for c in h.values()), default=0) for h in (f, g))
+        keys = sum(max((e.bit_length() for key in h for e in key), default=0) for h in (f, g))
+        spent += len(f) * len(g) * max(bits, 1024) * max(bits, keys, 1024)
+        if spent > apoly.poly._PARSE_BUDGET:
+            _error(f"{construct} too large to expand: it passes the parse budget", text, offset)
+        return _mul_terms(f, g)
+
+    def parse_parenthesized():
         take()
         inner = parse_expression()
         if peek()[0] != "rparen":
@@ -421,28 +430,38 @@ def parse_poly_by_tokens(text):
         take()
         caret = peek()[2]
         e = parse_exponent()
-        if e != 1:
-            msg, spent = _power_error(inner, e, spent)
-            if msg:
-                _error(msg, text, caret)
-        return inner, e
+        if e == 0:
+            return {(0, 0): 1}
+        if e == 1:
+            return inner
+        if len(inner) <= 1 and all(abs(c) == 1 for c in inner.values()):
+            # zero or one unit term: closed form, exponents checked at the '^'
+            power = {(i * e, j * e): -1 if c < 0 and e % 2 else 1 for (i, j), c in inner.items()}
+            for i, j in power:
+                if j > _MAX_L_EXPONENT:
+                    _error(f"expanded L-exponent is above {_MAX_L_EXPONENT}", text, caret)
+                if i >= _COEFF_BOUND:
+                    _error(f"expanded M-exponent is longer than {_MAX_DIGITS} digits", text, caret)
+            return power
+        squares = [inner]
+        for _ in range(e.bit_length() - 1):
+            squares.append(metered_product(squares[-1], squares[-1], "power", caret))
+        power = None
+        for bit, square in enumerate(squares):
+            if e >> bit & 1:
+                power = square if power is None else metered_product(power, square, "power", caret)
+        return power
 
     def parse_term():
-        # the parenthesized factors multiply into one product, bounded
-        # before each factor is expanded; the others into one monomial
-        nonlocal spent
+        # the parenthesized factors multiply into one metered product; the
+        # others into one monomial
         monomial, product = {(0, 0): 1}, None
         while True:
             kind, _, offset = peek()
             if kind == "lparen":
-                inner, e = parse_parenthesized()
-                if product is not None:
-                    msg, spent = _product_error(
-                        _power_size(product, 1), _power_size(inner, e), spent)
-                    if msg:
-                        _error(msg, text, offset)
-                factor = inner if e == 1 else (BivarPoly(inner) ** e).terms
-                product = factor if product is None else _mul_terms(product, factor)
+                factor = parse_parenthesized()
+                product = factor if product is None else metered_product(
+                    product, factor, "product", offset)
             else:
                 monomial = _mul_terms(monomial, parse_factor())
             kind = peek()[0]

@@ -291,6 +291,39 @@ GRAMMAR_PIECES = ["M", "L", "^", "*", "+", "-", "(", ")", "0", "1", "2", "7", " 
                   "x", "M^", "^2", "9" * 4300, "9" * 4301]
 
 
+# mostly small exponents, and some at and near the L- and M-exponent bounds
+_EXPONENTS = st.one_of(
+    st.integers(0, 6), st.integers(0, 6), st.integers(0, 40),
+    st.sampled_from([50000, 99999, 100000, 100001, 2**40, 10**4299, 10**4300 - 1]),
+)
+
+
+@st.composite
+def metered_texts(draw):
+    """Parenthesized powers and products of them, nested up to three deep
+    and summed: one-term bases with coefficient +-1 or not, zero, and bases
+    of two and three terms."""
+    def factor(depth):
+        if depth == 0 or draw(st.booleans()):
+            text = draw(st.sampled_from(
+                ["L-1", "L+M+1", "2*M", "-M*L", "M", "L^3", "L-L", "-1", "3", "M^2*L - L^2"]))
+        else:
+            text = "*".join(factor(depth - 1) for _ in range(draw(st.integers(1, 3))))
+        return f"({text})" + (f"^{draw(_EXPONENTS)}" if draw(st.booleans()) else "")
+
+    return " + ".join(factor(3) for _ in range(draw(st.integers(1, 3))))
+
+
+@st.composite
+def nested_powers(draw):
+    """A one-term base raised to a power at each of up to six levels."""
+    exponents = draw(st.lists(_EXPONENTS, min_size=1, max_size=6))
+    text = draw(st.sampled_from(["M", "L", "-M*L", "M^2*L^3", "-1", "L-L", "2*M"]))
+    for e in exponents:
+        text = f"({text})^{e}"
+    return text + draw(st.sampled_from(["", "*L - 1", " - M"]))
+
+
 def parse_outcome(parse, text):
     """The terms in order, or the error text with its line and column."""
     try:
@@ -375,11 +408,13 @@ class TestGrammar:
          "M^3*(L^50001)^2 + 1", "L^2 - 3*M*L^" + "9" * 4300],
     )
     def test_l_exponent_past_bound_rejected(self, text):
-        # checked on the sparse terms, at the first token, in both parsers
+        # checked on the sparse terms, at the first token, or at the '^' of a
+        # power of one term with coefficient +-1, in both parsers
+        column = text.find(")^") + 2 if ")^" in text else 1
         for parse in (parse_poly, parse_poly_by_tokens):
             with pytest.raises(PolyParseError) as exc:
                 parse(text)
-            assert str(exc.value) == "expanded L-exponent is above 100000 (line 1, column 1)"
+            assert str(exc.value) == f"expanded L-exponent is above 100000 (line 1, column {column})"
 
     @pytest.mark.parametrize(
         "text, deg_l",
@@ -403,12 +438,14 @@ class TestGrammar:
          f"M^{'9' * 4300}*M - 1", f"(M^{'9' * 4300} + 1)*(M + 1) - 1"],
     )
     def test_m_exponent_past_bound_rejected(self, text):
-        # an M-exponent of 4301 digits, at the first token, in both parsers
+        # an M-exponent of 4301 digits, at the first token, or at the '^' of
+        # a power of one term with coefficient +-1, in both parsers
+        column = text.find(")^") + 2 if ")^" in text else 1
         for parse in (parse_poly, parse_poly_by_tokens):
             with pytest.raises(PolyParseError) as exc:
                 parse(text)
             assert str(exc.value) == (
-                "expanded M-exponent is longer than 4300 digits (line 1, column 1)"
+                f"expanded M-exponent is longer than 4300 digits (line 1, column {column})"
             )
 
     def test_m_exponent_at_bound_accepted(self):
@@ -417,37 +454,54 @@ class TestGrammar:
         assert parse_poly(f"M^{nines}*M^{nines}*L - M^{nines}*M^{nines}*L + M") == M
 
     @pytest.mark.parametrize(
-        "text, column, bound",
-        [
-            ("(L-1)^11000000000000000000000000000007", 6, "could exceed 65536 bits"),
-            ("(3*M)^1000000000", 6, "could exceed 65536 bits"),
-            ("L + (L-1)^2048", 10, "up to 2049 terms of up to 2048 bits"),
-            ("(L+M+1)^116", 8, "up to 6903 terms of up to 184 bits"),
-        ],
+        "text, column",
+        [("(L-1)^11000000000000000000000000000007", 6), ("(3*M)^1000000000", 6),
+         ("L + (L-1)^2047", 10), ("(L+M+1)^200", 8), (f"(M^{'9' * 4300} + L + 1)^100", 4313)],
+        ids=["huge-power", "monomial", "binomial", "trinomial", "long-m-exponents"],
     )
-    def test_power_bound(self, monkeypatch, text, column, bound):
-        # rejected at the '^' before _power runs, in both parsers
-        calls = []
-        monkeypatch.setattr(poly, "_power", lambda base, n: calls.append(n))
+    def test_power_past_the_budget(self, text, column):
+        # the meter stops the expansion at the '^', in both parsers; the
+        # last by its exponent bits, since with 4300-digit exponents a term
+        # pair costs far more than its small coefficients
         for parse in (parse_poly, parse_poly_by_tokens):
             with pytest.raises(PolyParseError) as exc:
                 parse(text)
-            assert str(exc.value).startswith("power too large to expand: ")
-            assert bound in str(exc.value)
-            assert (exc.value.line, exc.value.col) == (1, column)
-        assert calls == []
+            assert str(exc.value) == (
+                f"power too large to expand: it passes the parse budget (line 1, column {column})"
+            )
 
-    @pytest.mark.parametrize("text", ["(L-1)^2047", "(L+M+1)^115", "(M*L)^99999999999999999999",
-                                      "(L-L)^99999999999999999999", "(2*M)^65536"])
+    @pytest.mark.parametrize("text", ["(L-1)^1950", "(L+M+1)^115", "(2*M)^65536"])
     def test_powers_within_the_bound_reach_power(self, monkeypatch, text):
         calls = []
-        monkeypatch.setattr(poly, "_power", lambda base, n: calls.append(n) or BivarPoly.const(1))
+        monkeypatch.setattr(poly, "_power", lambda base, n, mul: calls.append(n) or {})
         parse_poly(text)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            ("(M*L)^99999999999999999999", "expanded L-exponent is above 100000 (line 1, column 6)"),
+            ("(L-L)^99999999999999999999", []),
+            ("(-M*L^2)^50000", [((50000, 100000), 1)]),
+            ("((-M)^3)^3 + (1)^7 + (0)^0", [((9, 0), -1), ((0, 0), 2)]),
+            ("(L)^100001 - (L)^100001 + 1", "expanded L-exponent is above 100000 (line 1, column 4)"),
+            ("(" * 200 + "M" + (")^" + "9" * 4300) * 200 + "*L - 1",
+             "expanded M-exponent is longer than 4300 digits (line 1, column 4505)"),
+        ],
+        ids=["unit-monomial", "zero", "even-sign", "odd-sign", "cancelled", "nested-200"],
+    )
+    def test_closed_form_powers(self, monkeypatch, text, outcome):
+        # zero and one term with coefficient +-1 are powered without _power
+        # and with no charge, and their exponents are checked at the '^':
+        # a power past a bound is rejected even when it would cancel
+        monkeypatch.setattr(poly, "_power", lambda base, n, mul: pytest.fail("expanded"))
+        monkeypatch.setattr(poly, "_charge", lambda *args: pytest.fail("charged"))
+        for parse in (parse_poly, parse_poly_by_tokens):
+            assert parse_outcome(parse, text) == outcome
+
     def test_power_bound_keeps_results(self):
-        assert parse_poly("(L-1)^2000").terms == {
-            (0, j): (-1) ** j * comb(2000, j) for j in range(2001)
+        assert parse_poly("(L-1)^1950").terms == {
+            (0, j): (-1) ** j * comb(1950, j) for j in range(1951)
         }
         assert parse_poly("(L+M+1)^100").terms == {
             (i, j): factorial(100) // (factorial(i) * factorial(j) * factorial(100 - i - j))
@@ -497,51 +551,96 @@ class TestGrammar:
 
     @pytest.mark.parametrize("n, accepted", [(1448, True), (1449, False)])
     def test_product_bound_at_the_cap(self, monkeypatch, n, accepted):
-        # n^2 pairs of 21-bit products: cost n^2 * 1024^2 against 2^41
+        # n by 2n pairs of products of under 1024 bits: charged 2n^2 * 2^20
+        # against 2^42, so 1448 is the last n inside
         calls = []
         monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append((len(f), len(g))) or {})
-        factor = "(" + " + ".join(f"L^{k}" for k in range(n)) + ")"
-        text = f"{factor}*{factor}"
+        left = "(" + " + ".join(f"L^{k}" for k in range(n)) + ")"
+        text = left + "*(" + " + ".join(f"M^{k}" for k in range(2 * n)) + ")"
         if accepted:
             assert parse_poly(text).is_zero  # the stub's product
-            assert calls == [(n, n)]
+            assert calls == [(n, 2 * n)]
             return
         for parse in (parse_poly, parse_poly_by_tokens):
             with pytest.raises(PolyParseError) as exc:
                 parse(text)
-            assert str(exc.value) == (f"product too large to expand: {n * n} term pairs of up to "
-                                      f"21 bits (line 1, column {len(factor) + 2})")
+            assert str(exc.value) == ("product too large to expand: it passes the parse budget "
+                                      f"(line 1, column {len(left) + 2})")
+        assert calls == []
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-the-budget", "one-past"])
+    def test_charge_at_the_budget(self, monkeypatch, over):
+        # 2048 by 2048 pairs of 2-bit products are charged 2^22 * 1024^2, the
+        # budget: a charge equal to it is inside, one unit more is not
+        calls = []
+        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or {})
+        monkeypatch.setattr(poly, "_PARSE_BUDGET", poly._PARSE_BUDGET - over)
+        factor = "(" + " + ".join(f"L^{k}" for k in range(2048)) + ")"
+        text = f"{factor}*{factor}"
+        if not over:
+            assert parse_poly(text).is_zero
+            assert len(calls) == 1
+            return
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value).startswith("product too large to expand: ")
         assert calls == []
 
     @pytest.mark.parametrize(
-        "left, right, bound",
+        "text",
+        ["(L-1)^2047", "(L-1)^1000*(L-1)^1000*(L-1)^1000", "(3*M)^1000000000",
+         f"(M^{'9' * 4300} - 1)^3000"],
+        ids=["power", "product", "monomial", "long-m-exponents"],
+    )
+    def test_rejected_parse_stays_within_the_budget(self, monkeypatch, text):
+        # every charged multiplication but the last is made, their charges
+        # sum to at most the budget, and the last would pass it
+        def charge(f, g):
+            bits = sum(max((abs(c).bit_length() for c in h.values()), default=0) for h in (f, g))
+            keys = sum(max((max(key).bit_length() for key in h), default=0) for h in (f, g))
+            return len(f) * len(g) * max(bits, 1024) * max(bits, keys, 1024)
+
+        charged, made = [], []
+        charge_terms, mul_terms = poly._charge, poly._mul_terms
+        monkeypatch.setattr(poly, "_charge", lambda f, g, *args: (
+            charged.append(charge(f, g)) or charge_terms(f, g, *args)))
+        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: (
+            made.append(charge(f, g)) or mul_terms(f, g)))
+        with pytest.raises(PolyParseError):
+            parse_poly(text)
+        assert made == charged[:-1]
+        assert sum(made) <= poly._PARSE_BUDGET < sum(charged)
+
+    @pytest.mark.parametrize(
+        "left, right",
         [
-            ("(" + " + ".join(f"L^{k}" for k in range(1200)) + ")", "(L+M+1)^60",
-             "2269200 term pairs of up to 105 bits"),
-            ("(31*L - 1)^400", "(31*L - 1)^400", "160801 term pairs of up to 4000 bits"),
-            (f"({'9' * 4000}*L + 1)", f"({'9' * 4000}*L + 1)^4", "could exceed 65536 bits"),
+            ("(" + " + ".join(f"L^{k}" for k in range(2048)) + ")", "(L+M+1)^64"),
+            ("(L+M+1)^70", "(L+M+1)^70"),
+            ("(31*L - 1)^500", "(31*L - 1)^500"),
         ],
         ids=["terms", "pairs-and-bits", "bits"],
     )
-    def test_product_bound_before_the_power(self, monkeypatch, left, right, bound):
-        # rejected at the right factor's '(' before its power is expanded:
-        # _mul_terms runs only for the left factor's power, once alone and
-        # once in each parser
+    def test_product_past_the_budget(self, monkeypatch, left, right):
+        # rejected at the right factor's '(' once its power is expanded:
+        # _mul_terms runs only for the two powers, once alone and once in
+        # parse_poly (the oracle parser imports its own _mul_terms)
         calls = []
         mul_terms = poly._mul_terms
         monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or mul_terms(f, g))
         parse_poly(left)
+        parse_poly(right)
         alone = len(calls)
         text = f"2*{left} M*{right} + L"
         for parse in (parse_poly, parse_poly_by_tokens):
             with pytest.raises(PolyParseError) as exc:
                 parse(text)
-            assert str(exc.value).startswith("product too large to expand: ")
-            assert bound in str(exc.value)
-            assert (exc.value.line, exc.value.col) == (1, len(left) + 6)
-        assert len(calls) == 3 * alone
+            assert str(exc.value) == ("product too large to expand: it passes the parse budget "
+                                      f"(line 1, column {len(left) + 6})")
+        assert len(calls) == 2 * alone
 
     def test_triple_product_rejected_at_the_second_factor(self, monkeypatch):
+        # once the second power is expanded, before the third is
         calls = []
         mul_terms = poly._mul_terms
         monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or mul_terms(f, g))
@@ -549,33 +648,35 @@ class TestGrammar:
         alone = len(calls)
         with pytest.raises(PolyParseError) as exc:
             parse_poly("(L-1)^1000*(L-1)^1000*(L-1)^1000")
-        assert str(exc.value) == ("product too large to expand: 1002001 term pairs of up to "
-                                  "2000 bits (line 1, column 12)")
-        assert len(calls) == 2 * alone
+        assert str(exc.value) == ("product too large to expand: it passes the parse budget "
+                                  "(line 1, column 12)")
+        assert len(calls) == 3 * alone
 
     def test_powers_share_one_parse_budget(self, monkeypatch):
-        # each (L-1)^2047 spends 0.9995 of the budget alone: the second is
-        # rejected at its '^' before it is expanded, in both parsers
-        calls = []
-        monkeypatch.setattr(poly, "_power", lambda base, n: calls.append(n) or BivarPoly.const(1))
-        text = " + ".join(["(L-1)^2047"] * 10)
+        # (L-1)^7 is charged (2*2 + 2*3 + 3*3 + 4*5) * 2^20: with a budget of
+        # just that, one is inside and the second is rejected at its '^' in
+        # both parsers, and with twice that, two are inside
+        monkeypatch.setattr(poly, "_PARSE_BUDGET", 39 << 20)
+        assert parse_poly("(L-1)^7") == (L - one) ** 7
+        text = " + ".join(["(L-1)^7"] * 10)
         for parse in (parse_poly, parse_poly_by_tokens):
             with pytest.raises(PolyParseError) as exc:
                 parse(text)
             assert str(exc.value) == (
-                "power too large to expand: with the expansions before it, it passes the "
-                "parse budget (line 1, column 19)"
+                "power too large to expand: it passes the parse budget (line 1, column 16)"
             )
-        assert calls == [2047, 2047]
+        monkeypatch.setattr(poly, "_PARSE_BUDGET", 78 << 20)
+        assert parse_poly("(L-1)^7 + (L-1)^7") == 2 * (L - one) ** 7
 
     @pytest.mark.parametrize("count, accepted", [(2, True), (3, False)])
     def test_products_share_one_parse_budget(self, monkeypatch, count, accepted):
-        # a product of two 1024-term factors spends exactly half the budget:
-        # two are accepted, and the third is rejected at its second '('
-        # (the oracle parser imports its own _mul_terms, which is not stubbed)
+        # a product of two 1448-term factors spends just under half the
+        # budget: two are accepted, and the third is rejected at its second
+        # '(' (the oracle parser imports its own _mul_terms, which is not
+        # stubbed)
         calls = []
         monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or {})
-        factor = "(" + " + ".join(f"L^{k}" for k in range(1024)) + ")"
+        factor = "(" + " + ".join(f"L^{k}" for k in range(1448)) + ")"
         text = " + ".join([f"{factor}*{factor}"] * count)
         if accepted:
             assert parse_poly(text).is_zero  # the stub's products
@@ -585,23 +686,32 @@ class TestGrammar:
             with pytest.raises(PolyParseError) as exc:
                 parse(text)
             assert str(exc.value) == (
-                "product too large to expand: with the expansions before it, it passes the "
-                f"parse budget (line 1, column {2 * (2 * len(factor) + 4) + len(factor) + 2})"
+                "product too large to expand: it passes the parse budget "
+                f"(line 1, column {2 * (2 * len(factor) + 4) + len(factor) + 2})"
             )
         assert len(calls) == 2
 
     def test_powers_and_products_share_one_parse_budget(self):
-        # 0.074 for each power and 0.997 for the product: 1.15 in all
+        # the product alone is charged 2^41.85 and each power 2^38.67:
+        # 2^42.14 in all
         with pytest.raises(PolyParseError) as exc:
-            parse_poly("(L-1)^860*(L-1)^860")
+            parse_poly("(L-1)^1000*(L-1)^1000")
         assert str(exc.value) == (
-            "product too large to expand: with the expansions before it, it passes the "
-            "parse budget (line 1, column 11)"
+            "product too large to expand: it passes the parse budget (line 1, column 12)"
         )
 
     def test_products_within_the_bound_keep_results(self):
         assert parse_poly("(L-1)^300*(L+1)^300") == parse_poly("(L^2-1)^300")
         assert parse_poly("2*(L+M)*M*(L-M)^2*(L+1)") == 2 * M * (L + M) * (L - M) ** 2 * (L + one)
+
+    @given(st.one_of(metered_texts(), nested_powers()))
+    @settings(max_examples=300, deadline=None)
+    def test_meter_matches_token_parser(self, text):
+        # under a budget of 2^28, near which these texts fall, both parsers
+        # give the same terms in the same order, or the same error
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(poly, "_PARSE_BUDGET", 1 << 28)
+            assert parse_outcome(parse_poly, text) == parse_outcome(parse_poly_by_tokens, text)
 
     def test_long_sum_parses_in_linear_time(self):
         # copying the term dict once per term made this sum take minutes
