@@ -616,20 +616,24 @@ class TestGrammar:
         "left, right",
         [
             ("(" + " + ".join(f"L^{k}" for k in range(2048)) + ")", "(L+M+1)^64"),
-            ("(L+M+1)^70", "(L+M+1)^70"),
             ("(31*L - 1)^500", "(31*L - 1)^500"),
+            (f"({'9' * 4000}*L + 1)^10", f"({'9' * 4000}*L + 1)^10"),
         ],
         ids=["terms", "pairs-and-bits", "bits"],
     )
-    def test_product_past_the_budget(self, monkeypatch, left, right):
-        # rejected at the right factor's '(' once its power is expanded:
-        # _mul_terms runs only for the two powers, once alone and once in
-        # parse_poly (the oracle parser imports its own _mul_terms)
+    def test_product_bound_before_the_power(self, monkeypatch, left, right):
+        # the product is rejected at the right factor's '(', before that
+        # factor's '^' in the text, once its power is expanded: _mul_terms
+        # runs only for the two powers, once alone and once in parse_poly
+        # (the oracle parser imports its own _mul_terms)
         calls = []
         mul_terms = poly._mul_terms
         monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or mul_terms(f, g))
-        parse_poly(left)
-        parse_poly(right)
+        for factor in (left, right):
+            try:
+                parse_poly(factor)
+            except PolyParseError:  # the bits case: coefficients past 4300 digits
+                pass
         alone = len(calls)
         text = f"2*{left} M*{right} + L"
         for parse in (parse_poly, parse_poly_by_tokens):
