@@ -87,13 +87,22 @@ grep -q "^error: power too large to expand: .*(line 1, column 6)" "$tmp/out"
 expect_within 5 1 analyze "(L-1)^1000*(L-1)^1000*(L-1)^1000"
 grep -q "^error: product too large to expand: .*(line 1, column 12)" "$tmp/out"
 
-# roots 2 and 3 do not let every cyclotomic order through recognition's
-# filters: this takes about as long as L^2000 - 1 alone
-expect_within 10 0 analyze "(L-2)*(L-3)*(L^2000-1)" --json
+# recognition rejects what is left after L - 1 and L + 1 unless it is a
+# palindrome with leading coefficient +-1, before any candidate order: the
+# roots 2 and 3 here, and Selmer's trinomial below, where the scan of every
+# order up to degree 20,000 took 38 s
+expect_within 5 0 analyze "(L-2)*(L-3)*(L^2000-1)" --json
 python3 - "$tmp/out" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["cyclotomic"] == {"violation": "not a product of cyclotomic polynomials"}, report
+EOF
+expect_within 5 0 analyze "(L-1)*(L^19999 - L - 1)" --json
+python3 - "$tmp/out" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["cyclotomic"] == {"violation": "not a product of cyclotomic polynomials"}, report
+assert report["verdict"] == "FAIL", report
 EOF
 
 # the replay's d is the lcm of the cyclotomic orders
@@ -168,6 +177,13 @@ one_error_line "^error: power too large to expand: .* parse budget (line 1, colu
 python3 -c 'print("*".join(["(L+1)"] * 8000))' > "$tmp/factors.txt"
 expect_within 5 1 analyze --file "$tmp/factors.txt" 2> "$tmp/err"
 one_error_line "^error: product too large to expand: .* parse budget (line 1, column 10003)"
+
+# a term's integer literals are charged to the budget once its coefficient
+# passes 1024 bits: of 400 literals of 4300 nines (1.7 MB), the 40th passes
+# it, where multiplying them all up took 11 s
+python3 -c "print('*'.join(['9' * 4300] * 400) + '*L')" > "$tmp/literals.txt"
+expect_within 5 1 analyze --file "$tmp/literals.txt" 2> "$tmp/err"
+one_error_line "^error: product too large to expand: .* parse budget (line 1, column 167740)"
 
 # a power of one term with coefficient +-1 is written in closed form and its
 # exponents checked at its '^': 200 nested powers of M (860 KB, past the

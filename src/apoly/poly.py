@@ -577,8 +577,10 @@ _MAX_DEPTH = 200
 _MAX_L_EXPONENT = 100_000
 
 # One parse has one budget for its expansions. Before each multiplication
-# of two term dicts f and g that a parenthesized power or product makes, the
-# parse is charged len(f) * len(g) * max(b, 1024) * max(b, x, 1024), where
+# of two term dicts f and g that a parenthesized power or product makes, or
+# that a term's monomial with more than 1024 coefficient bits makes with a
+# later literal or with the term's parenthesized factors, the parse is
+# charged len(f) * len(g) * max(b, 1024) * max(b, x, 1024), where
 # b = b_f + b_g for the bit lengths of the dicts' largest |coefficients| and
 # x = x_f + x_g for those of their largest exponents: for each term pair, a
 # product of coefficients, whose cost grows as b^2 once b passes about 1024,
@@ -697,12 +699,13 @@ def parse_poly(text: str) -> BivarPoly:
     Parenthesized products are accepted on input; canonical printing never
     emits them. Each of these is a PolyParseError at its position: an
     integer literal longer than 4300 digits, a parenthesis nested deeper
-    than 200, at its '^' or '(' a parenthesized power or product whose next
-    multiplication would take the parse past its expansion budget (see
-    _PARSE_BUDGET), at its '^' a power of one term with coefficient +-1
-    whose L-exponent would be above 100,000 or whose M-exponent would be
-    longer than 4300 digits, and, at the first token, such an exponent or a
-    coefficient longer than 4300 digits in the expanded result. Lexical
+    than 200, at its '^', '(', literal or first token a power, product or
+    term whose next multiplication would take the parse past its expansion
+    budget (see _PARSE_BUDGET), at its '^' a power of one term with
+    coefficient +-1 whose L-exponent would be above 100,000 or whose
+    M-exponent would be longer than 4300 digits, and, at the first token,
+    such an exponent or a coefficient longer than 4300 digits in the
+    expanded result. Lexical
     errors (a character outside the grammar, a long literal, deep nesting)
     come before grammar errors, and among each kind the first in the text
     is raised.
@@ -726,7 +729,7 @@ def parse_poly(text: str) -> BivarPoly:
             k += 1
         while True:
             c, i, j = sign, 0, 0
-            product = None
+            product, term = None, k
             while True:
                 tok = tokens[k]
                 head = tok[:1]
@@ -764,7 +767,10 @@ def parse_poly(text: str) -> BivarPoly:
                         spent = _charge(product, inner, spent, "product", text, start)
                         product = _mul_terms(product, inner)
                 elif head.isdecimal():
-                    c *= int(tok)
+                    n = int(tok)
+                    if c.bit_length() > 1024:  # the monomial times the literal
+                        spent = _charge({(i, j): c}, {(0, 0): n}, spent, "product", text, k)
+                    c *= n
                     k += 1
                 else:
                     _token_error("expected a term", text, k)
@@ -780,6 +786,8 @@ def parse_poly(text: str) -> BivarPoly:
                 else:
                     terms.pop((i, j), None)
             else:
+                if c.bit_length() > 1024:  # the monomial times the product
+                    spent = _charge({(i, j): c}, product, spent, "product", text, term)
                 _add_terms(terms, {(a + i, b + j): c * v for (a, b), v in product.items()})
             if tok != "+" and tok != "-":
                 return terms

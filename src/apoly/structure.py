@@ -217,13 +217,12 @@ class CyclotomicProfile(Record):
 
 
 class Violation(Record):
-    """Failure of the (L-1) * distinct-cyclotomics structure."""
+    """Failure of the (L-1) * distinct-cyclotomics structure: its reason."""
 
-    __slots__ = ("reason", "residual")
+    __slots__ = ("reason",)
 
-    def __init__(self, reason, residual=None):
+    def __init__(self, reason):
         object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "residual", residual)
 
 
 _NOT_CYCLOTOMIC = "not a product of cyclotomic polynomials"
@@ -233,36 +232,30 @@ def is_product_of_cyclotomics(f: UnivarPoly):
     """Recognize f as +/- a product of cyclotomic polynomials.
 
     L - 1 and L + 1, Phi_1 and Phi_2, are divided out first by synthetic
-    division, then each Phi_d with d > 2 by trial division, in ascending
-    order of phi(d) while phi(d) is at most the degree left; success iff
-    the final quotient is +/-1. A candidate is first filtered by the exact
-    integers Phi_d(2) and Phi_d(3), which must divide f(2) and f(3); f is
+    division. Every Phi_d with d > 2 is palindromic and monic, so what is
+    left must read the same both ways, with leading coefficient +-1 and no
+    factor L; any other f is rejected at once. Each Phi_d with d > 2 is
+    then divided out by trial division, in ascending order of phi(d) while
+    phi(d) is at most the degree left; success iff the final quotient is
+    +/-1. A candidate is first filtered by the exact integers Phi_d(2) and
+    Phi_d(3), which must divide f(2) and f(3), both nonzero: a monic
+    palindrome has no root 2 or 3, as it would have 1/2 or 1/3 too. f is
     divided by Phi_d, through its Moebius product, only when both do.
-    Roots 2 and 3, which would let every candidate through, are divided
-    out first and go back onto the residual. After each division the
-    filter values are divided too: f = Phi_d * q gives f(x) = Phi_d(x) q(x).
-    Returns a CyclotomicProfile, or a Violation whose residual is f over
-    the cyclotomic factors found.
+    After each division the filter values are divided too: f = Phi_d * q
+    gives f(x) = Phi_d(x) q(x). Returns a CyclotomicProfile or a Violation.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    return _recognize(f, _strip_units(f.coeffs))
+    return _recognize(_strip_units(f.coeffs))
 
 
-def _recognize(f, parts):
-    """is_product_of_cyclotomics of f, from its _strip_units parts."""
+def _recognize(parts):
+    """is_product_of_cyclotomics from the _strip_units parts of its input."""
     a, b, c, r = parts
-    if abs(r[-1]) != 1:
-        return Violation(_NOT_CYCLOTOMIC, f)
-    aside = [UnivarPoly([0, 1])] * a  # L, and the factors L - 2 and L - 3
+    if a or abs(r[-1]) != 1 or r != r[::-1]:
+        return Violation(_NOT_CYCLOTOMIC)
     g = UnivarPoly(r)
     v2, v3 = g(2), g(3)
-    if not (v2 and v3):
-        for x in (2, 3):
-            r, k = _strip_root(r, x)
-            aside += [UnivarPoly([-x, 1])] * k
-        g = UnivarPoly(r)
-        v2, v3 = g(2), g(3)
     factors = [(d, m) for d, m in ((1, b), (2, c)) if m]
     deg = len(r) - 1
     for phi, d, pairs, c2, c3 in _candidate_rows(deg) if deg else ():
@@ -281,8 +274,8 @@ def _recognize(f, parts):
             factors.append((d, mult))
         if not deg:
             break
-    if aside or deg or abs(r[0]) != 1:
-        return Violation(_NOT_CYCLOTOMIC, prod(aside, start=UnivarPoly(r)))
+    if deg:
+        return Violation(_NOT_CYCLOTOMIC)
     return CyclotomicProfile(tuple(sorted(factors)), sign=r[0])
 
 
@@ -374,15 +367,11 @@ def _value_at_unit(coeffs, zeta):
 
 def _strip_root(coeffs, zeta, limit=None):
     """(coeffs / (L - zeta)^b, b) for the largest b, or at most limit, such
-    that (L - zeta)^b divides the nonzero polynomial coeffs. At zeta = +-1
-    the remainder is found by a sum first, so each division made is exact."""
+    that (L - zeta)^b divides the nonzero polynomial coeffs, for zeta = +-1:
+    the remainder is a sum, found first, so each division made is exact."""
     b = 0
-    unit = zeta == 1 or zeta == -1
-    while b != limit and not (unit and _value_at_unit(coeffs, zeta)):
-        quotient, remainder = _synthetic_div(coeffs, zeta)
-        if remainder:
-            break
-        coeffs, b = quotient, b + 1
+    while b != limit and not _value_at_unit(coeffs, zeta):
+        coeffs, b = _synthetic_div(coeffs, zeta)[0], b + 1
     return coeffs, b
 
 
@@ -611,7 +600,7 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
         parts = _strip_units(plus.coeffs)
         unit_plus = unit_minus = _unit_form(plus, parts)
         abelian = parts[1]
-        cyc = _decompose(_recognize(plus, parts))
+        cyc = _decompose(_recognize(parts))
         verdict = UNKNOT_OK if nf == _L_MINUS_1 and not claims_nontrivial_knot else FAIL
     else:
         unit_plus = _unit_form(plus)

@@ -2,7 +2,7 @@ import cmath
 import random
 import re
 from itertools import accumulate
-from math import gcd, prod
+from math import gcd
 
 import pytest
 import sympy
@@ -174,18 +174,18 @@ def cyclotomic_value_by_divisors(d, x):
 
 def is_product_of_cyclotomics_by_scan(f):
     """Reference apoly.structure.is_product_of_cyclotomics: the candidate
-    scan it replaced, on the reference Phi_d. Every order d with phi(d) at
-    most the degree left is tried in ascending order, L - 1 and L + 1
-    included; Phi_d is divided out by exact long division while Phi_d(2)
-    and Phi_d(3) divide f(2) and f(3), after the factors L - 2 and L - 3,
-    which would let every order through, are divided out onto the
-    residual. An order whose Phi_d(2) does not divide f(2) is passed over
-    before its Phi_d is built."""
+    scan it replaced, on the reference Phi_d, with no palindrome test.
+    Every order d with phi(d) at most the degree left is tried in ascending
+    order, L - 1 and L + 1 included; Phi_d is divided out by exact long
+    division while Phi_d(2) and Phi_d(3) divide f(2) and f(3), after the
+    factors L - 2 and L - 3, which would let every order through, are
+    divided out and set aside. An order whose Phi_d(2) does not divide f(2)
+    is passed over before its Phi_d is built."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     reason = "not a product of cyclotomic polynomials"
     if abs(f.leading_coefficient()) != 1:
-        return Violation(reason, f)
+        return Violation(reason)
     if f.degree() == 0:
         return CyclotomicProfile((), sign=f.leading_coefficient())
     aside = []
@@ -211,8 +211,68 @@ def is_product_of_cyclotomics_by_scan(f):
         if mult:
             factors.append((d, mult))
     if aside or f.degree() != 0 or abs(f.coeffs[0]) != 1:
-        return Violation(reason, prod(aside, start=f))
+        return Violation(reason)
     return CyclotomicProfile(tuple(factors), sign=f.coeffs[0])
+
+
+def _moebius_table(n):
+    """[mu(0), ..., mu(n)], mu(0) unused, by a sieve over the primes."""
+    mu, composite = [1] * (n + 1), [False] * (n + 1)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            for m in range(p, n + 1, p):
+                composite[m], mu[m] = True, -mu[m]
+            for m in range(p * p, n + 1, p * p):
+                mu[m] = 0
+    return mu
+
+
+def is_product_of_cyclotomics_by_exponents(f):
+    """Reference apoly.structure.is_product_of_cyclotomics that shares no
+    code with its scan but cyclotomic_candidates: the cyclotomic exponent
+    sequence (Ciolan, Garcia-Sanchez and Moree, "Cyclotomic numerical
+    semigroups", SIAM J. Discrete Math. 2016). A product of cyclotomic
+    polynomials of degree n is f(0) * prod over e <= K of (1 - x^e)^(a_e),
+    K the largest order d with phi(d) <= n. For g = f / f(0), the power
+    sums s_k, the coefficients of x g'/g, come from Newton's identities
+    k g_k = sum over j <= k of s_j g_(k-j), and k a_k = -sum over e | k of
+    mu(k/e) s_e. Since a_e = sum over e | d of mu(d/e) m_d for the
+    multiplicities m_d, |a_e| <= n; the first |a_e| above n rejects, and so
+    does a degree sum of e a_e other than n. The product is then the
+    certificate, multiplied out exactly: with the negative exponents moved
+    to g's side, both sides must be equal. Phi_d has multiplicity the sum
+    of a_e over the multiples e of d."""
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    reason = "not a product of cyclotomic polynomials"
+    c, n = f.coeffs, f.degree()
+    if abs(c[0]) != 1:  # Phi_1(0) = -1 and Phi_d(0) = 1 for d > 1
+        return Violation(reason)
+    g = [c[0] * x for x in c]
+    terms = [(i, x) for i, x in enumerate(g) if i and x]
+    big_k = max(cyclotomic_candidates(n), default=0)
+    mu = _moebius_table(big_k)
+    s, a, ka = [0] * (big_k + 1), [0] * (big_k + 1), [0] * (big_k + 1)
+    for k in range(1, big_k + 1):
+        s[k] = k * (g[k] if k <= n else 0) - sum(x * s[k - i] for i, x in terms if i < k)
+        for j in range(1, big_k // k + 1):
+            ka[k * j] -= mu[j] * s[k]
+        a[k] = ka[k] // k
+        if abs(a[k]) > n:
+            return Violation(reason)
+    if sum(e * x for e, x in enumerate(a)) != n:
+        return Violation(reason)
+    sides = [[1], g]
+    for e, x in enumerate(a):
+        side = sides[0] if x > 0 else sides[1]
+        for _ in range(abs(x)):
+            side += [0] * e
+            for i in range(len(side) - 1, e - 1, -1):
+                side[i] -= side[i - e]
+    if sides[0] != sides[1]:
+        return Violation(reason)
+    mults = [(d, sum(a[d::d])) for d in range(1, big_k + 1)]
+    return CyclotomicProfile(tuple((d, m) for d, m in mults if m), sign=f.leading_coefficient())
 
 
 def unit_evaluation_by_division(a, m):
@@ -454,21 +514,29 @@ def parse_poly_by_tokens(text):
 
     def parse_term():
         # the parenthesized factors multiply into one metered product; the
-        # others into one monomial
+        # others into one monomial, whose products are metered too once its
+        # coefficient passes 1024 bits, the last at the term's first token
         monomial, product = {(0, 0): 1}, None
+        start = peek()[2]
         while True:
             kind, _, offset = peek()
             if kind == "lparen":
                 factor = parse_parenthesized()
                 product = factor if product is None else metered_product(
                     product, factor, "product", offset)
+            elif kind == "int" and max(map(abs, monomial.values()), default=0).bit_length() > 1024:
+                monomial = metered_product(monomial, parse_factor(), "product", offset)
             else:
                 monomial = _mul_terms(monomial, parse_factor())
             kind = peek()[0]
             if kind == "star":
                 take()
             elif kind not in ("int", "var", "lparen"):
-                return monomial if product is None else _mul_terms(monomial, product)
+                if product is None:
+                    return monomial
+                if max(map(abs, monomial.values()), default=0).bit_length() > 1024:
+                    return metered_product(monomial, product, "product", start)
+                return _mul_terms(monomial, product)
 
     def parse_expression():
         terms = {}

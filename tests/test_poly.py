@@ -324,6 +324,20 @@ def nested_powers(draw):
     return text + draw(st.sampled_from(["", "*L - 1", " - M"]))
 
 
+@st.composite
+def literal_terms(draw):
+    """Sums of terms that multiply integer literals of up to 400 digits,
+    zero and one among them, with powers of M and L and, at times, a
+    parenthesized factor."""
+    def term():
+        factors = draw(st.lists(st.sampled_from(
+            ["9" * 400, "7" * 200, "3", "0", "1", "M^2", "L", "(L+1)", "(L-M)^3"]),
+            min_size=1, max_size=12))
+        return "*".join(factors)
+
+    return " - ".join(term() for _ in range(draw(st.integers(1, 3))))
+
+
 def parse_outcome(parse, text):
     """The terms in order, or the error text with its line and column."""
     try:
@@ -724,6 +738,66 @@ class TestGrammar:
         p = parse_poly(text)
         assert time.perf_counter() - start < 5.0
         assert p.terms == {(0, k): 1 for k in range(20000)}
+
+
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_literal_product_past_the_budget(self, n):
+        # 39 literals of 4300 nines are charged just under the budget, and
+        # the 40th literal passes it; unmetered, the cost was quadratic in n
+        # and 400 literals (1.7 MB) took 10.7 s to reach the coefficient check
+        text = "*".join(["9" * 4300] * n) + "*L"
+        for parse in (parse_poly, parse_poly_by_tokens):
+            start = time.perf_counter()
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert time.perf_counter() - start < 5.0
+            assert str(exc.value) == ("product too large to expand: it passes the parse budget "
+                                      f"(line 1, column {39 * 4301 + 1})")
+
+    @pytest.mark.parametrize("n, accepted", [(38, True), (39, False)])
+    def test_literal_product_times_zero(self, n, accepted):
+        # a later 0 is charged like any literal and does not undo the
+        # charges already made: after 39 literals it passes the budget
+        text = "*".join(["9" * 4300] * n) + "*0*L + L"
+        for parse in (parse_poly, parse_poly_by_tokens):
+            if accepted:
+                assert parse(text) == L
+            else:
+                with pytest.raises(PolyParseError, match="product too large to expand"):
+                    parse(text)
+
+    def test_literal_product_times_parenthesized_factor(self):
+        # the term's coefficient times each term of its parenthesized
+        # factors is charged too, at the term's first token: unmetered,
+        # 39 such literals times 1000 terms took 156 MB before the
+        # coefficient check
+        factor = "(" + " + ".join(f"L^{j}" for j in range(1000)) + ")"
+        text = "L + " + "*".join(["9" * 4300] * 39) + "*" + factor
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value) == ("product too large to expand: it passes the parse budget "
+                                      "(line 1, column 5)")
+
+    def test_literals_charged_past_1024_bits(self, monkeypatch):
+        # a literal is charged only when the coefficient it multiplies has
+        # more than 1024 bits: 150 nines have 499 bits, two 997, three 1495
+        calls = []
+        charge = poly._charge
+        monkeypatch.setattr(poly, "_charge", lambda f, g, *args: calls.append(g) or charge(f, g, *args))
+        for n, charged in ((3, 0), (4, 1), (6, 3)):
+            calls.clear()
+            assert parse_poly("*".join(["9" * 150] * n) + "*L") == int("9" * 150) ** n * L
+            assert len(calls) == charged
+
+    @given(literal_terms())
+    @settings(max_examples=200, deadline=None)
+    def test_literal_meter_matches_token_parser(self, text):
+        # under a budget of 2^26, which five 400-digit literals in one term
+        # pass, both parsers give the same terms or the same error
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(poly, "_PARSE_BUDGET", 1 << 26)
+            assert parse_outcome(parse_poly, text) == parse_outcome(parse_poly_by_tokens, text)
 
 
 class TestParseLeavesNoCycle:

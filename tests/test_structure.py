@@ -35,6 +35,7 @@ from conftest import (
     analyze_by_passes,
     bivar_polys,
     cyclotomic_by_division,
+    is_product_of_cyclotomics_by_exponents,
     is_product_of_cyclotomics_by_scan,
     reconstruct_profile,
     reconstruct_unit_form,
@@ -113,17 +114,17 @@ class TestRecognition:
         assert prof.factors == ((4, 1),) and prof.sign == 1
 
     def test_mixed_residual(self):
-        # the residual is what is left after dividing out every Phi_d
+        # a cyclotomic factor does not carry a non-cyclotomic one through
         out = is_product_of_cyclotomics(cyclotomic(3) * UnivarPoly([-2, 1]))
-        assert out == Violation(NOT_CYCLOTOMIC, UnivarPoly([-2, 1]))
+        assert out == Violation(NOT_CYCLOTOMIC)
 
     def test_nonunit_rejected(self):
         out = is_product_of_cyclotomics(UnivarPoly([-2, 1]))  # L - 2
-        assert out == Violation(NOT_CYCLOTOMIC, UnivarPoly([-2, 1]))
+        assert out == Violation(NOT_CYCLOTOMIC)
 
     def test_nonmonic_rejected(self):
         out = is_product_of_cyclotomics(UnivarPoly([-1, 2]))
-        assert out == Violation(NOT_CYCLOTOMIC, UnivarPoly([-1, 2]))
+        assert out == Violation(NOT_CYCLOTOMIC)
 
     def test_negative_sign(self):
         prof = is_product_of_cyclotomics(-cyclotomic(4))
@@ -169,38 +170,44 @@ class TestRecognition:
         st.integers(0, 2),
     )
     @settings(max_examples=100, deadline=None)
-    def test_roots_two_and_three_stay_on_the_residual(self, orders, at2, at3):
-        aside = UnivarPoly([-2, 1]) ** at2 * UnivarPoly([-3, 1]) ** at3
-        f = aside
+    def test_roots_two_and_three_rejected(self, orders, at2, at3):
+        f = UnivarPoly([-2, 1]) ** at2 * UnivarPoly([-3, 1]) ** at3
         for d in orders:
             f = f * cyclotomic(d)
         out = is_product_of_cyclotomics(f)
         if at2 or at3:
-            assert out == Violation(NOT_CYCLOTOMIC, aside)
+            assert out == Violation(NOT_CYCLOTOMIC)
         else:
             assert reconstruct_profile(out) == f
 
     def test_roots_two_and_three_open_no_filter(self, monkeypatch):
         # f(2) = 0 and f(3) = 0 would pass both filters for every order, and
-        # each Phi_d would be tried: hundreds of divisions, against 14, the
-        # 13 orders d > 2 that divide 400 and one that fails (L - 1 and
-        # L + 1 come off by synthetic division)
+        # each Phi_d would be tried: hundreds of divisions. L^400 - 1 takes
+        # 14, the 13 orders d > 2 that divide 400 and one that fails (L - 1
+        # and L + 1 come off by synthetic division). A factor that is not
+        # palindromic, such as L - 2, L - 3, Selmer's L^4 - L - 1 or L^2,
+        # is rejected before any division and before the candidate rows
         plain = UnivarPoly([-1] + [0] * 399 + [1])  # L^400 - 1
         expected = is_product_of_cyclotomics(plain)
-        calls = []
-        divide = structure._moebius_product
+        divisions, rows = [], []
+        divide, candidate_rows = structure._moebius_product, structure._candidate_rows
         monkeypatch.setattr(
             structure, "_moebius_product",
-            lambda f, pairs, power: calls.append(pairs) or divide(f, pairs, power),
+            lambda f, pairs, power: divisions.append(pairs) or divide(f, pairs, power),
+        )
+        monkeypatch.setattr(
+            structure, "_candidate_rows",
+            lambda degree: rows.append(degree) or candidate_rows(degree),
         )
         assert is_product_of_cyclotomics(plain) == expected
-        divisions = len(calls)
-        assert divisions == 14
-        for aside in (UnivarPoly([-2, 1]), UnivarPoly([-3, 1]) ** 2,
-                      UnivarPoly([-2, 1]) * UnivarPoly([-3, 1])):
-            calls.clear()
-            assert is_product_of_cyclotomics(plain * aside) == Violation(NOT_CYCLOTOMIC, aside)
-            assert len(calls) == divisions
+        assert (len(divisions), len(rows)) == (14, 1)
+        for other in (UnivarPoly([-2, 1]), UnivarPoly([-3, 1]) ** 2,
+                      UnivarPoly([-2, 1]) * UnivarPoly([-3, 1]),
+                      UnivarPoly([-1, -1, 0, 0, 1]), UnivarPoly([0, 0, 1])):
+            divisions.clear()
+            rows.clear()
+            assert is_product_of_cyclotomics(plain * other) == Violation(NOT_CYCLOTOMIC)
+            assert divisions == rows == []
 
     def test_squarefree_order_with_many_primes(self):
         # L^2310 - 1 is the product of Phi_d over the 32 divisors of 2310
@@ -219,16 +226,20 @@ class TestRecognition:
 
 
 # products of cyclotomic polynomials with, at times, a power of L, roots 2
-# and 3, a Selmer factor L^k - L - 1 (irreducible, not cyclotomic) and a
-# sign; dense from several orders, or sparse from L^n - 1 or L^n + 1
+# and 3, a Selmer factor L^k - L - 1 (irreducible, not cyclotomic), a
+# palindromic monic factor that is not cyclotomic, L^2 - 3L + 1 or Lehmer's
+# L^10 + L^9 - L^7 - L^6 - L^5 - L^4 - L^3 + L + 1, and a sign; dense from
+# several orders, or sparse from L^n - 1 or L^n + 1
+LEHMER = UnivarPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 CYCLOTOMIC_PRODUCTS = st.builds(
-    lambda orders, sparse, a, at2, at3, selmer, sign: (
+    lambda orders, sparse, a, at2, at3, selmer, palindrome, sign: (
         prod((cyclotomic(d) for d in orders), start=UnivarPoly([sign]))
         * (UnivarPoly([sparse[1]] + [0] * (sparse[0] - 1) + [1]) if sparse else UnivarPoly([1]))
         * UnivarPoly([0, 1]) ** a
         * UnivarPoly([-2, 1]) ** at2
         * UnivarPoly([-3, 1]) ** at3
         * (UnivarPoly([-1, -1] + [0] * (selmer - 2) + [1]) if selmer else UnivarPoly([1]))
+        * palindrome
     ),
     st.lists(st.integers(1, 40), max_size=5),
     st.none() | st.tuples(st.integers(1, 60), st.sampled_from([1, -1])),
@@ -236,13 +247,14 @@ CYCLOTOMIC_PRODUCTS = st.builds(
     st.integers(0, 2),
     st.integers(0, 2),
     st.none() | st.integers(2, 7),
+    st.sampled_from([UnivarPoly([1]), UnivarPoly([1, -3, 1]), LEHMER]),
     st.sampled_from([1, -1]),
 )
 
 
 class TestRecognitionMatchesScan:
-    """Recognition against the candidate scan it replaced, record for
-    record, the residual of a Violation included."""
+    """Recognition against the candidate scan it replaced, which has no
+    palindrome test, record for record."""
 
     @given(CYCLOTOMIC_PRODUCTS)
     @settings(max_examples=300, deadline=None)
@@ -259,6 +271,21 @@ class TestRecognitionMatchesScan:
     def test_recognition_cases(self):
         for f in recognition_cases():
             assert is_product_of_cyclotomics(f) == is_product_of_cyclotomics_by_scan(f)
+
+
+class TestRecognitionMatchesExponents:
+    """Recognition against the cyclotomic exponent sequence, which shares no
+    code with the scan: sparse and dense products, with and without a
+    factor that is not cyclotomic, palindromic or not."""
+
+    @given(CYCLOTOMIC_PRODUCTS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_products(self, f):
+        assert is_product_of_cyclotomics(f) == is_product_of_cyclotomics_by_exponents(f)
+
+    def test_recognition_cases(self):
+        for f in recognition_cases():
+            assert is_product_of_cyclotomics(f) == is_product_of_cyclotomics_by_exponents(f)
 
 
 def recognition_cases():
@@ -389,12 +416,9 @@ class TestDecomposition:
 
     def test_non_cyclotomic(self):
         # L^1999 - L - 1 is Selmer's trinomial, irreducible and not cyclotomic:
-        # recognition tries every candidate order without stopping early
+        # it is not palindromic, so recognition rejects it before any order
         for a in ((L - one) * (L - 2 * one), (L - one) * (L**1999 - L - one)):
-            out = mdeg_trivial_decomposition(a)
-            assert isinstance(out, Violation)
-            assert out.reason == NOT_CYCLOTOMIC
-            assert out.residual is not None
+            assert mdeg_trivial_decomposition(a) == Violation(NOT_CYCLOTOMIC)
 
     def test_requires_mdeg_zero(self):
         with pytest.raises(ValueError):

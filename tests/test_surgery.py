@@ -58,8 +58,7 @@ class TestClassifyUnitRoot:
 
     def test_no_unit_roots(self):
         out = is_product_of_cyclotomics(UnivarPoly([-3, 1]))  # L - 3
-        assert isinstance(out, Violation)
-        assert out.residual == UnivarPoly([-3, 1])
+        assert out == Violation("not a product of cyclotomic polynomials")
         rep = replay_contradiction(parse_poly("(L-1)*(L-3)"))
         assert not rep.ok and rep.steps == []
         assert "not a product of cyclotomic" in rep.violation
