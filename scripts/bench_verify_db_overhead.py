@@ -17,9 +17,9 @@ PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts. Two parts:
   the ``verify-db`` workload (seed PHASE_SEED, table 3): interpreter and
   ``site`` (a ``python -c pass``), the imports ``verify-db`` needs,
   argparse, ``load_table``, ``verify_all`` and ``json`` (the ``--json``
-  writer that ``cmd_verify_db`` calls, its output sent to ``os.devnull``:
-  ``BatchReport.json_text`` where it exists, else ``as_dict`` and
-  ``apoly.cli._emit_json``), and ``per_record``, the sum of the last three.
+  writer that ``cmd_verify_db`` calls, ``BatchReport.json_text``, its
+  output sent to ``os.devnull``), and ``per_record``, the sum of the last
+  three.
 
 Both sides run without a bytecode cache (PYTHONDONTWRITEBYTECODE=1), so
 every run compiles apoly's source, as an uninstalled checkout does.
@@ -72,10 +72,7 @@ t3 = time.perf_counter()
 report = db.verify_all(loaded.records)
 t4 = time.perf_counter()
 sys.stdout = devnull
-if hasattr(report, "json_text"):
-    print(report.json_text())
-else:
-    apoly.cli._emit_json(report.as_dict())
+print(report.json_text())
 sys.stdout.flush()
 sys.stdout = sys.__stdout__
 t5 = time.perf_counter()

@@ -43,6 +43,15 @@ expect() {
   fi
 }
 
+# expect_json CODE ARGS...: expect CODE from apoly ARGS --json, whose stdout
+# must be json.dumps(its value, indent=2) byte for byte
+expect_json() {
+  local want=$1
+  shift
+  expect "$want" "$@" --json
+  same_as_json_dumps
+}
+
 # one_error_line PATTERN: $tmp/out is one line, which PATTERN matches, and
 # $tmp/err is empty: an error line and no traceback
 one_error_line() {
@@ -252,26 +261,35 @@ mv "$tmp/out" "$tmp/raw_db.json"
 expect 0 verify-db "$tmp/nf_db.txt" --json
 cmp "$tmp/out" "$tmp/raw_db.json"
 
-# every --json the records write themselves is json.dumps(indent=2) byte for
-# byte: verify-db on the fixtures, on a residual past the 4300-digit str()
-# limit and on an empty table, compute, and analyze on a violation and on a
-# cyclotomic profile
-expect 0 verify-db "$root/src/apoly/data/fixtures.txt" --json
-same_as_json_dumps
-expect 2 verify-db "$tmp/residual_db.txt" --json
-same_as_json_dumps
-printf '# no records\n' > "$tmp/empty_db.txt"
-expect 0 verify-db "$tmp/empty_db.txt" --json
-same_as_json_dumps
-python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['records'] == []" "$tmp/out"
-expect 0 compute --two-bridge 7 3 --json
-same_as_json_dumps
-expect 0 analyze "(L-1)*(L-2)" --json
-same_as_json_dumps
+# every command's --json is json.dumps(indent=2) byte for byte: compute;
+# analyze on a PASS, a deg_M = 0 profile, violations and a quoted name;
+# verify-db on the fixtures, on a residual past the 4300-digit str() limit
+# and on an empty table; newton on a point, a vertical segment and the
+# trefoil; replay with d = 1 and on a violation
+expect_json 0 compute --torus 2 3
+expect_json 0 compute --two-bridge 5 3
+expect_json 0 compute --two-bridge 7 3
+expect_json 0 analyze "L^2*M^6 - L*M^6 + L - 1"
+python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['verdict'] == 'PASS'" "$tmp/out"
+expect_json 0 analyze "L^60 - 1"
+python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['cyclotomic']['product_d'] > 1" "$tmp/out"
+expect_json 0 analyze "(L-1)*(L-2)"
 python3 -c "import json, sys; assert 'violation' in json.load(open(sys.argv[1]))['cyclotomic']" "$tmp/out"
-expect 0 analyze "(L-1)*(L^2+L+1)*(L^4+1)" --name 'q"é' --json
-same_as_json_dumps
+expect_json 0 analyze "(L-1)*(L^2+L+1)*(L^4+1)" --name 'q"é'
 python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['cyclotomic']['product_d'] == 24" "$tmp/out"
+expect_json 0 verify-db "$root/src/apoly/data/fixtures.txt"
+expect_json 2 verify-db "$tmp/residual_db.txt"
+printf '# no records\n' > "$tmp/empty_db.txt"
+expect_json 0 verify-db "$tmp/empty_db.txt"
+python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['records'] == []" "$tmp/out"
+expect_json 0 newton "3"
+expect_json 0 newton "L - 1"
+expect_json 0 newton "L^2*M^6 - L*M^6 + L - 1"
+python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['vertical_edge'] is True" "$tmp/out"
+expect_json 0 replay "L - 1"
+python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['d'] == 1" "$tmp/out"
+expect_json 0 replay "L^2 - L - 1"
+python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['steps'] == []" "$tmp/out"
 
 # verify-db --json is json.dumps(indent=2) byte for byte, also for a record
 # named with a non-ASCII letter, a quote and a backslash

@@ -2,7 +2,27 @@
 name the fields in order and whose own ``__init__`` sets them. The base
 gives value equality, a ``Name(field=value, ...)`` repr and, by default,
 immutability and a hash; ``class R(Record, frozen=False)`` keeps R mutable
-and unhashable."""
+and unhashable.
+
+It also holds the rules of the --json text: each record's json_text is the
+text of json.dumps(record.as_dict(), indent=2), written in f-strings from
+the helpers below, with no recursive writer."""
+
+try:  # the C encoder alone, without the json package's decoder and scanner
+    from _json import encode_basestring_ascii as _json_str
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _json_str
+
+# the texts of None, True and False; never look up an int here: 1 == True
+_JSON_FLAG = {None: "null", True: "true", False: "false"}
+
+
+def _json_list(texts, indent):
+    """The text of the list of values whose JSON texts are texts, at indent."""
+    if not texts:
+        return "[]"
+    sep = "\n" + indent + "  "
+    return "[" + sep + ("," + sep).join(texts) + "\n" + indent + "]"
 
 
 class Record:

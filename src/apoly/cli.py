@@ -9,55 +9,10 @@ import argparse
 import os
 import sys
 
-try:  # the C encoder alone, without the json package's decoder and scanner
-    from _json import encode_basestring_ascii as _json_str
-except ImportError:
-    from json.encoder import encode_basestring_ascii as _json_str
-
+from ._record import _JSON_FLAG, _json_list, _json_str
 from .poly import PolyParseError, format_poly, parse_poly
 
 __all__ = ["main"]
-
-
-def _json_parts(obj, indent, out):
-    """Append the text of obj, as json.dumps(obj, indent=2) writes it at
-    the indent given, to the list out. The standard encoder runs in pure
-    Python whenever indent is set; this one writes strings in C."""
-    if isinstance(obj, str):
-        out.append(_json_str(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, (list, tuple)) and obj:
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for item in obj:
-            out.append(sep)
-            _json_parts(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "]")
-    elif isinstance(obj, dict) and obj:
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _json_str(key) + ": ")
-            _json_parts(value, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif isinstance(obj, (list, tuple, dict)):
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _emit_json(obj):
-    """Print obj as json.dumps(obj, indent=2) would, byte for byte."""
-    out = []
-    _json_parts(obj, "", out)
-    print("".join(out))
 
 
 def _parse_or_exit(text):
@@ -153,7 +108,7 @@ def cmd_newton(args) -> int:
         slopes = []
         vertical = None
     else:
-        slopes = newton.edge_slopes(ngon)
+        slopes = [str(s) for s in newton.edge_slopes(ngon)]
         vertical = newton.VERTICAL in slopes
     if args.svg:
         try:
@@ -163,19 +118,17 @@ def cmd_newton(args) -> int:
         except (ValueError, OSError) as exc:
             print(f"error: {exc}")
             return 1
-    payload = {
-        "vertices": [list(v) for v in ngon.vertices],
-        "degenerate": degenerate,
-        "edge_slopes": [str(s) for s in slopes],
-        "vertical_edge": vertical,
-    }
     if args.json:
-        _emit_json(payload)
+        vertices = [_json_list([str(i), str(j)], "    ") for i, j in ngon.vertices]
+        print(f'{{\n  "vertices": {_json_list(vertices, "  ")},\n  '
+              f'"degenerate": {_JSON_FLAG[degenerate]},\n  '
+              f'"edge_slopes": {_json_list(list(map(_json_str, slopes)), "  ")},\n  '
+              f'"vertical_edge": {_JSON_FLAG[vertical]}\n}}')
     else:
-        print(f"vertices: {payload['vertices']}")
+        print(f"vertices: {[list(v) for v in ngon.vertices]}")
         if degenerate:
             print("degenerate polygon")
-        print(f"edge slopes: {', '.join(payload['edge_slopes']) or '(none)'}")
+        print(f"edge slopes: {', '.join(slopes) or '(none)'}")
         print(f"vertical edge: {vertical}")
         if args.svg:
             print(f"wrote {args.svg}")
@@ -195,7 +148,7 @@ def cmd_replay(args) -> int:
         print(f"error: {exc}")
         return 1
     if args.json:
-        _emit_json(report.as_dict())
+        print(report.json_text())
     else:
         print(report.to_text())
     return 0

@@ -14,9 +14,9 @@ form once, when it is verified.
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Record, _json_list, _json_str
 from .poly import BivarPoly, PolyParseError, parse_poly
-from .structure import FAIL, AnalysisReport, UnitEvalFailure, _json_list, _json_str, analyze
+from .structure import FAIL, AnalysisReport, UnitEvalFailure, analyze
 
 __all__ = [
     "DbRecord",

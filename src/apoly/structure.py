@@ -21,7 +21,7 @@ from itertools import accumulate, chain
 from math import prod
 from operator import sub
 
-from ._record import Record
+from ._record import _JSON_FLAG, Record, _json_list, _json_str
 from .poly import _L_MINUS_1, BivarPoly, UnivarPoly
 
 __all__ = [
@@ -41,24 +41,6 @@ __all__ = [
     "AnalysisReport",
     "analyze",
 ]
-
-try:  # the C encoder alone, without the json package's decoder and scanner
-    from _json import encode_basestring_ascii as _json_str
-except ImportError:
-    from json.encoder import encode_basestring_ascii as _json_str
-
-# The --json writers: each record's json_text(indent) is the text of
-# json.dumps(record.as_dict(), indent=2), each line after the first starting
-# with indent, written in one f-string; strings go through the C encoder.
-_JSON_FLAG = {None: "null", True: "true", False: "false"}
-
-
-def _json_list(texts, indent):
-    """The json_text of the list of values whose JSON texts are texts."""
-    if not texts:
-        return "[]"
-    sep = "\n" + indent + "  "
-    return "[" + sep + ("," + sep).join(texts) + "\n" + indent + "]"
 
 
 def _prime_factors(n: int):
@@ -508,8 +490,7 @@ class AnalysisReport(Record, frozen=False):
     ``as_dict`` leaves out ``degenerate``, whether the Newton polygon is
     degenerate, and writes ``monic_plus`` and ``monic_minus`` from the
     ``monic`` of the two unit evaluations. When the two are one object,
-    as they are whenever A(-1, L) = A(1, L), it is written once and its
-    dict serves both keys.
+    as they are whenever A(-1, L) = A(1, L), ``json_text`` writes it once.
     """
 
     __slots__ = (
@@ -534,18 +515,13 @@ class AnalysisReport(Record, frozen=False):
             cyc = {"violation": self.cyclotomic.reason}
         else:
             cyc = None
-        plus = self.unit_eval_plus.as_dict()
-        if self.unit_eval_minus is self.unit_eval_plus:
-            minus = plus
-        else:
-            minus = self.unit_eval_minus.as_dict()
         return {
             "name": self.name,
             "deg_M": self.deg_m,
             "deg_L": self.deg_l,
             "abelian_multiplicity": self.abelian_multiplicity,
-            "unit_eval_plus": plus,
-            "unit_eval_minus": minus,
+            "unit_eval_plus": self.unit_eval_plus.as_dict(),
+            "unit_eval_minus": self.unit_eval_minus.as_dict(),
             "monic_plus": self.unit_eval_plus.monic,
             "monic_minus": self.unit_eval_minus.monic,
             "vertical_edge": self.vertical_edge,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from ._record import Record
+from ._record import _JSON_FLAG, Record, _json_list, _json_str
 from .poly import BivarPoly
 from .structure import Violation, euler_phi, mdeg_trivial_decomposition
 
@@ -91,6 +91,29 @@ class ReplayReport(Record, frozen=False):
                 for s in self.steps
             ],
         }
+
+    def json_text(self):
+        """The text of json.dumps(self.as_dict(), indent=2); the text of a
+        group's point is written once and repeated count times."""
+        i, j = '\n      "', '\n          "'
+        steps = []
+        for s in self.steps:
+            points = []
+            for e, count, u in s.groups:
+                point = (f'{{{j}v_order": {e},{j}u_order": {u},'
+                         f'{j}forces_trivial": {_JSON_FLAG[u == 1]}\n        }}')
+                points += [point] * count
+            steps.append(
+                f'{{{i}n": {s.n},{i}slope_denominator": {s.slope_denominator},'
+                f'{i}num_points": {s.num_points},'
+                f'{i}all_forced_trivial": {_JSON_FLAG[s.all_forced_trivial]},'
+                f'{i}points": {_json_list(points, "      ")}\n    }}'
+            )
+        violation = "null" if self.violation is None else _json_str(self.violation)
+        profile = "null" if self.profile is None else self.profile.json_text("  ")
+        d = "null" if self.d is None else self.d  # an int, not a flag: d may be 1
+        return (f'{{\n  "ok": {_JSON_FLAG[self.ok]},\n  "violation": {violation},\n  '
+                f'"profile": {profile},\n  "d": {d},\n  "steps": {_json_list(steps, "  ")}\n}}')
 
     def to_text(self):
         lines = []

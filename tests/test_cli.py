@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -8,10 +6,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from apoly.cli import _emit_json, main
+from apoly.cli import main
 from apoly.poly import BivarPoly
 
 FIXTURES = resources.files("apoly.data") / "fixtures.txt"
@@ -428,50 +424,48 @@ class TestReplay:
         assert out.startswith("error: ") and "--nmax" in out
 
 
-@pytest.mark.parametrize(
-    "argv, key, expected, module",
-    [
-        (["compute", "--two-bridge", "7", "3"], "verdict", "PASS", "apoly.knots"),
-        (["analyze", "L^60 - 1"], "verdict", "FAIL", "apoly.structure"),
-        (["replay", "L^60 - 1"], "ok", True, "apoly.surgery"),
-    ],
-    ids=["compute", "analyze", "replay"],
-)
-def test_runs_without_numpy_or_sympy(argv, key, expected, module):
-    # -X importtime lists every module the interpreter imports on stderr
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "apoly.cli"] + argv + ["--json"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    assert payload.get("report", payload)[key] == expected
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert module in imported
-    assert "numpy" not in proc.stderr
-    assert "sympy" not in proc.stderr
-
-
-def imported_modules(code):
-    """The modules that `python -S -X importtime -c code` imports; -S keeps
-    site's .pth files from importing modules apoly does not need."""
+def importtime(*args):
+    """Run `python -S -X importtime args`, which lists every module it
+    imports on stderr; -S keeps site's .pth files from importing modules
+    apoly does not need. Returns the process and the modules it imported."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-c", code],
+        [sys.executable, "-S", "-X", "importtime", *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    return proc, {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+
+
+def imported_modules(code):
+    """The modules that `python -S -X importtime -c code` imports."""
+    return importtime("-c", code)[1]
+
+
+@pytest.mark.parametrize(
+    "argv, key, expected, module",
+    [
+        (["compute", "--two-bridge", "7", "3"], "verdict", "PASS", "apoly.knots"),
+        (["analyze", "L^60 - 1"], "verdict", "FAIL", "apoly.structure"),
+        (["verify-db", str(FIXTURES)], "status", "OK", "apoly.db"),
+        (["newton", TREFOIL_TEXT], "vertical_edge", True, "apoly.newton"),
+        (["replay", "L^60 - 1"], "ok", True, "apoly.surgery"),
+    ],
+    ids=["compute", "analyze", "verify-db", "newton", "replay"],
+)
+def test_runs_without_numpy_or_sympy(argv, key, expected, module):
+    proc, imported = importtime("-m", "apoly.cli", *argv, "--json")
+    payload = json.loads(proc.stdout)
+    assert payload.get("report", payload)[key] == expected
+    assert module in imported
+    assert "numpy" not in proc.stderr
+    assert "sympy" not in proc.stderr
+    # every --json is written with the C string encoder alone
+    assert not {"json", "json.encoder"} & imported
 
 
 def test_import_loads_no_heavy_stdlib():
@@ -479,7 +473,7 @@ def test_import_loads_no_heavy_stdlib():
         "import apoly.cli, apoly.db, apoly.knots, apoly.newton, apoly.structure, apoly.surgery"
     )
     assert "apoly.surgery" in imported
-    heavy = {"dataclasses", "inspect", "fractions", "decimal", "html", "typing", "cmath"}
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "html", "typing", "cmath", "json"}
     assert not heavy & imported
 
 
@@ -500,36 +494,6 @@ def test_analysis_imports_no_hull_code():
     assert "apoly.structure" in imported
     assert "apoly.newton" not in imported
     assert "apoly._columns" not in imported
-
-
-# strings with non-ASCII characters, quotes, backslashes and control characters
-JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7fé€𝄞'))
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | JSON_TEXT,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=3).map(tuple)
-    | st.dictionaries(JSON_TEXT, children, max_size=4),
-    max_leaves=25,
-)
-
-
-def emitted(value):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        _emit_json(value)
-    return buf.getvalue()
-
-
-@given(JSON_VALUES)
-@settings(max_examples=300, deadline=None)
-def test_emit_json_matches_json_dumps(value):
-    assert emitted(value) == json.dumps(value, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("value", [{1.5}, {"x": object()}, [1, b"x"], {1: 2}])
-def test_emit_json_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        emitted(value)
 
 
 @pytest.mark.parametrize(

@@ -872,19 +872,14 @@ class TestAnalyzeMatchesPasses:
         report = analyze(parse_poly(text))
         assert (report.vertical_edge, report.degenerate) == (vertical, degenerate)
 
-    def test_as_dict_writes_a_shared_unit_form_once(self, monkeypatch):
-        # deg_M = 0: one unit form, one residual formatted, one dict for both
+    def test_as_dict_writes_each_unit_form(self):
+        # deg_M = 0: one unit form serves both units, and both keys write it
+        # (json_text writes it once: tests/test_json_text.py)
         report = analyze(parse_poly("(L-1)*(L-2)"))
         assert report.unit_eval_minus is report.unit_eval_plus
-        calls = []
-        as_dict = UnitEvalFailure.as_dict
-        monkeypatch.setattr(UnitEvalFailure, "as_dict", lambda u: calls.append(u) or as_dict(u))
         d = report.as_dict()
-        assert len(calls) == 1
         assert d["unit_eval_plus"] == d["unit_eval_minus"] == {"failure": True, "residual": "L - 2"}
         # an odd M-exponent: two evaluations, each written from its own form
-        report = analyze(parse_poly("M*L^2 + L - 2"))
-        d = report.as_dict()
-        assert len(calls) == 3
+        d = analyze(parse_poly("M*L^2 + L - 2")).as_dict()
         assert d["unit_eval_plus"] == {"failure": True, "residual": "L + 2"}
         assert d["unit_eval_minus"] == {"failure": True, "residual": "-L^2 + L - 2"}
