@@ -60,6 +60,14 @@ one_error_line() {
   test ! -s "$tmp/err"
 }
 
+# expect_text ARGS...: expect 0 from apoly ARGS, whose stdout must be the
+# text on stdin byte for byte
+expect_text() {
+  cat > "$tmp/want"
+  expect 0 "$@"
+  diff "$tmp/want" "$tmp/out" >&2
+}
+
 # expect_within SECONDS CODE ARGS...: expect, with apoly stopped after SECONDS
 expect_within() {
   local limit=$1 saved=("${apoly[@]}")
@@ -188,11 +196,15 @@ expect_within 5 1 analyze --file "$tmp/factors.txt" 2> "$tmp/err"
 one_error_line "^error: product too large to expand: .* parse budget (line 1, column 10003)"
 
 # a term's integer literals are charged to the budget once its coefficient
-# passes 1024 bits: of 400 literals of 4300 nines (1.7 MB), the 40th passes
-# it, where multiplying them all up took 11 s
+# passes 1024 bits, b_c * max(b_n, 1024) for b_c bits times a b_n-bit
+# literal: of 400 literals of 4300 nines (1.7 MB), the 209th passes it,
+# where multiplying them all up took 11 s; 22,000 one-digit literals
+# after 4299 nines are charged 2^38.2 and parse
 python3 -c "print('*'.join(['9' * 4300] * 400) + '*L')" > "$tmp/literals.txt"
 expect_within 5 1 analyze --file "$tmp/literals.txt" 2> "$tmp/err"
-one_error_line "^error: product too large to expand: .* parse budget (line 1, column 167740)"
+one_error_line "^error: product too large to expand: .* parse budget (line 1, column 894609)"
+python3 -c "print('9' * 4299 + '*1' * 22000 + '*L')" > "$tmp/ones.txt"
+expect_within 5 0 analyze --file "$tmp/ones.txt"
 
 # a power of one term with coefficient +-1 is written in closed form and its
 # exponents checked at its '^': 200 nested powers of M (860 KB, past the
@@ -212,6 +224,86 @@ grep -qx "vertical edge: True" "$tmp/out"
 expect 0 newton "M*L + M^2*L^2"
 grep -qx "degenerate polygon" "$tmp/out"
 grep -qx "vertical edge: False" "$tmp/out"
+
+# the text modes, byte for byte: analyze on a PASS, a deg_M = 0 profile, a
+# violation and a unit-evaluation failure, compute, and newton on a segment
+# and a triangle
+expect_text analyze "L^2*M^6 - L*M^6 + L - 1" --name trefoil <<'EOF'
+name: trefoil
+deg_M: 6
+deg_L: 2
+abelian_multiplicity: 1
+unit_eval_plus: {'sign': 1, 'a': 0, 'b': 1, 'c': 1}
+unit_eval_minus: {'sign': 1, 'a': 0, 'b': 1, 'c': 1}
+monic_plus: True
+monic_minus: True
+vertical_edge: True
+cyclotomic: None
+verdict: PASS
+EOF
+expect_text analyze "(L-1)*(L^2+L+1)*(L^4+1)" --name profile <<'EOF'
+name: profile
+deg_M: 0
+deg_L: 7
+abelian_multiplicity: 1
+unit_eval_plus: {'failure': True, 'residual': 'L^6 + L^5 + L^4 + L^2 + L + 1'}
+unit_eval_minus: {'failure': True, 'residual': 'L^6 + L^5 + L^4 + L^2 + L + 1'}
+monic_plus: True
+monic_minus: True
+vertical_edge: True
+cyclotomic: {'factors': [{'order': 3, 'multiplicity': 1}, {'order': 8, 'multiplicity': 1}], 'product_d': 24, 'sign': 1}
+verdict: FAIL
+EOF
+expect_text analyze "(L-1)*(L-2)" --name violation <<'EOF'
+name: violation
+deg_M: 0
+deg_L: 2
+abelian_multiplicity: 1
+unit_eval_plus: {'failure': True, 'residual': 'L - 2'}
+unit_eval_minus: {'failure': True, 'residual': 'L - 2'}
+monic_plus: True
+monic_minus: True
+vertical_edge: True
+cyclotomic: {'violation': 'not a product of cyclotomic polynomials'}
+verdict: FAIL
+EOF
+expect_text analyze "M*L - 2" --name failure <<'EOF'
+name: failure
+deg_M: 1
+deg_L: 1
+abelian_multiplicity: 0
+unit_eval_plus: {'failure': True, 'residual': 'L - 2'}
+unit_eval_minus: {'failure': True, 'residual': '-L - 2'}
+monic_plus: True
+monic_minus: True
+vertical_edge: False
+cyclotomic: None
+verdict: PASS
+EOF
+expect_text compute --two-bridge 7 3 <<'EOF'
+L^4*M^14 - 2*L^3*M^14 + L^2*M^14 + 2*L^3*M^12 - 2*L^2*M^12 + 2*L^3*M^10 - L^2*M^10 - L*M^10 - L^2*M^8 - L^3*M^6 + L*M^8 + L^2*M^6 + L^3*M^4 + L^2*M^4 - 2*L*M^4 + 2*L^2*M^2 - 2*L*M^2 - L^2 + 2*L - 1
+  deg_M: 14
+  deg_L: 4
+  abelian_multiplicity: 1
+  unit_eval_plus: {'sign': 1, 'a': 0, 'b': 1, 'c': 3}
+  unit_eval_minus: {'sign': 1, 'a': 0, 'b': 1, 'c': 3}
+  monic_plus: True
+  monic_minus: True
+  vertical_edge: True
+  cyclotomic: None
+  verdict: PASS
+EOF
+expect_text newton "M*L + M^2*L^2" <<'EOF'
+vertices: [[0, 0], [1, 1]]
+degenerate polygon
+edge slopes: 1
+vertical edge: False
+EOF
+expect_text newton "L*M + L - 1" <<'EOF'
+vertices: [[0, 0], [1, 1], [0, 1]]
+edge slopes: 1, 0, VERTICAL
+vertical edge: True
+EOF
 
 # an SVG title with markup characters is escaped, and the file is XML
 expect 0 newton "L*M - 1" --svg "$tmp/out.svg" --title 'a<b & "c"'

@@ -1,8 +1,8 @@
-"""The base of apoly's result records: slotted classes whose ``__slots__``
-name the fields in order and whose own ``__init__`` sets them. The base
-gives value equality, a ``Name(field=value, ...)`` repr and, by default,
-immutability and a hash; ``class R(Record, frozen=False)`` keeps R mutable
-and unhashable.
+"""The base of apoly's result records: immutable slotted classes whose
+``__slots__`` name the fields in order. The base gives one ``__init__``,
+which takes the fields by position or keyword and fills the rest from the
+class's ``_defaults``, a ``_replace`` that makes a changed copy, value
+equality, a hash and a ``Name(field=value, ...)`` repr.
 
 It also holds the rules of the --json text: each record's json_text is the
 text of json.dumps(record.as_dict(), indent=2), written in f-strings from
@@ -16,6 +16,8 @@ except ImportError:
 # the texts of None, True and False; never look up an int here: 1 == True
 _JSON_FLAG = {None: "null", True: "true", False: "false"}
 
+_set = object.__setattr__
+
 
 def _json_list(texts, indent):
     """The text of the list of values whose JSON texts are texts, at indent."""
@@ -27,13 +29,39 @@ def _json_list(texts, indent):
 
 class Record:
     __slots__ = ()
+    _defaults = {}
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._fill(args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    @classmethod
+    def _fill(cls, args, kwargs):
+        """Every field's value, in order, from the arguments and defaults;
+        a TypeError names a field missing, unknown or given twice."""
+        names, kind = cls.__slots__, cls.__name__
+        if len(args) > len(names):
+            raise TypeError(f"{kind} takes {len(names)} fields, got {len(args)}")
+        given = dict(zip(names, args))
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{kind} has no field {name!r}")
+            if name in given:
+                raise TypeError(f"{kind} got field {name!r} twice")
+        values = {**cls._defaults, **given, **kwargs}
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{kind} is missing field {name!r}")
+        return [values[name] for name in names]
+
+    def _replace(self, **changes):
+        """A copy with the fields named in changes replaced; a name that is
+        no field stays in changes, for __init__ to reject."""
+        values = [changes.pop(name, getattr(self, name)) for name in self.__slots__]
+        return type(self)(*values, **changes)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.__slots__)

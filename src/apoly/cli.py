@@ -1,6 +1,8 @@
 """Command-line front end: compute, analyze, verify-db, newton, replay.
 
-Each command imports the modules it uses, so a run loads only its own.
+Each command imports only the modules it uses, so a run loads only its
+own, calls the library and prints the text that its result record
+writes: only the error lines and newton's "wrote" line are written here.
 """
 
 from __future__ import annotations
@@ -9,8 +11,7 @@ import argparse
 import os
 import sys
 
-from ._record import _JSON_FLAG, _json_list, _json_str
-from .poly import PolyParseError, format_poly, parse_poly
+from .poly import PolyParseError, parse_poly
 
 __all__ = ["main"]
 
@@ -42,16 +43,8 @@ def cmd_compute(args) -> int:
     except (ValueError, knots.EliminationDegeneracyError) as exc:
         print(f"error: {exc}")
         return 1
-    claims = not args.unknot
-    report = structure.analyze(poly, name=name, claims_nontrivial_knot=claims)
-    if args.json:
-        print(f'{{\n  "name": {_json_str(name)},\n  "polynomial": {_json_str(format_poly(poly))},'
-              f'\n  "report": {report.json_text("  ")}\n}}')
-    else:
-        print(format_poly(poly))
-        for k, v in report.as_dict().items():
-            if k != "name":
-                print(f"  {k}: {v}")
+    report = structure.analyze(poly, name=name, claims_nontrivial_knot=not args.unknot)
+    print(report.json_text(polynomial=poly) if args.json else report.to_text(poly))
     return 0
 
 
@@ -67,14 +60,8 @@ def cmd_analyze(args) -> int:
             print(f"error: {exc}")
             return 1
     poly = _parse_or_exit(text)
-    report = structure.analyze(
-        poly, name=args.name, claims_nontrivial_knot=args.nontrivial
-    )
-    if args.json:
-        print(report.json_text())
-    else:
-        for k, v in report.as_dict().items():
-            print(f"{k}: {v}")
+    report = structure.analyze(poly, name=args.name, claims_nontrivial_knot=args.nontrivial)
+    print(report.json_text() if args.json else report.to_text())
     return 0
 
 
@@ -86,30 +73,18 @@ def cmd_verify_db(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}")
         return 1
-    for err in loaded.errors:
-        # with --json, stdout carries the JSON document alone
-        msg = f"record error (line {err.line}, {err.name or '?'}): {err.message}"
-        print(msg, file=sys.stderr if args.json else sys.stdout)
+    errors = loaded.to_text()
+    if errors:  # with --json, stdout carries the JSON document alone
+        print(errors, file=sys.stderr if args.json else sys.stdout)
     report = db.verify_all(loaded.records)
-    if args.json:
-        print(report.json_text())
-    else:
-        print(report.to_text())
+    print(report.json_text() if args.json else report.to_text())
     return report.exit_code
 
 
 def cmd_newton(args) -> int:
     from . import newton
 
-    poly = _parse_or_exit(args.poly)
-    ngon = newton.newton_polygon(poly.normalize())
-    degenerate = len(ngon.vertices) < 3
-    if len(ngon.vertices) < 2:
-        slopes = []
-        vertical = None
-    else:
-        slopes = [str(s) for s in newton.edge_slopes(ngon)]
-        vertical = newton.VERTICAL in slopes
+    ngon = newton.newton_polygon(_parse_or_exit(args.poly).normalize())
     if args.svg:
         try:
             svg = newton.render_svg(ngon, title=args.title)
@@ -118,20 +93,9 @@ def cmd_newton(args) -> int:
         except (ValueError, OSError) as exc:
             print(f"error: {exc}")
             return 1
-    if args.json:
-        vertices = [_json_list([str(i), str(j)], "    ") for i, j in ngon.vertices]
-        print(f'{{\n  "vertices": {_json_list(vertices, "  ")},\n  '
-              f'"degenerate": {_JSON_FLAG[degenerate]},\n  '
-              f'"edge_slopes": {_json_list(list(map(_json_str, slopes)), "  ")},\n  '
-              f'"vertical_edge": {_JSON_FLAG[vertical]}\n}}')
-    else:
-        print(f"vertices: {[list(v) for v in ngon.vertices]}")
-        if degenerate:
-            print("degenerate polygon")
-        print(f"edge slopes: {', '.join(slopes) or '(none)'}")
-        print(f"vertical edge: {vertical}")
-        if args.svg:
-            print(f"wrote {args.svg}")
+    print(ngon.json_text() if args.json else ngon.to_text())
+    if args.svg and not args.json:
+        print(f"wrote {args.svg}")
     return 0
 
 
@@ -147,10 +111,7 @@ def cmd_replay(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}")
         return 1
-    if args.json:
-        print(report.json_text())
-    else:
-        print(report.to_text())
+    print(report.json_text() if args.json else report.to_text())
     return 0
 
 

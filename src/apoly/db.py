@@ -30,32 +30,28 @@ __all__ = [
 VERDICT_NOT_APPLICABLE = "REFINED_NOT_APPLICABLE"
 
 
-class DbRecord(Record, frozen=False):
+class DbRecord(Record):
     __slots__ = ("name", "a_poly", "refined")
+    _defaults = {"refined": False}
 
-    def __init__(self, name, a_poly, refined=False):
-        self.name = name
-        self.a_poly = a_poly
-        self.refined = refined
-        if not name:
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if not self.name:
             raise ValueError("record name must be nonempty")
 
 
 class RecordError(Record):
     __slots__ = ("line", "name", "message")
 
-    def __init__(self, line, name, message):
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "message", message)
 
-
-class LoadResult(Record, frozen=False):
+class LoadResult(Record):
     __slots__ = ("records", "errors")
 
-    def __init__(self, records, errors):
-        self.records = records
-        self.errors = errors
+    def to_text(self):
+        """One line per record error, as verify-db prints them."""
+        return "\n".join(
+            f"record error (line {e.line}, {e.name or '?'}): {e.message}" for e in self.errors
+        )
 
 
 def load_table(path) -> LoadResult:
@@ -88,7 +84,7 @@ def load_table(path) -> LoadResult:
                 poly = parse_poly(expr)
                 if poly.is_zero:
                     raise ValueError("zero polynomial")
-                rec = DbRecord(name=name, a_poly=poly, refined="refined" in flags)
+                rec = DbRecord(name, poly, "refined" in flags)
             except (PolyParseError, ValueError) as exc:
                 errors.append(RecordError(lineno, name, str(exc)))
                 continue
@@ -104,7 +100,7 @@ def _unit_eval_failed(rep: AnalysisReport) -> bool:
     )
 
 
-class BatchReport(Record, frozen=False):
+class BatchReport(Record):
     """Record-wise reports plus the names of the failing and anomalous
     records, and an overall status read off those two lists.
 
@@ -115,9 +111,6 @@ class BatchReport(Record, frozen=False):
     """
 
     __slots__ = ("reports", "anomalies", "failures")
-
-    def __init__(self, reports, anomalies, failures):
-        self.reports, self.anomalies, self.failures = reports, anomalies, failures
 
     @property
     def status(self):
@@ -168,9 +161,7 @@ def _verify_one(rec: DbRecord) -> AnalysisReport:
     # the claim decides only whether L - 1 is UNKNOT_OK or FAIL, and a
     # table's L - 1 is the unknot: no record claims a nontrivial knot
     report = analyze(rec.a_poly, name=rec.name)
-    if rec.refined:
-        report.verdict = VERDICT_NOT_APPLICABLE
-    return report
+    return report._replace(verdict=VERDICT_NOT_APPLICABLE) if rec.refined else report
 
 
 def verify_all(records) -> BatchReport:

@@ -62,11 +62,6 @@ class GroupPresentation(Record):
 
     __slots__ = ("w", "longitude", "sign_sequence")
 
-    def __init__(self, w, longitude, sign_sequence):
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "longitude", longitude)
-        object.__setattr__(self, "sign_sequence", sign_sequence)
-
 
 def unknot_a() -> BivarPoly:
     """The unknot's A-polynomial, L - 1."""
@@ -144,10 +139,11 @@ def _riley_phi(w):
 
     The diagonal entries of a W - W b vanish identically and the
     off-diagonal entries agree up to a factor of -t, so the (1,2) entry is
-    the single independent condition.
+    the single independent condition. With a and b in Riley's normal form,
+    (a W)_12 = M W_12 + W_22 and (W b)_12 = W_12 / M, so
+    phi = (M - 1/M) W_12 + W_22.
     """
-    left, right = _mat_mul(_NORMAL_FORM["a"], w), _mat_mul(w, _NORMAL_FORM["b"])
-    return _add_terms(left[0][1], right[0][1], -1)
+    return _add_terms(_mul_terms({(1, 0): 1, (-1, 0): -1}, w[0][1]), w[1][1])
 
 
 def _longitude_entry(pres, w):

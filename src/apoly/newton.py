@@ -6,14 +6,15 @@ a segment's one pair; edge slopes are lowest-terms fractions of L-exponent
 over M-exponent, with a distinguished VERTICAL tag, and polygons render to
 deterministic SVG. A polygon is degenerate exactly when it has fewer than
 three vertices, and it has a vertical edge exactly when VERTICAL is among
-its slopes.
+its slopes; a single point has no slopes, and None for the second. These
+facts are what the newton command writes, as text or as --json.
 """
 
 from __future__ import annotations
 
 import re
 
-from ._record import Record
+from ._record import _JSON_FLAG, Record, _json_list, _json_str
 from .poly import BivarPoly
 
 __all__ = [
@@ -55,9 +56,33 @@ class NewtonPolygon(Record):
 
     __slots__ = ("vertices", "support")
 
-    def __init__(self, vertices, support):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "support", support)
+    def _facts(self):
+        """(degenerate, slope texts, vertical edge), the last None for a
+        single point."""
+        if len(self.vertices) < 2:
+            return True, [], None
+        slopes = [str(s) for s in edge_slopes(self)]
+        return len(self.vertices) < 3, slopes, VERTICAL in slopes
+
+    def to_text(self):
+        """The text of newton: the vertices, then the facts, one a line."""
+        degenerate, slopes, vertical = self._facts()
+        lines = [f"vertices: {[list(v) for v in self.vertices]}"]
+        if degenerate:
+            lines.append("degenerate polygon")
+        lines.append(f"edge slopes: {', '.join(slopes) or '(none)'}")
+        lines.append(f"vertical edge: {vertical}")
+        return "\n".join(lines)
+
+    def json_text(self):
+        """The --json text: the vertices, whether the polygon is degenerate,
+        the slope texts and whether one edge is vertical."""
+        degenerate, slopes, vertical = self._facts()
+        vertices = [_json_list([str(i), str(j)], "    ") for i, j in self.vertices]
+        return (f'{{\n  "vertices": {_json_list(vertices, "  ")},\n  '
+                f'"degenerate": {_JSON_FLAG[degenerate]},\n  '
+                f'"edge_slopes": {_json_list(list(map(_json_str, slopes)), "  ")},\n  '
+                f'"vertical_edge": {_JSON_FLAG[vertical]}\n}}')
 
 
 def convex_hull(points) -> NewtonPolygon:

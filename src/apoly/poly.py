@@ -33,6 +33,8 @@ import operator
 import re
 from math import gcd
 
+from ._record import _set
+
 __all__ = [
     "UnivarPoly",
     "BivarPoly",
@@ -120,7 +122,7 @@ class UnivarPoly:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(map(int, cs)))
+        _set(self, "coeffs", tuple(map(int, cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("UnivarPoly is immutable")
@@ -311,7 +313,7 @@ class BivarPoly:
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in term ({i},{j})")
                 t[(int(i), int(j))] = c
-        object.__setattr__(self, "terms", t)
+        _set(self, "terms", t)
 
     @classmethod
     def _adopt(cls, terms):
@@ -319,7 +321,7 @@ class BivarPoly:
         uncopied: the caller guarantees int keys >= 0, nonzero int values,
         and that nothing else holds the dict."""
         p = object.__new__(cls)
-        object.__setattr__(p, "terms", terms)
+        _set(p, "terms", terms)
         return p
 
     def __setattr__(self, name, value):
@@ -578,15 +580,17 @@ _MAX_L_EXPONENT = 100_000
 
 # One parse has one budget for its expansions. Before each multiplication
 # of two term dicts f and g that a parenthesized power or product makes, or
-# that a term's monomial with more than 1024 coefficient bits makes with a
-# later literal or with the term's parenthesized factors, the parse is
-# charged len(f) * len(g) * max(b, 1024) * max(b, x, 1024), where
-# b = b_f + b_g for the bit lengths of the dicts' largest |coefficients| and
-# x = x_f + x_g for those of their largest exponents: for each term pair, a
-# product of coefficients, whose cost grows as b^2 once b passes about 1024,
-# and a sum of exponents, whose cost grows as x, which matters only when
-# the exponents are longer than the coefficients. The multiplication that
-# would take the sum past the budget is not made, so the work before a
+# that a term's monomial with more than 1024 coefficient bits makes with
+# the term's parenthesized factors, the parse is charged
+# len(f) * len(g) * max(b, 1024) * max(b, x, 1024), where b = b_f + b_g for
+# the bit lengths of the dicts' largest |coefficients| and x = x_f + x_g for
+# those of their largest exponents: for each term pair, a product of
+# coefficients, whose cost grows as b^2 once b passes about 1024, and a sum
+# of exponents, whose cost grows as x, which matters only when the
+# exponents are longer than the coefficients. Such a coefficient of b_c
+# bits times a later literal of b_n bits is charged b_c * max(b_n, 1024),
+# as its cost grows with the product of the two lengths. The multiplication
+# that would take the sum past the budget is not made, so the work before a
 # rejection stays within it, about 2 s: (L+M+1)^60*(L+M+1)^60 is charged
 # 2^41.98 and parses, (L-1)^2047 is charged 2^42.2 and is rejected.
 _PARSE_BUDGET = 1 << 42
@@ -651,16 +655,21 @@ def _check_lexical(text):
         _error(f"unexpected character {tok!r}", text, stop)
 
 
-def _charge(f, g, spent, construct, text, k):
-    """spent plus the charge for multiplying the term dicts f and g; past
-    the parse budget, a PolyParseError for the construct ("power" or
-    "product") at the k-th token of text."""
-    bits = sum(max(map(abs, h.values()), default=0).bit_length() for h in (f, g))
-    keys = sum(max(map(max, h), default=0).bit_length() for h in (f, g))
-    spent += len(f) * len(g) * max(bits, 1024) * max(bits, keys, 1024)
+def _spend(spent, cost, construct, text, k):
+    """spent plus cost; past the parse budget, a PolyParseError for the
+    construct ("power" or "product") at the k-th token of text."""
+    spent += cost
     if spent > _PARSE_BUDGET:
         _token_error(f"{construct} too large to expand: it passes the parse budget", text, k)
     return spent
+
+
+def _charge(f, g, spent, construct, text, k):
+    """_spend of the charge for multiplying the term dicts f and g."""
+    bits = sum(max(map(abs, h.values()), default=0).bit_length() for h in (f, g))
+    keys = sum(max(map(max, h), default=0).bit_length() for h in (f, g))
+    cost = len(f) * len(g) * max(bits, 1024) * max(bits, keys, 1024)
+    return _spend(spent, cost, construct, text, k)
 
 
 def _power_terms(base, e, spent, text, k):
@@ -768,8 +777,9 @@ def parse_poly(text: str) -> BivarPoly:
                         product = _mul_terms(product, inner)
                 elif head.isdecimal():
                     n = int(tok)
-                    if c.bit_length() > 1024:  # the monomial times the literal
-                        spent = _charge({(i, j): c}, {(0, 0): n}, spent, "product", text, k)
+                    b = c.bit_length()
+                    if b > 1024:  # the monomial times the literal
+                        spent = _spend(spent, b * max(n.bit_length(), 1024), "product", text, k)
                     c *= n
                     k += 1
                 else:

@@ -22,7 +22,7 @@ from math import prod
 from operator import sub
 
 from ._record import _JSON_FLAG, Record, _json_list, _json_str
-from .poly import _L_MINUS_1, BivarPoly, UnivarPoly
+from .poly import _L_MINUS_1, BivarPoly, UnivarPoly, format_poly
 
 __all__ = [
     "cyclotomic",
@@ -173,12 +173,8 @@ def _rows(degree, above):
 class CyclotomicProfile(Record):
     """Orders and multiplicities of recognized cyclotomic factors."""
 
-    __slots__ = ("factors", "sign")
-
-    def __init__(self, factors, sign=1):
-        # ((order, multiplicity), ...) with orders ascending
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "sign", sign)
+    __slots__ = ("factors", "sign")  # factors: ((order, multiplicity), ...), orders ascending
+    _defaults = {"sign": 1}
 
     @property
     def product_d(self) -> int:
@@ -197,14 +193,23 @@ class CyclotomicProfile(Record):
         return (f'{{{i}factors": {_json_list(factors, indent + "  ")},'
                 f'{i}product_d": {self.product_d},{i}sign": {self.sign}\n{indent}}}')
 
+    def text(self):
+        return repr(self.as_dict())
+
 
 class Violation(Record):
     """Failure of the (L-1) * distinct-cyclotomics structure: its reason."""
 
     __slots__ = ("reason",)
 
-    def __init__(self, reason):
-        object.__setattr__(self, "reason", reason)
+    def as_dict(self):
+        return {"violation": self.reason}
+
+    def json_text(self, indent):
+        return f'{{\n{indent}  "violation": {_json_str(self.reason)}\n{indent}}}'
+
+    def text(self):
+        return repr(self.as_dict())
 
 
 _NOT_CYCLOTOMIC = "not a product of cyclotomic polynomials"
@@ -258,7 +263,7 @@ def _recognize(parts):
             break
     if deg:
         return Violation(_NOT_CYCLOTOMIC)
-    return CyclotomicProfile(tuple(sorted(factors)), sign=r[0])
+    return CyclotomicProfile(tuple(sorted(factors)), r[0])
 
 
 def mdeg_trivial_decomposition(a: BivarPoly):
@@ -289,19 +294,13 @@ def _decompose(prof):
         if d != 1 and m != 1:
             return Violation(f"repeated cyclotomic factor of order {d}")
     nonunit = tuple((d, m) for d, m in prof.factors if d != 1)
-    return CyclotomicProfile(nonunit, sign=prof.sign)
+    return CyclotomicProfile(nonunit, prof.sign)
 
 
 class UnitEvaluationForm(Record):
     """Exponents of +/- L^a (L-1)^b (L+1)^c."""
 
     __slots__ = ("sign", "a", "b", "c")
-
-    def __init__(self, sign, a, b, c):
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
 
     # L, L-1 and L+1 are monic, so the evaluation's leading coefficient is sign
     monic = True
@@ -313,12 +312,12 @@ class UnitEvaluationForm(Record):
         i = "\n" + indent + '  "'
         return f'{{{i}sign": {self.sign},{i}a": {self.a},{i}b": {self.b},{i}c": {self.c}\n{indent}}}'
 
+    def text(self):
+        return repr(self.as_dict())
+
 
 class UnitEvalFailure(Record):
     __slots__ = ("residual",)
-
-    def __init__(self, residual):
-        object.__setattr__(self, "residual", residual)
 
     @property
     def monic(self):
@@ -331,6 +330,9 @@ class UnitEvalFailure(Record):
     def json_text(self, indent):
         i = "\n" + indent + '  "'
         return f'{{{i}failure": true,{i}residual": {_json_str(str(self.residual))}\n{indent}}}'
+
+    def text(self):
+        return repr(self.as_dict())
 
 
 def _synthetic_div(coeffs, zeta):
@@ -389,7 +391,7 @@ def _unit_form(f: UnivarPoly, parts=None):
     a, b, c, r = parts or _strip_units(f.coeffs)
     if len(r) != 1 or abs(r[0]) != 1:
         return UnitEvalFailure(UnivarPoly(r))
-    return UnitEvaluationForm(sign=r[0], a=a, b=b, c=c)
+    return UnitEvaluationForm(r[0], a, b, c)
 
 
 PASS = "PASS"
@@ -483,8 +485,8 @@ def _abelian_multiplicity(slices):
     return mult
 
 
-class AnalysisReport(Record, frozen=False):
-    """All structural checks on one polynomial, JSON-serializable.
+class AnalysisReport(Record):
+    """All structural checks on one polynomial, with its text and --json.
 
     ``cyclotomic`` is a CyclotomicProfile, a Violation or None.
     ``as_dict`` leaves out ``degenerate``, whether the Newton polygon is
@@ -497,24 +499,10 @@ class AnalysisReport(Record, frozen=False):
         "name", "deg_m", "deg_l", "abelian_multiplicity", "unit_eval_plus", "unit_eval_minus",
         "vertical_edge", "cyclotomic", "verdict", "degenerate",
     )
-
-    def __init__(
-        self, name, deg_m, deg_l, abelian_multiplicity, unit_eval_plus, unit_eval_minus,
-        vertical_edge, cyclotomic, verdict, degenerate=False,
-    ):
-        self.name, self.deg_m, self.deg_l = name, deg_m, deg_l
-        self.abelian_multiplicity = abelian_multiplicity
-        self.unit_eval_plus, self.unit_eval_minus = unit_eval_plus, unit_eval_minus
-        self.vertical_edge, self.cyclotomic = vertical_edge, cyclotomic
-        self.verdict, self.degenerate = verdict, degenerate
+    _defaults = {"degenerate": False}
 
     def as_dict(self):
-        if isinstance(self.cyclotomic, CyclotomicProfile):
-            cyc = self.cyclotomic.as_dict()
-        elif isinstance(self.cyclotomic, Violation):
-            cyc = {"violation": self.cyclotomic.reason}
-        else:
-            cyc = None
+        cyc = self.cyclotomic
         return {
             "name": self.name,
             "deg_M": self.deg_m,
@@ -525,23 +513,40 @@ class AnalysisReport(Record, frozen=False):
             "monic_plus": self.unit_eval_plus.monic,
             "monic_minus": self.unit_eval_minus.monic,
             "vertical_edge": self.vertical_edge,
-            "cyclotomic": cyc,
+            "cyclotomic": None if cyc is None else cyc.as_dict(),
             "verdict": self.verdict,
         }
 
-    def json_text(self, indent=""):
+    def to_text(self, polynomial=None):
+        """analyze's text: a "key: value" line for each key of as_dict, the
+        value as str() writes it. Given the polynomial, compute's text: the
+        polynomial, then those lines but the name's, indented by two."""
+        plus, minus, cyc = self.unit_eval_plus, self.unit_eval_minus, self.cyclotomic
+        lines = (
+            f"deg_M: {self.deg_m}", f"deg_L: {self.deg_l}",
+            f"abelian_multiplicity: {self.abelian_multiplicity}",
+            f"unit_eval_plus: {plus.text()}", f"unit_eval_minus: {minus.text()}",
+            f"monic_plus: {plus.monic}", f"monic_minus: {minus.monic}",
+            f"vertical_edge: {self.vertical_edge}",
+            f"cyclotomic: {None if cyc is None else cyc.text()}", f"verdict: {self.verdict}",
+        )
+        if polynomial is None:
+            return f"name: {self.name}\n" + "\n".join(lines)
+        return format_poly(polynomial) + "".join("\n  " + line for line in lines)
+
+    def json_text(self, indent="", polynomial=None):
         """The text of json.dumps(self.as_dict(), indent=2), each line after
-        the first starting with indent; a shared unit form is written once."""
+        the first starting with indent; a shared unit form is written once.
+        Given the polynomial, compute's --json: an object of the name, the
+        polynomial and the report."""
+        if polynomial is not None:
+            return (f'{{\n  "name": {_json_str(self.name)},\n  "polynomial": '
+                    f'{_json_str(format_poly(polynomial))},\n  "report": {self.json_text("  ")}\n}}')
         inner, cyc = indent + "  ", self.cyclotomic
         plus, minus = self.unit_eval_plus, self.unit_eval_minus
         plus_text = plus.json_text(inner)
         minus_text = plus_text if minus is plus else minus.json_text(inner)
-        if cyc is None:
-            cyc_text = "null"
-        elif isinstance(cyc, Violation):
-            cyc_text = f'{{\n{inner}  "violation": {_json_str(cyc.reason)}\n{inner}}}'
-        else:
-            cyc_text = cyc.json_text(inner)
+        cyc_text = "null" if cyc is None else cyc.json_text(inner)
         i = "\n" + inner + '"'
         return (
             f'{{{i}name": {_json_str(self.name)},{i}deg_M": {self.deg_m},{i}deg_L": {self.deg_l},'
@@ -583,15 +588,5 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
         unit_minus = unit_plus if minus is plus else _unit_form(minus)
         abelian = _abelian_multiplicity(slices)
         cyc, verdict = None, PASS
-    return AnalysisReport(
-        name=name,
-        deg_m=deg_m,
-        deg_l=deg_l,
-        abelian_multiplicity=abelian,
-        unit_eval_plus=unit_plus,
-        unit_eval_minus=unit_minus,
-        vertical_edge=_vertical_edge(slices),
-        cyclotomic=cyc,
-        verdict=verdict,
-        degenerate=_collinear(slices),
-    )
+    return AnalysisReport(name, deg_m, deg_l, abelian, unit_plus, unit_minus,
+                          _vertical_edge(slices), cyc, verdict, _collinear(slices))

@@ -42,11 +42,6 @@ class ReplayStep(Record):
 
     __slots__ = ("n", "slope_denominator", "groups")
 
-    def __init__(self, n, slope_denominator, groups):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "slope_denominator", slope_denominator)
-        object.__setattr__(self, "groups", groups)
-
     @property
     def num_points(self):
         return sum(count for _, count, _ in self.groups)
@@ -56,14 +51,12 @@ class ReplayStep(Record):
         return all(u_order == 1 for _, _, u_order in self.groups)
 
 
-class ReplayReport(Record, frozen=False):
-    """Narrated replay of the degree-zero contradiction."""
+class ReplayReport(Record):
+    """Narrated replay of the degree-zero contradiction: steps is a tuple
+    of ReplayStep, empty when the decomposition fails."""
 
     __slots__ = ("violation", "profile", "d", "steps")
-
-    def __init__(self, violation, profile, d, steps=None):
-        self.violation, self.profile, self.d = violation, profile, d
-        self.steps = [] if steps is None else steps
+    _defaults = {"steps": ()}
 
     @property
     def ok(self):
@@ -185,5 +178,5 @@ def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
         return ReplayReport(violation=profile.reason, profile=None, d=None)
     orders = [1] + [e for e, _ in profile.factors]
     d = lcm(*orders)
-    steps = [ReplayStep(n, n * d, _points_by_order(orders, n * d)) for n in range(1, n_max + 1)]
+    steps = tuple(ReplayStep(n, n * d, _points_by_order(orders, n * d)) for n in range(1, n_max + 1))
     return ReplayReport(violation=None, profile=profile, d=d, steps=steps)

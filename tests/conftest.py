@@ -9,7 +9,7 @@ import sympy
 from hypothesis import strategies as st
 
 import apoly.poly
-from apoly.knots import _NORMAL_FORM, _riley_phi, sl2_word_eval, two_bridge_presentation
+from apoly.knots import sl2_word_eval, two_bridge_presentation
 from apoly.poly import (
     _COEFF_BOUND,
     _MAX_DEPTH,
@@ -304,12 +304,23 @@ def two_bridge_alexander(pres):
     return {k: c for k, c in out.items() if c}
 
 
+# Riley's normal form a -> [[M, 1], [0, 1/M]], b -> [[M, 0], [t, 1/M]], as
+# matrices of Laurent dicts {(M-exponent, t-exponent): c}
+RILEY_MATRICES = {
+    "a": (({(1, 0): 1}, {(0, 0): 1}), ({}, {(-1, 0): 1})),
+    "b": (({(1, 0): 1}, {}), ({(0, 1): 1}, {(-1, 0): 1})),
+}
+
+
 def riley_polynomial(p, q):
     """The representation condition phi(M, t) = 0 of the two-bridge knot
     p/q, as a Laurent dict {(M-exponent, t-exponent): c}, and its
-    presentation, for the Alexander oracles."""
+    presentation, for the Alexander oracles: the (1,2) entry of
+    a W - W b, with the words a*w and w*b each evaluated in full."""
     pres = two_bridge_presentation(p, q)
-    return _riley_phi(sl2_word_eval(pres.w, _NORMAL_FORM)), pres
+    aw = sl2_word_eval((("a", 1), *pres.w), RILEY_MATRICES)
+    wb = sl2_word_eval((*pres.w, ("b", 1)), RILEY_MATRICES)
+    return _add_terms(dict(aw[0][1]), wb[0][1], -1), pres
 
 
 def torus_alexander(a, b):
@@ -470,16 +481,20 @@ def parse_poly_by_tokens(text):
             return {(e, 0) if val == "M" else (0, e): 1}
         _error("expected a term", text, offset)
 
+    def charge(cost, construct, offset):
+        # against the budget as it is now, which a test may lower
+        nonlocal spent
+        spent += cost
+        if spent > apoly.poly._PARSE_BUDGET:
+            _error(f"{construct} too large to expand: it passes the parse budget", text, offset)
+
     def metered_product(f, g, construct, offset):
         # charged len(f) * len(g) * max(b, 1024) * max(b, x, 1024) before it
         # is made, b the coefficient bits and x the exponent bits of a term
-        # pair at most, against the budget as it is now, which a test may lower
-        nonlocal spent
+        # pair at most
         bits = sum(max((abs(c).bit_length() for c in h.values()), default=0) for h in (f, g))
         keys = sum(max((e.bit_length() for key in h for e in key), default=0) for h in (f, g))
-        spent += len(f) * len(g) * max(bits, 1024) * max(bits, keys, 1024)
-        if spent > apoly.poly._PARSE_BUDGET:
-            _error(f"{construct} too large to expand: it passes the parse budget", text, offset)
+        charge(len(f) * len(g) * max(bits, 1024) * max(bits, keys, 1024), construct, offset)
         return _mul_terms(f, g)
 
     def parse_parenthesized():
@@ -515,17 +530,21 @@ def parse_poly_by_tokens(text):
     def parse_term():
         # the parenthesized factors multiply into one metered product; the
         # others into one monomial, whose products are metered too once its
-        # coefficient passes 1024 bits, the last at the term's first token
+        # coefficient passes 1024 bits: b_c * max(b_n, 1024) for a literal of
+        # b_n bits, and the last at the term's first token
         monomial, product = {(0, 0): 1}, None
         start = peek()[2]
         while True:
             kind, _, offset = peek()
+            bits = max(map(abs, monomial.values()), default=0).bit_length()
             if kind == "lparen":
                 factor = parse_parenthesized()
                 product = factor if product is None else metered_product(
                     product, factor, "product", offset)
-            elif kind == "int" and max(map(abs, monomial.values()), default=0).bit_length() > 1024:
-                monomial = metered_product(monomial, parse_factor(), "product", offset)
+            elif kind == "int" and bits > 1024:
+                literal = parse_factor()
+                charge(bits * max(literal[(0, 0)].bit_length(), 1024), "product", offset)
+                monomial = _mul_terms(monomial, literal)
             else:
                 monomial = _mul_terms(monomial, parse_factor())
             kind = peek()[0]

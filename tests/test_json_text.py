@@ -2,7 +2,8 @@
 replace: AnalysisReport.json_text at each indent the commands write it at
 (analyze at the top level, compute under "report", verify-db in its
 "records" list), BatchReport.json_text, ReplayReport.json_text and the
-text of `newton --json`."""
+text of `newton --json`. AnalysisReport.to_text, the text of analyze and
+compute, against the "key: value" lines over as_dict() it replaces."""
 
 import contextlib
 import io
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from apoly.cli import main
 from apoly.db import BatchReport
+from apoly.knots import torus_a
 from apoly.newton import VERTICAL, edge_slopes, newton_polygon
 from apoly.poly import BivarPoly, UnivarPoly, format_poly, parse_poly
 from apoly.structure import (
@@ -23,6 +25,7 @@ from apoly.structure import (
     UnitEvalFailure,
     UnitEvaluationForm,
     Violation,
+    analyze,
     cyclotomic,
 )
 from apoly.surgery import ReplayReport, replay_contradiction
@@ -86,6 +89,37 @@ def test_empty_batch():
     assert '"records": []' in batch.json_text()
 
 
+def as_dict_lines(report, polynomial=None):
+    """The text analyze wrote from as_dict, one "key: value" line per key,
+    and, below the polynomial, the indented lines but the name's that
+    compute wrote."""
+    if polynomial is None:
+        return "\n".join(f"{k}: {v}" for k, v in report.as_dict().items())
+    lines = [f"  {k}: {v}" for k, v in report.as_dict().items() if k != "name"]
+    return "\n".join([format_poly(polynomial), *lines])
+
+
+POLYNOMIALS = st.sampled_from(["L - 1", "L^2*M^6 - L*M^6 + L - 1", "-7*M^3*L + 2"]).map(parse_poly)
+
+
+@given(reports(), st.none() | POLYNOMIALS)
+@settings(max_examples=300, deadline=None)
+def test_report_to_text_matches_as_dict_lines(report, polynomial):
+    assert report.to_text(polynomial) == as_dict_lines(report, polynomial)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["L^2*M^6 - L*M^6 + L - 1", "L^60 - 1", "(L-1)*(L-2)", "M*L - 2", "(L-1)*(L^4 + 1)^2"],
+    ids=["pass", "profile-shared-form", "violation", "unit-eval-failure", "repeated-factor"],
+)
+def test_report_to_text_cases(text):
+    report = analyze(parse_poly(text), name="k")
+    assert report.to_text() == as_dict_lines(report)
+    poly = torus_a(2, 3)
+    assert report.to_text(poly) == as_dict_lines(report, poly)
+
+
 def test_shared_unit_form_written_once(monkeypatch):
     form = UnitEvalFailure(UnivarPoly([-2, 1]))
     report = AnalysisReport("x", 0, 2, 1, form, form, True, None, "FAIL")
@@ -135,7 +169,7 @@ def test_replay_cases(text, violation, d):
     assert (report.violation is not None, report.d) == (violation, d)
     assert report.json_text() == json.dumps(report.as_dict(), indent=2)
     if violation:
-        assert report.steps == [] and '"steps": []' in report.json_text()
+        assert report.steps == () and '"steps": []' in report.json_text()
     if d == 1:
         # d is an int: 1 is written 1, not true
         assert report.profile.factors == () and '"d": 1,' in report.json_text()

@@ -18,6 +18,7 @@ from apoly.knots import (
     _longitude_charpoly,
     _longitude_entry,
     _multiplication_matrix,
+    _riley_phi,
     _squarefree_bivar,
 )
 from apoly.poly import BivarPoly, charpoly, parse_poly
@@ -305,6 +306,18 @@ class TestElimination:
                 pres = two_bridge_presentation(p, q)
                 expected = sl2_word_eval(pres.longitude, mats)[0][0]
                 assert _longitude_entry(pres, sl2_word_eval(pres.w, mats)) == expected, (p, q)
+
+    def test_riley_condition_read_off_w(self):
+        # phi = (M - 1/M) W_12 + W_22 against (a W - W b)_12 with a*w and
+        # w*b evaluated in full, for all 136 knots with p <= 25
+        knots_seen = 0
+        for p in range(3, 26, 2):
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    phi, pres = riley_polynomial(p, q)
+                    assert _riley_phi(sl2_word_eval(pres.w, {"a": A_MAT, "b": B_MAT})) == phi, (p, q)
+                    knots_seen += 1
+        assert knots_seen == 136
 
     @pytest.mark.parametrize("p", range(3, 14, 2))
     def test_charpoly_matches_berkowitz_by_terms(self, p):

@@ -742,29 +742,49 @@ class TestGrammar:
 
     @pytest.mark.parametrize("n", [40, 400])
     def test_literal_product_past_the_budget(self, n):
-        # 39 literals of 4300 nines are charged just under the budget, and
-        # the 40th literal passes it; unmetered, the cost was quadratic in n
-        # and 400 literals (1.7 MB) took 10.7 s to reach the coefficient check
+        # a coefficient of b_c bits times a literal of b_n bits is charged
+        # b_c * max(b_n, 1024): 208 literals of 4300 nines are charged just
+        # under the budget, and the 209th literal passes it, so 40 reach the
+        # expanded-coefficient check; unmetered, the cost was quadratic in n
+        # and 400 literals (1.7 MB) took 10.7 s to reach that check
         text = "*".join(["9" * 4300] * n) + "*L"
+        if n < 209:
+            message = "expanded coefficient of M^0*L^1 is longer than 4300 digits (line 1, column 1)"
+        else:
+            message = ("product too large to expand: it passes the parse budget "
+                       f"(line 1, column {208 * 4301 + 1})")
         for parse in (parse_poly, parse_poly_by_tokens):
             start = time.perf_counter()
             with pytest.raises(PolyParseError) as exc:
                 parse(text)
             assert time.perf_counter() - start < 5.0
-            assert str(exc.value) == ("product too large to expand: it passes the parse budget "
-                                      f"(line 1, column {39 * 4301 + 1})")
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("n, accepted", [(38, True), (39, False)])
-    def test_literal_product_times_zero(self, n, accepted):
-        # a later 0 is charged like any literal and does not undo the
-        # charges already made: after 39 literals it passes the budget
+    def test_literal_product_times_zero(self, monkeypatch, n, accepted):
+        # a later 0 is charged like any literal, b_c * 1024, and does not
+        # undo the charges already made: with a budget of just the charges
+        # of 39 literals, the 0 after 38 is inside it and the 0 after 39
+        # passes it
+        literal = int("9" * 4300)
+        charges = [(literal**k).bit_length() * literal.bit_length() for k in range(1, 39)]
+        monkeypatch.setattr(poly, "_PARSE_BUDGET", sum(charges))
         text = "*".join(["9" * 4300] * n) + "*0*L + L"
         for parse in (parse_poly, parse_poly_by_tokens):
             if accepted:
                 assert parse(text) == L
             else:
-                with pytest.raises(PolyParseError, match="product too large to expand"):
+                with pytest.raises(PolyParseError) as exc:
                     parse(text)
+                assert str(exc.value) == ("product too large to expand: it passes the parse "
+                                          f"budget (line 1, column {39 * 4301 + 1})")
+
+    def test_short_literals_charged_by_the_coefficient(self):
+        # a one-digit literal is charged b_c * 1024, not (b_c + 1024)^2:
+        # 22,000 of them after 4299 nines are charged 2^38.2 and parse
+        text = "9" * 4299 + "*1" * 22000 + "*L"
+        for parse in (parse_poly, parse_poly_by_tokens):
+            assert parse(text) == int("9" * 4299) * L
 
     def test_literal_product_times_parenthesized_factor(self):
         # the term's coefficient times each term of its parenthesized
@@ -781,14 +801,15 @@ class TestGrammar:
 
     def test_literals_charged_past_1024_bits(self, monkeypatch):
         # a literal is charged only when the coefficient it multiplies has
-        # more than 1024 bits: 150 nines have 499 bits, two 997, three 1495
+        # more than 1024 bits: 150 nines have 499 bits, two 997, three 1495;
+        # a literal of 499 bits is charged as one of 1024
         calls = []
-        charge = poly._charge
-        monkeypatch.setattr(poly, "_charge", lambda f, g, *args: calls.append(g) or charge(f, g, *args))
-        for n, charged in ((3, 0), (4, 1), (6, 3)):
+        spend = poly._spend
+        monkeypatch.setattr(poly, "_spend", lambda s, cost, *args: calls.append(cost) or spend(s, cost, *args))
+        for n, charged in ((3, []), (4, [1495 * 1024]), (6, [1495 * 1024, 1994 * 1024, 2492 * 1024])):
             calls.clear()
             assert parse_poly("*".join(["9" * 150] * n) + "*L") == int("9" * 150) ** n * L
-            assert len(calls) == charged
+            assert calls == charged
 
     @given(literal_terms())
     @settings(max_examples=200, deadline=None)

@@ -1,11 +1,13 @@
 """Result records: construction, defaults, value equality, immutability.
 
-Every record is a slotted class with a hand-written ``__init__``, one
+Every record is a slotted class whose ``__slots__`` name its fields, one
 class per kind of result: a cyclotomic recognition, for one, gives a
-CyclotomicProfile or a Violation. The table below lists all 13 records.
-Their field order, keyword names and defaults are pinned here; records
-that cannot change are hashable and refuse assignment, the others are
-mutable and unhashable.
+CyclotomicProfile or a Violation. All are built by the one
+``Record.__init__``, from positions, keywords and the class's
+``_defaults``, and changed only by ``_replace``, which makes a copy. The
+table below lists all 13 records. Their field order, keyword names and
+defaults are pinned here; every record refuses assignment and deletion,
+and is hashable when its values are.
 """
 
 import pytest
@@ -26,26 +28,24 @@ from apoly.surgery import ReplayReport, ReplayStep
 RESIDUAL = UnivarPoly([3, 1])
 FORM = UnitEvaluationForm(1, 0, 1, 0)
 
-# (class, fields in order, values for every field, defaults, frozen)
+# (class, fields in order, values for every field, defaults)
 RECORDS = [
     (
         GroupPresentation,
         ("w", "longitude", "sign_sequence"),
         ((("b", 1),), (("a", 1),), (1,)),
         {},
-        True,
     ),
     (
         NewtonPolygon,
         ("vertices", "support"),
         (((0, 0), (1, 1)), frozenset({(0, 0), (1, 1)})),
         {},
-        True,
     ),
-    (CyclotomicProfile, ("factors", "sign"), (((2, 1),), -1), {"sign": 1}, True),
-    (Violation, ("reason",), ("no (L-1)",), {}, True),
-    (UnitEvaluationForm, ("sign", "a", "b", "c"), (-1, 2, 1, 3), {}, True),
-    (UnitEvalFailure, ("residual",), (RESIDUAL,), {}, True),
+    (CyclotomicProfile, ("factors", "sign"), (((2, 1),), -1), {"sign": 1}),
+    (Violation, ("reason",), ("no (L-1)",), {}),
+    (UnitEvaluationForm, ("sign", "a", "b", "c"), (-1, 2, 1, 3), {}),
+    (UnitEvalFailure, ("residual",), (RESIDUAL,), {}),
     (
         AnalysisReport,
         (
@@ -54,33 +54,30 @@ RECORDS = [
         ),
         ("k", 6, 2, 1, FORM, FORM, False, None, "PASS", True),
         {"degenerate": False},
-        False,
     ),
     (
         DbRecord,
         ("name", "a_poly", "refined"),
         ("x", parse_poly("L - 1"), True),
         {"refined": False},
-        False,
     ),
-    (RecordError, ("line", "name", "message"), (3, "x", "DuplicateName: x"), {}, True),
-    (LoadResult, ("records", "errors"), ([], []), {}, False),
-    (BatchReport, ("reports", "anomalies", "failures"), ([], [], []), {}, False),
-    (ReplayStep, ("n", "slope_denominator", "groups"), (1, 2, ((1, 1, 1), (2, 1, 1))), {}, True),
+    (RecordError, ("line", "name", "message"), (3, "x", "DuplicateName: x"), {}),
+    (LoadResult, ("records", "errors"), ([], []), {}),
+    (BatchReport, ("reports", "anomalies", "failures"), ([], [], []), {}),
+    (ReplayStep, ("n", "slope_denominator", "groups"), (1, 2, ((1, 1, 1), (2, 1, 1))), {}),
     (
         ReplayReport,
         ("violation", "profile", "d", "steps"),
-        (None, None, 2, [ReplayStep(1, 2, ((1, 1, 1),))]),
-        {"steps": []},
-        False,
+        (None, None, 2, (ReplayStep(1, 2, ((1, 1, 1),)),)),
+        {"steps": ()},
     ),
 ]
 
 IDS = [spec[0].__name__ for spec in RECORDS]
 
 
-@pytest.mark.parametrize("cls, fields, values, defaults, frozen", RECORDS, ids=IDS)
-def test_position_and_keyword(cls, fields, values, defaults, frozen):
+@pytest.mark.parametrize("cls, fields, values, defaults", RECORDS, ids=IDS)
+def test_position_and_keyword(cls, fields, values, defaults):
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(fields, values)))
     for name, value in zip(fields, values):
@@ -91,47 +88,82 @@ def test_position_and_keyword(cls, fields, values, defaults, frozen):
     assert not hasattr(by_position, "__dict__")
 
 
-@pytest.mark.parametrize("cls, fields, values, defaults, frozen", RECORDS, ids=IDS)
-def test_defaults(cls, fields, values, defaults, frozen):
+@pytest.mark.parametrize("cls, fields, values, defaults", RECORDS, ids=IDS)
+def test_defaults(cls, fields, values, defaults):
     required = dict(zip(fields, values))
     for name in defaults:
         del required[name]
     record = cls(**required)
     for name, default in defaults.items():
         assert getattr(record, name) == default
-    if "steps" in defaults:
-        # a fresh list for each instance
-        assert cls(**required).steps is not record.steps
+    # every default is hashable, like the immutable values instances share
+    hash(tuple(defaults.values()))
 
 
-@pytest.mark.parametrize("cls, fields, values, defaults, frozen", RECORDS, ids=IDS)
-def test_value_equality(cls, fields, values, defaults, frozen):
+@pytest.mark.parametrize("cls, fields, values, defaults", RECORDS, ids=IDS)
+def test_value_equality(cls, fields, values, defaults):
     record = cls(*values)
     assert record == cls(*values)
     assert record != object()
     assert repr(record).startswith(f"{cls.__name__}({fields[0]}=")
     # records of different classes never compare equal
-    other_cls, _, other_values, _, _ = RECORDS[IDS.index(cls.__name__) - 1]
+    other_cls, _, other_values, _ = RECORDS[IDS.index(cls.__name__) - 1]
     assert record != other_cls(*other_values)
+    # nor does a record equal the tuple of its values
+    assert record != tuple(values)
 
 
-@pytest.mark.parametrize("cls, fields, values, defaults, frozen", RECORDS, ids=IDS)
-def test_frozen_or_mutable(cls, fields, values, defaults, frozen):
+@pytest.mark.parametrize("cls, fields, values, defaults", RECORDS, ids=IDS)
+def test_frozen_or_mutable(cls, fields, values, defaults):
+    # every record is immutable; it is hashable exactly when its values are
     record = cls(*values)
-    if frozen:
-        assert hash(record) == hash(cls(*values))
-        assert len({record, cls(*values)}) == 1
-        with pytest.raises(AttributeError):
-            setattr(record, fields[0], values[0])
-        with pytest.raises(AttributeError):
-            delattr(record, fields[0])
-    else:
-        with pytest.raises(TypeError):
-            hash(record)
-        setattr(record, fields[-1], values[-1])
-        assert getattr(record, fields[-1]) == values[-1]
+    for name, value in zip(fields, values):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(record, name)
     with pytest.raises(AttributeError):
         record.not_a_field = 1
+    assert record == cls(*values)
+    try:
+        hash(tuple(values))
+    except TypeError:  # LoadResult and BatchReport hold lists
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(cls(*values))
+        assert len({record, cls(*values)}) == 1
+
+
+@pytest.mark.parametrize("cls, fields, values, defaults", RECORDS, ids=IDS)
+def test_construction_errors_name_the_field(cls, fields, values, defaults):
+    name = cls.__name__
+    required = [f for f in fields if f not in defaults]
+    kwargs = dict(zip(fields, values))
+    del kwargs[required[-1]]
+    with pytest.raises(TypeError, match=rf"^{name} is missing field '{required[-1]}'$"):
+        cls(**kwargs)
+    with pytest.raises(TypeError, match=rf"^{name} is missing field '{required[-1]}'$"):
+        cls(*values[: len(required) - 1])
+    with pytest.raises(TypeError, match=rf"^{name} has no field 'colour'$"):
+        cls(*values, colour=1)
+    with pytest.raises(TypeError, match=rf"^{name} got field '{fields[0]}' twice$"):
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError, match=rf"^{name} takes {len(fields)} fields, got {len(fields) + 1}$"):
+        cls(*values, None)
+
+
+@pytest.mark.parametrize("cls, fields, values, defaults", RECORDS, ids=IDS)
+def test_replace_makes_a_changed_copy(cls, fields, values, defaults):
+    record = cls(*values)
+    assert record._replace() == record
+    changed = record._replace(**{fields[-1]: values[0]})
+    assert changed == cls(*values[:-1], values[0])
+    assert record == cls(*values)  # the original is unchanged
+    with pytest.raises(TypeError, match=rf"^{cls.__name__} has no field 'colour'$"):
+        record._replace(colour=1)
+    with pytest.raises(TypeError, match="has no field 'colour'"):
+        record._replace(**{fields[0]: values[0], "colour": 1})
 
 
 def test_differing_field_breaks_equality():
@@ -145,11 +177,13 @@ def test_statuses_are_read_off_the_fields():
     assert [BatchReport([], a, f).status for a, f in (([], []), (["x"], []), (["x"], ["y"]))] == [
         "OK", "ANOMALY", "FAIL"]
     trivial, nontrivial = ReplayStep(1, 2, ((1, 1, 1),)), ReplayStep(1, 2, ((2, 1, 2),))
-    assert ReplayReport(None, None, 2, [trivial]).ok
-    assert not ReplayReport(None, None, 2, [trivial, nontrivial]).ok
+    assert ReplayReport(None, None, 2, (trivial,)).ok
+    assert not ReplayReport(None, None, 2, (trivial, nontrivial)).ok
     assert not ReplayReport("missing abelian factor (L-1)", None, None).ok
 
 
 def test_checks_keep_their_messages():
     with pytest.raises(ValueError, match="record name must be nonempty"):
         DbRecord("", parse_poly("L - 1"))
+    with pytest.raises(ValueError, match="record name must be nonempty"):
+        DbRecord("x", parse_poly("L - 1"))._replace(name="")

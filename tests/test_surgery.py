@@ -60,7 +60,7 @@ class TestClassifyUnitRoot:
         out = is_product_of_cyclotomics(UnivarPoly([-3, 1]))  # L - 3
         assert out == Violation("not a product of cyclotomic polynomials")
         rep = replay_contradiction(parse_poly("(L-1)*(L-3)"))
-        assert not rep.ok and rep.steps == []
+        assert not rep.ok and rep.steps == ()
         assert "not a product of cyclotomic" in rep.violation
 
 
@@ -144,7 +144,7 @@ class TestReplay:
         rep = replay_contradiction(lift(UnivarPoly([-1, 1]) ** 2 * cyclotomic(2)))
         assert not rep.ok
         assert "repeated abelian" in rep.violation
-        assert rep.steps == []
+        assert rep.steps == ()
 
     def test_rejects_positive_mdeg(self):
         with pytest.raises(ValueError):
