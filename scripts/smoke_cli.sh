@@ -196,13 +196,13 @@ expect_within 5 1 analyze --file "$tmp/factors.txt" 2> "$tmp/err"
 one_error_line "^error: product too large to expand: .* parse budget (line 1, column 10003)"
 
 # a term's integer literals are charged to the budget once its coefficient
-# passes 1024 bits, b_c * max(b_n, 1024) for b_c bits times a b_n-bit
-# literal: of 400 literals of 4300 nines (1.7 MB), the 209th passes it,
+# passes 1024 bits, 4 * b_c * max(b_n, 1024) for b_c bits times a b_n-bit
+# literal: of 400 literals of 4300 nines (1.7 MB), the 105th passes it,
 # where multiplying them all up took 11 s; 22,000 one-digit literals
-# after 4299 nines are charged 2^38.2 and parse
+# after 4299 nines are charged 2^40.2 and parse
 python3 -c "print('*'.join(['9' * 4300] * 400) + '*L')" > "$tmp/literals.txt"
 expect_within 5 1 analyze --file "$tmp/literals.txt" 2> "$tmp/err"
-one_error_line "^error: product too large to expand: .* parse budget (line 1, column 894609)"
+one_error_line "^error: product too large to expand: .* parse budget (line 1, column 447305)"
 python3 -c "print('9' * 4299 + '*1' * 22000 + '*L')" > "$tmp/ones.txt"
 expect_within 5 0 analyze --file "$tmp/ones.txt"
 

@@ -44,7 +44,7 @@ def cmd_compute(args) -> int:
         print(f"error: {exc}")
         return 1
     report = structure.analyze(poly, name=name, claims_nontrivial_knot=not args.unknot)
-    print(report.json_text(polynomial=poly) if args.json else report.to_text(poly))
+    print(report.compute_json_text(poly) if args.json else report.compute_text(poly))
     return 0
 
 

@@ -33,8 +33,6 @@ import operator
 import re
 from math import gcd
 
-from ._record import _set
-
 __all__ = [
     "UnivarPoly",
     "BivarPoly",
@@ -122,7 +120,7 @@ class UnivarPoly:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        _set(self, "coeffs", tuple(map(int, cs)))
+        object.__setattr__(self, "coeffs", tuple(map(int, cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("UnivarPoly is immutable")
@@ -313,7 +311,7 @@ class BivarPoly:
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in term ({i},{j})")
                 t[(int(i), int(j))] = c
-        _set(self, "terms", t)
+        object.__setattr__(self, "terms", t)
 
     @classmethod
     def _adopt(cls, terms):
@@ -321,7 +319,7 @@ class BivarPoly:
         uncopied: the caller guarantees int keys >= 0, nonzero int values,
         and that nothing else holds the dict."""
         p = object.__new__(cls)
-        _set(p, "terms", terms)
+        object.__setattr__(p, "terms", terms)
         return p
 
     def __setattr__(self, name, value):
@@ -588,11 +586,15 @@ _MAX_L_EXPONENT = 100_000
 # coefficients, whose cost grows as b^2 once b passes about 1024, and a sum
 # of exponents, whose cost grows as x, which matters only when the
 # exponents are longer than the coefficients. Such a coefficient of b_c
-# bits times a later literal of b_n bits is charged b_c * max(b_n, 1024),
-# as its cost grows with the product of the two lengths. The multiplication
-# that would take the sum past the budget is not made, so the work before a
-# rejection stays within it, about 2 s: (L+M+1)^60*(L+M+1)^60 is charged
-# 2^41.98 and parses, (L-1)^2047 is charged 2^42.2 and is rejected.
+# bits times a later literal of b_n bits is charged 4 * b_c * max(b_n, 1024):
+# its cost grows with the product of the two lengths, and a unit of it
+# takes about four times as long as a unit of the term-pair charge, whose
+# 1024^2 for a pair of short coefficients pays for the interpreter's work.
+# The multiplication that would take the sum past the budget is not made,
+# so the work before a rejection stays within it, about 2 s:
+# (L+M+1)^60*(L+M+1)^60 is charged 2^41.98 and parses, (L-1)^2047 is
+# charged 2^42.2 and is rejected, and a chain of 1024-bit literals, the
+# longest charged as 1024 bits, is rejected at its 1450th.
 _PARSE_BUDGET = 1 << 42
 
 # The first character outside the grammar or integer literal too long to
@@ -779,7 +781,7 @@ def parse_poly(text: str) -> BivarPoly:
                     n = int(tok)
                     b = c.bit_length()
                     if b > 1024:  # the monomial times the literal
-                        spent = _spend(spent, b * max(n.bit_length(), 1024), "product", text, k)
+                        spent = _spend(spent, 4 * b * max(n.bit_length(), 1024), "product", text, k)
                     c *= n
                     k += 1
                 else:

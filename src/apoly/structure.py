@@ -193,9 +193,6 @@ class CyclotomicProfile(Record):
         return (f'{{{i}factors": {_json_list(factors, indent + "  ")},'
                 f'{i}product_d": {self.product_d},{i}sign": {self.sign}\n{indent}}}')
 
-    def text(self):
-        return repr(self.as_dict())
-
 
 class Violation(Record):
     """Failure of the (L-1) * distinct-cyclotomics structure: its reason."""
@@ -207,9 +204,6 @@ class Violation(Record):
 
     def json_text(self, indent):
         return f'{{\n{indent}  "violation": {_json_str(self.reason)}\n{indent}}}'
-
-    def text(self):
-        return repr(self.as_dict())
 
 
 _NOT_CYCLOTOMIC = "not a product of cyclotomic polynomials"
@@ -312,9 +306,6 @@ class UnitEvaluationForm(Record):
         i = "\n" + indent + '  "'
         return f'{{{i}sign": {self.sign},{i}a": {self.a},{i}b": {self.b},{i}c": {self.c}\n{indent}}}'
 
-    def text(self):
-        return repr(self.as_dict())
-
 
 class UnitEvalFailure(Record):
     __slots__ = ("residual",)
@@ -330,9 +321,6 @@ class UnitEvalFailure(Record):
     def json_text(self, indent):
         i = "\n" + indent + '  "'
         return f'{{{i}failure": true,{i}residual": {_json_str(str(self.residual))}\n{indent}}}'
-
-    def text(self):
-        return repr(self.as_dict())
 
 
 def _synthetic_div(coeffs, zeta):
@@ -517,31 +505,37 @@ class AnalysisReport(Record):
             "verdict": self.verdict,
         }
 
-    def to_text(self, polynomial=None):
-        """analyze's text: a "key: value" line for each key of as_dict, the
-        value as str() writes it. Given the polynomial, compute's text: the
-        polynomial, then those lines but the name's, indented by two."""
+    def _lines(self):
+        """A "key: value" line for each key of as_dict but the name, the
+        value as str() writes it."""
         plus, minus, cyc = self.unit_eval_plus, self.unit_eval_minus, self.cyclotomic
-        lines = (
+        return (
             f"deg_M: {self.deg_m}", f"deg_L: {self.deg_l}",
             f"abelian_multiplicity: {self.abelian_multiplicity}",
-            f"unit_eval_plus: {plus.text()}", f"unit_eval_minus: {minus.text()}",
+            f"unit_eval_plus: {plus.as_dict()}", f"unit_eval_minus: {minus.as_dict()}",
             f"monic_plus: {plus.monic}", f"monic_minus: {minus.monic}",
             f"vertical_edge: {self.vertical_edge}",
-            f"cyclotomic: {None if cyc is None else cyc.text()}", f"verdict: {self.verdict}",
+            f"cyclotomic: {None if cyc is None else cyc.as_dict()}", f"verdict: {self.verdict}",
         )
-        if polynomial is None:
-            return f"name: {self.name}\n" + "\n".join(lines)
-        return format_poly(polynomial) + "".join("\n  " + line for line in lines)
 
-    def json_text(self, indent="", polynomial=None):
+    def to_text(self):
+        """analyze's text: the name's line, then the other keys' lines."""
+        return f"name: {self.name}\n" + "\n".join(self._lines())
+
+    def compute_text(self, polynomial):
+        """compute's text: the polynomial, then the lines of to_text but the
+        name's, indented by two."""
+        return format_poly(polynomial) + "".join("\n  " + line for line in self._lines())
+
+    def compute_json_text(self, polynomial):
+        """compute's --json: an object of the name, the polynomial and the
+        report."""
+        return (f'{{\n  "name": {_json_str(self.name)},\n  "polynomial": '
+                f'{_json_str(format_poly(polynomial))},\n  "report": {self.json_text("  ")}\n}}')
+
+    def json_text(self, indent=""):
         """The text of json.dumps(self.as_dict(), indent=2), each line after
-        the first starting with indent; a shared unit form is written once.
-        Given the polynomial, compute's --json: an object of the name, the
-        polynomial and the report."""
-        if polynomial is not None:
-            return (f'{{\n  "name": {_json_str(self.name)},\n  "polynomial": '
-                    f'{_json_str(format_poly(polynomial))},\n  "report": {self.json_text("  ")}\n}}')
+        the first starting with indent; a shared unit form is written once."""
         inner, cyc = indent + "  ", self.cyclotomic
         plus, minus = self.unit_eval_plus, self.unit_eval_minus
         plus_text = plus.json_text(inner)

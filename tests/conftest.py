@@ -530,8 +530,8 @@ def parse_poly_by_tokens(text):
     def parse_term():
         # the parenthesized factors multiply into one metered product; the
         # others into one monomial, whose products are metered too once its
-        # coefficient passes 1024 bits: b_c * max(b_n, 1024) for a literal of
-        # b_n bits, and the last at the term's first token
+        # coefficient passes 1024 bits: 4 * b_c * max(b_n, 1024) for a
+        # literal of b_n bits, and the last at the term's first token
         monomial, product = {(0, 0): 1}, None
         start = peek()[2]
         while True:
@@ -543,7 +543,7 @@ def parse_poly_by_tokens(text):
                     product, factor, "product", offset)
             elif kind == "int" and bits > 1024:
                 literal = parse_factor()
-                charge(bits * max(literal[(0, 0)].bit_length(), 1024), "product", offset)
+                charge(4 * bits * max(literal[(0, 0)].bit_length(), 1024), "product", offset)
                 monomial = _mul_terms(monomial, literal)
             else:
                 monomial = _mul_terms(monomial, parse_factor())

@@ -105,7 +105,8 @@ POLYNOMIALS = st.sampled_from(["L - 1", "L^2*M^6 - L*M^6 + L - 1", "-7*M^3*L + 2
 @given(reports(), st.none() | POLYNOMIALS)
 @settings(max_examples=300, deadline=None)
 def test_report_to_text_matches_as_dict_lines(report, polynomial):
-    assert report.to_text(polynomial) == as_dict_lines(report, polynomial)
+    text = report.to_text() if polynomial is None else report.compute_text(polynomial)
+    assert text == as_dict_lines(report, polynomial)
 
 
 @pytest.mark.parametrize(
@@ -117,7 +118,9 @@ def test_report_to_text_cases(text):
     report = analyze(parse_poly(text), name="k")
     assert report.to_text() == as_dict_lines(report)
     poly = torus_a(2, 3)
-    assert report.to_text(poly) == as_dict_lines(report, poly)
+    assert report.compute_text(poly) == as_dict_lines(report, poly)
+    document = {"name": "k", "polynomial": format_poly(poly), "report": report.as_dict()}
+    assert report.compute_json_text(poly) == json.dumps(document, indent=2)
 
 
 def test_shared_unit_form_written_once(monkeypatch):

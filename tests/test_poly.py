@@ -743,16 +743,16 @@ class TestGrammar:
     @pytest.mark.parametrize("n", [40, 400])
     def test_literal_product_past_the_budget(self, n):
         # a coefficient of b_c bits times a literal of b_n bits is charged
-        # b_c * max(b_n, 1024): 208 literals of 4300 nines are charged just
-        # under the budget, and the 209th literal passes it, so 40 reach the
-        # expanded-coefficient check; unmetered, the cost was quadratic in n
-        # and 400 literals (1.7 MB) took 10.7 s to reach that check
+        # 4 * b_c * max(b_n, 1024): 104 literals of 4300 nines are charged
+        # just under the budget, and the 105th literal passes it, so 40 reach
+        # the expanded-coefficient check; unmetered, the cost was quadratic
+        # in n and 400 literals (1.7 MB) took 10.7 s to reach that check
         text = "*".join(["9" * 4300] * n) + "*L"
-        if n < 209:
+        if n < 105:
             message = "expanded coefficient of M^0*L^1 is longer than 4300 digits (line 1, column 1)"
         else:
             message = ("product too large to expand: it passes the parse budget "
-                       f"(line 1, column {208 * 4301 + 1})")
+                       f"(line 1, column {104 * 4301 + 1})")
         for parse in (parse_poly, parse_poly_by_tokens):
             start = time.perf_counter()
             with pytest.raises(PolyParseError) as exc:
@@ -762,12 +762,12 @@ class TestGrammar:
 
     @pytest.mark.parametrize("n, accepted", [(38, True), (39, False)])
     def test_literal_product_times_zero(self, monkeypatch, n, accepted):
-        # a later 0 is charged like any literal, b_c * 1024, and does not
+        # a later 0 is charged like any literal, 4 * b_c * 1024, and does not
         # undo the charges already made: with a budget of just the charges
         # of 39 literals, the 0 after 38 is inside it and the 0 after 39
         # passes it
         literal = int("9" * 4300)
-        charges = [(literal**k).bit_length() * literal.bit_length() for k in range(1, 39)]
+        charges = [4 * (literal**k).bit_length() * literal.bit_length() for k in range(1, 39)]
         monkeypatch.setattr(poly, "_PARSE_BUDGET", sum(charges))
         text = "*".join(["9" * 4300] * n) + "*0*L + L"
         for parse in (parse_poly, parse_poly_by_tokens):
@@ -780,8 +780,8 @@ class TestGrammar:
                                           f"budget (line 1, column {39 * 4301 + 1})")
 
     def test_short_literals_charged_by_the_coefficient(self):
-        # a one-digit literal is charged b_c * 1024, not (b_c + 1024)^2:
-        # 22,000 of them after 4299 nines are charged 2^38.2 and parse
+        # a one-digit literal is charged 4 * b_c * 1024, not (b_c + 1024)^2:
+        # 22,000 of them after 4299 nines are charged 2^40.2 and parse
         text = "9" * 4299 + "*1" * 22000 + "*L"
         for parse in (parse_poly, parse_poly_by_tokens):
             assert parse(text) == int("9" * 4299) * L
@@ -802,14 +802,14 @@ class TestGrammar:
     def test_literals_charged_past_1024_bits(self, monkeypatch):
         # a literal is charged only when the coefficient it multiplies has
         # more than 1024 bits: 150 nines have 499 bits, two 997, three 1495;
-        # a literal of 499 bits is charged as one of 1024
+        # a literal of 499 bits is charged as one of 1024, four times over
         calls = []
         spend = poly._spend
         monkeypatch.setattr(poly, "_spend", lambda s, cost, *args: calls.append(cost) or spend(s, cost, *args))
-        for n, charged in ((3, []), (4, [1495 * 1024]), (6, [1495 * 1024, 1994 * 1024, 2492 * 1024])):
+        for n, bits in ((3, []), (4, [1495]), (6, [1495, 1994, 2492])):
             calls.clear()
             assert parse_poly("*".join(["9" * 150] * n) + "*L") == int("9" * 150) ** n * L
-            assert calls == charged
+            assert calls == [4 * b * 1024 for b in bits]
 
     @given(literal_terms())
     @settings(max_examples=200, deadline=None)
