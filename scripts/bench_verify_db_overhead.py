@@ -16,10 +16,10 @@ PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts. Two parts:
   timing the phases of ``verify-db --json`` on one 600-record table of
   the ``verify-db`` workload (seed PHASE_SEED, table 3): interpreter and
   ``site`` (a ``python -c pass``), the imports ``verify-db`` needs,
-  argparse, ``load_table``, ``verify_all`` and ``json`` (the ``--json``
-  writer that ``cmd_verify_db`` calls, ``BatchReport.json_text``, its
-  output sent to ``os.devnull``), and ``per_record``, the sum of the last
-  three.
+  ``argv`` (reading the command line), ``load_table``, ``verify_all`` and
+  ``json`` (the ``--json`` writer that ``cmd_verify_db`` calls,
+  ``BatchReport.json_text``, its output sent to ``os.devnull``), and
+  ``per_record``, the sum of the last three.
 
 Both sides run without a bytecode cache (PYTHONDONTWRITEBYTECODE=1), so
 every run compiles apoly's source, as an uninstalled checkout does.
@@ -65,9 +65,13 @@ t0 = time.perf_counter()
 import apoly.cli
 from apoly import db
 t1 = time.perf_counter()
-args = apoly.cli.build_parser().parse_args(["verify-db", sys.argv[1], "--json"])
+argv = ["verify-db", sys.argv[1], "--json"]
+if hasattr(apoly.cli, "_parse_args"):
+    path = apoly.cli._parse_args(argv)[1]["path"]
+else:  # a checkout from before the command table
+    path = apoly.cli.build_parser().parse_args(argv).path
 t2 = time.perf_counter()
-loaded = db.load_table(args.path)
+loaded = db.load_table(path)
 t3 = time.perf_counter()
 report = db.verify_all(loaded.records)
 t4 = time.perf_counter()
@@ -76,7 +80,7 @@ print(report.json_text())
 sys.stdout.flush()
 sys.stdout = sys.__stdout__
 t5 = time.perf_counter()
-print(json.dumps({"import": t1 - t0, "argparse": t2 - t1, "load_table": t3 - t2,
+print(json.dumps({"import": t1 - t0, "argv": t2 - t1, "load_table": t3 - t2,
                   "verify_all": t4 - t3, "json": t5 - t4}))
 """
 

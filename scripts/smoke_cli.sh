@@ -77,6 +77,30 @@ expect_within() {
   apoly=("${saved[@]}")
 }
 
+# usage_error ARGS...: apoly ARGS exits 2 with the usage line and an error
+# line on stderr and nothing on stdout
+usage_error() {
+  expect 2 "$@" 2> "$tmp/err"
+  test ! -s "$tmp/out"
+  grep -q "^usage: apoly" "$tmp/err"
+  grep -q "error: " "$tmp/err"
+}
+
+# the command line: help exits 0, a usage error exits 2, an option's value
+# may start with "-", and a polynomial may follow a "--"
+expect 0 --help
+grep -q "^usage: apoly" "$tmp/out"
+for command in compute analyze verify-db newton replay; do
+  expect 0 "$command" --help
+  grep -q "^usage: apoly $command" "$tmp/out"
+done
+usage_error compute
+usage_error compute --torus 2
+usage_error frobnicate
+usage_error replay "L-1" --nmax x
+expect 0 compute --torus -2 3
+expect 0 replay --nmax 1 -- "-(L-1)*(L+1)"
+
 expect 0 compute --two-bridge 5 3
 expect 0 compute --two-bridge 7 2
 
@@ -194,6 +218,13 @@ one_error_line "^error: power too large to expand: .* parse budget (line 1, colu
 python3 -c 'print("*".join(["(L+1)"] * 8000))' > "$tmp/factors.txt"
 expect_within 5 1 analyze --file "$tmp/factors.txt" 2> "$tmp/err"
 one_error_line "^error: product too large to expand: .* parse budget (line 1, column 10003)"
+
+# a product whose result can have more than 2^18 terms is an error at its
+# second '(' before it is made: 1024 L-powers times 1024 M-powers (2^20
+# terms, 399 MB when it was built)
+python3 -c "print('(' + '+'.join(f'L^{k}' for k in range(1024)) + ')*(' + '+'.join(f'M^{k}' for k in range(1024)) + ')')" > "$tmp/wide.txt"
+expect_within 5 1 analyze --file "$tmp/wide.txt" 2> "$tmp/err"
+one_error_line "^error: product too large to expand: it can have more than 262144 terms (line 1, column 6061)"
 
 # a term's integer literals are charged to the budget once its coefficient
 # passes 1024 bits, 4 * b_c * max(b_n, 1024) for b_c bits times a b_n-bit

@@ -1,20 +1,14 @@
 """Exact A-polynomial computation and structural analysis.
 
-Subpackages by role: ``poly`` (exact sparse arithmetic), ``newton``
-(Newton polygons and SVG), ``structure`` (cyclotomic and unit-evaluation
-analysis), ``surgery`` (the degree-zero contradiction replay), ``knots``
-(unknot, torus, two-bridge generators), ``db`` (record ingest and batch
-verification), ``cli`` (command line).
+Subpackages by role: ``poly`` (exact sparse arithmetic), ``grammar`` (the
+polynomial text grammar), ``newton`` (Newton polygons and SVG),
+``structure`` (cyclotomic and unit-evaluation analysis), ``surgery`` (the
+degree-zero contradiction replay), ``knots`` (unknot, torus, two-bridge
+generators), ``db`` (record ingest and batch verification), ``cli``
+(command line).
 """
 
-from .poly import (
-    BivarPoly,
-    PolyParseError,
-    UnivarPoly,
-    format_poly,
-    gcd_univar,
-    parse_poly,
-)
+from .poly import BivarPoly, UnivarPoly, format_poly, gcd_univar
 
 __version__ = "0.1.0"
 
@@ -27,3 +21,12 @@ __all__ = [
     "gcd_univar",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # the grammar is compiled on first use: `compute` parses no text
+    if name in ("PolyParseError", "parse_poly"):
+        from . import grammar
+
+        return getattr(grammar, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

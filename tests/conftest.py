@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import random
 import re
@@ -8,18 +9,16 @@ import pytest
 import sympy
 from hypothesis import strategies as st
 
-import apoly.poly
+import apoly.grammar
+from apoly.grammar import _MAX_DEPTH, _MAX_L_EXPONENT, _error
 from apoly.knots import sl2_word_eval, two_bridge_presentation
 from apoly.poly import (
     _COEFF_BOUND,
-    _MAX_DEPTH,
     _MAX_DIGITS,
-    _MAX_L_EXPONENT,
     BivarPoly,
     UnivarPoly,
     _add_terms,
     _decimal,
-    _error,
     _mul_terms,
 )
 from apoly.newton import _cross
@@ -444,7 +443,7 @@ def _tokenize(text):
 
 
 def parse_poly_by_tokens(text):
-    """Reference parser for apoly.poly.parse_poly: the same grammar, bounds,
+    """Reference parser for apoly.grammar.parse_poly: the same grammar, bounds,
     parse budget and messages, by recursive descent over a list of (kind,
     text, offset) tokens with one rule per grammar symbol, every factor a
     term dict and every product a _mul_terms call. A power is the product
@@ -485,16 +484,26 @@ def parse_poly_by_tokens(text):
         # against the budget as it is now, which a test may lower
         nonlocal spent
         spent += cost
-        if spent > apoly.poly._PARSE_BUDGET:
+        if spent > apoly.grammar._PARSE_BUDGET:
             _error(f"{construct} too large to expand: it passes the parse budget", text, offset)
 
     def metered_product(f, g, construct, offset):
         # charged len(f) * len(g) * max(b, 1024) * max(b, x, 1024) before it
         # is made, b the coefficient bits and x the exponent bits of a term
-        # pair at most
+        # pair at most; then rejected when it can have more terms than the
+        # cap: more than the cap of term pairs and of points in the box its
+        # exponents span
         bits = sum(max((abs(c).bit_length() for c in h.values()), default=0) for h in (f, g))
         keys = sum(max((e.bit_length() for key in h for e in key), default=0) for h in (f, g))
         charge(len(f) * len(g) * max(bits, 1024) * max(bits, keys, 1024), construct, offset)
+        box = 1
+        for axis in (0, 1):
+            box *= 1 + sum(max(key[axis] for key in h) - min(key[axis] for key in h)
+                           for h in (f, g) if h)
+        cap = apoly.grammar._MAX_TERMS
+        if len(f) * len(g) > cap and box > cap:
+            _error(f"{construct} too large to expand: it can have more than {cap} terms",
+                   text, offset)
         return _mul_terms(f, g)
 
     def parse_parenthesized():
@@ -771,6 +780,47 @@ def sylvester_resultant(pc, qc):
         return acc
 
     return det(0, tuple(range(size)))
+
+
+def argparse_oracle():
+    """The argparse parser that apoly.cli used before its command table, as
+    the reference for apoly.cli._parse_args: parse_args gives a Namespace
+    with the command's name in `command` and one attribute per argument."""
+    parser = argparse.ArgumentParser(
+        prog="apoly",
+        description="Exact A-polynomial computation and structural analysis",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("compute", help="compute the A-polynomial of a knot")
+    group = c.add_mutually_exclusive_group(required=True)
+    group.add_argument("--unknot", action="store_true")
+    group.add_argument("--torus", nargs=2, type=int, metavar=("P", "Q"))
+    group.add_argument("--two-bridge", nargs=2, type=int, metavar=("P", "Q"))
+    c.add_argument("--json", action="store_true")
+
+    a = sub.add_parser("analyze", help="structural analysis of a polynomial")
+    a.add_argument("poly", nargs="?", default="")
+    a.add_argument("--file", help="read the polynomial expression from a file")
+    a.add_argument("--name", default="")
+    a.add_argument("--nontrivial", action="store_true", help="assert the knot is nontrivial")
+    a.add_argument("--json", action="store_true")
+
+    v = sub.add_parser("verify-db", help="batch-verify a record file")
+    v.add_argument("path")
+    v.add_argument("--json", action="store_true")
+
+    n = sub.add_parser("newton", help="Newton polygon, slopes, SVG rendering")
+    n.add_argument("poly")
+    n.add_argument("--svg", help="write the polygon as SVG to this path")
+    n.add_argument("--title", default="")
+    n.add_argument("--json", action="store_true")
+
+    r = sub.add_parser("replay", help="replay the deg_M = 0 contradiction")
+    r.add_argument("poly")
+    r.add_argument("--nmax", type=int, default=5)
+    r.add_argument("--json", action="store_true")
+    return parser
 
 
 def random_tripoly_coeffs(rng, t_deg, inner_deg, max_coeff=9):

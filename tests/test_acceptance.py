@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from apoly import cli, db, knots, newton, structure, surgery
-from apoly.poly import BivarPoly, UnivarPoly, parse_poly
+from apoly.grammar import parse_poly
+from apoly.poly import BivarPoly, UnivarPoly
 
 from conftest import (
     L,

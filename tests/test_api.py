@@ -6,8 +6,8 @@ import pytest
 
 import apoly
 
-MODULES = ["apoly", "apoly.poly", "apoly.newton", "apoly.structure", "apoly.surgery",
-           "apoly.knots", "apoly.db", "apoly.cli"]
+MODULES = ["apoly", "apoly.poly", "apoly.grammar", "apoly.newton", "apoly.structure",
+           "apoly.surgery", "apoly.knots", "apoly.db", "apoly.cli"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -29,6 +29,20 @@ def test_package_exports():
     ]
 
 
+def test_grammar_found_on_first_use():
+    # the package exports the grammar's names from apoly.grammar, which
+    # only its first use imports; apoly.poly no longer holds them
+    grammar = importlib.import_module("apoly.grammar")
+    assert apoly.parse_poly is grammar.parse_poly
+    assert apoly.PolyParseError is grammar.PolyParseError
+    assert grammar.__all__ == ["PolyParseError", "parse_poly"]
+    poly = importlib.import_module("apoly.poly")
+    assert not {"parse_poly", "PolyParseError"} & set(poly.__all__)
+    assert not hasattr(poly, "parse_poly")
+    with pytest.raises(AttributeError):
+        apoly.no_such_name
+
+
 @pytest.mark.parametrize("name", ["apoly", "apoly.poly", "apoly.structure"])
 def test_test_oracles_not_exported(name):
     # deleted, or kept only as test oracles in conftest.py
@@ -39,7 +53,7 @@ def test_test_oracles_not_exported(name):
 
 # each stood for another name's value or was built only to run a check
 DELETED = {
-    "apoly.cli": ["_emit_json", "_json_parts"],
+    "apoly.cli": ["_emit_json", "_json_parts", "build_parser", "argparse"],
     "apoly.structure": ["NotCyclotomic"],
     "apoly.newton": ["Edge", "has_vertical_edge", "vertical_edge", "collinear"],
     "apoly.knots": ["TorusKnot", "TwoBridgeKnot", "riley_polynomial"],

@@ -1,14 +1,22 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from apoly import cli
 from apoly.cli import main
 from apoly.poly import BivarPoly
+
+from conftest import argparse_oracle
 
 FIXTURES = resources.files("apoly.data") / "fixtures.txt"
 TREFOIL_TEXT = "L^2*M^6 - L*M^6 + L - 1"
@@ -424,6 +432,157 @@ class TestReplay:
         assert out.startswith("error: ") and "--nmax" in out
 
 
+ORACLE = argparse_oracle()
+
+
+def parse_outcome(parse, argv):
+    """("ok", command, values) for an accepted argv, or ("exit", code) for
+    -h, which writes help to stdout alone, and for a usage error, which
+    exits 2 and writes the usage and an error line to stderr alone."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            command, values = parse(argv)
+    except SystemExit as exc:
+        if exc.code == 0:
+            assert out.getvalue().startswith("usage: apoly") and err.getvalue() == ""
+        else:
+            assert exc.code == 2
+            assert err.getvalue().startswith("usage: apoly") and "error: " in err.getvalue()
+            assert out.getvalue() == ""
+        return ("exit", exc.code)
+    assert out.getvalue() == err.getvalue() == ""
+    return ("ok", command, values)
+
+
+def table_parse(argv):
+    handler, values = cli._parse_args(argv)
+    command, = (name for name, spec in cli.COMMANDS.items() if spec[1] is handler)
+    return command, values
+
+
+def oracle_parse(argv):
+    values = vars(ORACLE.parse_args(argv))
+    return values.pop("command"), values
+
+
+# a value for each option that takes some, negative ints among them
+OPTION_VALUES = {"--torus": ["-2", "3"], "--two-bridge": ["7", "3"], "--nmax": ["-3"],
+                 "--file": ["f.txt"], "--name": ["k"], "--svg": ["out.svg"], "--title": ["T"]}
+
+
+def option_forms(name):
+    """The ways to write the option: `--opt value`, and `--opt=value` for
+    an option of one value."""
+    values = OPTION_VALUES.get(name, [])
+    forms = [[name, *values]]
+    if len(values) == 1:
+        forms.append([f"{name}={values[0]}"])
+    return forms
+
+
+def generated_argvs():
+    """Every command with every subset of its options, each option in each
+    form, in table and reversed order, and its positional before them,
+    after them, after a "--" (a polynomial that starts with "-"), missing
+    or doubled."""
+    for command, (_, _, positionals, options, _) in cli.COMMANDS.items():
+        words = ["L-1"] if positionals else []
+        for r in range(len(options) + 1):
+            for subset in combinations([option[0] for option in options], r):
+                for forms in product(*map(option_forms, subset)):
+                    for opts in ([w for f in forms for w in f], [w for f in forms[::-1] for w in f]):
+                        yield [command, *opts]
+                        yield [command, *opts, *words, "x"]
+                        yield [command, *words, *opts]
+                        yield [command, *opts, *words]
+                        yield [command, *opts, "--", "-(L-1)*(L+1)"]
+
+
+USAGE_ERRORS = [
+    [], ["frobnicate"], ["--json", "compute", "--unknot"],
+    ["compute", "--torus", "2"], ["compute", "--torus", "2", "x"], ["compute", "--torus=2", "3"],
+    ["compute", "--unknot", "--json=1"], ["compute", "--unknot", "--json="],
+    ["compute", "--unknot", "--bogus"], ["compute", "--unknot", "--bogus=1"],
+    ["compute", "--torus", "2", "--json"], ["compute", "--torus", "2", "-h"],
+    ["analyze", "--name"], ["analyze", "--file", "--json"], ["analyze", "--name", "-h"],
+    ["verify-db"], ["newton", "--svg"], ["newton", "L", "--title", "--"],
+    ["analyze", "--name", "--", "x"], ["replay", "--nmax", "--", "3", "L"],
+    ["replay"], ["replay", "L-1", "--nmax"], ["replay", "L-1", "--nmax", "x"],
+    ["replay", "L-1", "--nmax=1.5"], ["replay", "--", "L-1", "--json"],
+]
+HELP = [["-h"], ["--help"], ["compute", "--bogus", "-h"], ["replay", "-h", "--nmax", "x"]] + [
+    [command, "-h"] for command in cli.COMMANDS]
+
+
+class TestArgv:
+    """The command table against the argparse parser it replaced."""
+
+    def test_generated_argvs_match_argparse(self):
+        outcomes = set()
+        for argv in generated_argvs():
+            outcome = parse_outcome(table_parse, argv)
+            assert outcome == parse_outcome(oracle_parse, argv), argv
+            outcomes.add(outcome[0])
+        assert outcomes == {"ok", "exit"}
+
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(argv, code, id=" ".join(argv) or "empty")
+        for argvs, code in ((USAGE_ERRORS, 2), (HELP, 0)) for argv in argvs])
+    def test_errors_and_help_match_argparse(self, argv, code):
+        outcome = parse_outcome(table_parse, argv)
+        assert outcome == parse_outcome(oracle_parse, argv) == ("exit", code)
+
+    @given(st.lists(st.sampled_from(
+        [*cli.COMMANDS, "--unknot", "--torus", "--two-bridge", "--json", "--file", "--name",
+         "--nontrivial", "--svg", "--title", "--nmax", "--nmax=2", "--name=k", "--json=1",
+         "--bogus", "--", "-h", "2", "-2", "x", "L-1", ""]), max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_random_argvs_match_argparse(self, argv):
+        # an option before the command, and a trailing "--": differences
+        # pinned below
+        assume(not argv or argv[0] in ("-h", "--help") or not cli._is_option(argv[0]))
+        assume(argv[-1:] != ["--"])
+        assert parse_outcome(table_parse, argv) == parse_outcome(oracle_parse, argv)
+
+    # deliberate differences from argparse, each pinned on both parsers
+
+    @pytest.mark.parametrize("argv", [["replay", "L-1", "--js"], ["compute", "--two", "7", "3"]])
+    def test_abbreviations_are_not_options(self, argv):
+        assert parse_outcome(table_parse, argv) == ("exit", 2)
+        assert parse_outcome(oracle_parse, argv)[0] == "ok"
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [(["replay", "-(L-1)*(L+1)"], "poly", "-(L-1)*(L+1)"),
+         (["analyze", "--name", "-k", "L"], "name", "-k"),
+         (["verify-db", "-x"], "path", "-x")],
+    )
+    def test_single_dash_word_is_a_value(self, argv, key, value):
+        # only "--..." and "-h" are options, so a polynomial that starts
+        # with "-" needs no "--"; argparse took such a word for an option
+        outcome = parse_outcome(table_parse, argv)
+        assert outcome[0] == "ok" and outcome[2][key] == value
+        assert parse_outcome(oracle_parse, argv) == ("exit", 2)
+
+    @pytest.mark.parametrize("argv", [["--json", "-h"], ["--json", "compute", "-h"]])
+    def test_option_before_the_command_is_an_error(self, argv):
+        # argparse set an unknown option aside and honoured a later -h
+        assert parse_outcome(table_parse, argv) == ("exit", 2)
+        assert parse_outcome(oracle_parse, argv) == ("exit", 0)
+
+    @pytest.mark.parametrize("argv", [["compute", "--unknot", "--"], ["replay", "L-1", "--json", "--"]])
+    def test_trailing_double_dash_is_accepted(self, argv):
+        # argparse rejected a "--" that no positional took
+        assert parse_outcome(table_parse, argv)[0] == "ok"
+        assert parse_outcome(oracle_parse, argv) == ("exit", 2)
+
+    def test_double_dash_word_with_a_space_is_an_option(self):
+        argv = ["newton", "L", "--title", "--a b"]
+        assert parse_outcome(table_parse, argv) == ("exit", 2)
+        assert parse_outcome(oracle_parse, argv)[2]["title"] == "--a b"
+
+
 def importtime(*args):
     """Run `python -S -X importtime args`, which lists every module it
     imports on stderr; -S keeps site's .pth files from importing modules
@@ -462,6 +621,8 @@ def test_runs_without_numpy_or_sympy(argv, key, expected, module):
     payload = json.loads(proc.stdout)
     assert payload.get("report", payload)[key] == expected
     assert module in imported
+    # compute builds its polynomial and parses no text
+    assert ("apoly.grammar" in imported) == (argv[0] != "compute")
     assert "numpy" not in proc.stderr
     assert "sympy" not in proc.stderr
     # every --json is written with the C string encoder alone
@@ -473,7 +634,8 @@ def test_import_loads_no_heavy_stdlib():
         "import apoly.cli, apoly.db, apoly.knots, apoly.newton, apoly.structure, apoly.surgery"
     )
     assert "apoly.surgery" in imported
-    heavy = {"dataclasses", "inspect", "fractions", "decimal", "html", "typing", "cmath", "json"}
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "html", "typing", "cmath", "json",
+             "argparse", "gettext"}
     assert not heavy & imported
 
 
@@ -485,6 +647,9 @@ def test_cli_import_loads_no_command_module():
     assert not commands & imported
     # the --json writer needs the C string encoder only
     assert "json.decoder" not in imported
+    # the command line is read from a table, and only the commands that
+    # parse text load the grammar
+    assert not {"argparse", "apoly.grammar"} & imported
 
 
 def test_analysis_imports_no_hull_code():

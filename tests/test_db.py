@@ -9,7 +9,8 @@ from apoly.db import (
     load_table,
     verify_all,
 )
-from apoly.poly import BivarPoly, format_poly, parse_poly
+from apoly.grammar import parse_poly
+from apoly.poly import BivarPoly, format_poly
 from apoly.structure import FAIL, PASS, UNKNOT_OK, UnitEvalFailure
 
 from conftest import bivar_polys

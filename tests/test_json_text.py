@@ -18,7 +18,8 @@ from apoly.cli import main
 from apoly.db import BatchReport
 from apoly.knots import torus_a
 from apoly.newton import VERTICAL, edge_slopes, newton_polygon
-from apoly.poly import BivarPoly, UnivarPoly, format_poly, parse_poly
+from apoly.grammar import parse_poly
+from apoly.poly import BivarPoly, UnivarPoly, format_poly
 from apoly.structure import (
     AnalysisReport,
     CyclotomicProfile,

@@ -21,7 +21,8 @@ from apoly.knots import (
     _riley_phi,
     _squarefree_bivar,
 )
-from apoly.poly import BivarPoly, charpoly, parse_poly
+from apoly.grammar import parse_poly
+from apoly.poly import BivarPoly, charpoly
 from apoly.structure import abelian_multiplicity
 
 from conftest import (

@@ -14,7 +14,8 @@ from apoly.newton import (
     render_svg,
     support,
 )
-from apoly.poly import BivarPoly, parse_poly
+from apoly.grammar import parse_poly
+from apoly.poly import BivarPoly
 from apoly.structure import _collinear, _m_slices, _vertical_edge
 
 from conftest import bivar_polys, hull_has_vertical_edge, hull_vertices

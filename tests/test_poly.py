@@ -9,16 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from apoly import poly
+from apoly import grammar
+from apoly.grammar import PolyParseError, parse_poly
 from apoly.poly import (
     BivarPoly,
-    PolyParseError,
     UnivarPoly,
     _decimal,
     charpoly,
     format_poly,
     gcd_univar,
-    parse_poly,
 )
 
 from conftest import (
@@ -487,7 +486,7 @@ class TestGrammar:
     @pytest.mark.parametrize("text", ["(L-1)^1950", "(L+M+1)^115", "(2*M)^65536"])
     def test_powers_within_the_bound_reach_power(self, monkeypatch, text):
         calls = []
-        monkeypatch.setattr(poly, "_power", lambda base, n, mul: calls.append(n) or {})
+        monkeypatch.setattr(grammar, "_power", lambda base, n, mul: calls.append(n) or {})
         parse_poly(text)
         assert len(calls) == 1
 
@@ -508,8 +507,8 @@ class TestGrammar:
         # zero and one term with coefficient +-1 are powered without _power
         # and with no charge, and their exponents are checked at the '^':
         # a power past a bound is rejected even when it would cancel
-        monkeypatch.setattr(poly, "_power", lambda base, n, mul: pytest.fail("expanded"))
-        monkeypatch.setattr(poly, "_charge", lambda *args: pytest.fail("charged"))
+        monkeypatch.setattr(grammar, "_power", lambda base, n, mul: pytest.fail("expanded"))
+        monkeypatch.setattr(grammar, "_charge", lambda *args: pytest.fail("charged"))
         for parse in (parse_poly, parse_poly_by_tokens):
             assert parse_outcome(parse, text) == outcome
 
@@ -566,11 +565,12 @@ class TestGrammar:
     @pytest.mark.parametrize("n, accepted", [(1448, True), (1449, False)])
     def test_product_bound_at_the_cap(self, monkeypatch, n, accepted):
         # n by 2n pairs of products of under 1024 bits: charged 2n^2 * 2^20
-        # against 2^42, so 1448 is the last n inside
+        # against 2^42, so 1448 is the last n inside; both factors are in L,
+        # so that the product has 3n - 1 terms, inside the result-size cap
         calls = []
-        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append((len(f), len(g))) or {})
+        monkeypatch.setattr(grammar, "_mul_terms", lambda f, g: calls.append((len(f), len(g))) or {})
         left = "(" + " + ".join(f"L^{k}" for k in range(n)) + ")"
-        text = left + "*(" + " + ".join(f"M^{k}" for k in range(2 * n)) + ")"
+        text = left + "*(" + " + ".join(f"L^{k}" for k in range(2 * n)) + ")"
         if accepted:
             assert parse_poly(text).is_zero  # the stub's product
             assert calls == [(n, 2 * n)]
@@ -582,13 +582,65 @@ class TestGrammar:
                                       f"(line 1, column {len(left) + 2})")
         assert calls == []
 
+    @pytest.mark.parametrize("m, accepted", [(512, True), (513, False)], ids=["at-the-cap", "one-past"])
+    def test_result_size_at_the_cap(self, monkeypatch, m, accepted):
+        # 512 L-powers times m M-powers have 512 * m terms: 2^18, the cap, is
+        # inside, and 512 * 513 is rejected at the second '(' before the
+        # product is made, in both parsers
+        calls = []
+        monkeypatch.setattr(grammar, "_mul_terms", lambda f, g: calls.append((len(f), len(g))) or {})
+        left = "(" + " + ".join(f"L^{k}" for k in range(512)) + ")"
+        text = left + "*(" + " + ".join(f"M^{k}" for k in range(m)) + ")"
+        if accepted:
+            assert parse_poly(text).is_zero  # the stub's product
+            assert calls == [(512, 512)]
+            return
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value) == ("product too large to expand: it can have more than "
+                                      f"262144 terms (line 1, column {len(left) + 2})")
+        assert calls == []
+
+    def test_result_size_bound_by_the_exponent_box(self):
+        # more term pairs than the cap, but the exponents span a box of
+        # (2 * 1023 + 1) * 1 points: inside; and few pairs in a wide box
+        wide = "(" + " + ".join(f"L^{k}" for k in range(1024)) + ")"
+        assert parse_poly(f"{wide}*{wide}").terms == parse_poly_by_tokens(f"{wide}*{wide}").terms
+        assert len(parse_poly("(L^1000 + M^1000)*(L^1000 - M^1000)").terms) == 2
+
+    def test_power_past_the_result_size_cap(self, monkeypatch):
+        # the square of 1023 terms spanning a 512 by 512 box has up to 1023^2
+        # pairs in a 1023 by 1023 box, both past 2^18: rejected at the '^'
+        monkeypatch.setattr(grammar, "_mul_terms", lambda f, g: pytest.fail("multiplied"))
+        base = " + ".join([f"L^{k}" for k in range(512)] + [f"M^{k}" for k in range(1, 512)])
+        text = f"({base})^2"
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value) == ("power too large to expand: it can have more than "
+                                      f"262144 terms (line 1, column {len(base) + 3})")
+
+    @pytest.mark.parametrize(
+        "support",
+        [{(i, j) for i in range(61) for j in range(61 - i)}, {(0, j) for j in range(861)}],
+        ids=["(L+M+1)^60", "(L-1)^860"],
+    )
+    def test_result_size_cap_keeps_products(self, support):
+        # the product of two factors with these supports, as in
+        # (L+M+1)^60*(L+M+1)^60 and (L-1)^860*(L-1)^860, has more term pairs
+        # than the cap but spans a box inside it
+        f = dict.fromkeys(support, 1)
+        assert len(f) ** 2 > grammar._MAX_TERMS
+        assert grammar._charge(f, f, 0, "product", "", 0) > 0
+
     @pytest.mark.parametrize("over", [0, 1], ids=["at-the-budget", "one-past"])
     def test_charge_at_the_budget(self, monkeypatch, over):
         # 2048 by 2048 pairs of 2-bit products are charged 2^22 * 1024^2, the
         # budget: a charge equal to it is inside, one unit more is not
         calls = []
-        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or {})
-        monkeypatch.setattr(poly, "_PARSE_BUDGET", poly._PARSE_BUDGET - over)
+        monkeypatch.setattr(grammar, "_mul_terms", lambda f, g: calls.append(1) or {})
+        monkeypatch.setattr(grammar, "_PARSE_BUDGET", grammar._PARSE_BUDGET - over)
         factor = "(" + " + ".join(f"L^{k}" for k in range(2048)) + ")"
         text = f"{factor}*{factor}"
         if not over:
@@ -616,15 +668,15 @@ class TestGrammar:
             return len(f) * len(g) * max(bits, 1024) * max(bits, keys, 1024)
 
         charged, made = [], []
-        charge_terms, mul_terms = poly._charge, poly._mul_terms
-        monkeypatch.setattr(poly, "_charge", lambda f, g, *args: (
+        charge_terms, mul_terms = grammar._charge, grammar._mul_terms
+        monkeypatch.setattr(grammar, "_charge", lambda f, g, *args: (
             charged.append(charge(f, g)) or charge_terms(f, g, *args)))
-        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: (
+        monkeypatch.setattr(grammar, "_mul_terms", lambda f, g: (
             made.append(charge(f, g)) or mul_terms(f, g)))
         with pytest.raises(PolyParseError):
             parse_poly(text)
         assert made == charged[:-1]
-        assert sum(made) <= poly._PARSE_BUDGET < sum(charged)
+        assert sum(made) <= grammar._PARSE_BUDGET < sum(charged)
 
     @pytest.mark.parametrize(
         "left, right",
@@ -641,8 +693,8 @@ class TestGrammar:
         # runs only for the two powers, once alone and once in parse_poly
         # (the oracle parser imports its own _mul_terms)
         calls = []
-        mul_terms = poly._mul_terms
-        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or mul_terms(f, g))
+        mul_terms = grammar._mul_terms
+        monkeypatch.setattr(grammar, "_mul_terms", lambda f, g: calls.append(1) or mul_terms(f, g))
         for factor in (left, right):
             try:
                 parse_poly(factor)
@@ -660,8 +712,8 @@ class TestGrammar:
     def test_triple_product_rejected_at_the_second_factor(self, monkeypatch):
         # once the second power is expanded, before the third is
         calls = []
-        mul_terms = poly._mul_terms
-        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or mul_terms(f, g))
+        mul_terms = grammar._mul_terms
+        monkeypatch.setattr(grammar, "_mul_terms", lambda f, g: calls.append(1) or mul_terms(f, g))
         parse_poly("(L-1)^1000")
         alone = len(calls)
         with pytest.raises(PolyParseError) as exc:
@@ -674,7 +726,7 @@ class TestGrammar:
         # (L-1)^7 is charged (2*2 + 2*3 + 3*3 + 4*5) * 2^20: with a budget of
         # just that, one is inside and the second is rejected at its '^' in
         # both parsers, and with twice that, two are inside
-        monkeypatch.setattr(poly, "_PARSE_BUDGET", 39 << 20)
+        monkeypatch.setattr(grammar, "_PARSE_BUDGET", 39 << 20)
         assert parse_poly("(L-1)^7") == (L - one) ** 7
         text = " + ".join(["(L-1)^7"] * 10)
         for parse in (parse_poly, parse_poly_by_tokens):
@@ -683,7 +735,7 @@ class TestGrammar:
             assert str(exc.value) == (
                 "power too large to expand: it passes the parse budget (line 1, column 16)"
             )
-        monkeypatch.setattr(poly, "_PARSE_BUDGET", 78 << 20)
+        monkeypatch.setattr(grammar, "_PARSE_BUDGET", 78 << 20)
         assert parse_poly("(L-1)^7 + (L-1)^7") == 2 * (L - one) ** 7
 
     @pytest.mark.parametrize("count, accepted", [(2, True), (3, False)])
@@ -693,7 +745,7 @@ class TestGrammar:
         # '(' (the oracle parser imports its own _mul_terms, which is not
         # stubbed)
         calls = []
-        monkeypatch.setattr(poly, "_mul_terms", lambda f, g: calls.append(1) or {})
+        monkeypatch.setattr(grammar, "_mul_terms", lambda f, g: calls.append(1) or {})
         factor = "(" + " + ".join(f"L^{k}" for k in range(1448)) + ")"
         text = " + ".join([f"{factor}*{factor}"] * count)
         if accepted:
@@ -728,7 +780,7 @@ class TestGrammar:
         # under a budget of 2^28, near which these texts fall, both parsers
         # give the same terms in the same order, or the same error
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(poly, "_PARSE_BUDGET", 1 << 28)
+            patch.setattr(grammar, "_PARSE_BUDGET", 1 << 28)
             assert parse_outcome(parse_poly, text) == parse_outcome(parse_poly_by_tokens, text)
 
     def test_long_sum_parses_in_linear_time(self):
@@ -768,7 +820,7 @@ class TestGrammar:
         # passes it
         literal = int("9" * 4300)
         charges = [4 * (literal**k).bit_length() * literal.bit_length() for k in range(1, 39)]
-        monkeypatch.setattr(poly, "_PARSE_BUDGET", sum(charges))
+        monkeypatch.setattr(grammar, "_PARSE_BUDGET", sum(charges))
         text = "*".join(["9" * 4300] * n) + "*0*L + L"
         for parse in (parse_poly, parse_poly_by_tokens):
             if accepted:
@@ -804,8 +856,8 @@ class TestGrammar:
         # more than 1024 bits: 150 nines have 499 bits, two 997, three 1495;
         # a literal of 499 bits is charged as one of 1024, four times over
         calls = []
-        spend = poly._spend
-        monkeypatch.setattr(poly, "_spend", lambda s, cost, *args: calls.append(cost) or spend(s, cost, *args))
+        spend = grammar._spend
+        monkeypatch.setattr(grammar, "_spend", lambda s, cost, *args: calls.append(cost) or spend(s, cost, *args))
         for n, bits in ((3, []), (4, [1495]), (6, [1495, 1994, 2492])):
             calls.clear()
             assert parse_poly("*".join(["9" * 150] * n) + "*L") == int("9" * 150) ** n * L
@@ -817,7 +869,7 @@ class TestGrammar:
         # under a budget of 2^26, which five 400-digit literals in one term
         # pass, both parsers give the same terms or the same error
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(poly, "_PARSE_BUDGET", 1 << 26)
+            patch.setattr(grammar, "_PARSE_BUDGET", 1 << 26)
             assert parse_outcome(parse_poly, text) == parse_outcome(parse_poly_by_tokens, text)
 
 

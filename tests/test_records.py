@@ -15,7 +15,8 @@ import pytest
 from apoly.db import BatchReport, DbRecord, LoadResult, RecordError
 from apoly.knots import GroupPresentation
 from apoly.newton import NewtonPolygon
-from apoly.poly import UnivarPoly, parse_poly
+from apoly.grammar import parse_poly
+from apoly.poly import UnivarPoly
 from apoly.structure import (
     AnalysisReport,
     CyclotomicProfile,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from apoly.db import DbRecord, load_table, verify_all
 from apoly.knots import torus_a
-from apoly.poly import BivarPoly, UnivarPoly, parse_poly
+from apoly.grammar import parse_poly
+from apoly.poly import BivarPoly, UnivarPoly
 from apoly.structure import (
     FAIL,
     PASS,

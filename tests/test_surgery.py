@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from apoly.poly import BivarPoly, UnivarPoly, parse_poly
+from apoly.grammar import parse_poly
+from apoly.poly import BivarPoly, UnivarPoly
 from apoly.structure import (
     CyclotomicProfile,
     Violation,
