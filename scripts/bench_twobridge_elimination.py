@@ -17,10 +17,13 @@ PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts. Two parts:
   on 21/13 and 25/7, with the stage functions wrapped by timers:
   ``charpoly`` is ``knots.charpoly``; ``multiplication_matrix`` is
   ``knots._longitude_charpoly`` less ``charpoly`` (the matrix, and the
-  BivarPoly assembled from its characteristic polynomial); ``squarefree``
-  is ``knots._squarefree_bivar``; ``normalize`` is ``BivarPoly.normalize``;
-  ``word_eval`` is the rest of the elimination: the presentation, the
-  word evaluations, phi, lambda and the (L-1) check.
+  L-coefficient lists assembled from its characteristic polynomial);
+  ``squarefree`` is ``knots._squarefree_bivar``; ``normalize`` is
+  ``BivarPoly.normalize``; ``word_eval`` is the rest of the elimination:
+  the presentation, the word evaluations, phi, lambda, the BivarPoly
+  built from the square-free part's lists and the (L-1) check. (Before
+  the square-free step ran on coefficient lists, the BivarPoly was built
+  in ``multiplication_matrix``.)
 
 Both sides run without a bytecode cache (PYTHONDONTWRITEBYTECODE=1).
 OUT.json gets per-side medians and quartiles, the pair wins, the stage
@@ -131,12 +134,12 @@ def main():
     pairs = run_pairs(roots, PAIRS)
     doc = {
         "label": "twobridge_elimination",
-        "what": "Two-bridge elimination: the relator matrix W is evaluated once for phi and "
-                "lambda, lambda = M^(-2e) (W_11 Wbar_11 + W_12 Wbar_21) without the a^(-2e) "
-                "tail, and charpoly is Berkowitz on coefficient lists whose products skip "
-                "the zeros of both factors.",
+        "what": "Two-bridge elimination: the square-free step runs on the L-coefficients as "
+                "coefficient lists in M, with one primitive remainder sequence for Z and "
+                "Z[M] and exact long division, and the BivarPoly is built once, before "
+                "normalize.",
         "command": "python3 scripts/bench_twobridge_elimination.py PARENT_ROOT CHANGE_ROOT "
-                   "BENCH_twobridge_elimination.json",
+                   + Path(sys.argv[3]).name,
         "protocol": "perfbench/run.py --seconds 20 --trace 0 per side and pair, the side that "
                     "runs first alternating from pair to pair; no bytecode cache on either side. "
                     f"Stages: median of {STAGE_RUNS} fresh interpreters per side, alternating, "

@@ -226,6 +226,16 @@ python3 -c "print('(' + '+'.join(f'L^{k}' for k in range(1024)) + ')*(' + '+'.jo
 expect_within 5 1 analyze --file "$tmp/wide.txt" 2> "$tmp/err"
 one_error_line "^error: product too large to expand: it can have more than 262144 terms (line 1, column 6061)"
 
+# a sum is capped as each product is: of two 512 by 512 products with
+# disjoint supports, each 2^18 terms, the second is rejected at its first
+# token, so 16 of them, each within the budget, no longer build 2^22 terms
+python3 -c "
+b = '*(' + '+'.join(f'M^{k}' for k in range(512)) + ')'
+print('+'.join('(' + '+'.join(f'L^{k}' for k in range(s, s + 512)) + ')' + b for s in (0, 512)))
+" > "$tmp/sum.txt"
+expect_within 5 1 analyze --file "$tmp/sum.txt" 2> "$tmp/err"
+one_error_line "^error: sum too large to expand: it can have more than 262144 terms (line 1, column 5929)"
+
 # a term's integer literals are charged to the budget once its coefficient
 # passes 1024 bits, 4 * b_c * max(b_n, 1024) for b_c bits times a b_n-bit
 # literal: of 400 literals of 4300 nines (1.7 MB), the 105th passes it,
@@ -392,6 +402,10 @@ cmp "$tmp/out" "$tmp/raw_db.json"
 expect_json 0 compute --torus 2 3
 expect_json 0 compute --two-bridge 5 3
 expect_json 0 compute --two-bridge 7 3
+# 21/13 goes through the square-free step's remainder sequence in Z[M][L],
+# about 1.3 s
+expect_within 10 0 compute --two-bridge 21 13 --json
+same_as_json_dumps
 expect_json 0 analyze "L^2*M^6 - L*M^6 + L - 1"
 python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['verdict'] == 'PASS'" "$tmp/out"
 expect_json 0 analyze "L^60 - 1"

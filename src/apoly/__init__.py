@@ -8,7 +8,7 @@ generators), ``db`` (record ingest and batch verification), ``cli``
 (command line).
 """
 
-from .poly import BivarPoly, UnivarPoly, format_poly, gcd_univar
+from .poly import BivarPoly, UnivarPoly, format_poly
 
 __version__ = "0.1.0"
 
@@ -18,7 +18,6 @@ __all__ = [
     "PolyParseError",
     "parse_poly",
     "format_poly",
-    "gcd_univar",
     "__version__",
 ]
 

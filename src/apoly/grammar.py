@@ -66,7 +66,11 @@ _PARSE_BUDGET = 1 << 42
 # min(len(f) * len(g), (I + 1) * (J + 1)), where I and J are the widths of
 # the product's M- and L-exponent ranges, and a bound past _MAX_TERMS is
 # rejected. The product of 512 L-powers and 512 M-powers, 2^18 terms, is the
-# largest accepted: 0.44 s and 102 MB at its peak, in-process.
+# largest accepted: 0.44 s and 102 MB at its peak, in-process. A sum is
+# capped the same way: before each term is added, a sum whose terms so far
+# and the term's can number more than _MAX_TERMS is rejected at the term,
+# so 16 such products with disjoint supports, each within the budget, do
+# not build 2^22 terms.
 _MAX_TERMS = 1 << 18
 
 # The first character outside the grammar or integer literal too long to
@@ -191,7 +195,8 @@ def parse_poly(text: str) -> BivarPoly:
     than 200, at its '^', '(', literal or first token a power, product or
     term whose next multiplication would take the parse past its expansion
     budget (see _PARSE_BUDGET) or could make more than 2^18 terms (see
-    _MAX_TERMS), at its '^' a power of one term with
+    _MAX_TERMS), at its first token a term that would take its sum past
+    2^18 terms, at its '^' a power of one term with
     coefficient +-1 whose L-exponent would be above 100,000 or whose
     M-exponent would be longer than 4300 digits, and, at the first token,
     such an exponent or a coefficient longer than 4300 digits in the
@@ -270,6 +275,11 @@ def parse_poly(text: str) -> BivarPoly:
                     k += 1
                 elif tok in "^+-)":  # or the end
                     break
+            if product is not None and c.bit_length() > 1024:  # the monomial times the product
+                spent = _charge({(i, j): c}, product, spent, "product", text, term)
+            if c and len(terms) + (1 if product is None else len(product)) > _MAX_TERMS:
+                _token_error(f"sum too large to expand: it can have more than {_MAX_TERMS} "
+                             "terms", text, term)
             if product is None:
                 c += terms.get((i, j), 0)
                 if c:
@@ -277,8 +287,6 @@ def parse_poly(text: str) -> BivarPoly:
                 else:
                     terms.pop((i, j), None)
             else:
-                if c.bit_length() > 1024:  # the monomial times the product
-                    spent = _charge({(i, j): c}, product, spent, "product", text, term)
                 _add_terms(terms, {(a + i, b + j): c * v for (a, b), v in product.items()})
             if tok != "+" and tok != "-":
                 return terms

@@ -34,10 +34,11 @@ above it, before any word is evaluated.
 
 from __future__ import annotations
 
+import operator
 from math import gcd
 
 from ._record import Record
-from .poly import _L_MINUS_1, BivarPoly, UnivarPoly, _add_terms, _mul_terms, charpoly, gcd_univar
+from .poly import _L_MINUS_1, BivarPoly, UnivarPoly, _add_terms, _mul_coeffs, _mul_terms, charpoly
 from .structure import abelian_multiplicity
 
 __all__ = [
@@ -203,70 +204,126 @@ def _multiplication_matrix(phi, lam):
     return matrix, s
 
 
-def _longitude_charpoly(phi, lam) -> BivarPoly:
+def _longitude_charpoly(phi, lam):
     """M^(s*n) * det(L*I - X) for the multiplication matrix M^s * X of
-    lam modulo phi (see _multiplication_matrix).
+    lam modulo phi (see _multiplication_matrix), as its L-coefficients,
+    lowest L-degree first, each a coefficient list in M ([] for zero).
 
     Up to sign and a power of M this is Res_t(phi, lam - L), because the
     leading coefficient of phi is a unit monomial.
     """
     matrix, s = _multiplication_matrix(phi, lam)
-    n = len(matrix)
-    terms = {}
-    for k, coeff in enumerate(charpoly(matrix)):
-        for i, c in enumerate(coeff.coeffs):
-            if c:
-                terms[(i + s * (n - k), n - k)] = c
-    return BivarPoly(terms)
+    return [
+        [0] * (s * j) + list(c.coeffs) if c.coeffs else []
+        for j, c in enumerate(reversed(charpoly(matrix)))
+    ]
 
 
-def _l_lead(f: BivarPoly) -> BivarPoly:
-    d = f.deg_l()
-    return BivarPoly({(i, 0): c for (i, j), c in f.terms.items() if j == d})
+# Polynomials in L are coefficient lists, lowest degree first, with no
+# trailing zero: over Z of ints, over Z[M] of such lists in M. A zero
+# element, 0 or [], is falsy in both rings.
 
 
-def _l_primitive(f: BivarPoly) -> BivarPoly:
-    """f divided by the gcd over Z[M] of its L-coefficients."""
-    content = None
-    for u in f._l_coeffs().values():
-        content = u if content is None else gcd_univar(content, u)
-    return f.try_divide(BivarPoly.from_univar_m(content))
+def _trim(f):
+    """f without its trailing zeros, in place; returns f."""
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
-def _gcd_l(f: BivarPoly, g: BivarPoly) -> BivarPoly:
-    """Primitive gcd of f and g in Z[M][L], by the primitive remainder
-    sequence in L."""
-    a, b = _l_primitive(f), _l_primitive(g)
-    if a.deg_l() < b.deg_l():
+def _remainder_gcd(f, g, mul, sub, primitive):
+    """Primitive gcd of the nonzero polynomials f and g by the primitive
+    remainder sequence, in the ring whose product, difference and
+    primitive part of a polynomial are mul, sub and primitive."""
+    a, b = primitive(f), primitive(g)
+    if len(a) < len(b):
         a, b = b, a
-    while not b.is_zero:
-        lb, db = _l_lead(b), b.deg_l()
-        while not a.is_zero and a.deg_l() >= db:
-            a = a * lb - _l_lead(a) * b * BivarPoly.term(1, 0, a.deg_l() - db)
-        a, b = b, (a if a.is_zero else _l_primitive(a))
+    while b:
+        lb, n = b[-1], len(b) - 1
+        while len(a) > n:
+            # a * lb - la * b * L^k cancels a's leading term
+            la, k = a[-1], len(a) - 1 - n
+            a = [mul(c, lb) if c else c for c in a]
+            for i, c in enumerate(b):
+                a[k + i] = sub(a[k + i], mul(la, c))
+            _trim(a)
+        a, b = b, (primitive(a) if a else a)
     return a
 
 
-def _squarefree_bivar(r: BivarPoly) -> BivarPoly:
+def _exact_quotient(f, d, mul, sub, div):
+    """f / d for polynomials that d divides exactly, by long division in
+    the ring whose product, difference and exact quotient are mul, sub and
+    div."""
+    n = len(d) - 1
+    rem, quot = list(f), [0] * (len(f) - n)
+    for k in range(len(quot) - 1, -1, -1):
+        q = quot[k] = div(rem[k + n], d[n])
+        if q:
+            for i in range(n):  # rem[k + n] cancels
+                rem[k + i] = sub(rem[k + i], mul(q, d[i]))
+    return quot
+
+
+def _primitive_z(f):
+    """f over Z divided by its content, leading coefficient positive."""
+    g = gcd(*f)
+    return [c // g for c in f] if f[-1] > 0 else [-c // g for c in f]
+
+
+def _sub_m(f, g):
+    """f - g in Z[M]."""
+    out = list(f) + [0] * (len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] -= c
+    return _trim(out)
+
+
+def _quotient_m(f, d):
+    """f / d in Z[M], for d dividing f exactly."""
+    return _exact_quotient(f, d, operator.mul, operator.sub, operator.floordiv)
+
+
+def _primitive_m(f):
+    """f over Z[M] divided by the gcd over Z[M] of its coefficients: the
+    integer content times their primitive gcd over Z."""
+    common = None
+    for c in f:
+        if c:
+            common = _primitive_z(c) if common is None else _remainder_gcd(
+                common, c, operator.mul, operator.sub, _primitive_z)
+            if len(common) == 1:
+                break
+    common = [gcd(*(x for c in f for x in c)) * x for x in common]
+    return [_quotient_m(c, common) for c in f]
+
+
+def _squarefree_bivar(r):
     """Product of the distinct factors of positive L-degree of r, up to
     M-power and integer content, when r's leading L-coefficient is a
-    monomial in M.
+    monomial in M; r and the result are polynomials in L over Z[M], lists
+    of L-coefficients that are coefficient lists in M.
 
     Such a monomial does not vanish at M = 3, so a square factor of r
     stays a square factor of r(3, L) of the same L-degree: if r(3, L) is
     square-free, so is r. Otherwise r is divided by its gcd with dr/dL.
     """
-    f = r.eval_m(3)
-    if gcd_univar(f, f.derivative()).degree() == 0:
+    f = [0] * len(r)
+    for j, c in enumerate(r):
+        for x in reversed(c):  # Horner
+            f[j] = f[j] * 3 + x
+    df = [j * c for j, c in enumerate(f)][1:]
+    if len(_remainder_gcd(f, df, operator.mul, operator.sub, _primitive_z)) == 1:
         return r
-    r = _l_primitive(r)
-    dr = BivarPoly({(i, j - 1): j * c for (i, j), c in r.terms.items() if j})
-    return r.try_divide(_gcd_l(r, dr))
+    r = _primitive_m(r)
+    dr = [[j * x for x in c] for j, c in enumerate(r)][1:]
+    g = _remainder_gcd(r, dr, _mul_coeffs, _sub_m, _primitive_m)
+    return _exact_quotient(r, g, _mul_coeffs, _sub_m, _quotient_m)
 
 
 # Largest p accepted by the elimination. Every knot within it, either parity
-# of q, takes at most about 3 s (Python 3.11, 2 vCPUs); the slowest, 21/13
-# and 21/8, spend most of it in the square-free step.
+# of q, takes at most about 1.5 s end to end (Python 3.11, 2 vCPUs); the
+# slowest are 21/13, mostly in the square-free step, and 25/7, in charpoly.
 MAX_TWO_BRIDGE_P = 25
 
 
@@ -285,7 +342,10 @@ def eliminate_two_bridge(p: int, q: int) -> BivarPoly:
         )
     w = sl2_word_eval(pres.w, _NORMAL_FORM)
     lam = _longitude_entry(pres, w)
-    nf = _squarefree_bivar(_longitude_charpoly(_riley_phi(w), lam)).normalize()
+    r = _squarefree_bivar(_longitude_charpoly(_riley_phi(w), lam))
+    nf = BivarPoly._adopt(
+        {(i, j): c for j in range(len(r) - 1, -1, -1) for i, c in enumerate(r[j]) if c}
+    ).normalize()
     if abelian_multiplicity(nf) == 0:
         nf = nf * _L_MINUS_1  # a product of A-normal forms is A-normal
     return nf

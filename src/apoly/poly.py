@@ -36,7 +36,6 @@ __all__ = [
     "UnivarPoly",
     "BivarPoly",
     "format_poly",
-    "gcd_univar",
     "charpoly",
 ]
 
@@ -202,92 +201,6 @@ class UnivarPoly:
             acc = acc * x + c
         return acc
 
-    def shift(self, k):
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return UnivarPoly((0,) * k + self.coeffs)
-
-    def derivative(self):
-        return UnivarPoly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    # -- content and division -----------------------------------------
-
-    def content(self):
-        if self.is_zero:
-            return 0
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def primitive(self):
-        """Primitive part with positive leading coefficient."""
-        if self.is_zero:
-            return self
-        g = self.content()
-        if self.leading_coefficient() < 0:
-            g = -g
-        return UnivarPoly([c // g for c in self.coeffs])
-
-    def try_divide(self, d):
-        """Exact quotient self / d over the integers, or None."""
-        if d.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return UnivarPoly()
-        rem = list(self.coeffs)
-        dd = d.degree()
-        dl = d.leading_coefficient()
-        if len(rem) - 1 < dd:
-            return None
-        quot = [0] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            q, r = divmod(c, dl)
-            if r:
-                return None
-            quot[k - dd] = q
-            for e, dc in enumerate(d.coeffs):
-                rem[k - dd + e] -= q * dc
-        if any(rem[:dd]):
-            return None
-        return UnivarPoly(quot)
-
-
-def _pseudo_rem(a: UnivarPoly, b: UnivarPoly) -> UnivarPoly:
-    """Pseudo-remainder of a by b (b nonzero)."""
-    da, db = a.degree() if not a.is_zero else -1, b.degree()
-    if da < db:
-        return a
-    lc = b.leading_coefficient()
-    rem = a
-    while not rem.is_zero and rem.degree() >= db:
-        k = rem.degree() - db
-        rem = rem * lc - b.shift(k) * rem.leading_coefficient()
-    return rem
-
-
-def gcd_univar(f: UnivarPoly, g: UnivarPoly) -> UnivarPoly:
-    """Primitive gcd over the integers, positive leading coefficient."""
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    if f.is_zero:
-        return g.primitive()
-    if g.is_zero:
-        return f.primitive()
-    cont = gcd(f.content(), g.content())
-    a, b = f.primitive(), g.primitive()
-    if a.degree() < b.degree():
-        a, b = b, a
-    while not b.is_zero:
-        r = _pseudo_rem(a, b)
-        a, b = b, r.primitive()
-    # a is primitive with positive leading coefficient; restore the content gcd
-    return UnivarPoly([c * cont for c in a.coeffs])
-
 
 class BivarPoly:
     """Sparse integer polynomial in M and L.
@@ -331,14 +244,6 @@ class BivarPoly:
     @classmethod
     def const(cls, c):
         return cls({(0, 0): c})
-
-    @classmethod
-    def term(cls, c, i, j):
-        return cls({(i, j): c})
-
-    @classmethod
-    def from_univar_m(cls, u: UnivarPoly):
-        return cls({(i, 0): c for i, c in enumerate(u.coeffs)})
 
     # -- basics -------------------------------------------------------
 
@@ -454,59 +359,6 @@ class BivarPoly:
             return self
         d = self.deg_l()
         return BivarPoly({(i, d - j): c for (i, j), c in self.terms.items()})
-
-    # -- division -----------------------------------------------------
-
-    def _l_coeffs(self):
-        """Coefficients as polynomials in M, indexed by L-exponent."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            out.setdefault(j, {})[i] = c
-        res = {}
-        for j, d in out.items():
-            coeffs = [0] * (max(d) + 1)
-            for i, c in d.items():
-                coeffs[i] = c
-            res[j] = UnivarPoly(coeffs)
-        return res
-
-    def try_divide(self, d: "BivarPoly"):
-        """Exact quotient self / d, or None when d does not divide exactly.
-
-        Division is performed in L with exact coefficient division in Z[M];
-        sufficient for the candidate factors used by the analysis modules.
-        """
-        if d.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return BivarPoly()
-        rem = self._l_coeffs()
-        dl = d.deg_l()
-        dcoeffs = d._l_coeffs()
-        dlead = dcoeffs[dl]
-        quot = {}
-        while rem:
-            rl = max(rem)
-            if rl < dl:
-                return None
-            q = rem[rl].try_divide(dlead)
-            if q is None:
-                return None
-            quot[rl - dl] = q
-            for j, dc in dcoeffs.items():
-                tgt = rl - dl + j
-                cur = rem.get(tgt, UnivarPoly())
-                new = cur - q * dc
-                if new.is_zero:
-                    rem.pop(tgt, None)
-                else:
-                    rem[tgt] = new
-        out = {}
-        for j, u in quot.items():
-            for i, c in enumerate(u.coeffs):
-                if c:
-                    out[(i, j)] = c
-        return BivarPoly(out)
 
 
 _L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})

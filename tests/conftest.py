@@ -2,8 +2,9 @@ import argparse
 import cmath
 import random
 import re
+from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 import sympy
@@ -99,11 +100,75 @@ def _factor_expressions(draw, depth):
     if kind == "var":
         name, e = draw(st.sampled_from("ML")), draw(st.integers(0, 6))
         text = name if e == 1 and draw(st.booleans()) else f"{name}^{e}"
-        return text, BivarPoly.term(1, e if name == "M" else 0, e if name == "L" else 0)
+        return text, BivarPoly({(e if name == "M" else 0, e if name == "L" else 0): 1})
     inner_text, inner_value = draw(poly_expressions(depth - 1))
     e = draw(st.integers(0, 3))
     text = f"({inner_text})" if e == 1 and draw(st.booleans()) else f"({inner_text})^{e}"
     return text, inner_value**e
+
+
+def _divide_ints(f, d):
+    """Quotient list of the integer coefficient lists f / d, lowest degree
+    first, when every quotient coefficient is an integer and the
+    remainder is zero; else None."""
+    f, n = list(f), len(d) - 1
+    if not any(f):
+        return []
+    if len(f) <= n:
+        return None
+    quotient = [0] * (len(f) - n)
+    for k in range(len(quotient) - 1, -1, -1):
+        c, r = divmod(f[k + n], d[n])
+        if r:
+            return None
+        quotient[k] = c
+        for i, x in enumerate(d):
+            f[k + i] -= c * x
+    return None if any(f) else quotient
+
+
+def _l_coefficient(a, j):
+    """The coefficient of L^j in the BivarPoly a, as an integer list in M."""
+    column = {i: c for (i, jj), c in a.terms.items() if jj == j}
+    return [column.get(i, 0) for i in range(max(column, default=-1) + 1)]
+
+
+def exact_quotient(f, d):
+    """Reference exact quotient f / d, or None when d does not divide f:
+    plain-integer long division of one UnivarPoly by another, or of one
+    BivarPoly by another in L over Z[M], each quotient coefficient an
+    integer long division of leading L-coefficients. Shares no division
+    code with apoly."""
+    if isinstance(f, UnivarPoly):
+        q = _divide_ints(f.coeffs, d.coeffs)
+        return None if q is None else UnivarPoly(q)
+    n = d.deg_l()
+    lead, quotient = _l_coefficient(d, n), BivarPoly()
+    while not f.is_zero and f.deg_l() >= n:
+        k = f.deg_l()
+        c = _divide_ints(_l_coefficient(f, k), lead)
+        if c is None:
+            return None
+        term = BivarPoly({(i, k - n): x for i, x in enumerate(c)})
+        quotient, f = quotient + term, f - term * d
+    return quotient if f.is_zero else None
+
+
+def bivar_in_m(u):
+    """The UnivarPoly u as a BivarPoly in M."""
+    return BivarPoly({(i, 0): c for i, c in enumerate(u.coeffs)})
+
+
+def l_columns(a):
+    """The nonzero BivarPoly a as its L-coefficients, lowest L-degree
+    first, each an integer list in M ([] for zero): the list form of
+    apoly.knots' square-free step."""
+    return [_l_coefficient(a, j) for j in range(a.deg_l() + 1)]
+
+
+def from_l_columns(columns):
+    """The BivarPoly whose L-coefficients l_columns lists."""
+    return BivarPoly({(i, j): c for j, col in enumerate(columns) for i, c in enumerate(col)})
 
 
 _division_cache = {1: UnivarPoly([-1, 1])}
@@ -116,7 +181,7 @@ def cyclotomic_by_division(d):
         f = UnivarPoly([-1] + [0] * (d - 1) + [1])
         for e in range(1, d):
             if d % e == 0:
-                f = f.try_divide(cyclotomic_by_division(e))
+                f = exact_quotient(f, cyclotomic_by_division(e))
         _division_cache[d] = f
     return _division_cache[d]
 
@@ -131,7 +196,7 @@ def reconstruct_profile(prof):
 
 def reconstruct_unit_form(form):
     """The polynomial +/- L^a (L-1)^b (L+1)^c of a UnitEvaluationForm."""
-    f = UnivarPoly([form.sign]).shift(form.a)
+    f = UnivarPoly([0] * form.a + [form.sign])
     return f * UnivarPoly([-1, 1]) ** form.b * UnivarPoly([1, 1]) ** form.c
 
 
@@ -143,7 +208,7 @@ def abelian_multiplicity_by_division(a):
     by L - 1 in Z[M][L] until it fails."""
     mult = 0
     while True:
-        q = a.try_divide(_L_MINUS_1)
+        q = exact_quotient(a, _L_MINUS_1)
         if q is None:
             return mult
         a, mult = q, mult + 1
@@ -154,7 +219,7 @@ def divide_out_by_division(f, g):
     UnivarPoly f: exact trial division until it fails."""
     count = 0
     while True:
-        q = f.try_divide(g)
+        q = exact_quotient(f, g)
         if q is None:
             return f, count
         f, count = q, count + 1
@@ -203,7 +268,7 @@ def is_product_of_cyclotomics_by_scan(f):
         c2, c3 = phi_d(2), phi_d(3)
         mult = 0
         while v2 % c2 == 0 and v3 % c3 == 0:
-            q = f.try_divide(phi_d)
+            q = exact_quotient(f, phi_d)
             if q is None:
                 break
             f, v2, v3, mult = q, v2 // c2, v3 // c3, mult + 1
@@ -301,6 +366,35 @@ def two_bridge_alexander(pres):
     for i, s in enumerate(sigma):
         out[s - low] = out.get(s - low, 0) + (-1) ** i
     return {k: c for k, c in out.items() if c}
+
+
+def _partial_quotients(y):
+    """Every list (b_1, b_2, ...) of integers with |b_i| >= 2 and
+    y = b_1 + 1/(b_2 + 1/(...)), for a rational y: b_1 is the floor or the
+    ceiling of y, and an integer y is the last term."""
+    if y.denominator == 1:
+        return [[int(y)]] if abs(y) >= 2 else []
+    return [[b, *rest] for b in {floor(y), ceil(y)} if abs(b) >= 2
+            for rest in _partial_quotients(1 / (y - b))]
+
+
+def hatcher_thurston_slopes(p, q):
+    """The boundary slopes of the two-bridge knot p/q (Hatcher and
+    Thurston, Invent. Math. 1985), from the continued fractions
+    q/p = r + 1/(b_1 + 1/(b_2 + ...)) with r the floor or the ceiling of
+    q/p and every |b_i| >= 2. For each, n counts the positive less the
+    negative terms of (b_1, -b_2, b_3, -b_4, ...), n_0 is the n of the one
+    expansion whose terms are all even, and the slope is 2(n - n_0).
+    Integer arithmetic only; shares no code with apoly."""
+    x = Fraction(q, p)
+    expansions = [bs for r in {floor(x), ceil(x)} for bs in _partial_quotients(1 / (x - r))]
+
+    def count(bs):
+        signs = [(b > 0) == (k % 2 == 0) for k, b in enumerate(bs)]
+        return 2 * sum(signs) - len(signs)
+
+    (even,) = [bs for bs in expansions if all(b % 2 == 0 for b in bs)]
+    return {2 * (count(bs) - count(even)) for bs in expansions}
 
 
 # Riley's normal form a -> [[M, 1], [0, 1/M]], b -> [[M, 0], [t, 1/M]], as
@@ -415,7 +509,7 @@ def charpoly_by_terms(matrix):
     """berkowitz_charpoly of a matrix of UnivarPoly in M, run on BivarPoly
     copies: its products are the sparse term kernels, which share nothing
     with apoly.poly.charpoly's coefficient lists. BivarPoly results."""
-    return berkowitz_charpoly([[BivarPoly.from_univar_m(u) for u in row] for row in matrix])
+    return berkowitz_charpoly([[bivar_in_m(u) for u in row] for row in matrix])
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[ML])|(?P<caret>\^)|(?P<star>\*)"
@@ -567,12 +661,19 @@ def parse_poly_by_tokens(text):
                 return _mul_terms(monomial, product)
 
     def parse_expression():
+        # a term that would take the sum past the result-size cap is
+        # rejected at its first token before it is added
         terms = {}
         sign = 1
         if peek()[0] in ("plus", "minus"):
             sign = -1 if take()[0] == "minus" else 1
         while True:
-            _add_terms(terms, parse_term(), sign)
+            offset = peek()[2]
+            term = parse_term()
+            cap = apoly.grammar._MAX_TERMS
+            if len(terms) + len(term) > cap:
+                _error(f"sum too large to expand: it can have more than {cap} terms", text, offset)
+            _add_terms(terms, term, sign)
             if peek()[0] not in ("plus", "minus"):
                 return terms
             sign = -1 if take()[0] == "minus" else 1

@@ -4,6 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 
 from apoly import knots
 from apoly.knots import (
@@ -22,6 +23,7 @@ from apoly.knots import (
     _squarefree_bivar,
 )
 from apoly.grammar import parse_poly
+from apoly.newton import VERTICAL, edge_slopes, newton_polygon
 from apoly.poly import BivarPoly, charpoly
 from apoly.structure import abelian_multiplicity
 
@@ -29,8 +31,13 @@ from conftest import (
     L,
     TriPolyInT,
     alexander_divides_at_l1,
+    bivar_in_m,
     charpoly_by_terms,
     collect_t,
+    exact_quotient,
+    from_l_columns,
+    hatcher_thurston_slopes,
+    l_columns,
     rel_residual,
     resultant_t,
     riley_polynomial,
@@ -248,7 +255,7 @@ class TestElimination:
 
     def test_figure_eight_shape(self):
         a = eliminate_two_bridge(5, 3)
-        nonab = a.try_divide(L - one)
+        nonab = exact_quotient(a, L - one)
         assert nonab is not None
         assert nonab.deg_m() == 8
         holds, _ = symmetry_check(nonab)
@@ -261,24 +268,18 @@ class TestElimination:
 
     def test_squarefree_output(self):
         # specialize at several integer M values; the result must be
-        # square-free as a polynomial in L. 13/1 and 15/11 have repeated
-        # factors before the square-free step.
-        from apoly.poly import UnivarPoly, gcd_univar
-
+        # square-free as a polynomial in L, by sympy. 13/1 and 15/11 have
+        # repeated factors before the square-free step.
+        x = sympy.Symbol("L")
         for p, q in [(7, 3), (13, 1), (15, 11)]:
             a = eliminate_two_bridge(p, q)
             for m0 in (2, 3, 5):
-                f = UnivarPoly(
-                    [
-                        sum(c * m0**i for (i, j), c in a.terms.items() if j == k)
-                        for k in range(a.deg_l() + 1)
-                    ]
-                )
-                assert gcd_univar(f, f.derivative()).degree() == 0
+                f = sympy.Poly(sum(c * m0**i * x**j for (i, j), c in a.terms.items()), x)
+                assert sympy.gcd(f, f.diff(x)).degree() == 0
 
     def test_squarefree_removes_repeated_factor(self):
-        square = parse_poly("(L*M^3 + 1)^2*(L - M^2)*M^2")
-        assert _squarefree_bivar(square).normalize() == parse_poly(
+        square = l_columns(parse_poly("(L*M^3 + 1)^2*(L - M^2)*M^2"))
+        assert from_l_columns(_squarefree_bivar(square)).normalize() == parse_poly(
             "(L*M^3 + 1)*(L - M^2)"
         ).normalize()
 
@@ -290,10 +291,10 @@ class TestElimination:
             lam = sl2_word_eval(pres.longitude, {"a": A_MAT, "b": B_MAT})[0][0]
             lam_t, dm = collect_t(lam)
             psi = TriPolyInT(
-                [lam_t[0] - BivarPoly.term(1, dm, 1)] + list(lam_t.coeffs[1:])
+                [lam_t[0] - BivarPoly({(dm, 1): 1})] + list(lam_t.coeffs[1:])
             )
             assert (
-                _longitude_charpoly(phi, lam).normalize()
+                from_l_columns(_longitude_charpoly(phi, lam)).normalize()
                 == resultant_t(collect_t(phi)[0], psi).normalize()
             )
 
@@ -328,7 +329,7 @@ class TestElimination:
                 lam = _longitude_entry(pres, sl2_word_eval(pres.w, {"a": A_MAT, "b": B_MAT}))
                 matrix, _ = _multiplication_matrix(riley_polynomial(p, q)[0], lam)
                 expected = charpoly_by_terms(matrix)
-                assert [BivarPoly.from_univar_m(c) for c in charpoly(matrix)] == expected, (p, q)
+                assert [bivar_in_m(c) for c in charpoly(matrix)] == expected, (p, q)
 
     def test_rejects_p_above_bound(self, monkeypatch):
         # rejected before any word is evaluated; the presentation still exists
@@ -399,3 +400,42 @@ class TestSchubertOracles:
         for p, q, qm in cases:
             mirror = eliminate_cached(p, q).invert_l().normalize()
             assert eliminate_cached(p, qm) == mirror, (p, q)
+
+
+def boundary_slopes(a):
+    """The boundary slopes that A's Newton polygon gives: the reciprocal of
+    each edge slope dL/dM, 0 for a vertical edge and None for a horizontal
+    one (Cooper-Culler-Gillet-Long-Shalen, Invent. Math. 1994)."""
+    return {
+        0 if s == VERTICAL else (1 / s if s else None)
+        for s in edge_slopes(newton_polygon(a))
+    }
+
+
+class TestBoundarySlopes:
+    """Every side of the Newton polygon has a boundary slope, and Hatcher
+    and Thurston list a two-bridge knot's boundary slopes from its
+    continued fractions."""
+
+    def test_known_sets(self):
+        assert hatcher_thurston_slopes(5, 1) == {0, 10}
+        assert hatcher_thurston_slopes(5, 3) == {-4, 0, 4}
+        assert hatcher_thurston_slopes(7, 3) == {0, 4, 10}
+        assert hatcher_thurston_slopes(13, 5) == {0, 2, -2, 6, -6}
+
+    @pytest.mark.parametrize("p", range(3, 22, 2))
+    def test_edge_slopes_are_boundary_slopes(self, p):
+        # every knot with p <= 21, both parities of q
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                slopes = boundary_slopes(eliminate_cached(p, q))
+                assert slopes <= hatcher_thurston_slopes(p, q), (p, q, slopes)
+
+    def test_torus_knots(self):
+        # the (a, b) torus knot has boundary slopes 0 and ab, the sign that
+        # of ab; the two-bridge knot p/1 is the (2, p) torus knot
+        for a, b in [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7), (-2, 3), (3, -5)]:
+            assert boundary_slopes(torus_a(a, b)) == {0, a * b}, (a, b)
+        for p in range(3, 22, 2):
+            assert hatcher_thurston_slopes(p, 1) <= {0, 2 * p, -2 * p}, p
+            assert boundary_slopes(eliminate_cached(p, 1)) <= {0, 2 * p, -2 * p}, p

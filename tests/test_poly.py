@@ -1,31 +1,35 @@
 import decimal
 import gc
+import operator
 import re
 import time
 from math import comb, factorial
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apoly import grammar
 from apoly.grammar import PolyParseError, parse_poly
+from apoly.knots import _primitive_z, _remainder_gcd
 from apoly.poly import (
     BivarPoly,
     UnivarPoly,
     _decimal,
     charpoly,
     format_poly,
-    gcd_univar,
 )
 
 from conftest import (
     L,
     M,
+    bivar_in_m,
     bivar_polys,
     charpoly_by_terms,
     eval_complex,
+    exact_quotient,
     parse_poly_by_tokens,
     poly_expressions,
     rel_residual,
@@ -243,7 +247,7 @@ class TestCharpoly:
     @given(univar_matrices())
     @settings(max_examples=100, deadline=None)
     def test_matches_berkowitz_by_terms(self, matrix):
-        assert [BivarPoly.from_univar_m(c) for c in charpoly(matrix)] == charpoly_by_terms(matrix)
+        assert [bivar_in_m(c) for c in charpoly(matrix)] == charpoly_by_terms(matrix)
 
     @given(st.lists(st.integers(-9, 9), max_size=8), st.lists(st.integers(-9, 9), max_size=8))
     @settings(max_examples=150, deadline=None)
@@ -259,29 +263,51 @@ class TestCharpoly:
         assert UnivarPoly(f) - UnivarPoly(g) == UnivarPoly(difference)
 
 
+def gcd_over_z(f, g):
+    """apoly.knots' remainder sequence over Z, on UnivarPoly values."""
+    return UnivarPoly(_remainder_gcd(list(f.coeffs), list(g.coeffs), operator.mul,
+                                     operator.sub, _primitive_z))
+
+
+def sympy_gcd(f, g):
+    """The primitive gcd of two UnivarPoly, positive leading coefficient, by sympy."""
+    x = sympy.Symbol("x")
+    d = sympy.gcd(*(sympy.Poly(list(reversed(h.coeffs)), x) for h in (f, g)))
+    d = d.primitive()[1]
+    return UnivarPoly(reversed([int(c) for c in (d if d.LC() > 0 else -d).all_coeffs()]))
+
+
 class TestUnivarGcd:
+    # the remainder sequence of apoly.knots over Z against sympy.gcd
+
     def test_common_factor(self):
-        assert gcd_univar(UnivarPoly([-1, 0, 1]), UnivarPoly([-1, 1])) == UnivarPoly([-1, 1])
+        f, g = UnivarPoly([-1, 0, 1]), UnivarPoly([-1, 1])
+        assert gcd_over_z(f, g) == sympy_gcd(f, g) == UnivarPoly([-1, 1])
 
     def test_coprime(self):
         f = UnivarPoly([3, 1, 2])
-        assert gcd_univar(f, UnivarPoly([1])) == UnivarPoly([1])
+        assert gcd_over_z(f, UnivarPoly([1])) == sympy_gcd(f, UnivarPoly([1])) == UnivarPoly([1])
 
     def test_multiplicities(self):
         f = UnivarPoly([-1, 1]) ** 2 * UnivarPoly([2, 1])
         g = UnivarPoly([-1, 1]) * UnivarPoly([3, 1])
-        assert gcd_univar(f, g) == UnivarPoly([-1, 1])
+        assert gcd_over_z(f, g) == sympy_gcd(f, g) == UnivarPoly([-1, 1])
 
     def test_divides_both(self):
         f = UnivarPoly([2, -3, 1]) * UnivarPoly([5, 7])
         g = UnivarPoly([2, -3, 1]) * UnivarPoly([-1, 4])
-        d = gcd_univar(f, g)
-        assert f.try_divide(d) is not None
-        assert g.try_divide(d) is not None
+        d = gcd_over_z(f, g)
+        assert d == sympy_gcd(f, g)
+        assert exact_quotient(f, d) is not None
+        assert exact_quotient(g, d) is not None
 
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gcd_univar(UnivarPoly(), UnivarPoly())
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sympy(self, h, f, g):
+        f, g = UnivarPoly(f) * UnivarPoly(h), UnivarPoly(g) * UnivarPoly(h)
+        assert gcd_over_z(f, g) == sympy_gcd(f, g)
 
 
 # the grammar's alphabet, a character outside it, and literals at and past
@@ -601,6 +627,37 @@ class TestGrammar:
             assert str(exc.value) == ("product too large to expand: it can have more than "
                                       f"262144 terms (line 1, column {len(left) + 2})")
         assert calls == []
+
+    def test_sum_at_the_cap(self):
+        # one 512 by 512 product, 2^18 terms, parses; a second one with a
+        # disjoint support would take the sum past the cap and is rejected
+        # at its first token, after it is built, in both parsers
+        def product(low):
+            return ("(" + " + ".join(f"L^{k}" for k in range(low, low + 512)) + ")*("
+                    + " + ".join(f"M^{k}" for k in range(512)) + ")")
+
+        first = product(0)
+        assert len(parse_poly(first).terms) == 1 << 18
+        text = first + " - " + product(512)
+        for parse in (parse_poly, parse_poly_by_tokens):
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert str(exc.value) == ("sum too large to expand: it can have more than "
+                                      f"262144 terms (line 1, column {len(first) + 4})")
+
+    def test_sum_cap_counts_the_terms_so_far(self, monkeypatch):
+        # a cap of 3: each term counts as new, and a cancelled term frees
+        # its place; a zero term counts nothing, a product its terms; both
+        # parsers agree
+        monkeypatch.setattr(grammar, "_MAX_TERMS", 3)
+        for parse in (parse_poly, parse_poly_by_tokens):
+            assert parse("L + M - L + 1") == M + one
+            assert parse("0*(L + M + 1) + L + M + 1") == L + M + one
+            for text, column in [("L + M + 1 + L^2", 13), ("L + (M + 1)*(M + 2)", 5)]:
+                with pytest.raises(PolyParseError) as exc:
+                    parse(text)
+                assert str(exc.value) == ("sum too large to expand: it can have more than "
+                                          f"3 terms (line 1, column {column})")
 
     def test_result_size_bound_by_the_exponent_box(self):
         # more term pairs than the cap, but the exponents span a box of
@@ -934,7 +991,7 @@ class TestSymmetryHelpers:
 
     def test_try_divide_exact(self):
         a = (L - one) * (L * M**6 + one)
-        assert a.try_divide(L - one) == L * M**6 + one
+        assert exact_quotient(a, L - one) == L * M**6 + one
 
     def test_try_divide_inexact(self):
-        assert (L * M**6 + one).try_divide(L - one) is None
+        assert exact_quotient(L * M**6 + one, L - one) is None
