@@ -15,15 +15,15 @@ PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts. Two parts:
 * Stages: STAGE_RUNS fresh interpreters per side, alternating, each
   running ``knots.eliminate_two_bridge`` on the 20 ``twobridge`` knots and
   on 21/13 and 25/7, with the stage functions wrapped by timers:
-  ``charpoly`` is ``knots.charpoly``; ``multiplication_matrix`` is
+  ``charpoly`` is ``knots._charpoly``; ``multiplication_matrix`` is
   ``knots._longitude_charpoly`` less ``charpoly`` (the matrix, and the
   L-coefficient lists assembled from its characteristic polynomial);
   ``squarefree`` is ``knots._squarefree_bivar``; ``normalize`` is
   ``BivarPoly.normalize``; ``word_eval`` is the rest of the elimination:
-  the presentation, the word evaluations, phi, lambda, the BivarPoly
-  built from the square-free part's lists and the (L-1) check. (Before
-  the square-free step ran on coefficient lists, the BivarPoly was built
-  in ``multiplication_matrix``.)
+  the presentation, the word evaluations, phi, lambda, the (L-1) check
+  and product on the square-free part's lists and the BivarPoly built
+  from them. (Before the square-free step ran on coefficient lists, the
+  BivarPoly was built in ``multiplication_matrix``.)
 
 Both sides run without a bytecode cache (PYTHONDONTWRITEBYTECODE=1).
 OUT.json gets per-side medians and quartiles, the pair wins, the stage
@@ -71,7 +71,7 @@ def timed(name, f):
             spent[name] = spent.get(name, 0.0) + time.perf_counter() - t
     return wrapper
 
-knots.charpoly = timed("charpoly", knots.charpoly)
+knots._charpoly = timed("charpoly", knots._charpoly)
 knots._longitude_charpoly = timed("longitude_charpoly", knots._longitude_charpoly)
 knots._squarefree_bivar = timed("squarefree", knots._squarefree_bivar)
 BivarPoly.normalize = timed("normalize", BivarPoly.normalize)

@@ -98,6 +98,8 @@ usage_error compute
 usage_error compute --torus 2
 usage_error frobnicate
 usage_error replay "L-1" --nmax x
+usage_error analyze
+usage_error analyze "L-1" --file "$root/src/apoly/data/fixtures.txt"
 expect 0 compute --torus -2 3
 expect 0 replay --nmax 1 -- "-(L-1)*(L+1)"
 

@@ -54,8 +54,11 @@ def cmd_compute(unknot, torus, two_bridge, json) -> int:
 def cmd_analyze(poly, file, name, nontrivial, json) -> int:
     from . import structure
 
+    if (file is None) == (not poly):  # neither input, or both
+        _usage_error("analyze", "argument --file: not allowed with argument poly" if poly
+                     else "one of the arguments poly --file is required")
     text = poly
-    if file:
+    if file is not None:
         try:
             with open(file, encoding="utf-8-sig") as fh:
                 text = fh.read()

@@ -14,9 +14,12 @@ phi's leading t-coefficient is a unit monomial, so phi is monic over
 Z[M^+-1] and t is eliminated by the characteristic polynomial det(L*I - X)
 of the matrix X of multiplication by lambda in Z[M^+-1][t]/(phi), which
 equals Res_t(phi, lambda - L) up to sign and a power of M (the tests'
-resultant oracle). The longitude word convention (including the meridian
-framing correction) is pinned here and validated by the oracle tests; see
-the presentation docstring.
+resultant oracle). From there on every dense polynomial is a coefficient
+list in M: the matrix entries, their characteristic polynomial
+(``_charpoly``), the square-free step and the abelian factor test on
+r(M, 1). The longitude word convention (including the meridian framing correction)
+is pinned here and validated by the oracle tests; see the presentation
+docstring.
 
 The relator word w is evaluated once, to W, and serves both phi and
 lambda. The longitude is w * wbar * a^k with k = -2e, and only its (1,1)
@@ -35,11 +38,11 @@ above it, before any word is evaluated.
 from __future__ import annotations
 
 import operator
+from itertools import zip_longest
 from math import gcd
 
 from ._record import Record
-from .poly import _L_MINUS_1, BivarPoly, UnivarPoly, _add_terms, _mul_coeffs, _mul_terms, charpoly
-from .structure import abelian_multiplicity
+from .poly import _L_MINUS_1, BivarPoly, _add_terms, _mul_coeffs, _mul_terms, _trim
 
 __all__ = [
     "GroupPresentation",
@@ -171,8 +174,9 @@ def _reduce_mod(f, monic, n):
 
 def _multiplication_matrix(phi, lam):
     """(M^s * X, s): X is the multiplication by lam in Z[M^+-1][t]/(phi)
-    on the basis 1, t, ..., t^(n-1), n = deg_t phi, as rows of UnivarPoly
-    in M, and s >= 0 the least shift that makes every entry a polynomial.
+    on the basis 1, t, ..., t^(n-1), n = deg_t phi, as rows of coefficient
+    lists in M, and s >= 0 the least shift that makes every entry a
+    polynomial.
 
     Raises EliminationDegeneracyError unless phi's leading t-coefficient
     is a unit monomial.
@@ -193,14 +197,12 @@ def _multiplication_matrix(phi, lam):
         shifted = {(i, k + 1): c for (i, k), c in cols[-1].items()}
         cols.append(_reduce_mod(shifted, monic, n))
     s = max(0, -min((i for col in cols for i, _ in col), default=0))
-    entries = [[{} for _ in range(n)] for _ in range(n)]
+    matrix = [[[] for _ in range(n)] for _ in range(n)]
     for j, col in enumerate(cols):
         for (i, k), c in col.items():
-            entries[k][j][i + s] = c
-    matrix = [
-        [UnivarPoly([d.get(i, 0) for i in range(max(d, default=-1) + 1)]) for d in row]
-        for row in entries
-    ]
+            entry = matrix[k][j]
+            entry.extend([0] * (i + s + 1 - len(entry)))
+            entry[i + s] = c
     return matrix, s
 
 
@@ -213,22 +215,43 @@ def _longitude_charpoly(phi, lam):
     leading coefficient of phi is a unit monomial.
     """
     matrix, s = _multiplication_matrix(phi, lam)
-    return [
-        [0] * (s * j) + list(c.coeffs) if c.coeffs else []
-        for j, c in enumerate(reversed(charpoly(matrix)))
-    ]
+    return [[0] * (s * j) + c if c else [] for j, c in enumerate(reversed(_charpoly(matrix)))]
+
+
+def _dot_coeffs(xs, ys):
+    """Sum of the products of paired coefficient lists, in one list."""
+    out = []
+    for x, y in zip(xs, ys):
+        _mul_coeffs(x, y, out)
+    return out
+
+
+def _charpoly(a):
+    """Coefficients [1, c_1, ..., c_n] of det(x*I - A), highest degree
+    first, as trimmed coefficient lists, for a nonempty square list a of
+    rows of coefficient lists: Berkowitz's division-free algorithm (Inf.
+    Proc. Letters 18, 1984), where the characteristic polynomial of each
+    leading principal submatrix is a lower-triangular Toeplitz matrix times
+    that of the previous one. Each inner product adds into one list, and
+    skips the zeros of both factors, such as the low ones of the M^s of
+    _multiplication_matrix."""
+    poly = [[1], [-c for c in a[0][0]]]
+    for r in range(1, len(a)):
+        row = a[r][:r]
+        col = [a[i][r] for i in range(r)]
+        # first Toeplitz column: 1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C
+        toeplitz = [[1], [-c for c in a[r][r]]]
+        for k in range(r):
+            toeplitz.append([-c for c in _dot_coeffs(row, col)])
+            if k < r - 1:
+                col = [_dot_coeffs(a[i][:r], col) for i in range(r)]
+        poly = [_dot_coeffs(toeplitz[i::-1], poly) for i in range(r + 2)]
+    return [_trim(c) for c in poly]
 
 
 # Polynomials in L are coefficient lists, lowest degree first, with no
 # trailing zero: over Z of ints, over Z[M] of such lists in M. A zero
 # element, 0 or [], is falsy in both rings.
-
-
-def _trim(f):
-    """f without its trailing zeros, in place; returns f."""
-    while f and not f[-1]:
-        f.pop()
-    return f
 
 
 def _remainder_gcd(f, g, mul, sub, primitive):
@@ -323,7 +346,7 @@ def _squarefree_bivar(r):
 
 # Largest p accepted by the elimination. Every knot within it, either parity
 # of q, takes at most about 1.5 s end to end (Python 3.11, 2 vCPUs); the
-# slowest are 21/13, mostly in the square-free step, and 25/7, in charpoly.
+# slowest are 21/13, mostly in the square-free step, and 25/7, in _charpoly.
 MAX_TWO_BRIDGE_P = 25
 
 
@@ -343,12 +366,13 @@ def eliminate_two_bridge(p: int, q: int) -> BivarPoly:
     w = sl2_word_eval(pres.w, _NORMAL_FORM)
     lam = _longitude_entry(pres, w)
     r = _squarefree_bivar(_longitude_charpoly(_riley_phi(w), lam))
-    nf = BivarPoly._adopt(
+    if any(map(sum, zip_longest(*r, fillvalue=0))):
+        # r(M, 1) != 0: times L - 1, which keeps the normal form's content,
+        # M- and L-shifts and sign
+        r = [_sub_m(prev, c) for prev, c in zip([[]] + r, r + [[]])]
+    return BivarPoly._adopt(
         {(i, j): c for j in range(len(r) - 1, -1, -1) for i, c in enumerate(r[j]) if c}
     ).normalize()
-    if abelian_multiplicity(nf) == 0:
-        nf = nf * _L_MINUS_1  # a product of A-normal forms is A-normal
-    return nf
 
 
 def torus_a(p: int, q: int) -> BivarPoly:

@@ -10,18 +10,15 @@ Two carriers:
 Each ring operation is written once: sparse + and * are the term kernels
 ``_add_terms`` and ``_mul_terms``, shared with the Laurent dicts of
 ``knots``; dense * is the coefficient-list kernel ``_mul_coeffs``, shared
-by ``UnivarPoly`` and ``charpoly``; both carriers use one ``_power`` and
-one text form, ``format_poly``, which writes coefficients of any length
-and which ``apoly.grammar.parse_poly`` reads back, within the bounds its
-docstring lists.
-
-``charpoly`` is the characteristic polynomial of a square matrix of
-``UnivarPoly`` entries, and of nothing else: Berkowitz's division-free
-algorithm run on the entries' coefficient lists. Each inner product adds
-its terms into one list, and a product skips the zeros of both factors,
-so the zeros of a shifted entry (the M^s of the two-bridge elimination)
-or of a polynomial in M^2 cost nothing. Every result is exact integer
-arithmetic with no computer-algebra system.
+by ``UnivarPoly`` and the characteristic polynomial of ``knots``, and
+``_trim`` is the one trim of a coefficient list; both carriers use one
+``_power`` and one text form, ``format_poly``, which writes coefficients
+of any length and which ``apoly.grammar.parse_poly`` reads back, within
+the bounds its docstring lists. Inside apoly a dense polynomial is an
+ascending coefficient list with no trailing zero; a ``UnivarPoly`` is
+built only where a public function returns one. The constructors take
+integers only: a coefficient or exponent that is not an int (a float,
+a Fraction, a str) raises TypeError instead of being truncated.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
@@ -36,7 +33,6 @@ __all__ = [
     "UnivarPoly",
     "BivarPoly",
     "format_poly",
-    "charpoly",
 ]
 
 
@@ -80,6 +76,13 @@ def _mul_coeffs(f, g, out=None):
     return out
 
 
+def _trim(f):
+    """f without its trailing zeros, in place; returns f."""
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
 def _power(base, n, mul=operator.mul):
     """base ** n by square-and-multiply: of either carrier, or, for n >= 1,
     of a term dict whose products mul makes."""
@@ -113,10 +116,7 @@ class UnivarPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(map(int, cs)))
+        object.__setattr__(self, "coeffs", tuple(_trim(list(map(operator.index, coeffs)))))
 
     def __setattr__(self, name, value):
         raise AttributeError("UnivarPoly is immutable")
@@ -215,12 +215,12 @@ class BivarPoly:
         t = {}
         if terms:
             for (i, j), c in dict(terms).items():
-                c = int(c)
+                i, j, c = operator.index(i), operator.index(j), operator.index(c)
                 if c == 0:
                     continue
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in term ({i},{j})")
-                t[(int(i), int(j))] = c
+                t[(i, j)] = c
         object.__setattr__(self, "terms", t)
 
     @classmethod
@@ -362,38 +362,6 @@ class BivarPoly:
 
 
 _L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
-
-
-def _dot_coeffs(xs, ys):
-    """Sum of the products of paired coefficient lists, in one list."""
-    out = []
-    for x, y in zip(xs, ys):
-        _mul_coeffs(x, y, out)
-    return out
-
-
-def charpoly(matrix):
-    """Coefficients [1, c_1, ..., c_n] of det(x*I - A), highest degree
-    first, for a nonempty square list of rows of UnivarPoly entries.
-
-    Berkowitz's division-free algorithm (Inf. Proc. Letters 18, 1984): the
-    characteristic polynomial of each leading principal submatrix is a
-    lower-triangular Toeplitz matrix times that of the previous one. It
-    runs on the entries' coefficient lists and returns UnivarPoly values.
-    """
-    a = [[entry.coeffs for entry in row] for row in matrix]
-    poly = [[1], [-c for c in a[0][0]]]
-    for r in range(1, len(a)):
-        row = a[r][:r]
-        col = [a[i][r] for i in range(r)]
-        # first Toeplitz column: 1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C
-        toeplitz = [[1], [-c for c in a[r][r]]]
-        for k in range(r):
-            toeplitz.append([-c for c in _dot_coeffs(row, col)])
-            if k < r - 1:
-                col = [_dot_coeffs(a[i][:r], col) for i in range(r)]
-        poly = [_dot_coeffs(toeplitz[i::-1], poly) for i in range(r + 2)]
-    return [UnivarPoly(c) for c in poly]
 
 
 # -- text form --------------------------------------------------------

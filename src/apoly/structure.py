@@ -22,7 +22,7 @@ from math import prod
 from operator import sub
 
 from ._record import _JSON_FLAG, Record, _json_list, _json_str
-from .poly import _L_MINUS_1, BivarPoly, UnivarPoly, format_poly
+from .poly import _L_MINUS_1, BivarPoly, UnivarPoly, _trim, format_poly
 
 __all__ = [
     "cyclotomic",
@@ -359,7 +359,7 @@ def check_unit_evaluation(a: BivarPoly, m: int):
         raise ValueError("zero polynomial")
     if m not in (1, -1):
         raise ValueError("unit evaluation is defined at M = +1 or -1 only")
-    return _unit_form(a.eval_m(m))
+    return _unit_form(a.eval_m(m).coeffs)
 
 
 def _strip_units(coeffs):
@@ -371,12 +371,13 @@ def _strip_units(coeffs):
     return a, b, c, r
 
 
-def _unit_form(f: UnivarPoly, parts=None):
-    """check_unit_evaluation of the evaluation f = A(m, L), from the
-    _strip_units parts of f when they are given."""
-    if f.is_zero:
-        return UnitEvalFailure(f)
-    a, b, c, r = parts or _strip_units(f.coeffs)
+def _unit_form(coeffs, parts=None):
+    """check_unit_evaluation of the evaluation A(m, L) with ascending
+    coefficient list coeffs, no trailing zero, from its _strip_units parts
+    when they are given."""
+    if not coeffs:
+        return UnitEvalFailure(UnivarPoly())
+    a, b, c, r = parts or _strip_units(coeffs)
     if len(r) != 1 or abs(r[0]) != 1:
         return UnitEvalFailure(UnivarPoly(r))
     return UnitEvaluationForm(r[0], a, b, c)
@@ -401,9 +402,10 @@ def _m_slices(terms):
 
 
 def _unit_evaluations(slices, deg_l):
-    """A(1, L) and A(-1, L) from the M-slices of A: the sum of the slices,
-    and that sum less twice the odd ones. Without an odd slice the two are
-    equal, and the one UnivarPoly is returned twice."""
+    """A(1, L) and A(-1, L) from the M-slices of A, as ascending
+    coefficient lists with no trailing zero: the sum of the slices, and
+    that sum less twice the odd ones. Without an odd slice the two are
+    equal, and the one list is returned twice."""
     plus = [0] * (deg_l + 1)
     odd = []
     for i, s in slices.items():
@@ -412,13 +414,12 @@ def _unit_evaluations(slices, deg_l):
         if i & 1:
             odd.append(s)
     if not odd:
-        f = UnivarPoly(plus)
-        return f, f
+        return _trim(plus), plus
     minus = plus[:]
     for s in odd:
         for j, c in s.items():
             minus[j] -= 2 * c
-    return UnivarPoly(plus), UnivarPoly(minus)
+    return _trim(plus), _trim(minus)
 
 
 def _vertical_edge(slices):
@@ -572,7 +573,7 @@ def analyze(a: BivarPoly, name: str = "", claims_nontrivial_knot: bool = False) 
         # without M, A(1, L) = A(-1, L) is the polynomial itself: L - 1 and
         # L + 1 are divided out of it once, for its unit form, its abelian
         # multiplicity (that of L - 1) and its recognition
-        parts = _strip_units(plus.coeffs)
+        parts = _strip_units(plus)
         unit_plus = unit_minus = _unit_form(plus, parts)
         abelian = parts[1]
         cyc = _decompose(_recognize(parts))

@@ -155,8 +155,8 @@ def exact_quotient(f, d):
 
 
 def bivar_in_m(u):
-    """The UnivarPoly u as a BivarPoly in M."""
-    return BivarPoly({(i, 0): c for i, c in enumerate(u.coeffs)})
+    """The ascending coefficient list u in M as a BivarPoly in M."""
+    return BivarPoly({(i, 0): c for i, c in enumerate(u)})
 
 
 def l_columns(a):
@@ -416,6 +416,64 @@ def riley_polynomial(p, q):
     return _add_terms(dict(aw[0][1]), wb[0][1], -1), pres
 
 
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def riley_prime(p):
+    """The smallest prime P >= 101 with P = 1 (mod 2p)."""
+    return next(n for n in range(101, 10**6) if n % (2 * p) == 1 and _is_prime(n))
+
+
+def _mat_mul_mod(x, y, prime):
+    """The product of two 2x2 matrices (x11, x12, x21, x22) of ints mod prime."""
+    return ((x[0] * y[0] + x[1] * y[2]) % prime, (x[0] * y[1] + x[1] * y[3]) % prime,
+            (x[2] * y[0] + x[3] * y[2]) % prime, (x[2] * y[1] + x[3] * y[3]) % prime)
+
+
+def _word_mod(word, mats, prime):
+    """The 2x2 matrix mod prime of a word of (generator, +-1) letters."""
+    out = (1, 0, 0, 1)
+    for letter in word:
+        out = _mat_mul_mod(out, mats[letter], prime)
+    return out
+
+
+def riley_curve_points_mod(p, q, prime, ms=range(2, 30)):
+    """The points (m, lambda) mod prime of the two-bridge knot p/q's Riley
+    curve, with no apoly code: the sign sequence eps_i = (-1)^floor(i q'/p),
+    q' the odd one of q and q - p, gives w = b^eps_1 a^eps_2 ... and its
+    mirror wbar with a and b swapped; with a = [[m, 1], [0, 1/m]] and
+    b = [[m, 0], [t, 1/m]] on plain ints mod prime, every t in F_prime
+    with (aW - Wb)_12 = 0, W = w(a, b), gives lambda, the (1,1) entry of
+    the full longitude word w wbar a^(-2e), e the sum of the signs."""
+    qt = q if q % 2 else q - p
+    eps = [1 - 2 * ((i * qt) // p % 2) for i in range(1, p)]
+    w = [("b" if i % 2 == 0 else "a", e) for i, e in enumerate(eps)]
+    wbar = [("a" if g == "b" else "b", e) for g, e in w]
+    e_sum = sum(eps)
+    tail = [("a", -1 if e_sum > 0 else 1)] * abs(2 * e_sum)
+    points = []
+    for m in ms:
+        mi = pow(m, -1, prime)
+        a, a_inv = (m, 1, 0, mi), (mi, prime - 1, 0, m)
+        for t in range(prime):
+            b, b_inv = (m, 0, t, mi), (mi, 0, -t % prime, m)
+            mats = {("a", 1): a, ("a", -1): a_inv, ("b", 1): b, ("b", -1): b_inv}
+            big_w = _word_mod(w, mats, prime)
+            if _mat_mul_mod(a, big_w, prime)[1] == _mat_mul_mod(big_w, b, prime)[1]:
+                points.append((m, _word_mod(w + wbar + tail, mats, prime)[0]))
+    return points
+
+
+def vanishes_mod(a, points, prime):
+    """Whether the BivarPoly a vanishes mod prime at every (m, lambda)."""
+    return all(
+        sum(c * pow(m, i, prime) * pow(lam, j, prime) for (i, j), c in a.terms.items()) % prime == 0
+        for m, lam in points
+    )
+
+
 def torus_alexander(a, b):
     """The Alexander polynomial of the (a, b) torus knot as {exponent: c}:
     Delta(t) = (t^(ab) - 1)(t - 1) / ((t^a - 1)(t^b - 1)), by sympy."""
@@ -506,9 +564,10 @@ def berkowitz_charpoly(matrix):
 
 
 def charpoly_by_terms(matrix):
-    """berkowitz_charpoly of a matrix of UnivarPoly in M, run on BivarPoly
-    copies: its products are the sparse term kernels, which share nothing
-    with apoly.poly.charpoly's coefficient lists. BivarPoly results."""
+    """berkowitz_charpoly of a matrix of coefficient lists in M, run on
+    BivarPoly copies: its products are the sparse term kernels, which share
+    nothing with apoly.knots._charpoly's coefficient lists. BivarPoly
+    results."""
     return berkowitz_charpoly([[bivar_in_m(u) for u in row] for row in matrix])
 
 

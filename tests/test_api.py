@@ -52,18 +52,19 @@ def test_test_oracles_not_exported(name):
 
 # each stood for another name's value or was built only to run a check;
 # the remainder sequence is written once, in apoly.knots, and the carrier
-# methods that served its two copies are gone (a dotted name is a method)
+# methods that served its two copies are gone (a dotted name is a method);
+# the characteristic polynomial is apoly.knots' private _charpoly
 DELETED = {
     "apoly": ["gcd_univar"],
     "apoly.cli": ["_emit_json", "_json_parts", "build_parser", "argparse"],
     "apoly.structure": ["NotCyclotomic"],
     "apoly.newton": ["Edge", "has_vertical_edge", "vertical_edge", "collinear"],
     "apoly.knots": ["TorusKnot", "TwoBridgeKnot", "riley_polynomial", "_gcd_l", "_l_lead",
-                    "_l_primitive"],
+                    "_l_primitive", "charpoly"],
     "apoly.poly": ["gcd_univar", "_pseudo_rem", "UnivarPoly.try_divide",
                    "UnivarPoly.primitive", "UnivarPoly.content", "UnivarPoly.shift",
                    "UnivarPoly.derivative", "BivarPoly.try_divide", "BivarPoly._l_coeffs",
-                   "BivarPoly.from_univar_m", "BivarPoly.term"],
+                   "BivarPoly.from_univar_m", "BivarPoly.term", "charpoly", "_dot_coeffs"],
 }
 
 

@@ -186,6 +186,27 @@ class TestAnalyze:
         )
         assert code == 0 and payload["deg_M"] == 6
 
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze"], "one of the arguments poly --file is required"),
+        (["analyze", "--json", "--name", "k"], "one of the arguments poly --file is required"),
+        (["analyze", "L - 1", "--file", "FILE"], "argument --file: not allowed with argument poly"),
+        (["analyze", "--file", "FILE", "--", "L - 1"],
+         "argument --file: not allowed with argument poly"),
+    ])
+    def test_poly_or_file_usage_error(self, capsys, tmp_path, argv, message):
+        # exactly one of the two inputs: with both, --file had silently won,
+        # and with neither the empty text was parsed
+        f = tmp_path / "poly.txt"
+        f.write_text(TREFOIL_TEXT, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([str(f) if arg == "FILE" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == (
+            "usage: apoly analyze [-h] [--file FILE] [--name NAME] [--nontrivial] [--json] [poly]\n"
+            f"apoly analyze: error: {message}\n"
+        )
+
     def test_byte_order_mark_skipped(self, capsys, tmp_path):
         f = tmp_path / "poly.txt"
         f.write_text("\ufeff" + TREFOIL_TEXT, encoding="utf-8")

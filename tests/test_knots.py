@@ -1,10 +1,16 @@
 import cmath
 import functools
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apoly import knots
 from apoly.knots import (
@@ -16,6 +22,7 @@ from apoly.knots import (
     unknot_a,
 )
 from apoly.knots import (
+    _charpoly,
     _longitude_charpoly,
     _longitude_entry,
     _multiplication_matrix,
@@ -24,7 +31,7 @@ from apoly.knots import (
 )
 from apoly.grammar import parse_poly
 from apoly.newton import VERTICAL, edge_slopes, newton_polygon
-from apoly.poly import BivarPoly, charpoly
+from apoly.poly import BivarPoly, _trim
 from apoly.structure import abelian_multiplicity
 
 from conftest import (
@@ -40,10 +47,13 @@ from conftest import (
     l_columns,
     rel_residual,
     resultant_t,
+    riley_curve_points_mod,
     riley_polynomial,
+    riley_prime,
     symmetry_check,
     torus_alexander,
     two_bridge_alexander,
+    vanishes_mod,
 )
 
 one = BivarPoly.const(1)
@@ -329,7 +339,7 @@ class TestElimination:
                 lam = _longitude_entry(pres, sl2_word_eval(pres.w, {"a": A_MAT, "b": B_MAT}))
                 matrix, _ = _multiplication_matrix(riley_polynomial(p, q)[0], lam)
                 expected = charpoly_by_terms(matrix)
-                assert [bivar_in_m(c) for c in charpoly(matrix)] == expected, (p, q)
+                assert [bivar_in_m(c) for c in _charpoly(matrix)] == expected, (p, q)
 
     def test_rejects_p_above_bound(self, monkeypatch):
         # rejected before any word is evaluated; the presentation still exists
@@ -345,6 +355,78 @@ class TestElimination:
         phi = {(0, 0): 1, (-1, 1): 2}  # 1 + 2*M^-1*t
         with pytest.raises(EliminationDegeneracyError, match=r"coefficient 2\*M\^-1 "):
             _longitude_charpoly(phi, {(0, 1): 1})
+
+
+# entries of a _charpoly matrix: zero, constants, and dense lists whose
+# zeros include the low ones of a shifted entry and the odd ones of a
+# polynomial in M^2
+_entries = st.one_of(
+    st.just([]),
+    st.integers(-9, 9).map(lambda c: _trim([c])),
+    st.lists(st.integers(-9, 9), max_size=7).map(_trim),
+    st.lists(st.integers(-50, 50), max_size=4).map(lambda cs: _trim([0, 0, 0, *cs])),
+    st.lists(st.integers(-9, 9), max_size=4).map(
+        lambda cs: _trim([c for x in cs for c in (x, 0)])
+    ),
+)
+
+
+@st.composite
+def coefficient_list_matrices(draw):
+    n = draw(st.integers(1, 7))
+    return [[draw(_entries) for _ in range(n)] for _ in range(n)]
+
+
+class TestCharpoly:
+    def test_two_by_two(self):
+        # det(x I - [[M, 1], [2, 3]]) = x^2 - (M + 3) x + 3M - 2
+        assert _charpoly([[[0, 1], [1]], [[2], [3]]]) == [[1], [-3, -1], [-2, 3]]
+
+    @given(coefficient_list_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_berkowitz_by_terms(self, matrix):
+        result = _charpoly(matrix)
+        assert all(not c or c[-1] for c in result)  # no trailing zero
+        assert [bivar_in_m(c) for c in result] == charpoly_by_terms(matrix)
+
+
+# the knots with p <= 13, both parities of q
+SMALL_KNOTS = [(p, q) for p in range(3, 14, 2) for q in range(1, p) if gcd(p, q) == 1]
+
+
+class TestModPOracle:
+    """A(m, lambda) = 0 mod P on Riley's curve, found by brute force over
+    F_P with plain-int matrices (conftest.riley_curve_points_mod), at
+    m = 2..29 and the smallest prime P >= 101 with P = 1 (mod 2p)."""
+
+    @pytest.mark.parametrize("p, q", SMALL_KNOTS, ids=[f"{p}/{q}" for p, q in SMALL_KNOTS])
+    def test_vanishes_on_curve_points(self, p, q):
+        prime = riley_prime(p)
+        points = riley_curve_points_mod(p, q, prime)
+        assert len(points) >= 20
+        assert vanishes_mod(eliminate_two_bridge(p, q), points, prime)
+
+    def test_all_small_knots(self):
+        assert len(SMALL_KNOTS) == 40
+        assert [riley_prime(p) for p in range(3, 14, 2)] == [103, 101, 113, 109, 199, 131]
+
+    def test_other_knot_fails(self):
+        # negative control: 13/3's A-polynomial on 13/5's curve points
+        prime = riley_prime(13)
+        points = riley_curve_points_mod(13, 5, prime)
+        assert not vanishes_mod(eliminate_two_bridge(13, 3), points, prime)
+
+
+def test_import_loads_no_structure():
+    # the elimination tests its abelian factor on its own coefficient lists
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, apoly.knots; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = proc.stdout.split()
+    assert "apoly.knots" in modules and "apoly.structure" not in modules
 
 
 class TestCurveMembershipOracle:

@@ -3,6 +3,7 @@ import gc
 import operator
 import re
 import time
+from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
@@ -18,16 +19,13 @@ from apoly.poly import (
     BivarPoly,
     UnivarPoly,
     _decimal,
-    charpoly,
     format_poly,
 )
 
 from conftest import (
     L,
     M,
-    bivar_in_m,
     bivar_polys,
-    charpoly_by_terms,
     eval_complex,
     exact_quotient,
     parse_poly_by_tokens,
@@ -215,40 +213,7 @@ class TestSurgerySubstitution:
             assert rel_residual(p, v ** (-n), v) < 1e-6
 
 
-# entries of a charpoly matrix: zero, constants, and dense lists whose
-# zeros include the low ones of a shifted entry and the odd ones of a
-# polynomial in M^2
-_entries = st.one_of(
-    st.just(UnivarPoly()),
-    st.integers(-9, 9).map(UnivarPoly.const),
-    st.lists(st.integers(-9, 9), max_size=7).map(UnivarPoly),
-    st.lists(st.integers(-50, 50), max_size=4).map(lambda cs: UnivarPoly([0, 0, 0, *cs])),
-    st.lists(st.integers(-9, 9), max_size=4).map(
-        lambda cs: UnivarPoly([c for x in cs for c in (x, 0)])
-    ),
-)
-
-
-@st.composite
-def univar_matrices(draw):
-    n = draw(st.integers(1, 7))
-    return [[draw(_entries) for _ in range(n)] for _ in range(n)]
-
-
-class TestCharpoly:
-    def test_two_by_two(self):
-        # det(x I - [[M, 1], [2, 3]]) = x^2 - (M + 3) x + 3M - 2
-        m = UnivarPoly([0, 1])
-        matrix = [[m, UnivarPoly.const(1)], [UnivarPoly.const(2), UnivarPoly.const(3)]]
-        assert charpoly(matrix) == [
-            UnivarPoly.const(1), UnivarPoly([-3, -1]), UnivarPoly([-2, 3])
-        ]
-
-    @given(univar_matrices())
-    @settings(max_examples=100, deadline=None)
-    def test_matches_berkowitz_by_terms(self, matrix):
-        assert [bivar_in_m(c) for c in charpoly(matrix)] == charpoly_by_terms(matrix)
-
+class TestUnivarRing:
     @given(st.lists(st.integers(-9, 9), max_size=8), st.lists(st.integers(-9, 9), max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_univar_ring_matches_sums(self, f, g):
@@ -261,6 +226,28 @@ class TestCharpoly:
         assert UnivarPoly(f) * UnivarPoly(g) == UnivarPoly(product)
         assert UnivarPoly(f) + UnivarPoly(g) == UnivarPoly(total)
         assert UnivarPoly(f) - UnivarPoly(g) == UnivarPoly(difference)
+
+
+class TestExactConstructors:
+    # a coefficient or exponent that is not an int raises TypeError: int()
+    # truncated Fraction(1, 2) and 1.5 and parsed "3"
+    @pytest.mark.parametrize("coeffs", [[Fraction(1, 2), 1], [Fraction(2)], ["3", 4], [1.0],
+                                        [1, 0.0]])
+    def test_univar_rejects_non_integers(self, coeffs):
+        with pytest.raises(TypeError):
+            UnivarPoly(coeffs)
+
+    @pytest.mark.parametrize("terms", [{(1.5, 0): 2.7}, {(1.5, 0): 2}, {(1, 0): 2.7},
+                                       {(1, "0"): 1}, {(0, 0): "3"}, {(0, 1): Fraction(1)}])
+    def test_bivar_rejects_non_integers(self, terms):
+        with pytest.raises(TypeError):
+            BivarPoly(terms)
+
+    def test_integer_types_accepted(self):
+        # anything with __index__: bool and numpy's integers
+        assert UnivarPoly([np.int64(-3), True, 0]) == UnivarPoly([-3, 1])
+        assert type(UnivarPoly([np.int64(2)]).coeffs[0]) is int
+        assert BivarPoly({(np.int64(1), True): np.int64(2)}) == 2 * M * L
 
 
 def gcd_over_z(f, g):
