@@ -1,11 +1,12 @@
 """Exact A-polynomial computation and structural analysis.
 
-Subpackages by role: ``poly`` (exact sparse arithmetic), ``grammar`` (the
+Modules by role: ``poly`` (exact sparse arithmetic), ``grammar`` (the
 polynomial text grammar), ``newton`` (Newton polygons and SVG),
-``structure`` (cyclotomic and unit-evaluation analysis), ``surgery`` (the
-degree-zero contradiction replay), ``knots`` (unknot, torus, two-bridge
-generators), ``db`` (record ingest and batch verification), ``cli``
-(command line).
+``structure`` (the structural checks and their report), ``recognition``
+(cyclotomic recognition and the degree-zero decomposition), ``surgery``
+(the degree-zero contradiction replay), ``knots`` (unknot, torus,
+two-bridge generators), ``db`` (record ingest and batch verification),
+``cli`` (command line).
 """
 
 from .poly import BivarPoly, UnivarPoly, format_poly

@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 from ._record import _JSON_FLAG, Record, _json_list, _json_str
 from .poly import BivarPoly
-from .structure import Violation, euler_phi, mdeg_trivial_decomposition
+from .recognition import Violation, euler_phi, mdeg_trivial_decomposition
 
 __all__ = [
     "ReplayStep",

@@ -23,16 +23,13 @@ from apoly.poly import (
     _mul_terms,
 )
 from apoly.newton import _cross
+from apoly.recognition import CyclotomicProfile, Violation, _decompose, cyclotomic_candidates
 from apoly.structure import (
     FAIL,
     PASS,
     UNKNOT_OK,
     AnalysisReport,
-    CyclotomicProfile,
-    Violation,
-    _decompose,
     check_unit_evaluation,
-    cyclotomic_candidates,
 )
 
 M = BivarPoly({(1, 0): 1})
@@ -237,7 +234,7 @@ def cyclotomic_value_by_divisors(d, x):
 
 
 def is_product_of_cyclotomics_by_scan(f):
-    """Reference apoly.structure.is_product_of_cyclotomics: the candidate
+    """Reference apoly.recognition.is_product_of_cyclotomics: the candidate
     scan it replaced, on the reference Phi_d, with no palindrome test.
     Every order d with phi(d) at most the degree left is tried in ascending
     order, L - 1 and L + 1 included; Phi_d is divided out by exact long
@@ -292,7 +289,7 @@ def _moebius_table(n):
 
 
 def is_product_of_cyclotomics_by_exponents(f):
-    """Reference apoly.structure.is_product_of_cyclotomics that shares no
+    """Reference apoly.recognition.is_product_of_cyclotomics that shares no
     code with its scan but cyclotomic_candidates: the cyclotomic exponent
     sequence (Ciolan, Garcia-Sanchez and Moree, "Cyclotomic numerical
     semigroups", SIAM J. Discrete Math. 2016). A product of cyclotomic

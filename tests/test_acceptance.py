@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from apoly import cli, db, knots, newton, structure, surgery
+from apoly import cli, db, knots, newton, recognition, structure, surgery
 from apoly.grammar import parse_poly
 from apoly.poly import BivarPoly, UnivarPoly
 
@@ -124,9 +124,9 @@ def test_criterion_4_cyclotomic_suite(capsys):
         orders = [rng.randint(1, 30) for _ in range(rng.randint(1, 4))]
         f = UnivarPoly([1])
         for d in orders:
-            f = f * structure.cyclotomic(d)
-        prof = structure.is_product_of_cyclotomics(f)
-        ok = ok and isinstance(prof, structure.CyclotomicProfile)
+            f = f * recognition.cyclotomic(d)
+        prof = recognition.is_product_of_cyclotomics(f)
+        ok = ok and isinstance(prof, recognition.CyclotomicProfile)
         if ok:
             got = {d: m for d, m in prof.factors}
             want = {d: orders.count(d) for d in set(orders)}
@@ -142,7 +142,7 @@ def test_criterion_4_cyclotomic_suite(capsys):
         roots = np.roots(list(reversed(f.coeffs)))
         if not any(abs(abs(z) - 1) > 1e-6 for z in roots):
             continue
-        ok = isinstance(structure.is_product_of_cyclotomics(f), structure.Violation)
+        ok = isinstance(recognition.is_product_of_cyclotomics(f), recognition.Violation)
         rejected += 1
     elapsed = time.perf_counter() - start
     with capsys.disabled():
@@ -157,7 +157,7 @@ def test_criterion_5_proof_replay(capsys):
         orders = rng.sample(range(2, 13), rng.randint(1, 4))
         f = UnivarPoly([-1, 1])  # the abelian (L-1) factor
         for d in orders:
-            f = f * structure.cyclotomic(d)
+            f = f * recognition.cyclotomic(d)
         a = BivarPoly({(0, k): c for k, c in enumerate(f.coeffs) if c})
         rep = surgery.replay_contradiction(a, n_max=5)
         ok = ok and rep.ok and rep.violation is None

@@ -7,7 +7,7 @@ import pytest
 import apoly
 
 MODULES = ["apoly", "apoly.poly", "apoly.grammar", "apoly.newton", "apoly.structure",
-           "apoly.surgery", "apoly.knots", "apoly.db", "apoly.cli"]
+           "apoly.recognition", "apoly.surgery", "apoly.knots", "apoly.db", "apoly.cli"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,11 +53,16 @@ def test_test_oracles_not_exported(name):
 # each stood for another name's value or was built only to run a check;
 # the remainder sequence is written once, in apoly.knots, and the carrier
 # methods that served its two copies are gone (a dotted name is a method);
-# the characteristic polynomial is apoly.knots' private _charpoly
+# the characteristic polynomial is apoly.knots' private _charpoly;
+# recognition and the degree-zero decomposition live in apoly.recognition
 DELETED = {
     "apoly": ["gcd_univar"],
     "apoly.cli": ["_emit_json", "_json_parts", "build_parser", "argparse"],
-    "apoly.structure": ["NotCyclotomic"],
+    "apoly.structure": ["NotCyclotomic", "cyclotomic", "euler_phi", "cyclotomic_candidates",
+                        "CyclotomicProfile", "is_product_of_cyclotomics", "Violation",
+                        "mdeg_trivial_decomposition", "_prime_factors", "_moebius_pairs",
+                        "_moebius_product", "_cyclotomic_value", "_orders", "_KEPT_PHI",
+                        "_kept_rows", "_candidate_rows", "_rows", "_recognize", "_decompose"],
     "apoly.newton": ["Edge", "has_vertical_edge", "vertical_edge", "collinear"],
     "apoly.knots": ["TorusKnot", "TwoBridgeKnot", "riley_polynomial", "_gcd_l", "_l_lead",
                     "_l_primitive", "charpoly"],

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -453,6 +454,66 @@ class TestReplay:
         assert out.startswith("error: ") and "--nmax" in out
 
 
+# one command line of each kind the CLI writes, error paths included
+# ({tmp} is a fresh directory)
+COMMAND_LINES = {
+    "compute-two-bridge": ["compute", "--two-bridge", "7", "3"],
+    "compute-torus": ["compute", "--torus", "3", "5", "--json"],
+    "compute-unknot": ["compute", "--unknot"],
+    "compute-above-bound": ["compute", "--two-bridge", "27", "5"],
+    "analyze-profile": ["analyze", "(L-1)*(L^2+L+1)*(L^4+1)", "--json"],
+    "analyze-violation": ["analyze", "(L-1)^2*(L^2-3*L+1)"],
+    "analyze-parse-error": ["analyze", "L + + 1"],
+    "verify-db": ["verify-db", str(FIXTURES), "--json"],
+    "verify-db-missing": ["verify-db", "{tmp}/missing.txt"],
+    "newton-svg": ["newton", TREFOIL_TEXT, "--svg", "{tmp}/out.svg"],
+    "newton-json": ["newton", TREFOIL_TEXT, "--json"],
+    "replay": ["replay", "L^60 - 1", "--nmax", "7"],
+}
+
+
+class TestExitCollection:
+    """No command leaves a reference cycle, so the interpreter's exit-time
+    collections would find no garbage; run as the command, main freezes
+    the heap before it exits, and they walk none of it."""
+
+    @pytest.mark.parametrize("argv", COMMAND_LINES.values(), ids=COMMAND_LINES)
+    def test_no_garbage_left_for_the_collector(self, capsys, tmp_path, argv):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                main(argv)
+            except SystemExit as exc:
+                assert exc.code == 1  # a parse error
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert capsys.readouterr().out
+
+    def test_command_freezes_before_exit(self):
+        # an atexit hook runs after main's sys.exit and before the
+        # interpreter's own collections
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+            "sys.argv[1:] = ['compute', '--unknot']\n"
+            "from apoly.cli import main\n"
+            "main()\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "L - 1"
+        assert int(proc.stderr) > 0
+
+    def test_library_call_freezes_nothing(self, capsys):
+        assert main(["compute", "--unknot"]) == 0
+        assert gc.get_freeze_count() == 0
+
+
 ORACLE = argparse_oracle()
 
 
@@ -627,21 +688,26 @@ def imported_modules(code):
 
 
 @pytest.mark.parametrize(
-    "argv, key, expected, module",
+    "argv, key, expected, module, recognizes",
     [
-        (["compute", "--two-bridge", "7", "3"], "verdict", "PASS", "apoly.knots"),
-        (["analyze", "L^60 - 1"], "verdict", "FAIL", "apoly.structure"),
-        (["verify-db", str(FIXTURES)], "status", "OK", "apoly.db"),
-        (["newton", TREFOIL_TEXT], "vertical_edge", True, "apoly.newton"),
-        (["replay", "L^60 - 1"], "ok", True, "apoly.surgery"),
+        (["compute", "--two-bridge", "7", "3"], "verdict", "PASS", "apoly.knots", False),
+        (["compute", "--torus", "3", "5"], "verdict", "PASS", "apoly.knots", False),
+        (["compute", "--unknot"], "verdict", "UNKNOT_OK", "apoly.knots", True),
+        (["analyze", "L^60 - 1"], "verdict", "FAIL", "apoly.structure", True),
+        (["verify-db", str(FIXTURES)], "status", "OK", "apoly.db", True),
+        (["newton", TREFOIL_TEXT], "vertical_edge", True, "apoly.newton", False),
+        (["replay", "L^60 - 1"], "ok", True, "apoly.surgery", True),
     ],
-    ids=["compute", "analyze", "verify-db", "newton", "replay"],
+    ids=["compute", "compute-torus", "compute-unknot", "analyze", "verify-db", "newton", "replay"],
 )
-def test_runs_without_numpy_or_sympy(argv, key, expected, module):
+def test_runs_without_numpy_or_sympy(argv, key, expected, module, recognizes):
     proc, imported = importtime("-m", "apoly.cli", *argv, "--json")
     payload = json.loads(proc.stdout)
     assert payload.get("report", payload)[key] == expected
     assert module in imported
+    # recognition is loaded at the first M-degree-0 polynomial, which no
+    # nontrivial knot's A-polynomial is
+    assert ("apoly.recognition" in imported) == recognizes
     # compute builds its polynomial and parses no text
     assert ("apoly.grammar" in imported) == (argv[0] != "compute")
     assert "numpy" not in proc.stderr
@@ -652,7 +718,8 @@ def test_runs_without_numpy_or_sympy(argv, key, expected, module):
 
 def test_import_loads_no_heavy_stdlib():
     imported = imported_modules(
-        "import apoly.cli, apoly.db, apoly.knots, apoly.newton, apoly.structure, apoly.surgery"
+        "import apoly.cli, apoly.db, apoly.knots, apoly.newton, apoly.structure, apoly.recognition,"
+        " apoly.surgery"
     )
     assert "apoly.surgery" in imported
     heavy = {"dataclasses", "inspect", "fractions", "decimal", "html", "typing", "cmath", "json",
@@ -664,7 +731,8 @@ def test_cli_import_loads_no_command_module():
     # each command imports its own modules when it runs
     imported = imported_modules("import apoly.cli")
     assert "apoly.poly" in imported
-    commands = {"apoly.db", "apoly.knots", "apoly.newton", "apoly.structure", "apoly.surgery"}
+    commands = {"apoly.db", "apoly.knots", "apoly.newton", "apoly.structure", "apoly.recognition",
+                "apoly.surgery"}
     assert not commands & imported
     # the --json writer needs the C string encoder only
     assert "json.decoder" not in imported

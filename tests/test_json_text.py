@@ -20,14 +20,12 @@ from apoly.knots import torus_a
 from apoly.newton import VERTICAL, edge_slopes, newton_polygon
 from apoly.grammar import parse_poly
 from apoly.poly import BivarPoly, UnivarPoly, format_poly
+from apoly.recognition import CyclotomicProfile, Violation, cyclotomic
 from apoly.structure import (
     AnalysisReport,
-    CyclotomicProfile,
     UnitEvalFailure,
     UnitEvaluationForm,
-    Violation,
     analyze,
-    cyclotomic,
 )
 from apoly.surgery import ReplayReport, replay_contradiction
 

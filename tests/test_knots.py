@@ -390,8 +390,8 @@ class TestCharpoly:
         assert [bivar_in_m(c) for c in result] == charpoly_by_terms(matrix)
 
 
-# the knots with p <= 13, both parities of q
-SMALL_KNOTS = [(p, q) for p in range(3, 14, 2) for q in range(1, p) if gcd(p, q) == 1]
+# the knots with p <= 15, both parities of q
+SMALL_KNOTS = [(p, q) for p in range(3, 16, 2) for q in range(1, p) if gcd(p, q) == 1]
 
 
 class TestModPOracle:
@@ -407,8 +407,8 @@ class TestModPOracle:
         assert vanishes_mod(eliminate_two_bridge(p, q), points, prime)
 
     def test_all_small_knots(self):
-        assert len(SMALL_KNOTS) == 40
-        assert [riley_prime(p) for p in range(3, 14, 2)] == [103, 101, 113, 109, 199, 131]
+        assert len(SMALL_KNOTS) == 48
+        assert [riley_prime(p) for p in range(3, 16, 2)] == [103, 101, 113, 109, 199, 131, 151]
 
     def test_other_knot_fails(self):
         # negative control: 13/3's A-polynomial on 13/5's curve points

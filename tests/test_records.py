@@ -17,12 +17,11 @@ from apoly.knots import GroupPresentation
 from apoly.newton import NewtonPolygon
 from apoly.grammar import parse_poly
 from apoly.poly import UnivarPoly
+from apoly.recognition import CyclotomicProfile, Violation
 from apoly.structure import (
     AnalysisReport,
-    CyclotomicProfile,
     UnitEvalFailure,
     UnitEvaluationForm,
-    Violation,
 )
 from apoly.surgery import ReplayReport, ReplayStep
 

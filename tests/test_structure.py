@@ -10,25 +10,28 @@ from apoly.db import DbRecord, load_table, verify_all
 from apoly.knots import torus_a
 from apoly.grammar import parse_poly
 from apoly.poly import BivarPoly, UnivarPoly
-from apoly.structure import (
-    FAIL,
-    PASS,
-    UNKNOT_OK,
+from apoly.recognition import (
     CyclotomicProfile,
-    UnitEvalFailure,
-    UnitEvaluationForm,
     Violation,
-    abelian_multiplicity,
-    analyze,
-    check_unit_evaluation,
     cyclotomic,
     cyclotomic_candidates,
     euler_phi,
     is_product_of_cyclotomics,
     mdeg_trivial_decomposition,
 )
-from apoly import structure
-from apoly.structure import _cyclotomic_value, _moebius_pairs, _strip_root, _synthetic_div
+from apoly.structure import (
+    FAIL,
+    PASS,
+    UNKNOT_OK,
+    UnitEvalFailure,
+    UnitEvaluationForm,
+    abelian_multiplicity,
+    analyze,
+    check_unit_evaluation,
+)
+from apoly import recognition, structure
+from apoly.recognition import _cyclotomic_value, _moebius_pairs
+from apoly.structure import _strip_root, _synthetic_div
 from conftest import (
     L,
     M,
@@ -191,13 +194,13 @@ class TestRecognition:
         plain = UnivarPoly([-1] + [0] * 399 + [1])  # L^400 - 1
         expected = is_product_of_cyclotomics(plain)
         divisions, rows = [], []
-        divide, candidate_rows = structure._moebius_product, structure._candidate_rows
+        divide, candidate_rows = recognition._moebius_product, recognition._candidate_rows
         monkeypatch.setattr(
-            structure, "_moebius_product",
+            recognition, "_moebius_product",
             lambda f, pairs, power: divisions.append(pairs) or divide(f, pairs, power),
         )
         monkeypatch.setattr(
-            structure, "_candidate_rows",
+            recognition, "_candidate_rows",
             lambda degree: rows.append(degree) or candidate_rows(degree),
         )
         assert is_product_of_cyclotomics(plain) == expected
@@ -331,18 +334,18 @@ def cyclotomic_table(rng):
 
 class TestCandidateRows:
     def test_large_degree_rows_not_kept(self, monkeypatch):
-        monkeypatch.setattr(structure, "_kept_rows", [])
+        monkeypatch.setattr(recognition, "_kept_rows", [])
         prof = is_product_of_cyclotomics(UnivarPoly([-1] + [0] * 1999 + [1]))
         assert [d for d, _ in prof.factors] == [d for d in range(1, 2001) if 2000 % d == 0]
         is_product_of_cyclotomics(cyclotomic(7) * cyclotomic(9))
         # the rows of the 125 orders d > 2 with phi(d) <= 64, and no others
-        kept = sorted(d for _, d, *_ in structure._kept_rows)
+        kept = sorted(d for _, d, *_ in recognition._kept_rows)
         assert kept == [d for d in cyclotomic_candidates(64) if d > 2]
         assert len(kept) == 125
 
     def test_rows_match_their_definition(self):
         for degree in (1, 12, 64, 65, 200):
-            rows = list(structure._candidate_rows(degree))
+            rows = list(recognition._candidate_rows(degree))
             assert rows == sorted(rows, key=lambda row: row[:2])
             reached = sorted(d for phi, d, *_ in rows if phi <= degree)
             assert reached == [d for d in cyclotomic_candidates(degree) if d > 2]
@@ -353,18 +356,18 @@ class TestCandidateRows:
                 assert c2 == cyclotomic(d)(2)
                 # past the kept rows, recognition computes Phi_d(3) on demand
                 assert c3 == (cyclotomic(d)(3) if phi <= 64 else None)
-        assert max(phi for phi, *_ in structure._kept_rows) <= 64
+        assert max(phi for phi, *_ in recognition._kept_rows) <= 64
 
     def test_second_pass_computes_no_rows(self, monkeypatch, rng, tmp_path):
         path = tmp_path / "table.txt"
         path.write_text(cyclotomic_table(rng), encoding="utf-8")
         records = load_table(path).records
         assert len(records) == 600
-        monkeypatch.setattr(structure, "_kept_rows", [])
+        monkeypatch.setattr(recognition, "_kept_rows", [])
         calls = []
-        value = structure._cyclotomic_value
+        value = recognition._cyclotomic_value
         monkeypatch.setattr(
-            structure, "_cyclotomic_value", lambda pairs, x: calls.append(x) or value(pairs, x)
+            recognition, "_cyclotomic_value", lambda pairs, x: calls.append(x) or value(pairs, x)
         )
         first = verify_all(records).as_dict()
         assert calls.count(2) > 0
@@ -377,10 +380,10 @@ class TestCandidateRows:
     def test_cached_and_uncached_recognition_agree(self, monkeypatch):
         cases = recognition_cases()
         warm = [is_product_of_cyclotomics(f) for f in cases]
-        monkeypatch.setattr(structure, "_KEPT_PHI", 0)
-        monkeypatch.setattr(structure, "_kept_rows", [])
+        monkeypatch.setattr(recognition, "_KEPT_PHI", 0)
+        monkeypatch.setattr(recognition, "_kept_rows", [])
         cold = [is_product_of_cyclotomics(f) for f in cases]
-        assert structure._kept_rows == []
+        assert recognition._kept_rows == []
         assert warm == cold
         for f, prof in zip(cases, warm):
             if isinstance(prof, CyclotomicProfile):

@@ -3,12 +3,7 @@ import pytest
 
 from apoly.grammar import parse_poly
 from apoly.poly import BivarPoly, UnivarPoly
-from apoly.structure import (
-    CyclotomicProfile,
-    Violation,
-    cyclotomic,
-    is_product_of_cyclotomics,
-)
+from apoly.recognition import CyclotomicProfile, Violation, cyclotomic, is_product_of_cyclotomics
 from apoly import surgery
 from apoly.surgery import _points_by_order, replay_contradiction
 
