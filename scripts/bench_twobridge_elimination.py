@@ -133,11 +133,10 @@ def main():
     print(json.dumps(stages), flush=True)
     pairs = run_pairs(roots, PAIRS)
     doc = {
-        "label": "twobridge_elimination",
-        "what": "Two-bridge elimination: the square-free step runs on the L-coefficients as "
-                "coefficient lists in M, with one primitive remainder sequence for Z and "
-                "Z[M] and exact long division, and the BivarPoly is built once, before "
-                "normalize.",
+        "label": Path(sys.argv[3]).stem.removeprefix("BENCH_"),
+        "what": "Two-bridge elimination: the square-free step reads gcd(r, dr/dL) off the "
+                "balanced base-x digits of one gcd over Z at M = x and certifies it by exact "
+                "division, in place of the primitive remainder sequence over Z[M].",
         "command": "python3 scripts/bench_twobridge_elimination.py PARENT_ROOT CHANGE_ROOT "
                    + Path(sys.argv[3]).name,
         "protocol": "perfbench/run.py --seconds 20 --trace 0 per side and pair, the side that "

@@ -289,22 +289,25 @@ def _parse_args(argv):
 
 
 def main(argv=None) -> int:
-    handler, values = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = handler(**values)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout (`apoly ... | head -1`): nothing more can
-        # be written, and the flush at exit writes what is left to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    if argv is None:
-        # no command leaves a reference cycle (a tier-1 test checks each),
-        # so the interpreter's exit-time collections would find nothing:
-        # frozen, the objects the run holds are not walked at all
-        gc.freeze()
-        sys.exit(code)
-    return code
+        handler, values = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        try:
+            code = handler(**values)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout (`apoly ... | head -1`): nothing more can
+            # be written, and the flush at exit writes what is left to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = 1
+        if argv is None:
+            sys.exit(code)
+        return code
+    finally:
+        if argv is None:
+            # no command leaves a reference cycle (a tier-1 test checks each), so
+            # the exit-time collections would find nothing: frozen on every exit,
+            # usage and parse errors too, the run's objects are not walked at all
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ above it, before any word is evaluated.
 
 from __future__ import annotations
 
-import operator
+from functools import reduce
 from itertools import zip_longest
 from math import gcd
 
@@ -135,7 +135,8 @@ def sl2_word_eval(word, assignments):
 
 class EliminationDegeneracyError(RuntimeError):
     """The elimination is degenerate: the representation condition's
-    leading t-coefficient is not a unit monomial in M."""
+    leading t-coefficient is not a unit monomial in M, or the square-free
+    step certified no gcd."""
 
 
 def _riley_phi(w):
@@ -254,99 +255,91 @@ def _charpoly(a):
 # element, 0 or [], is falsy in both rings.
 
 
-def _remainder_gcd(f, g, mul, sub, primitive):
-    """Primitive gcd of the nonzero polynomials f and g by the primitive
-    remainder sequence, in the ring whose product, difference and
-    primitive part of a polynomial are mul, sub and primitive."""
-    a, b = primitive(f), primitive(g)
-    if len(a) < len(b):
-        a, b = b, a
+def _remainder_gcd(f, g):
+    """Primitive gcd, leading coefficient positive, of the nonzero
+    polynomials f and g over Z, by the primitive remainder sequence."""
+    a, b = (f, g) if len(f) >= len(g) else (g, f)
     while b:
+        c = gcd(*b) if b[-1] > 0 else -gcd(*b)
+        b = [x // c for x in b]
         lb, n = b[-1], len(b) - 1
         while len(a) > n:
             # a * lb - la * b * L^k cancels a's leading term
             la, k = a[-1], len(a) - 1 - n
-            a = [mul(c, lb) if c else c for c in a]
-            for i, c in enumerate(b):
-                a[k + i] = sub(a[k + i], mul(la, c))
+            a = [x * lb for x in a]
+            for i, x in enumerate(b):
+                a[k + i] -= la * x
             _trim(a)
-        a, b = b, (primitive(a) if a else a)
+        a, b = b, a
     return a
 
 
-def _exact_quotient(f, d, mul, sub, div):
-    """f / d for polynomials that d divides exactly, by long division in
-    the ring whose product, difference and exact quotient are mul, sub and
-    div."""
-    n = len(d) - 1
-    rem, quot = list(f), [0] * (len(f) - n)
+def _divide(f, d):
+    """f / d over Z[M] when d's leading coefficient is +-M^j and d divides
+    f exactly, else None."""
+    *low, u = d[-1]
+    if any(low) or abs(u) != 1:
+        return None
+    j, n = len(low), len(d) - 1
+    rem = [list(c) for c in f]
+    quot = [[] for _ in range(len(f) - n)]
+    minus_d = [[-x for x in c] for c in d[:n]]
     for k in range(len(quot) - 1, -1, -1):
-        q = quot[k] = div(rem[k + n], d[n])
-        if q:
-            for i in range(n):  # rem[k + n] cancels
-                rem[k + i] = sub(rem[k + i], mul(q, d[i]))
-    return quot
-
-
-def _primitive_z(f):
-    """f over Z divided by its content, leading coefficient positive."""
-    g = gcd(*f)
-    return [c // g for c in f] if f[-1] > 0 else [-c // g for c in f]
-
-
-def _sub_m(f, g):
-    """f - g in Z[M]."""
-    out = list(f) + [0] * (len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] -= c
-    return _trim(out)
-
-
-def _quotient_m(f, d):
-    """f / d in Z[M], for d dividing f exactly."""
-    return _exact_quotient(f, d, operator.mul, operator.sub, operator.floordiv)
-
-
-def _primitive_m(f):
-    """f over Z[M] divided by the gcd over Z[M] of its coefficients: the
-    integer content times their primitive gcd over Z."""
-    common = None
-    for c in f:
-        if c:
-            common = _primitive_z(c) if common is None else _remainder_gcd(
-                common, c, operator.mul, operator.sub, _primitive_z)
-            if len(common) == 1:
-                break
-    common = [gcd(*(x for c in f for x in c)) * x for x in common]
-    return [_quotient_m(c, common) for c in f]
+        c = _trim(rem[k + n])
+        if any(c[:j]):
+            return None
+        q = quot[k] = [u * x for x in c[j:]]
+        for i, di in enumerate(minus_d):  # rem[k + n] cancels
+            _mul_coeffs(q, di, rem[k + i])
+    return None if any(map(any, rem[:n])) else quot
 
 
 def _squarefree_bivar(r):
     """Product of the distinct factors of positive L-degree of r, up to
-    M-power and integer content, when r's leading L-coefficient is a
-    monomial in M; r and the result are polynomials in L over Z[M], lists
-    of L-coefficients that are coefficient lists in M.
+    M-power and sign, when r's leading L-coefficient is +-M^j; r and the
+    result are polynomials in L over Z[M], lists of L-coefficients that
+    are coefficient lists in M. r is returned when it is square-free.
 
-    Such a monomial does not vanish at M = 3, so a square factor of r
-    stays a square factor of r(3, L) of the same L-degree: if r(3, L) is
-    square-free, so is r. Otherwise r is divided by its gcd with dr/dL.
+    Char, Geddes and Gonnet's heuristic gcd (GCDHEU, J. Symbolic Comput.
+    7, 1989): at M = x, with x > 2 max|coeff r|, the leading coefficient
+    does not vanish, so G = gcd(r, dr/dL) maps to a divisor of
+    h = gcd(r(x, L), dr/dL(x, L)) over Z. If h is constant, so is G.
+    Otherwise the balanced base-x digits of h's coefficients, made
+    primitive, give a candidate g, kept when it divides both r and dr/dL
+    with a leading coefficient +-M^j: then g divides G, has h's L-degree,
+    which is at least G's, and so equals G up to a power of M. A candidate
+    that fails is retried at a larger x.
     """
-    f = [0] * len(r)
-    for j, c in enumerate(r):
-        for x in reversed(c):  # Horner
-            f[j] = f[j] * 3 + x
-    df = [j * c for j, c in enumerate(f)][1:]
-    if len(_remainder_gcd(f, df, operator.mul, operator.sub, _primitive_z)) == 1:
-        return r
-    r = _primitive_m(r)
-    dr = [[j * x for x in c] for j, c in enumerate(r)][1:]
-    g = _remainder_gcd(r, dr, _mul_coeffs, _sub_m, _primitive_m)
-    return _exact_quotient(r, g, _mul_coeffs, _sub_m, _quotient_m)
+    dr = [[j * a for a in c] for j, c in enumerate(r)][1:]
+    x = 2 * max(abs(c) for col in r for c in col) + 2
+    for _ in range(6):
+        f = [reduce(lambda v, c: v * x + c, reversed(col), 0) for col in r]
+        df = [j * v for j, v in enumerate(f)][1:]
+        h = _remainder_gcd(f, df)
+        if len(h) == 1:
+            return r
+        g, scale = [], gcd(*f, *df)
+        for c in h:  # balanced base-x digits of c * scale
+            c, digits = c * scale, []
+            while c:
+                digits.append((c + x // 2) % x - x // 2)
+                c = (c - digits[-1]) // x
+            g.append(digits)
+        content = gcd(*(d for c in g for d in c))
+        g = [[d // content for d in c] for c in g]
+        quotient = _divide(r, g)
+        if quotient is not None and _divide(dr, g) is not None:
+            return quotient
+        x = x * 73794 // 27011  # the paper's step, about 1 + sqrt(3)
+    raise EliminationDegeneracyError(
+        "the square-free step found no gcd of the eliminant and its L-derivative "
+        "that divides both"
+    )
 
 
 # Largest p accepted by the elimination. Every knot within it, either parity
 # of q, takes at most about 1.5 s end to end (Python 3.11, 2 vCPUs); the
-# slowest are 21/13, mostly in the square-free step, and 25/7, in _charpoly.
+# slowest, 25/7 and the other p = 25 knots, spend it mostly in _charpoly.
 MAX_TWO_BRIDGE_P = 25
 
 
@@ -368,8 +361,9 @@ def eliminate_two_bridge(p: int, q: int) -> BivarPoly:
     r = _squarefree_bivar(_longitude_charpoly(_riley_phi(w), lam))
     if any(map(sum, zip_longest(*r, fillvalue=0))):
         # r(M, 1) != 0: times L - 1, which keeps the normal form's content,
-        # M- and L-shifts and sign
-        r = [_sub_m(prev, c) for prev, c in zip([[]] + r, r + [[]])]
+        # M- and L-shifts and sign; the zeros it leaves are dropped below
+        r = [[a - b for a, b in zip_longest(prev, c, fillvalue=0)]
+             for prev, c in zip([[]] + r, r + [[]])]
     return BivarPoly._adopt(
         {(i, j): c for j in range(len(r) - 1, -1, -1) for i, c in enumerate(r[j]) if c}
     ).normalize()

@@ -1,5 +1,6 @@
 import argparse
 import cmath
+import operator
 import random
 import re
 from fractions import Fraction
@@ -21,6 +22,7 @@ from apoly.poly import (
     _add_terms,
     _decimal,
     _mul_terms,
+    _trim,
 )
 from apoly.newton import _cross
 from apoly.recognition import CyclotomicProfile, Violation, _decompose, cyclotomic_candidates
@@ -166,6 +168,84 @@ def l_columns(a):
 def from_l_columns(columns):
     """The BivarPoly whose L-coefficients l_columns lists."""
     return BivarPoly({(i, j): c for j, col in enumerate(columns) for i, c in enumerate(col)})
+
+
+def _primitive_ints(f):
+    """The integer list f divided by its content, leading coefficient positive."""
+    g = gcd(*f)
+    return [c // g for c in f] if f[-1] > 0 else [-c // g for c in f]
+
+
+def _mul_ints(f, g):
+    """The product of two integer lists in M, [] for zero."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def _sub_ints(f, g):
+    """f - g for two integer lists in M."""
+    out = list(f) + [0] * (len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] -= c
+    return _trim(out)
+
+
+def _remainder_gcd_in(f, g, mul, sub, primitive):
+    """Primitive gcd of the nonzero polynomials f and g in L, by the
+    primitive remainder sequence, in the ring whose product, difference
+    and primitive part of a polynomial are mul, sub and primitive."""
+    a, b = primitive(f), primitive(g)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lb, n = b[-1], len(b) - 1
+        while len(a) > n:
+            la, k = a[-1], len(a) - 1 - n
+            a = [mul(c, lb) if c else c for c in a]
+            for i, c in enumerate(b):
+                a[k + i] = sub(a[k + i], mul(la, c))
+            _trim(a)
+        a, b = b, (primitive(a) if a else a)
+    return a
+
+
+def _quotient_over_m(f, d):
+    """f / d for polynomials in L over Z[M] that d divides exactly, by
+    long division with exact quotients in Z[M]."""
+    n = len(d) - 1
+    rem, quot = list(f), [[] for _ in range(len(f) - n)]
+    for k in range(len(quot) - 1, -1, -1):
+        q = quot[k] = _divide_ints(rem[k + n], d[n])
+        for i in range(n):
+            rem[k + i] = _sub_ints(rem[k + i], _mul_ints(q, d[i]))
+    return quot
+
+
+def _primitive_over_m(f):
+    """f over Z[M] divided by the gcd over Z[M] of its L-coefficients:
+    their integer content times their primitive gcd over Z."""
+    common = None
+    for c in f:
+        if c:
+            common = _primitive_ints(c) if common is None else _remainder_gcd_in(
+                common, c, operator.mul, operator.sub, _primitive_ints)
+            if len(common) == 1:
+                break
+    common = [gcd(*(x for c in f for x in c)) * x for x in common]
+    return [_divide_ints(c, common) for c in f]
+
+
+def squarefree_by_remainders(r):
+    """Reference square-free part of r, a polynomial in L over Z[M] as
+    l_columns lists: r made primitive over Z[M], divided by its gcd with
+    dr/dL from the primitive remainder sequence over Z[M]. Shares no code
+    with apoly.knots' square-free step."""
+    r = _primitive_over_m(r)
+    dr = [[j * x for x in c] for j, c in enumerate(r)][1:]
+    return _quotient_over_m(r, _remainder_gcd_in(r, dr, _mul_ints, _sub_ints, _primitive_over_m))
 
 
 _division_cache = {1: UnivarPoly([-1, 1])}

@@ -65,7 +65,8 @@ DELETED = {
                         "_kept_rows", "_candidate_rows", "_rows", "_recognize", "_decompose"],
     "apoly.newton": ["Edge", "has_vertical_edge", "vertical_edge", "collinear"],
     "apoly.knots": ["TorusKnot", "TwoBridgeKnot", "riley_polynomial", "_gcd_l", "_l_lead",
-                    "_l_primitive", "charpoly"],
+                    "_l_primitive", "charpoly", "_exact_quotient", "_primitive_m",
+                    "_quotient_m", "_primitive_z"],
     "apoly.poly": ["gcd_univar", "_pseudo_rem", "UnivarPoly.try_divide",
                    "UnivarPoly.primitive", "UnivarPoly.content", "UnivarPoly.shift",
                    "UnivarPoly.derivative", "BivarPoly.try_divide", "BivarPoly._l_coeffs",

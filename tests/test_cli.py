@@ -492,22 +492,37 @@ class TestExitCollection:
             gc.enable()
         assert capsys.readouterr().out
 
-    def test_command_freezes_before_exit(self):
-        # an atexit hook runs after main's sys.exit and before the
-        # interpreter's own collections
-        code = (
+    @staticmethod
+    def run_command(argv):
+        """The command apoly argv run as a script, with an atexit hook,
+        which runs after main's sys.exit and before the interpreter's own
+        collections, that writes gc.get_freeze_count() to stderr last."""
+        script = (
             "import atexit, gc, sys\n"
             "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
-            "sys.argv[1:] = ['compute', '--unknot']\n"
+            f"sys.argv[1:] = {argv!r}\n"
             "from apoly.cli import main\n"
             "main()\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src), timeout=60)
+
+    def test_command_freezes_before_exit(self):
+        proc = self.run_command(["compute", "--unknot"])
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "L - 1"
         assert int(proc.stderr) > 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "L + + 1"], 1),  # the handler's SystemExit
+        (["compute", "--bogus"], 2),  # a usage error, before any handler
+    ], ids=["parse-error", "usage-error"])
+    def test_error_exit_freezes(self, argv, code):
+        proc = self.run_command(argv)
+        assert proc.returncode == code
+        assert proc.stdout.startswith("error: ") if code == 1 else proc.stdout == ""
+        assert int(proc.stderr.splitlines()[-1]) > 0
 
     def test_library_call_freezes_nothing(self, capsys):
         assert main(["compute", "--unknot"]) == 0

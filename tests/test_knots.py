@@ -3,6 +3,7 @@ import functools
 import os
 import subprocess
 import sys
+import time
 from math import gcd
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apoly import knots
+from apoly.cli import main
 from apoly.knots import (
     EliminationDegeneracyError,
     eliminate_two_bridge,
@@ -23,6 +25,7 @@ from apoly.knots import (
 )
 from apoly.knots import (
     _charpoly,
+    _divide,
     _longitude_charpoly,
     _longitude_entry,
     _multiplication_matrix,
@@ -50,6 +53,7 @@ from conftest import (
     riley_curve_points_mod,
     riley_polynomial,
     riley_prime,
+    squarefree_by_remainders,
     symmetry_check,
     torus_alexander,
     two_bridge_alexander,
@@ -388,6 +392,77 @@ class TestCharpoly:
         result = _charpoly(matrix)
         assert all(not c or c[-1] for c in result)  # no trailing zero
         assert [bivar_in_m(c) for c in result] == charpoly_by_terms(matrix)
+
+
+def eliminant(p, q):
+    """The two-bridge knot p/q's characteristic polynomial before the
+    square-free step, as l_columns lists."""
+    pres = two_bridge_presentation(p, q)
+    w = sl2_word_eval(pres.w, knots._NORMAL_FORM)
+    return _longitude_charpoly(_riley_phi(w), _longitude_entry(pres, w))
+
+
+@st.composite
+def unit_led_polys(draw):
+    """A BivarPoly of L-degree 1 or 2 whose leading L-coefficient is +-M^j."""
+    low = draw(st.lists(st.lists(st.integers(-4, 4), max_size=3), min_size=1, max_size=2))
+    lead = [0] * draw(st.integers(0, 2)) + [draw(st.sampled_from([1, -1]))]
+    return from_l_columns(low + [lead])
+
+
+# the 22 knots with p <= 21 whose eliminant has a repeated factor: p/1 from
+# p = 5, 15/4, 21/8 and their mirrors p/(p - 1), 15/11 and 21/13
+REPEATED = sorted({(p, q) for p in range(5, 22, 2) for q in (1, p - 1)}
+                  | {(15, 4), (15, 11), (21, 8), (21, 13)})
+
+
+class TestSquarefree:
+    """The square-free step reads gcd(r, dr/dL) off r at one integer M and
+    certifies it by exact division; the primitive remainder sequence over
+    Z[M] (conftest.squarefree_by_remainders) is the oracle."""
+
+    @pytest.mark.parametrize("p, q", REPEATED, ids=[f"{p}/{q}" for p, q in REPEATED])
+    def test_matches_remainders_on_knots(self, p, q):
+        r = eliminant(p, q)
+        result = _squarefree_bivar(r)
+        assert len(result) < len(r)
+        assert (from_l_columns(result).normalize()
+                == from_l_columns(squarefree_by_remainders(r)).normalize())
+
+    @given(unit_led_polys(), unit_led_polys(), st.integers(2, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_remainders_on_products(self, a, b, k):
+        r = l_columns(a * b**k)
+        assert (from_l_columns(_squarefree_bivar(r)).normalize()
+                == from_l_columns(squarefree_by_remainders(r)).normalize())
+
+    def test_divide(self):
+        f = [[0, -2], [-2, 0, 1], [0, 1]]  # (L + M) (M L - 2)
+        assert _divide(f, [[0, 1], [1]]) == [[-2], [0, 1]]
+        assert _divide(f, [[2], [0, -1]]) == [[0, -1], [-1]]  # by -(M L - 2)
+        assert _divide(f, [[1], [1]]) is None  # a nonzero remainder
+        assert _divide([[1], [1]], [[1], [0, 1]]) is None  # 1 is not a multiple of M
+        assert _divide([[1], [3], [2]], [[1], [2]]) is None  # 2 L + 1 divides, 2 is no unit
+        assert _divide(f, [[0, 1], [1, 1]]) is None  # a leading coefficient M + 1
+
+    def test_uncertified_gcd_raises(self, monkeypatch, capsys):
+        # a wrong gcd over Z at every point: no candidate divides both
+        monkeypatch.setattr(knots, "_remainder_gcd", lambda f, g: [3, 1])
+        with pytest.raises(EliminationDegeneracyError, match="square-free step"):
+            _squarefree_bivar(l_columns(parse_poly("(L*M^3 + 1)^2*(L - M^2)")))
+        assert main(["compute", "--two-bridge", "5", "1"]) == 1
+        assert capsys.readouterr().out.startswith("error: the square-free step")
+
+    def test_27_8_with_the_bound_lifted(self, monkeypatch):
+        # its eliminant, of L-degree 13 and M-degree 300, is not square-free
+        monkeypatch.setattr(knots, "MAX_TWO_BRIDGE_P", 27)
+        start = time.perf_counter()
+        a = eliminate_two_bridge(27, 8)
+        elapsed = time.perf_counter() - start
+        prime = riley_prime(27)
+        assert a.deg_l() == 12
+        assert vanishes_mod(a, riley_curve_points_mod(27, 8, prime), prime)
+        assert elapsed < 30.0
 
 
 # the knots with p <= 15, both parities of q

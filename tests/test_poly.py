@@ -1,6 +1,5 @@
 import decimal
 import gc
-import operator
 import re
 import time
 from fractions import Fraction
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from apoly import grammar
 from apoly.grammar import PolyParseError, parse_poly
-from apoly.knots import _primitive_z, _remainder_gcd
+from apoly.knots import _remainder_gcd
 from apoly.poly import (
     BivarPoly,
     UnivarPoly,
@@ -252,8 +251,7 @@ class TestExactConstructors:
 
 def gcd_over_z(f, g):
     """apoly.knots' remainder sequence over Z, on UnivarPoly values."""
-    return UnivarPoly(_remainder_gcd(list(f.coeffs), list(g.coeffs), operator.mul,
-                                     operator.sub, _primitive_z))
+    return UnivarPoly(_remainder_gcd(list(f.coeffs), list(g.coeffs)))
 
 
 def sympy_gcd(f, g):
