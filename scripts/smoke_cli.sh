@@ -323,6 +323,21 @@ vertical_edge: False
 cyclotomic: None
 verdict: PASS
 EOF
+# a unit evaluation that vanishes: (M - 1)(L + 1) is 0 at M = 1, whose
+# residual is the zero polynomial and whose monicity is None
+expect_text analyze "M*L - L + M - 1" --name vanishing <<'EOF'
+name: vanishing
+deg_M: 1
+deg_L: 1
+abelian_multiplicity: 0
+unit_eval_plus: {'failure': True, 'residual': '0'}
+unit_eval_minus: {'failure': True, 'residual': '-2'}
+monic_plus: None
+monic_minus: False
+vertical_edge: True
+cyclotomic: None
+verdict: PASS
+EOF
 expect_text compute --two-bridge 7 3 <<'EOF'
 L^4*M^14 - 2*L^3*M^14 + L^2*M^14 + 2*L^3*M^12 - 2*L^2*M^12 + 2*L^3*M^10 - L^2*M^10 - L*M^10 - L^2*M^8 - L^3*M^6 + L*M^8 + L^2*M^6 + L^3*M^4 + L^2*M^4 - 2*L*M^4 + 2*L^2*M^2 - 2*L*M^2 - L^2 + 2*L - 1
   deg_M: 14
@@ -397,7 +412,8 @@ expect 0 verify-db "$tmp/nf_db.txt" --json
 cmp "$tmp/out" "$tmp/raw_db.json"
 
 # every command's --json is json.dumps(indent=2) byte for byte: compute;
-# analyze on a PASS, a deg_M = 0 profile, violations and a quoted name;
+# analyze on a PASS, a deg_M = 0 profile, violations, a quoted name and a
+# vanishing unit evaluation;
 # verify-db on the fixtures, on a residual past the 4300-digit str() limit
 # and on an empty table; newton on a point, a vertical segment and the
 # trefoil; replay with d = 1 and on a violation
@@ -416,6 +432,14 @@ expect_json 0 analyze "(L-1)*(L-2)"
 python3 -c "import json, sys; assert 'violation' in json.load(open(sys.argv[1]))['cyclotomic']" "$tmp/out"
 expect_json 0 analyze "(L-1)*(L^2+L+1)*(L^4+1)" --name 'q"é'
 python3 -c "import json, sys; assert json.load(open(sys.argv[1]))['cyclotomic']['product_d'] == 24" "$tmp/out"
+expect_json 0 analyze "M*L - L + M - 1"
+python3 - "$tmp/out" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["unit_eval_plus"] == {"failure": True, "residual": "0"}
+assert report["unit_eval_minus"] == {"failure": True, "residual": "-2"}
+assert report["monic_plus"] is None and report["monic_minus"] is False
+EOF
 expect_json 0 verify-db "$root/src/apoly/data/fixtures.txt"
 expect_json 2 verify-db "$tmp/residual_db.txt"
 printf '# no records\n' > "$tmp/empty_db.txt"

@@ -9,13 +9,12 @@ two-bridge generators), ``db`` (record ingest and batch verification),
 ``cli`` (command line).
 """
 
-from .poly import BivarPoly, UnivarPoly, format_poly
+from .poly import BivarPoly, format_poly
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BivarPoly",
-    "UnivarPoly",
     "PolyParseError",
     "parse_poly",
     "format_poly",

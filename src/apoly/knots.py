@@ -21,8 +21,8 @@ r(M, 1). The longitude word convention (including the meridian framing correctio
 is pinned here and validated by the oracle tests; see the presentation
 docstring.
 
-The relator word w is evaluated once, to W, and serves both phi and
-lambda. The longitude is w * wbar * a^k with k = -2e, and only its (1,1)
+The relator word w is the only word evaluated, to W, which serves both
+phi and lambda. The longitude is w * wbar * a^k with k = -2e, and only its (1,1)
 entry is read, so its tail a^k is never multiplied out: a is upper
 triangular with (1,1) entry M, so a^k is upper triangular with (1,1)
 entry M^k (for k < 0 too, as a^-1 = [[1/M, -1], [0, M]] is), and the
@@ -30,6 +30,15 @@ first column of a^k is (M^k, 0). Hence, with Wbar = eval(wbar),
 
     lambda = (W Wbar a^k)_11 = (W Wbar)_11 M^k
            = M^(-2e) (W_11 Wbar_11 + W_12 Wbar_21).
+
+Wbar is read off W. With J = [[0, 1], [1, 0]], tau(X) = J X^T J at
+M -> 1/M reverses products and fixes a and b, so tau(eval(v)) =
+eval(reverse(v)) for every word v. The sign sequence is a palindrome
+(for 0 < i < p, floor((p - i) qtilde/p) = qtilde - 1 - floor(i qtilde/p),
+of the same parity, as qtilde is odd), and w alternates b, ..., a, so
+reverse(w) = wbar: Wbar = tau(W) = [[W_22, W_12], [W_21, W_11]] at 1/M, and
+
+    lambda = M^(-2e) (W_11 W_22(1/M, t) + W_12 W_21(1/M, t)).
 
 The elimination accepts p <= 25 (MAX_TWO_BRIDGE_P) and raises ValueError
 above it, before any word is evaluated.
@@ -153,12 +162,15 @@ def _riley_phi(w):
 
 def _longitude_entry(pres, w):
     """lambda, the (1,1) entry of the longitude w wbar a^(-2e), from the
-    relator matrix W = eval(w): M^(-2e) (W_11 Wbar_11 + W_12 Wbar_21).
-    Only wbar is evaluated here; the module docstring has the proof."""
-    n = len(pres.w)
-    wbar = sl2_word_eval(pres.longitude[n : 2 * n], _NORMAL_FORM)
+    relator matrix W = eval(w) alone: eval(wbar) = eval(reverse(w)) is W
+    transposed along its antidiagonal at 1/M, so lambda is
+    M^(-2e) (W_11 W_22(1/M, t) + W_12 W_21(1/M, t)). The module docstring
+    has the proof."""
+    (w11, w12), (w21, w22) = w
+    wbar11 = {(-i, k): c for (i, k), c in w22.items()}
+    wbar21 = {(-i, k): c for (i, k), c in w21.items()}
     shift = -2 * sum(pres.sign_sequence)
-    entry = _add_terms(_mul_terms(w[0][0], wbar[0][0]), _mul_terms(w[0][1], wbar[1][0]))
+    entry = _add_terms(_mul_terms(w11, wbar11), _mul_terms(w12, wbar21))
     return {(i + shift, k): c for (i, k), c in entry.items()}
 
 
@@ -337,9 +349,10 @@ def _squarefree_bivar(r):
     )
 
 
-# Largest p accepted by the elimination. Every knot within it, either parity
-# of q, takes at most about 1.5 s end to end (Python 3.11, 2 vCPUs); the
-# slowest, 25/7 and the other p = 25 knots, spend it mostly in _charpoly.
+# Largest p accepted by the elimination. The slowest knots within it, 25/7
+# and the other p = 25 knots, spend their time mostly in _charpoly:
+# `compute --two-bridge 25 7 --json` took 1.09-1.92 s end to end (Python
+# 3.11, 2 vCPUs, over a host whose speed varied by 1.8x).
 MAX_TWO_BRIDGE_P = 25
 
 

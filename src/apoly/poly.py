@@ -1,24 +1,22 @@
 """Exact sparse polynomial arithmetic over the integers.
 
-Two carriers:
-
-* ``UnivarPoly`` -- dense integer polynomial in one variable (called L or v
-  depending on context).
-* ``BivarPoly`` -- sparse integer polynomial in M and L, keyed by exponent
-  pairs (i, j) = (M-exponent, L-exponent).
+One carrier, ``BivarPoly``: a sparse integer polynomial in M and L, keyed
+by exponent pairs (i, j) = (M-exponent, L-exponent). A polynomial in L
+alone, such as A(+-1, L) or a cyclotomic factor, is a ``BivarPoly`` whose
+terms all have M-exponent 0, and its text is that of any other.
 
 Each ring operation is written once: sparse + and * are the term kernels
 ``_add_terms`` and ``_mul_terms``, shared with the Laurent dicts of
-``knots``; dense * is the coefficient-list kernel ``_mul_coeffs``, shared
-by ``UnivarPoly`` and the characteristic polynomial of ``knots``, and
-``_trim`` is the one trim of a coefficient list; both carriers use one
-``_power`` and one text form, ``format_poly``, which writes coefficients
-of any length and which ``apoly.grammar.parse_poly`` reads back, within
-the bounds its docstring lists. Inside apoly a dense polynomial is an
-ascending coefficient list with no trailing zero; a ``UnivarPoly`` is
-built only where a public function returns one. The constructors take
-integers only: a coefficient or exponent that is not an int (a float,
-a Fraction, a str) raises TypeError instead of being truncated.
+``knots``; dense * is the coefficient-list kernel ``_mul_coeffs`` of the
+characteristic polynomial of ``knots``, and ``_trim`` is the one trim of
+a coefficient list; there is one ``_power`` and one text form,
+``format_poly``, which writes coefficients of any length and which
+``apoly.grammar.parse_poly`` reads back, within the bounds its docstring
+lists. Inside apoly a dense polynomial in one variable is an ascending
+coefficient list with no trailing zero; ``_in_l`` builds the L-only
+``BivarPoly`` where a public function returns one. The constructor takes
+integers only: a coefficient or exponent that is not an int (a float, a
+Fraction, a str) raises TypeError instead of being truncated.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
@@ -30,7 +28,6 @@ import operator
 from math import gcd
 
 __all__ = [
-    "UnivarPoly",
     "BivarPoly",
     "format_poly",
 ]
@@ -84,8 +81,8 @@ def _trim(f):
 
 
 def _power(base, n, mul=operator.mul):
-    """base ** n by square-and-multiply: of either carrier, or, for n >= 1,
-    of a term dict whose products mul makes."""
+    """base ** n by square-and-multiply: of a BivarPoly, or, for n >= 1, of
+    a term dict whose products mul makes."""
     if n < 0:
         raise ValueError("negative power")
     if n == 0:
@@ -104,102 +101,6 @@ def _grlex_key(ij):
     # graded-lexicographic with L > M: total degree first, then L-exponent
     i, j = ij
     return (i + j, j)
-
-
-class UnivarPoly:
-    """Integer polynomial in one variable, dense coefficient tuple.
-
-    ``coeffs[k]`` is the coefficient of x^k; trailing zeros are trimmed, the
-    zero polynomial has an empty tuple.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", tuple(_trim(list(map(operator.index, coeffs)))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnivarPoly is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def const(cls, c):
-        return cls([c])
-
-    # -- basics -------------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        if self.is_zero:
-            raise ValueError("degree of the zero polynomial is undefined")
-        return len(self.coeffs) - 1
-
-    def leading_coefficient(self):
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __getitem__(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    def __eq__(self, other):
-        return isinstance(other, UnivarPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("UnivarPoly", self.coeffs))
-
-    def __repr__(self):
-        return f"UnivarPoly({list(self.coeffs)})"
-
-    def __str__(self):
-        # the same polynomial in L in format_poly's text form, whose order
-        # is that of the L-exponents: no sort
-        cs = self.coeffs
-        return _text((cs[j], 0, j) for j in range(len(cs) - 1, -1, -1) if cs[j])
-
-    # -- ring operations ----------------------------------------------
-
-    def _plus(self, other, sign):
-        if not isinstance(other, UnivarPoly):
-            return NotImplemented
-        f, g = self.coeffs, other.coeffs
-        n = max(len(f), len(g))
-        f, g = f + (0,) * (n - len(f)), g + (0,) * (n - len(g))
-        return UnivarPoly([x + sign * y for x, y in zip(f, g)])
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    def __neg__(self):
-        return UnivarPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UnivarPoly([c * other for c in self.coeffs])
-        if not isinstance(other, UnivarPoly):
-            return NotImplemented
-        return UnivarPoly(_mul_coeffs(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return _power(self, n)
-
-    def __call__(self, x):
-        # Horner, highest term first
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 class BivarPoly:
@@ -344,14 +245,15 @@ class BivarPoly:
 
     # -- evaluation and substitution ----------------------------------
 
-    def eval_m(self, m: int) -> UnivarPoly:
-        """Substitute an exact integer for M, yielding a polynomial in L."""
+    def eval_m(self, m: int) -> BivarPoly:
+        """Substitute an exact integer for M, yielding a polynomial in L:
+        a BivarPoly with no term in M."""
         if self.is_zero:
-            return UnivarPoly()
+            return self
         coeffs = [0] * (self.deg_l() + 1)
         for (i, j), c in self.terms.items():
             coeffs[j] += c * m**i
-        return UnivarPoly(coeffs)
+        return _in_l(coeffs)
 
     def invert_l(self):
         """Substitute L -> 1/L and clear the denominator by L^deg_l."""
@@ -359,6 +261,11 @@ class BivarPoly:
             return self
         d = self.deg_l()
         return BivarPoly({(i, d - j): c for (i, j), c in self.terms.items()})
+
+
+def _in_l(coeffs):
+    """The polynomial in L whose ascending coefficients are coeffs."""
+    return BivarPoly({(0, j): c for j, c in enumerate(coeffs)})
 
 
 _L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
@@ -387,14 +294,9 @@ def _decimal(n):
 def format_poly(p: BivarPoly) -> str:
     """Canonical text form: descending graded-lex terms, explicit '^',
     coefficients in full at any length."""
-    return _text((p.terms[ij], *ij) for ij in sorted(p.terms, key=_grlex_key, reverse=True))
-
-
-def _text(terms):
-    """format_poly's text of the nonzero terms (c, i, j), c*L^j*M^i, in
-    the order given."""
     out = []
-    for c, i, j in terms:
+    for i, j in sorted(p.terms, key=_grlex_key, reverse=True):
+        c = p.terms[i, j]
         power = ("L" if j == 1 else f"L^{j}") if j else ""
         if i:
             power += ("*" if j else "") + ("M" if i == 1 else f"M^{i}")
@@ -403,4 +305,3 @@ def _text(terms):
         out.append(("- " if c < 0 else "+ ") + power)
     text = " ".join(out) or "+ 0"
     return text[2:] if text[0] == "+" else "-" + text[2:]
-

@@ -12,13 +12,14 @@ A-polynomial has M-degree 0, so ``compute --two-bridge`` and ``compute
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain
 from math import prod
 from operator import sub
 
 from ._record import Record, _json_list, _json_str
-from .poly import BivarPoly, UnivarPoly
-from .structure import _strip_units
+from .poly import BivarPoly, _in_l
+from .structure import _m_slices, _strip_units, _unit_evaluations
 
 __all__ = [
     "cyclotomic",
@@ -76,12 +77,12 @@ def _moebius_product(coeffs, pairs, power):
     return c[::-1]
 
 
-def cyclotomic(d: int) -> UnivarPoly:
-    """The d-th cyclotomic polynomial, the Moebius product
-    Phi_d(x) = prod over e | d of (x^e - 1)^mu(d/e)."""
+def cyclotomic(d: int) -> BivarPoly:
+    """The d-th cyclotomic polynomial in L, the Moebius product
+    Phi_d(L) = prod over e | d of (L^e - 1)^mu(d/e)."""
     if d < 1:
         raise ValueError("cyclotomic order must be positive")
-    return UnivarPoly(_moebius_product([1], _moebius_pairs(d), 1))
+    return _in_l(_moebius_product([1], _moebius_pairs(d), 1))
 
 
 def _cyclotomic_value(pairs, x: int) -> int:
@@ -197,8 +198,9 @@ class Violation(Record):
 _NOT_CYCLOTOMIC = "not a product of cyclotomic polynomials"
 
 
-def is_product_of_cyclotomics(f: UnivarPoly):
-    """Recognize f as +/- a product of cyclotomic polynomials.
+def is_product_of_cyclotomics(f: BivarPoly):
+    """Recognize the polynomial f in L as +/- a product of cyclotomic
+    polynomials; a term in M raises ValueError.
 
     L - 1 and L + 1, Phi_1 and Phi_2, are divided out first by synthetic
     division. Every Phi_d with d > 2 is palindromic and monic, so what is
@@ -215,7 +217,16 @@ def is_product_of_cyclotomics(f: UnivarPoly):
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    return _recognize(_strip_units(f.coeffs))
+    if f.deg_m():
+        raise ValueError("recognition applies only to polynomials in L alone")
+    # without M, A(1, L) is the polynomial itself
+    coeffs, _ = _unit_evaluations(_m_slices(f.terms), f.deg_l())
+    return _recognize(_strip_units(coeffs))
+
+
+def _horner(coeffs, x):
+    """The value at x of the polynomial with ascending coefficient list coeffs."""
+    return reduce(lambda v, c: v * x + c, reversed(coeffs), 0)
 
 
 def _recognize(parts):
@@ -223,8 +234,7 @@ def _recognize(parts):
     a, b, c, r = parts
     if a or abs(r[-1]) != 1 or r != r[::-1]:
         return Violation(_NOT_CYCLOTOMIC)
-    g = UnivarPoly(r)
-    v2, v3 = g(2), g(3)
+    v2, v3 = _horner(r, 2), _horner(r, 3)
     factors = [(d, m) for d, m in ((1, b), (2, c)) if m]
     deg = len(r) - 1
     for phi, d, pairs, c2, c3 in _candidate_rows(deg) if deg else ():
@@ -259,7 +269,7 @@ def mdeg_trivial_decomposition(a: BivarPoly):
         raise ValueError("zero polynomial")
     if a.deg_m() != 0:
         raise ValueError("decomposition applies only to M-degree-zero polynomials")
-    return _decompose(is_product_of_cyclotomics(a.eval_m(1)))  # faithful: no M dependence
+    return _decompose(is_product_of_cyclotomics(a))  # a is its own value at M = 1
 
 
 def _decompose(prof):

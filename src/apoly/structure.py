@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from ._record import _JSON_FLAG, Record, _json_str
-from .poly import _L_MINUS_1, BivarPoly, UnivarPoly, _trim, format_poly
+from .poly import _L_MINUS_1, BivarPoly, _in_l, _trim, format_poly
 
 __all__ = [
     "UnitEvaluationForm",
@@ -54,7 +54,8 @@ class UnitEvalFailure(Record):
     @property
     def monic(self):
         # the evaluation's leading coefficient is the residual's; None if it is 0
-        return None if self.residual.is_zero else abs(self.residual.leading_coefficient()) == 1
+        r = self.residual
+        return None if r.is_zero else abs(r.terms[0, r.deg_l()]) == 1
 
     def as_dict(self):
         return {"failure": True, "residual": str(self.residual)}
@@ -100,7 +101,8 @@ def check_unit_evaluation(a: BivarPoly, m: int):
         raise ValueError("zero polynomial")
     if m not in (1, -1):
         raise ValueError("unit evaluation is defined at M = +1 or -1 only")
-    return _unit_form(a.eval_m(m).coeffs)
+    plus, minus = _unit_evaluations(_m_slices(a.terms), a.deg_l())
+    return _unit_form(plus if m == 1 else minus)
 
 
 def _strip_units(coeffs):
@@ -117,10 +119,10 @@ def _unit_form(coeffs, parts=None):
     coefficient list coeffs, no trailing zero, from its _strip_units parts
     when they are given."""
     if not coeffs:
-        return UnitEvalFailure(UnivarPoly())
+        return UnitEvalFailure(BivarPoly())
     a, b, c, r = parts or _strip_units(coeffs)
     if len(r) != 1 or abs(r[0]) != 1:
-        return UnitEvalFailure(UnivarPoly(r))
+        return UnitEvalFailure(_in_l(r))
     return UnitEvaluationForm(r[0], a, b, c)
 
 

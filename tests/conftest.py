@@ -18,7 +18,6 @@ from apoly.poly import (
     _COEFF_BOUND,
     _MAX_DIGITS,
     BivarPoly,
-    UnivarPoly,
     _add_terms,
     _decimal,
     _mul_terms,
@@ -36,6 +35,29 @@ from apoly.structure import (
 
 M = BivarPoly({(1, 0): 1})
 L = BivarPoly({(0, 1): 1})
+
+
+def in_l(coeffs):
+    """The polynomial in L, a BivarPoly with no term in M, whose ascending
+    coefficients are coeffs."""
+    return BivarPoly({(0, j): c for j, c in enumerate(coeffs)})
+
+
+def l_coeffs(f):
+    """The ascending coefficient list of the polynomial f in L, [] for
+    zero; a term in M is an error."""
+    assert all(i == 0 for i, _ in f.terms), f"{f} has a term in M"
+    return [f.terms.get((0, j), 0) for j in range(f.deg_l() + 1)] if f.terms else []
+
+
+def l_value(f, x):
+    """The value of the polynomial f in L at L = x, term by term."""
+    return sum(c * x**j for (_, j), c in f.terms.items())
+
+
+def l_lead(f):
+    """The top L-coefficient of the nonzero polynomial f in L."""
+    return f.terms[0, f.deg_l()]
 
 @st.composite
 def bivar_polys(draw, max_exp=4, max_terms=6, max_coeff=9, allow_zero=True):
@@ -134,13 +156,13 @@ def _l_coefficient(a, j):
 
 def exact_quotient(f, d):
     """Reference exact quotient f / d, or None when d does not divide f:
-    plain-integer long division of one UnivarPoly by another, or of one
-    BivarPoly by another in L over Z[M], each quotient coefficient an
-    integer long division of leading L-coefficients. Shares no division
-    code with apoly."""
-    if isinstance(f, UnivarPoly):
-        q = _divide_ints(f.coeffs, d.coeffs)
-        return None if q is None else UnivarPoly(q)
+    plain-integer long division of one polynomial in L alone by another,
+    or long division of one BivarPoly by another in L over Z[M], each
+    quotient coefficient an integer long division of leading
+    L-coefficients. Shares no division code with apoly."""
+    if not any(i for i, _ in (*f.terms, *d.terms)):
+        q = _divide_ints(l_coeffs(f), l_coeffs(d))
+        return None if q is None else in_l(q)
     n = d.deg_l()
     lead, quotient = _l_coefficient(d, n), BivarPoly()
     while not f.is_zero and f.deg_l() >= n:
@@ -248,14 +270,14 @@ def squarefree_by_remainders(r):
     return _quotient_over_m(r, _remainder_gcd_in(r, dr, _mul_ints, _sub_ints, _primitive_over_m))
 
 
-_division_cache = {1: UnivarPoly([-1, 1])}
+_division_cache = {1: L - 1}
 
 
 def cyclotomic_by_division(d):
-    """Reference Phi_d: x^d - 1 divided exactly by Phi_e for every proper
-    divisor e of d."""
+    """Reference Phi_d in L: L^d - 1 divided exactly by Phi_e for every
+    proper divisor e of d."""
     if d not in _division_cache:
-        f = UnivarPoly([-1] + [0] * (d - 1) + [1])
+        f = L**d - 1
         for e in range(1, d):
             if d % e == 0:
                 f = exact_quotient(f, cyclotomic_by_division(e))
@@ -265,7 +287,7 @@ def cyclotomic_by_division(d):
 
 def reconstruct_profile(prof):
     """The polynomial +/- prod Phi_d^m that a CyclotomicProfile describes."""
-    f = UnivarPoly([prof.sign])
+    f = BivarPoly.const(prof.sign)
     for d, m in prof.factors:
         f = f * cyclotomic_by_division(d) ** m
     return f
@@ -273,8 +295,7 @@ def reconstruct_profile(prof):
 
 def reconstruct_unit_form(form):
     """The polynomial +/- L^a (L-1)^b (L+1)^c of a UnitEvaluationForm."""
-    f = UnivarPoly([0] * form.a + [form.sign])
-    return f * UnivarPoly([-1, 1]) ** form.b * UnivarPoly([1, 1]) ** form.c
+    return form.sign * L**form.a * (L - 1) ** form.b * (L + 1) ** form.c
 
 
 _L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
@@ -293,7 +314,7 @@ def abelian_multiplicity_by_division(a):
 
 def divide_out_by_division(f, g):
     """Reference (f / g^k, k) for the largest k with g^k dividing the nonzero
-    UnivarPoly f: exact trial division until it fails."""
+    polynomial f: exact trial division until it fails."""
     count = 0
     while True:
         q = exact_quotient(f, g)
@@ -325,24 +346,24 @@ def is_product_of_cyclotomics_by_scan(f):
     if f.is_zero:
         raise ValueError("zero polynomial")
     reason = "not a product of cyclotomic polynomials"
-    if abs(f.leading_coefficient()) != 1:
+    if abs(l_lead(f)) != 1:
         return Violation(reason)
-    if f.degree() == 0:
-        return CyclotomicProfile((), sign=f.leading_coefficient())
+    if f.deg_l() == 0:
+        return CyclotomicProfile((), sign=l_lead(f))
     aside = []
-    if not (f(2) and f(3)):
+    if not (l_value(f, 2) and l_value(f, 3)):
         for x in (2, 3):
-            f, k = divide_out_by_division(f, UnivarPoly([-x, 1]))
-            aside += [UnivarPoly([-x, 1])] * k
-    v2, v3 = f(2), f(3)
+            f, k = divide_out_by_division(f, L - x)
+            aside += [L - x] * k
+    v2, v3 = l_value(f, 2), l_value(f, 3)
     factors = []
-    for d in cyclotomic_candidates(f.degree()):
-        if f.degree() == 0:
+    for d in cyclotomic_candidates(f.deg_l()):
+        if f.deg_l() == 0:
             break
-        if sympy.totient(d) > f.degree() or v2 % cyclotomic_value_by_divisors(d, 2):
+        if sympy.totient(d) > f.deg_l() or v2 % cyclotomic_value_by_divisors(d, 2):
             continue
         phi_d = cyclotomic_by_division(d)
-        c2, c3 = phi_d(2), phi_d(3)
+        c2, c3 = l_value(phi_d, 2), l_value(phi_d, 3)
         mult = 0
         while v2 % c2 == 0 and v3 % c3 == 0:
             q = exact_quotient(f, phi_d)
@@ -351,9 +372,9 @@ def is_product_of_cyclotomics_by_scan(f):
             f, v2, v3, mult = q, v2 // c2, v3 // c3, mult + 1
         if mult:
             factors.append((d, mult))
-    if aside or f.degree() != 0 or abs(f.coeffs[0]) != 1:
+    if aside or f.deg_l() != 0 or abs(l_lead(f)) != 1:
         return Violation(reason)
-    return CyclotomicProfile(tuple(factors), sign=f.coeffs[0])
+    return CyclotomicProfile(tuple(factors), sign=l_lead(f))
 
 
 def _moebius_table(n):
@@ -386,7 +407,7 @@ def is_product_of_cyclotomics_by_exponents(f):
     if f.is_zero:
         raise ValueError("zero polynomial")
     reason = "not a product of cyclotomic polynomials"
-    c, n = f.coeffs, f.degree()
+    c, n = l_coeffs(f), f.deg_l()
     if abs(c[0]) != 1:  # Phi_1(0) = -1 and Phi_d(0) = 1 for d > 1
         return Violation(reason)
     g = [c[0] * x for x in c]
@@ -413,7 +434,7 @@ def is_product_of_cyclotomics_by_exponents(f):
     if sides[0] != sides[1]:
         return Violation(reason)
     mults = [(d, sum(a[d::d])) for d in range(1, big_k + 1)]
-    return CyclotomicProfile(tuple((d, m) for d, m in mults if m), sign=f.leading_coefficient())
+    return CyclotomicProfile(tuple((d, m) for d, m in mults if m), sign=c[-1])
 
 
 def unit_evaluation_by_division(a, m):
@@ -423,12 +444,12 @@ def unit_evaluation_by_division(a, m):
     f = a.eval_m(m)
     if f.is_zero:
         return "failure", f
-    av = next(k for k, c in enumerate(f.coeffs) if c)
-    f, b = divide_out_by_division(UnivarPoly(f.coeffs[av:]), UnivarPoly([-1, 1]))
-    f, c = divide_out_by_division(f, UnivarPoly([1, 1]))
-    if f.degree() != 0 or abs(f.coeffs[0]) != 1:
+    av = f.min_l()
+    f, b = divide_out_by_division(in_l(l_coeffs(f)[av:]), L - 1)
+    f, c = divide_out_by_division(f, L + 1)
+    if f.deg_l() != 0 or abs(l_lead(f)) != 1:
         return "failure", f
-    return f.coeffs[0], av, b, c
+    return l_lead(f), av, b, c
 
 
 def two_bridge_alexander(pres):
@@ -622,10 +643,10 @@ def _dot(xs, ys):
 
 def berkowitz_charpoly(matrix):
     """Reference coefficients [1, c_1, ..., c_n] of det(x*I - A), highest
-    degree first, for a nonempty square list of rows of UnivarPoly or
-    BivarPoly entries: Berkowitz's division-free algorithm (Inf. Proc.
-    Letters 18, 1984) on the carriers' own + and *."""
-    one = type(matrix[0][0]).const(1)
+    degree first, for a nonempty square list of rows of BivarPoly
+    entries: Berkowitz's division-free algorithm (Inf. Proc. Letters 18,
+    1984) on BivarPoly's own + and *."""
+    one = BivarPoly.const(1)
     poly = [one, -matrix[0][0]]
     for r in range(1, len(matrix)):
         row = matrix[r][:r]
@@ -863,13 +884,13 @@ def hull_has_vertical_edge(vertices):
 def analyze_by_passes(a, name="", claims_nontrivial_knot=False):
     """Reference apoly.structure.analyze: a pass over the terms for each
     fact, the Newton polygon's from the reference hull, the unit
-    evaluations by eval_m, the abelian multiplicity by trial division and
-    the decomposition from the candidate scan."""
+    evaluations by check_unit_evaluation, the abelian multiplicity by trial
+    division and the decomposition from the candidate scan."""
     nf = a.normalize()
     vertices = hull_vertices(nf.terms)
     deg_m = nf.deg_m()
     if deg_m == 0:
-        cyc = _decompose(is_product_of_cyclotomics_by_scan(nf.eval_m(1)))
+        cyc = _decompose(is_product_of_cyclotomics_by_scan(nf))
         verdict = UNKNOT_OK if nf == _L_MINUS_1 and not claims_nontrivial_knot else FAIL
         unit_plus = unit_minus = check_unit_evaluation(nf, 1)
     else:
@@ -930,7 +951,8 @@ def rel_residual(p, u, v):
 
 def substitute_surgery(p, n):
     """Restriction of p to the 1/n surgery line u = v^(-n), denominators
-    cleared: v^(n*deg_M) * p(v^(-n), v) as an exact UnivarPoly in v."""
+    cleared: v^(n*deg_M) * p(v^(-n), v) as an exact polynomial in v, a
+    BivarPoly in its second variable alone."""
     if p.is_zero:
         raise ValueError("surgery substitution of the zero polynomial")
     if n < 1:
@@ -940,7 +962,7 @@ def substitute_surgery(p, n):
     for (i, j), c in p.terms.items():
         e = n * (d - i) + j
         out[e] = out.get(e, 0) + c
-    return UnivarPoly([out.get(e, 0) for e in range(max(out) + 1)])
+    return in_l([out.get(e, 0) for e in range(max(out) + 1)])
 
 
 def unit_root_points(order, n):

@@ -20,7 +20,6 @@ def test_all_resolves(name):
 def test_package_exports():
     assert apoly.__all__ == [
         "BivarPoly",
-        "UnivarPoly",
         "PolyParseError",
         "parse_poly",
         "format_poly",
@@ -54,9 +53,10 @@ def test_test_oracles_not_exported(name):
 # the remainder sequence is written once, in apoly.knots, and the carrier
 # methods that served its two copies are gone (a dotted name is a method);
 # the characteristic polynomial is apoly.knots' private _charpoly;
-# recognition and the degree-zero decomposition live in apoly.recognition
+# recognition and the degree-zero decomposition live in apoly.recognition;
+# a polynomial in L is a BivarPoly with no term in M
 DELETED = {
-    "apoly": ["gcd_univar"],
+    "apoly": ["gcd_univar", "UnivarPoly"],
     "apoly.cli": ["_emit_json", "_json_parts", "build_parser", "argparse"],
     "apoly.structure": ["NotCyclotomic", "cyclotomic", "euler_phi", "cyclotomic_candidates",
                         "CyclotomicProfile", "is_product_of_cyclotomics", "Violation",
@@ -67,10 +67,9 @@ DELETED = {
     "apoly.knots": ["TorusKnot", "TwoBridgeKnot", "riley_polynomial", "_gcd_l", "_l_lead",
                     "_l_primitive", "charpoly", "_exact_quotient", "_primitive_m",
                     "_quotient_m", "_primitive_z"],
-    "apoly.poly": ["gcd_univar", "_pseudo_rem", "UnivarPoly.try_divide",
-                   "UnivarPoly.primitive", "UnivarPoly.content", "UnivarPoly.shift",
-                   "UnivarPoly.derivative", "BivarPoly.try_divide", "BivarPoly._l_coeffs",
-                   "BivarPoly.from_univar_m", "BivarPoly.term", "charpoly", "_dot_coeffs"],
+    "apoly.poly": ["gcd_univar", "_pseudo_rem", "UnivarPoly", "BivarPoly.try_divide",
+                   "BivarPoly._l_coeffs", "BivarPoly.from_univar_m", "BivarPoly.term",
+                   "charpoly", "_dot_coeffs", "_text"],
 }
 
 

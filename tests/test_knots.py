@@ -150,6 +150,19 @@ class TestPresentation:
             pres = two_bridge_presentation(p, q)
             assert sum(e for _, e in pres.longitude) == 0
 
+    def test_sign_sequence_palindrome(self):
+        # the premise of reading Wbar off W: reverse(w) is wbar
+        knots_seen = 0
+        for p in range(3, 26, 2):
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    pres = two_bridge_presentation(p, q)
+                    assert pres.sign_sequence == pres.sign_sequence[::-1], (p, q)
+                    n = len(pres.w)
+                    assert tuple(reversed(pres.w)) == pres.longitude[n : 2 * n], (p, q)
+                    knots_seen += 1
+        assert knots_seen == 136
+
 
 class TestAlexanderOracle:
     """The Alexander polynomial, read off the sign sequence, checks the
@@ -312,10 +325,11 @@ class TestElimination:
                 == resultant_t(collect_t(phi)[0], psi).normalize()
             )
 
-    @pytest.mark.parametrize("p", range(3, 22, 2))
+    @pytest.mark.parametrize("p", range(3, 26, 2))
     def test_longitude_entry_matches_word(self, p):
-        # lambda = M^(-2e) (W_11 Wbar_11 + W_12 Wbar_21): the a^(-2e) tail is
-        # upper triangular with (1,1) entry M^(-2e)
+        # lambda = M^(-2e) (W_11 W_22(1/M, t) + W_12 W_21(1/M, t)) against
+        # the full longitude word w wbar a^(-2e), for all 136 knots with
+        # p <= 25
         mats = {"a": A_MAT, "b": B_MAT}
         for q in range(1, p):
             if gcd(p, q) == 1:
@@ -344,6 +358,17 @@ class TestElimination:
                 matrix, _ = _multiplication_matrix(riley_polynomial(p, q)[0], lam)
                 expected = charpoly_by_terms(matrix)
                 assert [bivar_in_m(c) for c in _charpoly(matrix)] == expected, (p, q)
+
+    def test_one_word_evaluated(self, monkeypatch):
+        # W = eval(w) serves phi and lambda: wbar is read off W
+        calls = []
+        word_eval = knots.sl2_word_eval
+        monkeypatch.setattr(knots, "sl2_word_eval",
+                            lambda word, mats: calls.append(word) or word_eval(word, mats))
+        for p, q in [(3, 1), (5, 3), (7, 2), (9, 4)]:
+            calls.clear()
+            eliminate_two_bridge(p, q)
+            assert calls == [two_bridge_presentation(p, q).w], (p, q)
 
     def test_rejects_p_above_bound(self, monkeypatch):
         # rejected before any word is evaluated; the presentation still exists

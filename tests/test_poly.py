@@ -16,8 +16,8 @@ from apoly.grammar import PolyParseError, parse_poly
 from apoly.knots import _remainder_gcd
 from apoly.poly import (
     BivarPoly,
-    UnivarPoly,
     _decimal,
+    _in_l,
     format_poly,
 )
 
@@ -27,6 +27,8 @@ from conftest import (
     bivar_polys,
     eval_complex,
     exact_quotient,
+    in_l,
+    l_coeffs,
     parse_poly_by_tokens,
     poly_expressions,
     rel_residual,
@@ -142,14 +144,14 @@ class TestNormalize:
 
 class TestEval:
     def test_eval_m_no_dependence(self):
-        assert (L - one).eval_m(1) == UnivarPoly([-1, 1])
+        assert (L - one).eval_m(1) == L - 1
 
     def test_eval_m_substitution(self):
-        assert (L * M**6 + one).eval_m(-1) == UnivarPoly([1, 1])
+        assert (L * M**6 + one).eval_m(-1) == L + 1
 
     def test_eval_m_square(self):
         p = parse_poly("M^2*L^2 - 2*M*L + 1")
-        assert p.eval_m(1) == UnivarPoly([1, -2, 1])
+        assert p.eval_m(1) == L**2 - 2 * L + 1
 
     @given(bivar_polys(), bivar_polys())
     @settings(max_examples=100, deadline=None)
@@ -157,13 +159,20 @@ class TestEval:
         for m in (1, -1, 2, -3):
             assert (p * q).eval_m(m) == p.eval_m(m) * q.eval_m(m)
 
-    @given(bivar_polys(), st.sampled_from([1, -1, 0, 2, -3]))
+    @given(bivar_polys(), st.integers(-3, 3))
     @settings(max_examples=100, deadline=None)
     def test_eval_m_matches_term_sum(self, p, m):
-        # the value at each L-power is the sum of c * m^i over its terms
+        # a polynomial in L, with no term in M, whose value at each L-power
+        # is the sum of c * m^i over its terms
         f = p.eval_m(m)
-        for j in range(max([len(f.coeffs)] + [j + 1 for _, j in p.terms])):
-            assert f[j] == sum(c * m**i for (i, jj), c in p.terms.items() if jj == j)
+        assert all(i == 0 for i, _ in f.terms)
+        for j in range(max([j + 1 for _, j in p.terms], default=0)):
+            expected = sum(c * m**i for (i, jj), c in p.terms.items() if jj == j)
+            assert f.terms.get((0, j), 0) == expected
+
+    def test_eval_m_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            (L * M + one).eval_m(Fraction(1, 2))
 
     def test_eval_complex_on_curve(self):
         assert eval_complex(L - one, 2.7j, 1.0) == 0
@@ -177,10 +186,10 @@ class TestEval:
 
 class TestSurgerySubstitution:
     def test_no_m_dependence(self):
-        assert substitute_surgery(L - one, 3) == UnivarPoly([-1, 1])
+        assert substitute_surgery(L - one, 3) == L - 1
 
     def test_clears_denominator(self):
-        assert substitute_surgery(L + M**2, 1) == UnivarPoly([1, 0, 0, 1])
+        assert substitute_surgery(L + M**2, 1) == L**3 + 1
 
     def test_root_oracle(self):
         # every root v of the substituted polynomial must satisfy
@@ -188,7 +197,7 @@ class TestSurgerySubstitution:
         p = L * M**6 + one
         n = 2
         g = substitute_surgery(p, n)
-        for v in np.roots(list(reversed(g.coeffs))):
+        for v in np.roots(list(reversed(l_coeffs(g)))):
             v = complex(v)
             if abs(v) < 1e-6:
                 continue  # v = 0 is outside C* x C*
@@ -203,9 +212,9 @@ class TestSurgerySubstitution:
     def test_root_oracle_random(self, p):
         n = 2
         g = substitute_surgery(p, n)
-        if g.is_zero or g.degree() == 0:
+        if g.is_zero or g.deg_l() == 0:
             return
-        for v in np.roots(list(reversed(g.coeffs))):
+        for v in np.roots(list(reversed(l_coeffs(g)))):
             v = complex(v)
             if abs(v) < 1e-6:
                 continue  # v = 0 is outside C* x C*
@@ -213,6 +222,8 @@ class TestSurgerySubstitution:
 
 
 class TestUnivarRing:
+    # a polynomial in L is a BivarPoly with no term in M: its ring
+    # operations against those of coefficient lists
     @given(st.lists(st.integers(-9, 9), max_size=8), st.lists(st.integers(-9, 9), max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_univar_ring_matches_sums(self, f, g):
@@ -222,9 +233,9 @@ class TestUnivarRing:
                 product[a + b] += ca * cb
         total = [x + y for x, y in zip(f + [0] * len(g), g + [0] * len(f))]
         difference = [x - y for x, y in zip(f + [0] * len(g), g + [0] * len(f))]
-        assert UnivarPoly(f) * UnivarPoly(g) == UnivarPoly(product)
-        assert UnivarPoly(f) + UnivarPoly(g) == UnivarPoly(total)
-        assert UnivarPoly(f) - UnivarPoly(g) == UnivarPoly(difference)
+        assert _in_l(f) * _in_l(g) == _in_l(product)
+        assert _in_l(f) + _in_l(g) == _in_l(total)
+        assert _in_l(f) - _in_l(g) == _in_l(difference)
 
 
 class TestExactConstructors:
@@ -233,8 +244,9 @@ class TestExactConstructors:
     @pytest.mark.parametrize("coeffs", [[Fraction(1, 2), 1], [Fraction(2)], ["3", 4], [1.0],
                                         [1, 0.0]])
     def test_univar_rejects_non_integers(self, coeffs):
+        # the polynomial in L built from a coefficient list
         with pytest.raises(TypeError):
-            UnivarPoly(coeffs)
+            _in_l(coeffs)
 
     @pytest.mark.parametrize("terms", [{(1.5, 0): 2.7}, {(1.5, 0): 2}, {(1, 0): 2.7},
                                        {(1, "0"): 1}, {(0, 0): "3"}, {(0, 1): Fraction(1)}])
@@ -244,43 +256,44 @@ class TestExactConstructors:
 
     def test_integer_types_accepted(self):
         # anything with __index__: bool and numpy's integers
-        assert UnivarPoly([np.int64(-3), True, 0]) == UnivarPoly([-3, 1])
-        assert type(UnivarPoly([np.int64(2)]).coeffs[0]) is int
+        assert _in_l([np.int64(-3), True, 0]) == L - 3
+        assert type(_in_l([np.int64(2)]).terms[0, 0]) is int
         assert BivarPoly({(np.int64(1), True): np.int64(2)}) == 2 * M * L
 
 
 def gcd_over_z(f, g):
-    """apoly.knots' remainder sequence over Z, on UnivarPoly values."""
-    return UnivarPoly(_remainder_gcd(list(f.coeffs), list(g.coeffs)))
+    """apoly.knots' remainder sequence over Z, on polynomials in L."""
+    return in_l(_remainder_gcd(l_coeffs(f), l_coeffs(g)))
 
 
 def sympy_gcd(f, g):
-    """The primitive gcd of two UnivarPoly, positive leading coefficient, by sympy."""
+    """The primitive gcd of two polynomials in L, positive leading
+    coefficient, by sympy."""
     x = sympy.Symbol("x")
-    d = sympy.gcd(*(sympy.Poly(list(reversed(h.coeffs)), x) for h in (f, g)))
+    d = sympy.gcd(*(sympy.Poly(list(reversed(l_coeffs(h))), x) for h in (f, g)))
     d = d.primitive()[1]
-    return UnivarPoly(reversed([int(c) for c in (d if d.LC() > 0 else -d).all_coeffs()]))
+    return in_l(reversed([int(c) for c in (d if d.LC() > 0 else -d).all_coeffs()]))
 
 
 class TestUnivarGcd:
     # the remainder sequence of apoly.knots over Z against sympy.gcd
 
     def test_common_factor(self):
-        f, g = UnivarPoly([-1, 0, 1]), UnivarPoly([-1, 1])
-        assert gcd_over_z(f, g) == sympy_gcd(f, g) == UnivarPoly([-1, 1])
+        f, g = L**2 - 1, L - 1
+        assert gcd_over_z(f, g) == sympy_gcd(f, g) == L - 1
 
     def test_coprime(self):
-        f = UnivarPoly([3, 1, 2])
-        assert gcd_over_z(f, UnivarPoly([1])) == sympy_gcd(f, UnivarPoly([1])) == UnivarPoly([1])
+        f = 2 * L**2 + L + 3
+        assert gcd_over_z(f, one) == sympy_gcd(f, one) == one
 
     def test_multiplicities(self):
-        f = UnivarPoly([-1, 1]) ** 2 * UnivarPoly([2, 1])
-        g = UnivarPoly([-1, 1]) * UnivarPoly([3, 1])
-        assert gcd_over_z(f, g) == sympy_gcd(f, g) == UnivarPoly([-1, 1])
+        f = (L - 1) ** 2 * (L + 2)
+        g = (L - 1) * (L + 3)
+        assert gcd_over_z(f, g) == sympy_gcd(f, g) == L - 1
 
     def test_divides_both(self):
-        f = UnivarPoly([2, -3, 1]) * UnivarPoly([5, 7])
-        g = UnivarPoly([2, -3, 1]) * UnivarPoly([-1, 4])
+        f = (L**2 - 3 * L + 2) * (7 * L + 5)
+        g = (L**2 - 3 * L + 2) * (4 * L - 1)
         d = gcd_over_z(f, g)
         assert d == sympy_gcd(f, g)
         assert exact_quotient(f, d) is not None
@@ -291,7 +304,7 @@ class TestUnivarGcd:
            st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any))
     @settings(max_examples=100, deadline=None)
     def test_matches_sympy(self, h, f, g):
-        f, g = UnivarPoly(f) * UnivarPoly(h), UnivarPoly(g) * UnivarPoly(h)
+        f, g = in_l(f) * in_l(h), in_l(g) * in_l(h)
         assert gcd_over_z(f, g) == sympy_gcd(f, g)
 
 
@@ -948,15 +961,24 @@ class TestFormat:
         ],
     )
     def test_univar_str(self, coeffs, text):
-        assert str(UnivarPoly(coeffs)) == text
+        # a polynomial in L, with no term in M
+        assert str(in_l(coeffs)) == format_poly(in_l(coeffs)) == text
 
     @given(st.lists(st.integers(-(10**5000), 10**5000) | st.sampled_from([0, 1, -1]), max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_univar_str_is_format_poly(self, coeffs):
-        # the same polynomial in L, written without the detour through a
-        # BivarPoly and the graded-lex sort
-        f = UnivarPoly(coeffs)
-        assert str(f) == format_poly(BivarPoly({(0, k): c for k, c in enumerate(f.coeffs)}))
+        # a polynomial in L is written by descending L-power, each
+        # coefficient in full: the text a unit evaluation's residual has
+        parts = []
+        for j in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[j]
+            if c:
+                power = {0: "", 1: "L"}.get(j, f"L^{j}")
+                digits = str(decimal.Decimal(abs(c)))
+                body = power if abs(c) == 1 and power else digits + ("*" + power if power else "")
+                parts.append(("- " if c < 0 else "+ ") + body)
+        text = " ".join(parts) or "+ 0"
+        assert str(in_l(coeffs)) == (text[2:] if text[0] == "+" else "-" + text[2:])
 
     def test_decimal_past_int_str_limit(self):
         n = 7**20000  # 16,902 digits, past the 4300-digit str() limit

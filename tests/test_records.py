@@ -16,7 +16,6 @@ from apoly.db import BatchReport, DbRecord, LoadResult, RecordError
 from apoly.knots import GroupPresentation
 from apoly.newton import NewtonPolygon
 from apoly.grammar import parse_poly
-from apoly.poly import UnivarPoly
 from apoly.recognition import CyclotomicProfile, Violation
 from apoly.structure import (
     AnalysisReport,
@@ -25,7 +24,9 @@ from apoly.structure import (
 )
 from apoly.surgery import ReplayReport, ReplayStep
 
-RESIDUAL = UnivarPoly([3, 1])
+from conftest import in_l
+
+RESIDUAL = in_l([3, 1])
 FORM = UnitEvaluationForm(1, 0, 1, 0)
 
 # (class, fields in order, values for every field, defaults)

@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 
 from apoly.grammar import parse_poly
-from apoly.poly import BivarPoly, UnivarPoly
+from apoly.poly import BivarPoly
 from apoly.recognition import CyclotomicProfile, Violation, cyclotomic, is_product_of_cyclotomics
 from apoly import surgery
 from apoly.surgery import _points_by_order, replay_contradiction
 
-from conftest import L, substitute_surgery, unit_root_points
+from conftest import L, l_coeffs, substitute_surgery, unit_root_points
 
 one = BivarPoly.const(1)
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
-
-
-def lift(f: UnivarPoly) -> BivarPoly:
-    """Embed a polynomial in L into the bivariate ring."""
-    return BivarPoly({(0, k): c for k, c in enumerate(f.coeffs) if c})
 
 
 def assert_numeric_surgery_points(a: BivarPoly, rep):
@@ -26,7 +21,7 @@ def assert_numeric_surgery_points(a: BivarPoly, rep):
     for s in rep.steps:
         n = s.slope_denominator
         g = substitute_surgery(a, n)
-        roots = list(np.roots(list(reversed(g.coeffs))))
+        roots = list(np.roots(list(reversed(l_coeffs(g)))))
         assert len(roots) == s.num_points
         for e, count, _ in s.groups:
             points = unit_root_points(e, n)
@@ -44,7 +39,7 @@ class TestClassifyUnitRoot:
     orders it finds."""
 
     def test_abelian_pair(self):
-        prof = is_product_of_cyclotomics(UnivarPoly([-1, 0, 1]))  # L^2 - 1
+        prof = is_product_of_cyclotomics(L**2 - 1)
         assert isinstance(prof, CyclotomicProfile)
         assert prof.factors == ((1, 1), (2, 1))
         assert prof.sign == 1
@@ -53,7 +48,7 @@ class TestClassifyUnitRoot:
         assert abs(vs[0] - 1) < 1e-12 and abs(vs[1] + 1) < 1e-12
 
     def test_no_unit_roots(self):
-        out = is_product_of_cyclotomics(UnivarPoly([-3, 1]))  # L - 3
+        out = is_product_of_cyclotomics(L - 3)
         assert out == Violation("not a product of cyclotomic polynomials")
         rep = replay_contradiction(parse_poly("(L-1)*(L-3)"))
         assert not rep.ok and rep.steps == ()
@@ -128,7 +123,7 @@ class TestReplay:
             replay_contradiction(parse_poly("L*M - 1"))
 
     def test_phi3_phi4(self):
-        a = lift(UnivarPoly([-1, 1]) * cyclotomic(3) * cyclotomic(4))
+        a = (L - 1) * cyclotomic(3) * cyclotomic(4)
         rep = replay_contradiction(a, n_max=2)
         assert rep.ok and rep.d == 12
         # 1 point from (L-1), 2 from Phi3, 2 from Phi4 at every slope
@@ -137,7 +132,7 @@ class TestReplay:
         assert_numeric_surgery_points(a, rep)
 
     def test_violation_reported(self):
-        rep = replay_contradiction(lift(UnivarPoly([-1, 1]) ** 2 * cyclotomic(2)))
+        rep = replay_contradiction((L - 1) ** 2 * cyclotomic(2))
         assert not rep.ok
         assert "repeated abelian" in rep.violation
         assert rep.steps == ()
@@ -195,7 +190,7 @@ class TestReplay:
 
     def test_exactness_on_large_orders(self):
         # distinct large orders: d = 11 * 12 = 132, still exact and fast
-        a = lift(UnivarPoly([-1, 1]) * cyclotomic(11) * cyclotomic(12))
+        a = (L - 1) * cyclotomic(11) * cyclotomic(12)
         rep = replay_contradiction(a, n_max=3)
         assert rep.ok and rep.d == 132
         for s in rep.steps:
@@ -209,7 +204,7 @@ class TestReplay:
 
     def test_d_is_lcm_of_orders(self):
         # Phi2 * Phi4: the product of the orders is 8, their lcm 4
-        rep = replay_contradiction(lift(UnivarPoly([-1, 1]) * cyclotomic(2) * cyclotomic(4)))
+        rep = replay_contradiction((L - 1) * cyclotomic(2) * cyclotomic(4))
         assert rep.ok and rep.d == 4 and rep.profile.product_d == 8
         # L^60 - 1 has every divisor of 60 as an order; the product is 46656000000
         rep = replay_contradiction(parse_poly("L^60 - 1"), n_max=2)
@@ -220,7 +215,7 @@ class TestReplay:
 
 class TestForcedTrivialityIsExact:
     def test_v_order_divides_d(self):
-        a = lift(UnivarPoly([-1, 1]) * cyclotomic(2) * cyclotomic(3))
+        a = (L - 1) * cyclotomic(2) * cyclotomic(3)
         rep = replay_contradiction(a, n_max=2)
         assert rep.ok and rep.d == 6
         for s in rep.steps:
