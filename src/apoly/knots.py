@@ -46,12 +46,11 @@ above it, before any word is evaluated.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import zip_longest
 from math import gcd
 
 from ._record import Record
-from .poly import _L_MINUS_1, BivarPoly, _add_terms, _mul_coeffs, _mul_terms, _trim
+from .poly import _L_MINUS_1, BivarPoly, _add_terms, _horner, _mul_coeffs, _mul_terms, _trim
 
 __all__ = [
     "GroupPresentation",
@@ -325,7 +324,7 @@ def _squarefree_bivar(r):
     dr = [[j * a for a in c] for j, c in enumerate(r)][1:]
     x = 2 * max(abs(c) for col in r for c in col) + 2
     for _ in range(6):
-        f = [reduce(lambda v, c: v * x + c, reversed(col), 0) for col in r]
+        f = [_horner(col, x) for col in r]
         df = [j * v for j, v in enumerate(f)][1:]
         h = _remainder_gcd(f, df)
         if len(h) == 1:

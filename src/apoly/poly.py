@@ -25,6 +25,7 @@ function, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from math import gcd
 
 __all__ = [
@@ -78,6 +79,11 @@ def _trim(f):
     while f and not f[-1]:
         f.pop()
     return f
+
+
+def _horner(coeffs, x):
+    """The value at x of the polynomial with ascending coefficient list coeffs."""
+    return reduce(lambda v, c: v * x + c, reversed(coeffs), 0)
 
 
 def _power(base, n, mul=operator.mul):

@@ -12,14 +12,13 @@ A-polynomial has M-degree 0, so ``compute --two-bridge`` and ``compute
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import chain
 from math import prod
 from operator import sub
 
 from ._record import Record, _json_list, _json_str
-from .poly import BivarPoly, _in_l
-from .structure import _m_slices, _strip_units, _unit_evaluations
+from .poly import BivarPoly, _horner, _in_l
+from .structure import _strip_units
 
 __all__ = [
     "cyclotomic",
@@ -219,14 +218,7 @@ def is_product_of_cyclotomics(f: BivarPoly):
         raise ValueError("zero polynomial")
     if f.deg_m():
         raise ValueError("recognition applies only to polynomials in L alone")
-    # without M, A(1, L) is the polynomial itself
-    coeffs, _ = _unit_evaluations(_m_slices(f.terms), f.deg_l())
-    return _recognize(_strip_units(coeffs))
-
-
-def _horner(coeffs, x):
-    """The value at x of the polynomial with ascending coefficient list coeffs."""
-    return reduce(lambda v, c: v * x + c, reversed(coeffs), 0)
+    return _recognize(_strip_units([f.terms.get((0, j), 0) for j in range(f.deg_l() + 1)]))
 
 
 def _recognize(parts):

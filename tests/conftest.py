@@ -20,6 +20,7 @@ from apoly.poly import (
     BivarPoly,
     _add_terms,
     _decimal,
+    _in_l,
     _mul_terms,
     _trim,
 )
@@ -30,17 +31,12 @@ from apoly.structure import (
     PASS,
     UNKNOT_OK,
     AnalysisReport,
-    check_unit_evaluation,
+    UnitEvalFailure,
+    UnitEvaluationForm,
 )
 
 M = BivarPoly({(1, 0): 1})
 L = BivarPoly({(0, 1): 1})
-
-
-def in_l(coeffs):
-    """The polynomial in L, a BivarPoly with no term in M, whose ascending
-    coefficients are coeffs."""
-    return BivarPoly({(0, j): c for j, c in enumerate(coeffs)})
 
 
 def l_coeffs(f):
@@ -162,7 +158,7 @@ def exact_quotient(f, d):
     L-coefficients. Shares no division code with apoly."""
     if not any(i for i, _ in (*f.terms, *d.terms)):
         q = _divide_ints(l_coeffs(f), l_coeffs(d))
-        return None if q is None else in_l(q)
+        return None if q is None else _in_l(q)
     n = d.deg_l()
     lead, quotient = _l_coefficient(d, n), BivarPoly()
     while not f.is_zero and f.deg_l() >= n:
@@ -438,18 +434,19 @@ def is_product_of_cyclotomics_by_exponents(f):
 
 
 def unit_evaluation_by_division(a, m):
-    """Reference (sign, a, b, c) of +/- L^a (L-1)^b (L+1)^c for A(m, L), or
-    ("failure", residual): L, then L - 1, then L + 1 divided out by trial
+    """Reference check_unit_evaluation: the UnitEvaluationForm of
+    +/- L^a (L-1)^b (L+1)^c for A(m, L) = a.eval_m(m), or a UnitEvalFailure
+    with the residual, from L, then L - 1, then L + 1 divided out by trial
     division."""
     f = a.eval_m(m)
     if f.is_zero:
-        return "failure", f
+        return UnitEvalFailure(f)
     av = f.min_l()
-    f, b = divide_out_by_division(in_l(l_coeffs(f)[av:]), L - 1)
+    f, b = divide_out_by_division(_in_l(l_coeffs(f)[av:]), L - 1)
     f, c = divide_out_by_division(f, L + 1)
     if f.deg_l() != 0 or abs(l_lead(f)) != 1:
-        return "failure", f
-    return l_lead(f), av, b, c
+        return UnitEvalFailure(f)
+    return UnitEvaluationForm(l_lead(f), av, b, c)
 
 
 def two_bridge_alexander(pres):
@@ -884,7 +881,7 @@ def hull_has_vertical_edge(vertices):
 def analyze_by_passes(a, name="", claims_nontrivial_knot=False):
     """Reference apoly.structure.analyze: a pass over the terms for each
     fact, the Newton polygon's from the reference hull, the unit
-    evaluations by check_unit_evaluation, the abelian multiplicity by trial
+    evaluations by unit_evaluation_by_division, the abelian multiplicity by trial
     division and the decomposition from the candidate scan."""
     nf = a.normalize()
     vertices = hull_vertices(nf.terms)
@@ -892,10 +889,11 @@ def analyze_by_passes(a, name="", claims_nontrivial_knot=False):
     if deg_m == 0:
         cyc = _decompose(is_product_of_cyclotomics_by_scan(nf))
         verdict = UNKNOT_OK if nf == _L_MINUS_1 and not claims_nontrivial_knot else FAIL
-        unit_plus = unit_minus = check_unit_evaluation(nf, 1)
+        unit_plus = unit_minus = unit_evaluation_by_division(nf, 1)
     else:
         cyc, verdict = None, PASS
-        unit_plus, unit_minus = check_unit_evaluation(nf, 1), check_unit_evaluation(nf, -1)
+        unit_plus = unit_evaluation_by_division(nf, 1)
+        unit_minus = unit_evaluation_by_division(nf, -1)
     return AnalysisReport(
         name=name,
         deg_m=deg_m,
@@ -962,7 +960,7 @@ def substitute_surgery(p, n):
     for (i, j), c in p.terms.items():
         e = n * (d - i) + j
         out[e] = out.get(e, 0) + c
-    return in_l([out.get(e, 0) for e in range(max(out) + 1)])
+    return _in_l([out.get(e, 0) for e in range(max(out) + 1)])
 
 
 def unit_root_points(order, n):

@@ -19,7 +19,7 @@ from apoly.db import BatchReport
 from apoly.knots import torus_a
 from apoly.newton import VERTICAL, edge_slopes, newton_polygon
 from apoly.grammar import parse_poly
-from apoly.poly import BivarPoly, format_poly
+from apoly.poly import BivarPoly, _in_l, format_poly
 from apoly.recognition import CyclotomicProfile, Violation, cyclotomic
 from apoly.structure import (
     AnalysisReport,
@@ -29,8 +29,6 @@ from apoly.structure import (
 )
 from apoly.surgery import ReplayReport, replay_contradiction
 
-from conftest import in_l
-
 # names with quotes, backslashes, non-ASCII and control characters
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7fé€𝄞'))
 NONNEGATIVE = st.integers(0, 10**30)
@@ -39,7 +37,7 @@ UNIT_FORMS = st.builds(
 )
 FAILURES = st.builds(
     UnitEvalFailure,
-    st.lists(st.integers(-(10**40), 10**40), max_size=6).map(in_l),
+    st.lists(st.integers(-(10**40), 10**40), max_size=6).map(_in_l),
 )
 PROFILES = st.builds(
     CyclotomicProfile,
@@ -125,7 +123,7 @@ def test_report_to_text_cases(text):
 
 
 def test_shared_unit_form_written_once(monkeypatch):
-    form = UnitEvalFailure(in_l([-2, 1]))
+    form = UnitEvalFailure(_in_l([-2, 1]))
     report = AnalysisReport("x", 0, 2, 1, form, form, True, None, "FAIL")
     calls = []
     json_text = UnitEvalFailure.json_text
@@ -147,7 +145,7 @@ BREAKERS = ["L - 1", "L - 2", "L^2 - L - 1", "L^3 - L - 1", "L + 1", "L^2 + 1", 
 )
 @settings(max_examples=150, deadline=None)
 def test_replay_text_matches_json_dumps(orders, breaker, n_max):
-    a = prod(map(cyclotomic, orders), start=in_l([-1, 1]))
+    a = prod(map(cyclotomic, orders), start=_in_l([-1, 1]))
     if breaker is not None:
         a = a * breaker
     report = replay_contradiction(a, n_max=n_max)

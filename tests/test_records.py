@@ -17,6 +17,7 @@ from apoly.knots import GroupPresentation
 from apoly.newton import NewtonPolygon
 from apoly.grammar import parse_poly
 from apoly.recognition import CyclotomicProfile, Violation
+from apoly.poly import _in_l
 from apoly.structure import (
     AnalysisReport,
     UnitEvalFailure,
@@ -24,9 +25,7 @@ from apoly.structure import (
 )
 from apoly.surgery import ReplayReport, ReplayStep
 
-from conftest import in_l
-
-RESIDUAL = in_l([3, 1])
+RESIDUAL = _in_l([3, 1])
 FORM = UnitEvaluationForm(1, 0, 1, 0)
 
 # (class, fields in order, values for every field, defaults)
