@@ -13,6 +13,7 @@ facts are what the newton command writes, as text or as --json.
 from __future__ import annotations
 
 import re
+from operator import index
 
 from ._record import _JSON_FLAG, Record, _json_list, _json_str
 from .poly import BivarPoly
@@ -86,8 +87,9 @@ class NewtonPolygon(Record):
 
 
 def convex_hull(points) -> NewtonPolygon:
-    """Exact integer convex hull of lattice points, counterclockwise."""
-    pts = sorted({(int(i), int(j)) for i, j in points})
+    """Exact integer convex hull of lattice points, counterclockwise; a
+    coordinate that is not an int, such as 0.9, raises TypeError."""
+    pts = sorted({(index(i), index(j)) for i, j in points})
     if not pts:
         raise ValueError("convex hull of an empty point set")
     lower = []

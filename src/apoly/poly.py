@@ -254,6 +254,7 @@ class BivarPoly:
     def eval_m(self, m: int) -> BivarPoly:
         """Substitute an exact integer for M, yielding a polynomial in L:
         a BivarPoly with no term in M."""
+        m = operator.index(m)
         if self.is_zero:
             return self
         coeffs = [0] * (self.deg_l() + 1)
@@ -270,8 +271,9 @@ class BivarPoly:
 
 
 def _in_l(coeffs):
-    """The polynomial in L whose ascending coefficients are coeffs."""
-    return BivarPoly({(0, j): c for j, c in enumerate(coeffs)})
+    """The polynomial in L whose ascending coefficients are coeffs, each
+    read with operator.index, so a float or a Fraction raises TypeError."""
+    return BivarPoly._adopt({(0, j): c for j, c in enumerate(map(operator.index, coeffs)) if c})
 
 
 _L_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})

@@ -12,12 +12,12 @@ A-polynomial has M-degree 0, so ``compute --two-bridge`` and ``compute
 
 from __future__ import annotations
 
-from itertools import chain
-from math import prod
-from operator import sub
+from itertools import compress, count, islice
+from math import ceil, log, prod
+from operator import ne, sub
 
 from ._record import Record, _json_list, _json_str
-from .poly import BivarPoly, _horner, _in_l
+from .poly import BivarPoly, _in_l
 from .structure import _strip_units
 
 __all__ = [
@@ -31,27 +31,19 @@ __all__ = [
 ]
 
 
-def _prime_factors(n: int):
-    """The distinct prime factors of n >= 1, ascending, by trial division."""
-    primes = []
-    p = 2
-    while p * p <= n:
+def _moebius_pairs(d: int):
+    """(e, mu(d/e)) for the divisors e of d with d/e squarefree, the only
+    ones whose Moebius value is nonzero: one for each set of primes of d,
+    which trial division finds in ascending order."""
+    pairs, n, p = [(d, 1)], d, 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left is prime
         if n % p == 0:
-            primes.append(p)
+            pairs += [(e // p, -mu) for e, mu in pairs]
             while n % p == 0:
                 n //= p
         p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
-def _moebius_pairs(d: int):
-    """(e, mu(d/e)) for the divisors e of d with d/e squarefree, the only
-    ones whose Moebius value is nonzero: one for each set of primes of d."""
-    pairs = [(d, 1)]
-    for p in _prime_factors(d):
-        pairs += [(e // p, -mu) for e, mu in pairs]
     return pairs
 
 
@@ -84,18 +76,6 @@ def cyclotomic(d: int) -> BivarPoly:
     return _in_l(_moebius_product([1], _moebius_pairs(d), 1))
 
 
-def _cyclotomic_value(pairs, x: int) -> int:
-    """Phi_d(x) for an integer x >= 2, as the exact Moebius product over the
-    Moebius pairs of d."""
-    num, den = 1, 1
-    for e, mu in pairs:
-        if mu > 0:
-            num *= x**e - 1
-        else:
-            den *= x**e - 1
-    return num // den
-
-
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("totient of nonpositive integer")
@@ -104,58 +84,22 @@ def euler_phi(n: int) -> int:
 
 def cyclotomic_candidates(degree: int):
     """All orders d with euler_phi(d) <= degree, ascending."""
-    return sorted(d for _, d in _orders(degree))
+    return [d for d in range(1, _order_bound(degree) + 1) if euler_phi(d) <= degree]
 
 
-def _orders(degree: int):
-    """(euler_phi(d), d) for every order d with euler_phi(d) <= degree.
-
-    Enumerated from their factorizations: a depth-first search multiplies
-    prime powers p^k with p - 1 <= degree, in increasing order of p, and
-    stops a branch as soon as the running totient exceeds degree.
-    """
-    primes = [p for p in range(2, degree + 2) if _prime_factors(p) == [p]]
-    found, stack = [], [(0, 1, 1)] if degree >= 1 else []
-    while stack:
-        start, d, phi = stack.pop()
-        found.append((phi, d))
-        for i in range(start, len(primes)):
-            p = primes[i]
-            pk, phi_pk = p, phi * (p - 1)
-            if phi_pk > degree:
-                break  # larger primes only raise the totient further
-            while phi_pk <= degree:
-                stack.append((i + 1, d * pk, phi_pk))
-                pk, phi_pk = pk * p, phi_pk * p
-    return found
-
-
-# Recognition's rows (phi(d), d, Moebius pairs of d, Phi_d(2), Phi_d(3)),
-# one per order d > 2 (orders 1 and 2 are L - 1 and L + 1, stripped first),
-# ascending in (phi(d), d). The 125 rows with phi(d) <= _KEPT_PHI are kept
-# for the process, since verify-db recognizes many small polynomials: their
-# Phi_d(3) have at most 102 bits, and all take about 70 KB. Rows of larger
-# phi(d) are computed as a recognition reaches them and kept by none, with
-# Phi_d(3) None: recognition computes it once Phi_d(2) passes.
-_KEPT_PHI = 64
-_kept_rows = []
-
-
-def _candidate_rows(degree: int):
-    """The rows of the orders with phi(d) <= degree and, for a degree below
-    _KEPT_PHI, the kept rows past it."""
-    if not _kept_rows:
-        _kept_rows[:] = _rows(_KEPT_PHI, 0)
-    return _kept_rows if degree <= _KEPT_PHI else chain(_kept_rows, _rows(degree, _KEPT_PHI))
-
-
-def _rows(degree, above):
-    """The rows of the orders with above < phi(d) <= degree, lazily."""
-    for phi, d in sorted(_orders(degree)):
-        if phi > above and d > 2:
-            pairs = _moebius_pairs(d)
-            c3 = _cyclotomic_value(pairs, 3) if phi <= _KEPT_PHI else None
-            yield phi, d, pairs, _cyclotomic_value(pairs, 2), c3
+def _order_bound(n: int) -> int:
+    """An N >= 30 with euler_phi(d) > n for every d > N. By Rosser and
+    Schoenfeld (Illinois J. Math. 6, 1962, Theorem 15), d/phi(d) < f(d) =
+    e^gamma log log d + 2.50637/log log d for d >= 3, and d/f(d) increases
+    from d = 30 on: for N >= n f(N), a d > N has phi(d) > d/f(d) > N/f(N)
+    >= n. N is the fixed point of N -> ceil(n f(N)) from 30."""
+    bound = 30
+    while True:
+        ll = log(log(bound))
+        need = ceil(n * (1.781072417990198 * ll + 2.50637 / ll))  # e^gamma = 1.78107...
+        if need <= bound:
+            return bound
+        bound = need
 
 
 class CyclotomicProfile(Record):
@@ -202,18 +146,14 @@ def is_product_of_cyclotomics(f: BivarPoly):
     polynomials; a term in M raises ValueError.
 
     L - 1 and L + 1, Phi_1 and Phi_2, are divided out first by synthetic
-    division. Every Phi_d with d > 2 is palindromic and monic, so what is
-    left must read the same both ways, with leading coefficient +-1 and no
-    factor L; any other f is rejected at once. Each Phi_d with d > 2 is
-    then divided out by trial division, in ascending order of phi(d) while
-    phi(d) is at most the degree left; success iff the final quotient is
-    +/-1. A candidate is first filtered by the exact integers Phi_d(2) and
-    Phi_d(3), which must divide f(2) and f(3), both nonzero: a monic
-    palindrome has no root 2 or 3, as it would have 1/2 or 1/3 too. f is
-    divided by Phi_d, through its Moebius product, only when both do.
-    After each division the filter values are divided too: f = Phi_d * q
-    gives f(x) = Phi_d(x) q(x). Returns a CyclotomicProfile or a Violation.
-    """
+    division. Every Phi_d with d > 2 is palindromic and monic, with
+    constant term 1, so what is left, r, must read the same both ways, with
+    leading coefficient +-1 and no factor L; any other f is rejected at
+    once. r / r(0) is then read as the product of (1 - L^e)^(a_e) over
+    e >= 1, its cyclotomic exponent sequence (Ciolan, Garcia-Sanchez and
+    Moree, SIAM J. Discrete Math. 30, 2016), where Phi_d has multiplicity
+    the sum of a_(kd) over k >= 1. Returns a CyclotomicProfile or a
+    Violation."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     if f.deg_m():
@@ -222,32 +162,85 @@ def is_product_of_cyclotomics(f: BivarPoly):
 
 
 def _recognize(parts):
-    """is_product_of_cyclotomics from the _strip_units parts of its input."""
+    """is_product_of_cyclotomics from the _strip_units parts of its input.
+
+    The exponents of s = r / r(0), of degree n, are read on prefixes of
+    length 64, 128, ... up to N = _order_bound(n), past which no factor of
+    s has its order. A bound broken on a prefix rejects, as a_e depends
+    only on s mod x^(e+1); the short first prefix rejects a root off the
+    unit circle before the coefficients it makes grow long. On a prefix of
+    length P >= n/2, read to its end, multiplicities that pass
+    _multiplicities certify: prod Phi_d^(m_d) agrees with s mod x^(P+1),
+    and two palindromes of degree n that agree so far are equal. On the
+    prefix of length N, those of a cyclotomic product are its own.
+    """
     a, b, c, r = parts
     if a or abs(r[-1]) != 1 or r != r[::-1]:
         return Violation(_NOT_CYCLOTOMIC)
-    v2, v3 = _horner(r, 2), _horner(r, 3)
     factors = [(d, m) for d, m in ((1, b), (2, c)) if m]
-    deg = len(r) - 1
-    for phi, d, pairs, c2, c3 in _candidate_rows(deg) if deg else ():
-        if phi > deg:
+    s, n = r if r[0] == 1 else [-x for x in r], len(r) - 1
+    top = _order_bound(n)
+    length = min(64, top)  # a product of degree <= 128 and orders <= 64 needs one prefix
+    while n:  # r = +-1 leaves nothing to read
+        exps = _exponents(s, length, n)
+        if exps is None:
+            return Violation(_NOT_CYCLOTOMIC)
+        found = _multiplicities(exps, n) if 2 * length >= n else None
+        if found is not None:
+            factors += found
             break
-        if v2 % c2:
-            continue
-        c3 = c3 or _cyclotomic_value(pairs, 3)
-        mult = 0
-        while not (v2 % c2 or v3 % c3):
-            q = _moebius_product(r, pairs, -1)
-            if q is None:
-                break
-            r, v2, v3, deg, mult = q, v2 // c2, v3 // c3, deg - phi, mult + 1
-        if mult:
-            factors.append((d, mult))
-        if not deg:
-            break
-    if deg:
-        return Violation(_NOT_CYCLOTOMIC)
+        if length == top:
+            return Violation(_NOT_CYCLOTOMIC)
+        length = min(2 * length, top)
     return CyclotomicProfile(tuple(sorted(factors)), r[0])
+
+
+def _exponents(s, length, n):
+    """{e: a_e} for the e <= length with a_e != 0, where s = prod of
+    (1 - x^e)^(a_e) mod x^(length+1) and s[0] = 1; None when an a_e breaks
+    a bound that a product of cyclotomic polynomials of degree n keeps. As
+    a_e = sum of mu(d/e) m_d over the multiples d of e, |a_e| phi(e) <= n,
+    and the sum of |a_e| is at most that of m_d 2^omega(d) <= 2 m_d phi(d).
+    Each factor is moved to the side where it multiplies: v = s times the
+    (1 - x^e)^(-a_e) with a_e < 0 and u = the product of the others. Their
+    quotient is 1 up to the least e where they differ, so a_e = u[e] - v[e].
+    """
+    v = s[:length + 1] + [0] * (length + 1 - len(s))
+    u = [1] + [0] * length
+    exps, budget = {}, 2 * n
+    # the walk reads u and v as the passes change them, past its position
+    for e in compress(count(1), map(ne, islice(u, 1, None), islice(v, 1, None))):
+        a = exps[e] = u[e] - v[e]
+        budget -= abs(a)
+        if budget < 0 or abs(a) * e > n and abs(a) * euler_phi(e) > n:
+            return None
+        side = u if a > 0 else v
+        for _ in range(abs(a)):
+            side[e:] = map(sub, side[e:], side)  # times 1 - x^e
+    return exps
+
+
+def _multiplicities(exps, n):
+    """[(d, m_d)] from the exponents {e: a_e} when every m_d >= 0, m_1 = 0
+    and the sum of e a_e, that of m_d phi(d), is n; else None. The largest
+    e left is the largest order d left, m_d = a_d, and the exponents of
+    Phi_d^(m_d), its Moebius pairs, are taken off before the next."""
+    if sum(e * a for e, a in exps.items()) != n:
+        return None
+    left, found = dict(exps), []
+    while left:
+        d = max(left)
+        m = left.pop(d)
+        if m < 0 or d == 1:
+            return None
+        found.append((d, m))
+        for e, mu in _moebius_pairs(d)[1:]:  # all but (d, 1)
+            rest = left.get(e, 0) - mu * m
+            if rest:
+                left[e] = rest
+            else:
+                del left[e]
+    return found
 
 
 def mdeg_trivial_decomposition(a: BivarPoly):

@@ -54,7 +54,8 @@ def test_test_oracles_not_exported(name):
 # methods that served its two copies are gone (a dotted name is a method);
 # the characteristic polynomial is apoly.knots' private _charpoly;
 # recognition and the degree-zero decomposition live in apoly.recognition;
-# a polynomial in L is a BivarPoly with no term in M
+# a polynomial in L is a BivarPoly with no term in M; recognition reads
+# the cyclotomic exponent sequence, with no candidate rows or filter values
 DELETED = {
     "apoly": ["gcd_univar", "UnivarPoly"],
     "apoly.cli": ["_emit_json", "_json_parts", "build_parser", "argparse"],
@@ -63,6 +64,8 @@ DELETED = {
                         "mdeg_trivial_decomposition", "_prime_factors", "_moebius_pairs",
                         "_moebius_product", "_cyclotomic_value", "_orders", "_KEPT_PHI",
                         "_kept_rows", "_candidate_rows", "_rows", "_recognize", "_decompose"],
+    "apoly.recognition": ["_KEPT_PHI", "_kept_rows", "_candidate_rows", "_rows",
+                          "_cyclotomic_value", "_orders", "_prime_factors"],
     "apoly.newton": ["Edge", "has_vertical_edge", "vertical_edge", "collinear"],
     "apoly.knots": ["TorusKnot", "TwoBridgeKnot", "riley_polynomial", "_gcd_l", "_l_lead",
                     "_l_primitive", "charpoly", "_exact_quotient", "_primitive_m",

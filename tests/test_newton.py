@@ -77,6 +77,16 @@ class TestConvexHull:
         assert poly.vertices == ((0, 0), (3, 3))
         assert convex_hull({(2, 5), (2, 1), (2, 3)}).vertices == ((2, 1), (2, 5))
 
+    def test_non_integer_points_rejected(self):
+        # int() would truncate (0.9, 0) to (0, 0) and (1, 1.7) to (1, 1),
+        # and return the hull of other points without a word
+        for points in ({(0.9, 0), (1, 1), (2, 0)}, {(0, 0), (1, 1.7), (2, 0)},
+                       {(0, 0), (Fraction(1, 2), 1)}, {("1", 0)}):
+            with pytest.raises(TypeError):
+                convex_hull(points)
+        # an int-like number is read as the int it is
+        assert convex_hull({(True, 0), (0, 2)}).vertices == ((0, 2), (1, 0))
+
     @given(bivar_polys(allow_zero=False, max_terms=10))
     @settings(max_examples=100, deadline=None)
     def test_idempotent_and_containment(self, p):

@@ -173,6 +173,10 @@ class TestEval:
     def test_eval_m_rejects_non_integers(self):
         with pytest.raises(TypeError):
             (L * M + one).eval_m(Fraction(1, 2))
+        # m is read before anything else, also for the zero polynomial
+        for p in (BivarPoly(), L + one):
+            with pytest.raises(TypeError):
+                p.eval_m(0.5)
 
     def test_eval_complex_on_curve(self):
         assert eval_complex(L - one, 2.7j, 1.0) == 0

@@ -1,3 +1,5 @@
+import random
+import time
 from importlib import resources
 from math import gcd, prod
 
@@ -30,7 +32,7 @@ from apoly.structure import (
     check_unit_evaluation,
 )
 from apoly import recognition, structure
-from apoly.recognition import _cyclotomic_value, _moebius_pairs
+from apoly.recognition import _moebius_pairs, _moebius_product, _order_bound
 from apoly.structure import _strip_root, _synthetic_div
 from conftest import (
     L,
@@ -92,9 +94,18 @@ class TestCyclotomic:
             assert cyclotomic(d) == _in_l([int(c) for c in expected]), d
 
     def test_values_match_horner(self):
+        # Phi_d(2) and Phi_d(3), by Horner on cyclotomic(d), against the
+        # integer Moebius product over the divisors e of d of (x^e - 1)^mu(d/e)
         for d in range(1, 401):
             for x in (2, 3):
-                assert _cyclotomic_value(_moebius_pairs(d), x) == l_value(cyclotomic(d), x)
+                num, den = 1, 1
+                for e in sympy.divisors(d):
+                    mu = sympy.mobius(d // e)
+                    if mu > 0:
+                        num *= x**e - 1
+                    elif mu < 0:
+                        den *= x**e - 1
+                assert num % den == 0 and l_value(cyclotomic(d), x) == num // den
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -109,6 +120,32 @@ class TestCyclotomic:
         for degree in list(range(61)) + [150]:
             scan = [d for d in range(1, 2 * degree * degree + 2) if phi[d] <= degree]
             assert cyclotomic_candidates(degree) == scan
+
+    def test_order_bound_covers_candidates(self):
+        # every d with phi(d) <= 2000, enumerated from its factorization: a
+        # depth-first search over prime powers p^k with p - 1 <= 2000, in
+        # increasing order of p, cut where the running totient passes 2000
+        top = 2000
+        primes = list(sympy.primerange(2, top + 2))
+        orders, stack = [], [(0, 1, 1)]
+        while stack:
+            start, d, phi = stack.pop()
+            orders.append((phi, d))
+            for i in range(start, len(primes)):
+                p = primes[i]
+                pk, phi_pk = p, phi * (p - 1)
+                if phi_pk > top:
+                    break
+                while phi_pk <= top:
+                    stack.append((i + 1, d * pk, phi_pk))
+                    pk, phi_pk = pk * p, phi_pk * p
+        largest = [0] * (top + 1)  # largest[n]: the largest d with phi(d) <= n
+        for phi, d in orders:
+            largest[phi] = max(largest[phi], d)
+        for n in range(1, top + 1):
+            largest[n] = max(largest[n], largest[n - 1])
+            assert _order_bound(n) >= largest[n], n
+        assert cyclotomic_candidates(top) == sorted(d for _, d in orders)
 
 
 class TestRecognition:
@@ -198,31 +235,48 @@ class TestRecognition:
             assert reconstruct_profile(out) == f
 
     def test_roots_two_and_three_open_no_filter(self, monkeypatch):
-        # f(2) = 0 and f(3) = 0 would pass both filters for every order, and
-        # each Phi_d would be tried: hundreds of divisions. L^400 - 1 takes
-        # 14, the 13 orders d > 2 that divide 400 and one that fails (L - 1
-        # and L + 1 come off by synthetic division). A factor that is not
-        # palindromic, such as L - 2, L - 3, Selmer's L^4 - L - 1 or L^2,
-        # is rejected before any division and before the candidate rows
+        # no value at 2 or 3 is read, so those roots open nothing. L^400 - 1
+        # is read on prefixes of doubling length until one reaches its
+        # largest order, 400. A factor that is not palindromic, such as
+        # L - 2, L - 3, Selmer's L^4 - L - 1 or L^2, is rejected before any
+        # exponent is read
         plain = L**400 - 1
         expected = is_product_of_cyclotomics(plain)
-        divisions, rows = [], []
-        divide, candidate_rows = recognition._moebius_product, recognition._candidate_rows
+        lengths = []
+        exponents = recognition._exponents
         monkeypatch.setattr(
-            recognition, "_moebius_product",
-            lambda f, pairs, power: divisions.append(pairs) or divide(f, pairs, power),
-        )
-        monkeypatch.setattr(
-            recognition, "_candidate_rows",
-            lambda degree: rows.append(degree) or candidate_rows(degree),
+            recognition, "_exponents",
+            lambda s, length, n: lengths.append(length) or exponents(s, length, n),
         )
         assert is_product_of_cyclotomics(plain) == expected
-        assert (len(divisions), len(rows)) == (14, 1)
+        assert lengths[-2] < 400 <= lengths[-1]
+        assert all(b == 2 * a for a, b in zip(lengths, lengths[1:]))
         for other in (L - 2, (L - 3) ** 2, (L - 2) * (L - 3), L**4 - L - 1, L**2):
-            divisions.clear()
-            rows.clear()
+            lengths.clear()
             assert is_product_of_cyclotomics(plain * other) == Violation(NOT_CYCLOTOMIC)
-            assert divisions == rows == []
+            assert lengths == []
+
+    def test_small_and_rejected_inputs_read_one_prefix(self, monkeypatch, rng):
+        # L - 1 times three orders up to 60, like verify-db's refined
+        # records, certifies on the first prefix, and a large input with a
+        # palindromic factor that is not cyclotomic is rejected on it
+        lengths = []
+        exponents = recognition._exponents
+        monkeypatch.setattr(
+            recognition, "_exponents",
+            lambda s, length, n: lengths.append(length) or exponents(s, length, n),
+        )
+        for _ in range(50):
+            orders, f = rng.sample(range(3, 61), 3), L - 1
+            for d in orders:
+                f = f * cyclotomic(d)
+            lengths.clear()
+            assert [d for d, _ in is_product_of_cyclotomics(f).factors] == [1, *sorted(orders)]
+            assert len(lengths) == 1
+        lengths.clear()
+        out = is_product_of_cyclotomics((L**2 - 3 * L + 1) * (L**20000 - 1))
+        assert out == Violation(NOT_CYCLOTOMIC)
+        assert len(lengths) == 1
 
     def test_squarefree_order_with_many_primes(self):
         # L^2310 - 1 is the product of Phi_d over the 32 divisors of 2310
@@ -230,14 +284,47 @@ class TestRecognition:
         assert prof.factors == tuple((d, 1) for d in range(1, 2311) if 2310 % d == 0)
         assert len(prof.factors) == 32 and prof.sign == 1
 
-    def test_filter_values_divided_not_evaluated(self, monkeypatch):
-        # f = Phi_d * q gives f(x) = Phi_d(x) * q(x): f(2) and f(3) once each
-        calls = []
-        horner = recognition._horner
-        monkeypatch.setattr(recognition, "_horner", lambda f, x: calls.append(x) or horner(f, x))
-        prof = is_product_of_cyclotomics(L**400 - 1)
-        assert len(prof.factors) == 15
-        assert calls == [2, 3]
+
+def dense_product():
+    """(L - 1) times Phi_d over distinct seeded orders 3 <= d <= 400, until
+    the degree passes 2900, and its orders."""
+    rng, coeffs, orders = random.Random(2922), [-1, 1], set()
+    while len(coeffs) <= 2900:
+        d = rng.randint(3, 400)
+        if d not in orders:
+            orders.add(d)
+            coeffs = _moebius_product(coeffs, _moebius_pairs(d), 1)
+    return _in_l(coeffs), sorted(orders)
+
+
+class TestRecognitionTime:
+    """Large inputs within their bounds, in seconds of recognition alone:
+    sparse products of cyclotomic polynomials, inputs with a palindromic
+    factor that is not cyclotomic, and a dense product."""
+
+    @pytest.mark.parametrize("k, bound", [(20000, 0.5), (30030, 0.5), (100000, 2.0)])
+    def test_sparse(self, k, bound):
+        f = parse_poly(f"L^{k} - 1")
+        start = time.perf_counter()
+        prof = is_product_of_cyclotomics(f)
+        assert time.perf_counter() - start < bound
+        assert prof.factors == tuple((d, 1) for d in sympy.divisors(k))
+
+    @pytest.mark.parametrize("text", ["(L-1)*(L^19998 + 3*L^9999 + 1)", "(L^2-3*L+1)*(L^20000-1)"])
+    def test_not_cyclotomic(self, text):
+        f = parse_poly(text)
+        start = time.perf_counter()
+        out = is_product_of_cyclotomics(f)
+        assert time.perf_counter() - start < 1.0
+        assert out == Violation(NOT_CYCLOTOMIC)
+
+    def test_dense(self):
+        f, orders = dense_product()
+        assert f.deg_l() > 2900 and len(f.terms) > 2800
+        start = time.perf_counter()
+        prof = is_product_of_cyclotomics(f)
+        assert time.perf_counter() - start < 0.5
+        assert prof.factors == tuple((d, 1) for d in [1, *orders])
 
 
 # products of cyclotomic polynomials with, at times, a power of L, roots 2
@@ -321,84 +408,6 @@ def recognition_cases():
         for rec in load_table(path).records:
             cases += [rec.a_poly.eval_m(1), rec.a_poly.eval_m(-1)]
     return [f for f in cases if not f.is_zero]
-
-
-def cyclotomic_table(rng):
-    """Text of a 600-record table: the fixtures, (L-1) times distinct
-    cyclotomic factors, and deg_M = 0 records that fail recognition."""
-    with resources.as_file(resources.files("apoly.data") / "fixtures.txt") as path:
-        fixtures = load_table(path).records
-    lines = []
-    for k in range(600):
-        if k % 3 == 0:
-            text = str(fixtures[k // 3 % len(fixtures)].a_poly)
-        else:
-            f = L - 1
-            for d in rng.sample(range(2, 31), rng.randint(0, 3)):
-                f = f * cyclotomic(d)
-            if k % 3 == 2:
-                f = f * (L + rng.choice([-3, -2, 2, 3]))
-            text = str(f)
-        lines.append(f"r{k} ; {text}")
-    return "\n".join(lines) + "\n"
-
-
-class TestCandidateRows:
-    def test_large_degree_rows_not_kept(self, monkeypatch):
-        monkeypatch.setattr(recognition, "_kept_rows", [])
-        prof = is_product_of_cyclotomics(L**2000 - 1)
-        assert [d for d, _ in prof.factors] == [d for d in range(1, 2001) if 2000 % d == 0]
-        is_product_of_cyclotomics(cyclotomic(7) * cyclotomic(9))
-        # the rows of the 125 orders d > 2 with phi(d) <= 64, and no others
-        kept = sorted(d for _, d, *_ in recognition._kept_rows)
-        assert kept == [d for d in cyclotomic_candidates(64) if d > 2]
-        assert len(kept) == 125
-
-    def test_rows_match_their_definition(self):
-        for degree in (1, 12, 64, 65, 200):
-            rows = list(recognition._candidate_rows(degree))
-            assert rows == sorted(rows, key=lambda row: row[:2])
-            reached = sorted(d for phi, d, *_ in rows if phi <= degree)
-            assert reached == [d for d in cyclotomic_candidates(degree) if d > 2]
-            for phi, d, pairs, c2, c3 in rows:
-                assert phi == sympy.totient(d)
-                mu = {e: sympy.mobius(d // e) for e in sympy.divisors(d)}
-                assert sorted(pairs) == [(e, m) for e, m in mu.items() if m]
-                assert c2 == l_value(cyclotomic(d), 2)
-                # past the kept rows, recognition computes Phi_d(3) on demand
-                assert c3 == (l_value(cyclotomic(d), 3) if phi <= 64 else None)
-        assert max(phi for phi, *_ in recognition._kept_rows) <= 64
-
-    def test_second_pass_computes_no_rows(self, monkeypatch, rng, tmp_path):
-        path = tmp_path / "table.txt"
-        path.write_text(cyclotomic_table(rng), encoding="utf-8")
-        records = load_table(path).records
-        assert len(records) == 600
-        monkeypatch.setattr(recognition, "_kept_rows", [])
-        calls = []
-        value = recognition._cyclotomic_value
-        monkeypatch.setattr(
-            recognition, "_cyclotomic_value", lambda pairs, x: calls.append(x) or value(pairs, x)
-        )
-        first = verify_all(records).as_dict()
-        assert calls.count(2) > 0
-        calls.clear()
-        assert verify_all(records).as_dict() == first
-        assert 2 not in calls
-        verdicts = {r["verdict"] for r in first["records"]}
-        assert verdicts == {PASS, FAIL, UNKNOT_OK}
-
-    def test_cached_and_uncached_recognition_agree(self, monkeypatch):
-        cases = recognition_cases()
-        warm = [is_product_of_cyclotomics(f) for f in cases]
-        monkeypatch.setattr(recognition, "_KEPT_PHI", 0)
-        monkeypatch.setattr(recognition, "_kept_rows", [])
-        cold = [is_product_of_cyclotomics(f) for f in cases]
-        assert recognition._kept_rows == []
-        assert warm == cold
-        for f, prof in zip(cases, warm):
-            if isinstance(prof, CyclotomicProfile):
-                assert reconstruct_profile(prof) == f
 
 
 class TestDecomposition:
