@@ -55,7 +55,7 @@ while len(coeffs) <= 2900:
     d = rng.randint(3, 400)
     if d not in orders:
         orders.add(d)
-        coeffs = _moebius_product(coeffs, _moebius_pairs(d), 1)
+        coeffs = _moebius_product(coeffs, _moebius_pairs(d))
 f = BivarPoly({(0, j): c for j, c in enumerate(coeffs)})
 """
 

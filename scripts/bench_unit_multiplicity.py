@@ -7,10 +7,12 @@ Usage (from the repository root):
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 Each pair runs one fresh interpreter per side, the side that runs first
-alternating from pair to pair. An interpreter times
-``structure.check_unit_evaluation((L-1)^k, 1)`` and
-``structure.abelian_multiplicity((L-1)^k)`` once for each k in KS, after
-building the polynomial, and prints the times as JSON. OUT.json gets the
+alternating from pair to pair. For a = (L-1)^k, an interpreter times the
+two counts that ``structure.analyze`` makes: ``structure._strip_units`` on
+the coefficients of A(1, L), which counts L - 1 and L + 1 for the unit
+evaluation, and ``structure._abelian_multiplicity`` on the M-slices of a.
+It runs them once for each k in KS, after building the polynomial, its
+A(1, L) and its slices, and prints the times as JSON. OUT.json gets the
 per-k medians and quartiles of both sides and the raw pairs.
 """
 
@@ -24,21 +26,23 @@ import subprocess
 import sys
 
 KS = (300, 600, 900, 1200)
-STAGES = ("check_unit_evaluation_s", "abelian_multiplicity_s")
+STAGES = ("strip_units_s", "abelian_multiplicity_s")
 
 CHILD = """
 import json, sys, time
 from apoly.poly import BivarPoly
-from apoly.structure import abelian_multiplicity, check_unit_evaluation
+from apoly.structure import _abelian_multiplicity, _m_slices, _strip_units
 out = {}
 for k in json.loads(sys.argv[1]):
     a = BivarPoly({(0, 1): 1, (0, 0): -1}) ** k
+    plus = [a.terms.get((0, j), 0) for j in range(k + 1)]
+    slices = _m_slices(a.terms)
     t0 = time.perf_counter()
-    assert check_unit_evaluation(a, 1).b == k
+    assert _strip_units(plus)[1] == k
     t1 = time.perf_counter()
-    assert abelian_multiplicity(a) == k
+    assert _abelian_multiplicity(slices) == k
     t2 = time.perf_counter()
-    out[k] = {"check_unit_evaluation_s": t1 - t0, "abelian_multiplicity_s": t2 - t1}
+    out[k] = {"strip_units_s": t1 - t0, "abelian_multiplicity_s": t2 - t1}
 print(json.dumps(out))
 """
 
@@ -83,8 +87,8 @@ def main():
     doc = {
         "label": "unit_multiplicity",
         "what": "Multiplicities of (L - 1) and (L + 1) by repeated synthetic division "
-        "(structure._synthetic_div) instead of dense trial division and Taylor "
-        "coefficients, on (L-1)^k.",
+        "(structure._synthetic_div) on (L-1)^k: _strip_units on A(1, L) and "
+        "_abelian_multiplicity on the M-slices.",
         "command": "python3 scripts/bench_unit_multiplicity.py PARENT/src CHANGE/src "
         f"BENCH_unit_multiplicity.json {n_pairs}",
         "protocol": "one fresh interpreter per side and pair, in-process times with "

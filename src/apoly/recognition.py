@@ -4,8 +4,8 @@ Recognizes a polynomial in L as +/- a product of cyclotomic polynomials,
 and decomposes an M-degree-zero polynomial as +/-(L-1) times distinct
 cyclotomics. Each has two outcomes: a CyclotomicProfile, or a Violation
 that says why the structure fails. ``structure.analyze`` imports this
-module only at deg_M = 0, and the surgery replay, which applies only
-there, imports it directly. The paper proves that no nontrivial knot's
+module only at deg_M = 0, where its report carries the decomposition
+that the surgery replay reads. The paper proves that no nontrivial knot's
 A-polynomial has M-degree 0, so ``compute --two-bridge`` and ``compute
 --torus`` never load it.
 """
@@ -27,7 +27,6 @@ __all__ = [
     "CyclotomicProfile",
     "is_product_of_cyclotomics",
     "Violation",
-    "mdeg_trivial_decomposition",
 ]
 
 
@@ -47,23 +46,20 @@ def _moebius_pairs(d: int):
     return pairs
 
 
-def _moebius_product(coeffs, pairs, power):
-    """coeffs, ascending, times the product of (x^e - 1)^(power * mu) over
-    the Moebius pairs (e, mu) of d, or None if a division leaves a remainder
-    (for power = -1: coeffs over Phi_d). Factors with mu = power multiply in
-    first, so a quotient that exists divides exactly. On the descending list,
-    dividing by x^e - 1 is a running sum along each residue class mod e,
-    whose last e sums (all, for a shorter list) are the remainder."""
+def _moebius_product(coeffs, pairs):
+    """coeffs, ascending, times the product of (x^e - 1)^mu over the
+    Moebius pairs (e, mu) of d, that is, times Phi_d. Factors with mu = 1
+    multiply in first, so each division by x^e - 1 is exact. On the
+    descending list, that division is a running sum along each residue
+    class mod e, whose last e sums, the remainder, are 0."""
     c = list(reversed(coeffs))
     for e, mu in pairs:
-        if mu == power:
+        if mu == 1:
             c = list(map(sub, c + [0] * e, [0] * e + c))
     for e, mu in pairs:
-        if mu != power:
+        if mu == -1:
             for k in range(e, len(c)):
                 c[k] += c[k - e]
-            if any(c[-e:]):
-                return None
             del c[-e:]
     return c[::-1]
 
@@ -73,7 +69,7 @@ def cyclotomic(d: int) -> BivarPoly:
     Phi_d(L) = prod over e | d of (L^e - 1)^mu(d/e)."""
     if d < 1:
         raise ValueError("cyclotomic order must be positive")
-    return _in_l(_moebius_product([1], _moebius_pairs(d), 1))
+    return _in_l(_moebius_product([1], _moebius_pairs(d)))
 
 
 def euler_phi(n: int) -> int:
@@ -243,23 +239,11 @@ def _multiplicities(exps, n):
     return found
 
 
-def mdeg_trivial_decomposition(a: BivarPoly):
-    """Decompose an M-degree-zero polynomial as +/-(L-1) * distinct Phi_d.
-
-    Returns the CyclotomicProfile of the nonunit orders on success, else a
-    Violation. The proof replay takes its surgery step d from the
-    profile's orders: their lcm, 1 when there are none.
-    """
-    if a.is_zero:
-        raise ValueError("zero polynomial")
-    if a.deg_m() != 0:
-        raise ValueError("decomposition applies only to M-degree-zero polynomials")
-    return _decompose(is_product_of_cyclotomics(a))  # a is its own value at M = 1
-
-
 def _decompose(prof):
-    """mdeg_trivial_decomposition of the polynomial whose value at M = 1
-    is recognized as prof."""
+    """The decomposition +/-(L-1) * distinct Phi_d of a degree-zero A from
+    prof, the recognition of A(1, L): the CyclotomicProfile of the orders
+    other than 1, whose lcm, 1 when there are none, is the replay's surgery
+    step d, or a Violation."""
     if isinstance(prof, Violation):
         return prof
     mults = dict(prof.factors)

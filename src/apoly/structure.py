@@ -23,7 +23,6 @@ from .poly import _L_MINUS_1, BivarPoly, _in_l, _trim, format_poly
 __all__ = [
     "UnitEvaluationForm",
     "UnitEvalFailure",
-    "check_unit_evaluation",
     "PASS",
     "FAIL",
     "UNKNOT_OK",
@@ -33,7 +32,8 @@ __all__ = [
 
 
 class UnitEvaluationForm(Record):
-    """Exponents of +/- L^a (L-1)^b (L+1)^c."""
+    """Exponents of a unit evaluation A(+-1, L) = +/- L^a (L-1)^b (L+1)^c;
+    its ``monic``, as a UnitEvalFailure's, is whether A(+-1, L) is monic."""
 
     __slots__ = ("sign", "a", "b", "c")
 
@@ -89,22 +89,6 @@ def _strip_root(coeffs, zeta, limit=None):
     return coeffs, b
 
 
-def check_unit_evaluation(a: BivarPoly, m: int):
-    """Check eval at M = m in {+1,-1} against the unit-evaluation form.
-
-    Divides by L, then (L-1), then (L+1) (order fixed for determinism;
-    the factors are coprime so it does not matter), and succeeds iff the
-    final quotient is +/-1. Either result's ``monic`` is whether the
-    evaluation is monic in L, None when it vanishes.
-    """
-    if a.is_zero:
-        raise ValueError("zero polynomial")
-    if m not in (1, -1):
-        raise ValueError("unit evaluation is defined at M = +1 or -1 only")
-    plus, minus = _unit_evaluations(_m_slices(a.terms), a.deg_l())
-    return _unit_form(plus if m == 1 else minus)
-
-
 def _strip_units(coeffs):
     """(a, b, c, r) with coeffs = L^a (L-1)^b (L+1)^c r and r prime to L,
     L - 1 and L + 1, for the nonzero ascending coefficient list coeffs."""
@@ -115,9 +99,11 @@ def _strip_units(coeffs):
 
 
 def _unit_form(coeffs, parts=None):
-    """check_unit_evaluation of the evaluation A(m, L) with ascending
-    coefficient list coeffs, no trailing zero, from its _strip_units parts
-    when they are given."""
+    """The UnitEvaluationForm of A(m, L), with ascending coefficient list
+    coeffs and no trailing zero, or a UnitEvalFailure with its residual:
+    L, then L - 1, then L + 1 are divided out (the factors are coprime, so
+    the fixed order only makes it deterministic) unless the _strip_units
+    parts are given, and the form holds iff the final quotient is +/-1."""
     if not coeffs:
         return UnitEvalFailure(BivarPoly())
     a, b, c, r = parts or _strip_units(coeffs)
@@ -188,8 +174,8 @@ def _collinear(slices):
     return all(di * (j - j0) == dj * (i - i0) for i, j in points[2:])
 
 
-def abelian_multiplicity(a: BivarPoly) -> int:
-    """Multiplicity of the (L-1) factor.
+def _abelian_multiplicity(slices):
+    """Multiplicity of the (L-1) factor of A, given by its M-slices.
 
     L - 1 is monic and free of M, so (L-1)^k divides A exactly when it
     divides every M-slice, the polynomial in L of A's terms with one
@@ -199,13 +185,6 @@ def abelian_multiplicity(a: BivarPoly) -> int:
     L = 1 is a sparse sum, so a slice is made dense in L only while the
     running minimum is above 1.
     """
-    if a.is_zero:
-        raise ValueError("zero polynomial")
-    return _abelian_multiplicity(_m_slices(a.terms))
-
-
-def _abelian_multiplicity(slices):
-    """abelian_multiplicity of the polynomial with these M-slices."""
     mult = None
     for s in sorted(slices.values(), key=lambda s: max(s) - min(s)):
         if sum(s.values()):  # nonzero at L = 1

@@ -13,7 +13,8 @@ from math import gcd, lcm
 
 from ._record import _JSON_FLAG, Record, _json_list, _json_str
 from .poly import BivarPoly
-from .recognition import Violation, euler_phi, mdeg_trivial_decomposition
+from .recognition import Violation, euler_phi
+from .structure import analyze
 
 __all__ = [
     "ReplayStep",
@@ -155,25 +156,24 @@ def replay_contradiction(a: BivarPoly, n_max: int = 5) -> ReplayReport:
     curve's points on any line u = v^(-N) are the roots of A(1, v), and the
     decomposition A(1, v) = +/-(v - 1) * prod Phi_e(v) over distinct orders
     e has already listed them exactly, each with multiplicity 1: the
-    primitive e-th roots of unity for e = 1 and each order of the profile.
-    Every order divides d, so ok is True exactly when the decomposition
-    succeeds. More than 100,000 such points in all, n_max * deg_L, is a
-    ValueError raised before the decomposition runs.
+    primitive e-th roots of unity for e = 1 and each order of the profile,
+    the ``cyclotomic`` of analyze's report. Every order divides d, so ok is
+    True exactly when the decomposition succeeds. More than 100,000 such
+    points in all, n_max * deg_L, is a ValueError raised before analyze.
     """
     if a.is_zero:
         raise ValueError("zero polynomial")
-    nf = a.normalize()  # deg_M of the A-normal form: M*(L - 1) is degree zero
-    if nf.deg_m() != 0:
-        raise ValueError(
-            "the replay targets the excluded case deg_M = 0; "
-            f"this polynomial has deg_M = {nf.deg_m()}"
-        )
+    # the degrees of the A-normal form, which analyze builds: M*(L - 1) has deg_M 0
+    deg_m, deg_l = a.deg_m() - a.min_m(), a.deg_l() - a.min_l()
+    if deg_m != 0:
+        raise ValueError("the replay targets the excluded case deg_M = 0; "
+                         f"this polynomial has deg_M = {deg_m}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max * nf.deg_l() > _MAX_POINTS:
-        raise ValueError(f"the replay would list n_max * deg_L = {n_max} * {nf.deg_l()} "
+    if n_max * deg_l > _MAX_POINTS:
+        raise ValueError(f"the replay would list n_max * deg_L = {n_max} * {deg_l} "
                          f"points; the bound is {_MAX_POINTS}")
-    profile = mdeg_trivial_decomposition(nf)
+    profile = analyze(a).cyclotomic
     if isinstance(profile, Violation):
         return ReplayReport(violation=profile.reason, profile=None, d=None)
     orders = [1] + [e for e, _ in profile.factors]

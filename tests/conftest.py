@@ -434,10 +434,10 @@ def is_product_of_cyclotomics_by_exponents(f):
 
 
 def unit_evaluation_by_division(a, m):
-    """Reference check_unit_evaluation: the UnitEvaluationForm of
-    +/- L^a (L-1)^b (L+1)^c for A(m, L) = a.eval_m(m), or a UnitEvalFailure
-    with the residual, from L, then L - 1, then L + 1 divided out by trial
-    division."""
+    """Reference for the unit evaluations of analyze's report: the
+    UnitEvaluationForm of +/- L^a (L-1)^b (L+1)^c for A(m, L) = a.eval_m(m),
+    or a UnitEvalFailure with the residual, from L, then L - 1, then L + 1
+    divided out by trial division."""
     f = a.eval_m(m)
     if f.is_zero:
         return UnitEvalFailure(f)

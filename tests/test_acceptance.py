@@ -103,11 +103,11 @@ def test_criterion_3_figure_eight_pipeline(capsys):
     a = knots.eliminate_two_bridge(5, 3)
     holds, _ = symmetry_check(exact_quotient(a, L - one))
     ok = holds
-    ok = ok and structure.abelian_multiplicity(a) == 1
-    monic = tuple(structure.check_unit_evaluation(a, m).monic for m in (1, -1))
-    ok = ok and monic == (True, True)
-    for m in (1, -1):
-        form = structure.check_unit_evaluation(a, m)
+    rep = structure.analyze(a)
+    ok = ok and rep.abelian_multiplicity == 1
+    forms = (rep.unit_eval_plus, rep.unit_eval_minus)
+    ok = ok and tuple(form.monic for form in forms) == (True, True)
+    for form in forms:
         ok = ok and isinstance(form, structure.UnitEvaluationForm)
     residuals = curve_membership_points(5, 3, a, rng, 50)
     ok = ok and len(residuals) == 50 and max(residuals) < 1e-8

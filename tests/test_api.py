@@ -1,6 +1,9 @@
 """The public API: what each module exports, and what it no longer does."""
 
+import ast
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -55,16 +58,18 @@ def test_test_oracles_not_exported(name):
 # the characteristic polynomial is apoly.knots' private _charpoly;
 # recognition and the degree-zero decomposition live in apoly.recognition;
 # a polynomial in L is a BivarPoly with no term in M; recognition reads
-# the cyclotomic exponent sequence, with no candidate rows or filter values
+# the cyclotomic exponent sequence, with no candidate rows or filter values;
+# the unit evaluations, the abelian multiplicity and the decomposition are
+# fields of analyze's report
 DELETED = {
     "apoly": ["gcd_univar", "UnivarPoly"],
     "apoly.cli": ["_emit_json", "_json_parts", "build_parser", "argparse"],
-    "apoly.structure": ["NotCyclotomic", "cyclotomic", "euler_phi", "cyclotomic_candidates",
+    "apoly.structure": ["check_unit_evaluation", "abelian_multiplicity", "NotCyclotomic", "cyclotomic", "euler_phi", "cyclotomic_candidates",
                         "CyclotomicProfile", "is_product_of_cyclotomics", "Violation",
                         "mdeg_trivial_decomposition", "_prime_factors", "_moebius_pairs",
                         "_moebius_product", "_cyclotomic_value", "_orders", "_KEPT_PHI",
                         "_kept_rows", "_candidate_rows", "_rows", "_recognize", "_decompose"],
-    "apoly.recognition": ["_KEPT_PHI", "_kept_rows", "_candidate_rows", "_rows",
+    "apoly.recognition": ["mdeg_trivial_decomposition", "_KEPT_PHI", "_kept_rows", "_candidate_rows", "_rows",
                           "_cyclotomic_value", "_orders", "_prime_factors"],
     "apoly.newton": ["Edge", "has_vertical_edge", "vertical_edge", "collinear"],
     "apoly.knots": ["TorusKnot", "TwoBridgeKnot", "riley_polynomial", "_gcd_l", "_l_lead",
@@ -108,3 +113,42 @@ def test_one_type_per_outcome():
     assert "monic_plus" not in AnalysisReport.__slots__
     assert "monic_minus" not in AnalysisReport.__slots__
     assert not hasattr(NewtonPolygon, "edges")
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+
+
+def _programs(path):
+    """The syntax tree of the script at path, and of every child program it
+    holds in a string: each string constant that parses as Python."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    yield tree
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                yield ast.parse(node.value)
+            except SyntaxError:
+                pass
+
+
+def _apoly_imports(tree):
+    """(module, name) for each name of a `from apoly... import name`, and
+    (module, None) for each `import apoly...`, in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "apoly":
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names
+                        if alias.name.split(".")[0] == "apoly")
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports_resolve(path):
+    # a committed script, or a child program it runs, imports only what
+    # apoly still has: an attribute, or a submodule such as apoly.knots
+    found = [(module, name) for tree in _programs(path) for module, name in _apoly_imports(tree)]
+    for module, name in found:
+        owner = importlib.import_module(module)
+        if name is not None and not hasattr(owner, name):
+            submodule = hasattr(owner, "__path__") and importlib.util.find_spec(f"{module}.{name}")
+            assert submodule, f"{path.name}: {module}.{name}"

@@ -35,7 +35,7 @@ from apoly.knots import (
 from apoly.grammar import parse_poly
 from apoly.newton import VERTICAL, edge_slopes, newton_polygon
 from apoly.poly import BivarPoly, _trim
-from apoly.structure import abelian_multiplicity
+from apoly.structure import analyze
 
 from conftest import (
     L,
@@ -278,7 +278,7 @@ class TestElimination:
 
     def test_abelian_factor_once(self):
         for p, q in [(3, 1), (5, 3), (7, 3)]:
-            assert abelian_multiplicity(eliminate_two_bridge(p, q)) == 1
+            assert analyze(eliminate_two_bridge(p, q)).abelian_multiplicity == 1
 
     def test_figure_eight_shape(self):
         a = eliminate_two_bridge(5, 3)

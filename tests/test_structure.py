@@ -19,7 +19,6 @@ from apoly.recognition import (
     cyclotomic_candidates,
     euler_phi,
     is_product_of_cyclotomics,
-    mdeg_trivial_decomposition,
 )
 from apoly.structure import (
     FAIL,
@@ -27,13 +26,11 @@ from apoly.structure import (
     UNKNOT_OK,
     UnitEvalFailure,
     UnitEvaluationForm,
-    abelian_multiplicity,
     analyze,
-    check_unit_evaluation,
 )
 from apoly import recognition, structure
 from apoly.recognition import _moebius_pairs, _moebius_product, _order_bound
-from apoly.structure import _strip_root, _synthetic_div
+from apoly.structure import _abelian_multiplicity, _m_slices, _strip_root, _synthetic_div
 from conftest import (
     L,
     M,
@@ -293,7 +290,7 @@ def dense_product():
         d = rng.randint(3, 400)
         if d not in orders:
             orders.add(d)
-            coeffs = _moebius_product(coeffs, _moebius_pairs(d), 1)
+            coeffs = _moebius_product(coeffs, _moebius_pairs(d))
     return _in_l(coeffs), sorted(orders)
 
 
@@ -411,29 +408,31 @@ def recognition_cases():
 
 
 class TestDecomposition:
+    """The degree-zero decomposition is the cyclotomic field of the report."""
+
     def test_abelian_pair(self):
-        prof = mdeg_trivial_decomposition(parse_poly("L^2 - 1"))
+        prof = analyze(parse_poly("L^2 - 1")).cyclotomic
         assert prof.factors == ((2, 1),)
         assert prof.product_d == 2
 
     def test_unknot(self):
-        prof = mdeg_trivial_decomposition(L - one)
+        prof = analyze(L - one).cyclotomic
         assert prof.factors == () and prof.product_d == 1
 
     def test_repeated_abelian(self):
         a = (L - one) * (L - one) * (L + one)
-        out = mdeg_trivial_decomposition(a)
+        out = analyze(a).cyclotomic
         assert isinstance(out, Violation)
         assert "repeated abelian" in out.reason
 
     def test_missing_abelian(self):
-        out = mdeg_trivial_decomposition(L + one)
+        out = analyze(L + one).cyclotomic
         assert isinstance(out, Violation)
         assert "missing abelian" in out.reason
 
     def test_repeated_cyclotomic(self):
         a = (L - one) * cyclotomic(3) ** 2
-        out = mdeg_trivial_decomposition(a)
+        out = analyze(a).cyclotomic
         assert isinstance(out, Violation)
         assert "order 3" in out.reason
 
@@ -441,47 +440,45 @@ class TestDecomposition:
         # L^1999 - L - 1 is Selmer's trinomial, irreducible and not cyclotomic:
         # it is not palindromic, so recognition rejects it before any order
         for a in ((L - one) * (L - 2 * one), (L - one) * (L**1999 - L - one)):
-            assert mdeg_trivial_decomposition(a) == Violation(NOT_CYCLOTOMIC)
+            assert analyze(a).cyclotomic == Violation(NOT_CYCLOTOMIC)
 
-    def test_requires_mdeg_zero(self):
-        with pytest.raises(ValueError):
-            mdeg_trivial_decomposition(TREFOIL)
+
+def unit_eval(a, m):
+    """The report's unit evaluation of a at M = m, m = 1 or -1."""
+    report = analyze(a)
+    return report.unit_eval_plus if m == 1 else report.unit_eval_minus
 
 
 class TestUnitEvaluation:
     def test_unknot(self):
         for m in (1, -1):
-            form = check_unit_evaluation(L - one, m)
+            form = unit_eval(L - one, m)
             assert form == UnitEvaluationForm(sign=1, a=0, b=1, c=0)
 
     def test_trefoil_minus(self):
-        form = check_unit_evaluation(TREFOIL, -1)
+        form = unit_eval(TREFOIL, -1)
         assert (form.a, form.b, form.c) == (0, 1, 1)
 
     def test_trefoil_plus(self):
-        form = check_unit_evaluation(TREFOIL, 1)
+        form = unit_eval(TREFOIL, 1)
         assert reconstruct_unit_form(form) == TREFOIL.eval_m(1)
 
     def test_failure_residual(self):
-        out = check_unit_evaluation(L - 3 * one, 1)
+        out = unit_eval(L - 3 * one, 1)
         assert isinstance(out, UnitEvalFailure)
         assert out.residual == L - 3
 
     def test_vanishing_evaluation(self):
-        out = check_unit_evaluation(M - one, 1)
+        out = unit_eval(M - one, 1)
         assert isinstance(out, UnitEvalFailure)
         assert out.residual.is_zero
-
-    def test_l_power(self):
-        form = check_unit_evaluation(L**3 * (L + one), 1)
-        assert form == UnitEvaluationForm(sign=1, a=3, b=0, c=1)
 
     def test_long_l_power(self):
         # (M-1)(1 + L + ... + L^(k-1)) + L^k is L^k at M = 1; the k leading
         # zeros are stripped in one slice, not one copy per zero
         k = 20000
         a = (M - one) * BivarPoly({(0, j): 1 for j in range(k)}) + L**k
-        form = check_unit_evaluation(a, 1)
+        form = unit_eval(a, 1)
         assert form == UnitEvaluationForm(sign=1, a=k, b=0, c=0)
 
     @given(
@@ -493,10 +490,11 @@ class TestUnitEvaluation:
     )
     @settings(max_examples=80, deadline=None)
     def test_roundtrip(self, sign, a, b, c, m):
+        # the report reads the A-normal form, which drops the sign and L^a
         f = reconstruct_unit_form(UnitEvaluationForm(sign, a, b, c))
-        form = check_unit_evaluation(f, m)
+        form = unit_eval(f, m)
         assert isinstance(form, UnitEvaluationForm)
-        assert reconstruct_unit_form(form) == f
+        assert reconstruct_unit_form(form) == f.normalize()
 
     @given(
         bivar_polys(allow_zero=False),
@@ -507,11 +505,17 @@ class TestUnitEvaluation:
     @settings(max_examples=150, deadline=None)
     def test_matches_division_oracle(self, g, b, c, m):
         a = g * (L - one) ** b * (L + one) ** c
-        assert check_unit_evaluation(a, m) == unit_evaluation_by_division(a, m)
+        assert unit_eval(a, m) == unit_evaluation_by_division(a.normalize(), m)
 
     def test_high_multiplicity(self):
         a = (L - one) ** 300 * (L + one) ** 200
-        assert check_unit_evaluation(a, 1) == UnitEvaluationForm(sign=1, a=0, b=300, c=200)
+        assert unit_eval(a, 1) == UnitEvaluationForm(sign=1, a=0, b=300, c=200)
+
+
+def abelian_count(a):
+    """The report's abelian multiplicity of a, from its M-slices alone, so
+    that the synthetic divisions counted are the count's own."""
+    return _abelian_multiplicity(_m_slices(a.terms))
 
 
 def count_synthetic_divisions(monkeypatch):
@@ -551,9 +555,10 @@ class TestSyntheticDivision:
         assert len(calls) == b
 
     def test_unit_evaluation_count(self, monkeypatch):
-        # b passes for L - 1 and c for L + 1, whatever the size of b
+        # b passes for L - 1 and c for L + 1, whatever the size of b; the
+        # report's abelian multiplicity and recognition make none
         calls = count_synthetic_divisions(monkeypatch)
-        form = check_unit_evaluation((L - one) ** 400 * (L + one) ** 3 * (L - 3 * one), 1)
+        form = unit_eval((L - one) ** 400 * (L + one) ** 3 * (L - 3 * one), 1)
         assert isinstance(form, UnitEvalFailure)
         assert form.residual == L - 3
         assert calls == [1] * 400 + [-1] * 3
@@ -563,7 +568,7 @@ class TestSyntheticDivision:
         # takes two passes; the long one then stops after two, not 200
         a = M * (L - one) ** 200 + (L - one) ** 2
         calls = count_synthetic_divisions(monkeypatch)
-        assert abelian_multiplicity(a) == 2
+        assert abelian_count(a) == 2
         assert len(calls) == 2 + 2
 
     def test_abelian_sparse_slices_stay_sparse(self, monkeypatch):
@@ -571,18 +576,18 @@ class TestSyntheticDivision:
         # count is 1, a slice that vanishes at L = 1 needs none
         slices = sum((M**i * (L**20000 + (i + 1) * one) for i in range(200)), BivarPoly())
         calls = count_synthetic_divisions(monkeypatch)
-        assert abelian_multiplicity(slices * (L - one)) == 1
+        assert abelian_count(slices * (L - one)) == 1
         assert len(calls) == 1
         # a slice that is nonzero at L = 1 ends the count with no pass
-        assert abelian_multiplicity(slices) == 0
+        assert abelian_count(slices) == 0
         assert len(calls) == 1
         # above 1, every slice is divided: 3 passes, then 3
-        assert abelian_multiplicity((L - one) ** 3 * (M**5 + one)) == 3
+        assert abelian_count((L - one) ** 3 * (M**5 + one)) == 3
         assert len(calls) == 1 + 3 + 3
 
 
 def monic_at_units(a):
-    return tuple(check_unit_evaluation(a, m).monic for m in (1, -1))
+    return tuple(unit_eval(a, m).monic for m in (1, -1))
 
 
 class TestMonicity:
@@ -601,9 +606,9 @@ class TestMonicity:
     @given(bivar_polys(allow_zero=False), st.sampled_from([1, -1]))
     @settings(max_examples=150, deadline=None)
     def test_matches_leading_coefficient(self, a, m):
-        f = a.eval_m(m)
+        f = a.normalize().eval_m(m)
         expected = None if f.is_zero else abs(l_lead(f)) == 1
-        assert check_unit_evaluation(a, m).monic == expected
+        assert unit_eval(a, m).monic == expected
 
     def test_analyze_evaluates_once_per_unit(self, monkeypatch):
         # A(1, L) and A(-1, L) come off the M-slices, with no eval_m, and
@@ -653,7 +658,7 @@ class TestMonicity:
         assert calls == [1, -1, -1]
         assert report.abelian_multiplicity == 1
         monkeypatch.undo()
-        assert report.cyclotomic == mdeg_trivial_decomposition(a)
+        assert report.cyclotomic == analyze_by_passes(a).cyclotomic
         assert report.cyclotomic == Violation("repeated cyclotomic factor of order 2")
         assert report.unit_eval_plus == unit_evaluation_by_division(a, 1)
 
@@ -701,27 +706,32 @@ class TestSymmetry:
         assert not holds and witness is None
 
 
+def abelian(a):
+    """The abelian multiplicity of a's report."""
+    return analyze(a).abelian_multiplicity
+
+
 class TestAbelianMultiplicity:
     def test_trefoil(self):
-        assert abelian_multiplicity(TREFOIL) == 1
+        assert abelian(TREFOIL) == 1
 
     def test_square(self):
-        assert abelian_multiplicity((L - one) * (L - one)) == 2
+        assert abelian((L - one) * (L - one)) == 2
 
     def test_none(self):
-        assert abelian_multiplicity(L + one) == 0
+        assert abelian(L + one) == 0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            abelian_multiplicity(BivarPoly())
+            analyze(BivarPoly())
 
     @given(bivar_polys(allow_zero=False), st.integers(0, 4))
     @settings(max_examples=150, deadline=None)
     def test_matches_division_oracle(self, b, k):
         a = b * (L - one) ** k
-        count = abelian_multiplicity(a)
+        count = abelian(a)
         assert count == abelian_multiplicity_by_division(a)
-        assert count == k + abelian_multiplicity(b)
+        assert count == k + abelian(b)
 
     def test_fixtures_match_division_oracle(self):
         with resources.as_file(resources.files("apoly.data") / "fixtures.txt") as path:
@@ -729,22 +739,22 @@ class TestAbelianMultiplicity:
         assert records
         for rec in records:
             a = rec.a_poly
-            assert abelian_multiplicity(a) == abelian_multiplicity_by_division(a), rec.name
+            assert abelian(a) == abelian_multiplicity_by_division(a), rec.name
 
     @pytest.mark.parametrize("p, q", TORUS_GRID)
     def test_torus_match_division_oracle(self, p, q):
         a = torus_a(p, q)
-        assert abelian_multiplicity(a) == abelian_multiplicity_by_division(a) == 1
+        assert abelian(a) == abelian_multiplicity_by_division(a) == 1
 
     def test_high_multiplicity(self):
         a = (L - one) ** 600 * (M * L + one)
-        assert abelian_multiplicity(a) == 600
+        assert abelian(a) == 600
 
     def test_no_dense_coefficients(self):
         # the count runs over the sparse terms of a polynomial of high M-degree
         a = torus_a(37, 29) * (L - one)
         assert a.deg_m() >= 1000
-        assert abelian_multiplicity(a) == 2
+        assert abelian(a) == 2
 
 
 class TestAnalyze:

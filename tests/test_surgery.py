@@ -5,9 +5,11 @@ from apoly.grammar import parse_poly
 from apoly.poly import BivarPoly
 from apoly.recognition import CyclotomicProfile, Violation, cyclotomic, is_product_of_cyclotomics
 from apoly import surgery
+from apoly.structure import analyze
 from apoly.surgery import _points_by_order, replay_contradiction
 
 from conftest import L, l_coeffs, substitute_surgery, unit_root_points
+from test_structure import recognition_cases
 
 one = BivarPoly.const(1)
 TREFOIL = parse_poly("L^2*M^6 - L*M^6 + L - 1")
@@ -145,14 +147,24 @@ class TestReplay:
         with pytest.raises(ValueError):
             replay_contradiction(L - one, n_max=0)
 
+    def test_matches_analyze(self):
+        # the replay's profile, or its violation, is the decomposition of
+        # analyze's report
+        cases = [f for f in recognition_cases() if f.normalize().deg_m() == 0]
+        assert cases
+        for a in cases + [L**60 - 1, L**2 - 1, (L - 1) ** 2 * (L + 1)]:
+            rep, cyc = replay_contradiction(a), analyze(a).cyclotomic
+            if isinstance(cyc, CyclotomicProfile):
+                assert (rep.profile, rep.violation) == (cyc, None)
+            else:
+                assert (rep.violation, rep.profile) == (cyc.reason, None)
+
     def test_point_bound(self, monkeypatch):
         # n_max * deg_L points at most 100,000; past it, a ValueError before
-        # the decomposition runs
+        # analyze, which gives the decomposition, runs
         calls = []
-        decompose = surgery.mdeg_trivial_decomposition
-        monkeypatch.setattr(
-            surgery, "mdeg_trivial_decomposition", lambda a: calls.append(a) or decompose(a)
-        )
+        analyze = surgery.analyze
+        monkeypatch.setattr(surgery, "analyze", lambda a: calls.append(a) or analyze(a))
         a = parse_poly("L^50 - 1")
         rep = replay_contradiction(a, n_max=2000)
         assert len(rep.steps) == 2000 and rep.steps[-1].num_points == 50
